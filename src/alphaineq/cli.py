@@ -57,7 +57,6 @@ def create_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--parallel", action="store_true")
 
     p = sub.add_parser("falsify", help="randomized search for a counterexample")
     p.add_argument("--ineq", required=True)
@@ -95,7 +94,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = SweepConfig.from_json(args.config)
-    rows = run_sweep(cfg, parallel=args.parallel)
+    rows = run_sweep(cfg)
     if args.out:
         emit_report(rows, args.format, args.out)
     else:

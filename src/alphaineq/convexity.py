@@ -33,7 +33,8 @@ class ConvexityVerdict:
 
     ``witness`` is present exactly when ``holds_on_grid`` is false and holds
     the maximal violation found as ``(x1, x2, lam, gap)`` with
-    ``gap > slack_tol``.
+    ``gap > slack_tol``, or the first point whose gap is not finite: a
+    NaN or infinite gap can never certify the inequality.
     """
 
     holds_on_grid: bool
@@ -57,6 +58,20 @@ def _as_array_fn(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
     return wrapped
 
 
+def _first_nonfinite(
+    gap: np.ndarray, x1: np.ndarray, x2: np.ndarray, lam: np.ndarray
+) -> Optional[ConvexityVerdict]:
+    """A failed verdict at the first non-finite gap, or None if all are finite."""
+    nonfinite = ~np.isfinite(gap)
+    if not nonfinite.any():
+        return None
+    i = np.unravel_index(int(np.argmax(nonfinite)), gap.shape)
+    return ConvexityVerdict(
+        holds_on_grid=False,
+        witness=(float(x1[i]), float(x2[i]), float(lam[i]), float(gap[i])),
+    )
+
+
 def _lattice_check(
     f: Callable,
     weight: Callable[[np.ndarray, float], np.ndarray],
@@ -78,6 +93,9 @@ def _lattice_check(
     x1, x2, lam = np.meshgrid(xs, xs, lams, indexing="ij")
     mix = lam * x1 + (1.0 - lam) * x2
     gap = fn(mix) - (weight(lam, 1.0) * fx[:, None, None] + weight(lam, -1.0) * fx[None, :, None])
+    bad = _first_nonfinite(gap, x1, x2, lam)
+    if bad is not None:
+        return bad
 
     worst = np.unravel_index(int(np.argmax(gap)), gap.shape)
     best = (float(x1[worst]), float(x2[worst]), float(lam[worst]), float(gap[worst]))
@@ -91,6 +109,9 @@ def _lattice_check(
         rx2 = np.clip(best[1] + dx * rng.uniform(-1, 1, refine), lo, hi)
         rl = np.clip(best[2] + dl * rng.uniform(-1, 1, refine), 0.0, 1.0)
         rgap = fn(rl * rx1 + (1 - rl) * rx2) - (weight(rl, 1.0) * fn(rx1) + weight(rl, -1.0) * fn(rx2))
+        bad = _first_nonfinite(rgap, rx1, rx2, rl)
+        if bad is not None:
+            return bad
         j = int(np.argmax(rgap))
         if rgap[j] > best[3]:
             best = (float(rx1[j]), float(rx2[j]), float(rl[j]), float(rgap[j]))

@@ -4,8 +4,8 @@ The harness owns all I/O: parsing the textual function mini-language,
 expanding sweep configurations into Cartesian products of parameter points,
 randomized falsification with shrinking, and CSV/JSON report files.  All
 evaluation goes through the pure evaluators in :mod:`alphaineq.inequalities`,
-so sweep points are independent and may run in parallel; rows are sorted
-before emission, which makes parallel and serial runs indistinguishable.
+so sweep points are independent; rows are sorted before emission, which
+makes the output independent of the evaluation order.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -376,59 +375,38 @@ def _sort_key(r: IneqReport):
     )
 
 
-def run_sweep(cfg: SweepConfig, parallel: bool = False, max_workers: Optional[int] = None) -> list[IneqReport]:
+def run_sweep(cfg: SweepConfig) -> list[IneqReport]:
     """Evaluate the Cartesian product of the config axes, one report per point.
 
     Per-point failures become rows with the error in the notes and
     ``holds=False``; they never abort the sweep.  Output order is imposed by
-    a deterministic sort, so the evaluation order (serial or parallel) is
-    unobservable.
+    a deterministic sort, so the evaluation order is unobservable.  Each
+    (alpha, function) pair is realized once, so the values cached on its
+    series are shared by all of its rows.
     """
-    functionals: dict[float, MomentFunctional] = {}
-    realized: dict[tuple[float, str], AlphaSeries] = {}
-    tasks: list[Callable[[], IneqReport]] = []
-
+    rows: list[IneqReport] = []
     for alpha in cfg.alphas:
         ctx = cfg.context(alpha)
-        functionals[alpha] = MomentFunctional(ctx)
+        functional = MomentFunctional(ctx)
         for spec in cfg.functions:
-            realized[(alpha, spec.canonical())] = spec.realize(ctx)
-
-    def make_task(ineq, alpha, spec, a, b, x, s, p, q):
-        fn_text = spec.canonical()
-        series = realized[(alpha, fn_text)]
-        functional = functionals[alpha]
-
-        def task() -> IneqReport:
-            try:
-                rep = evaluate_single(canonical_id(ineq), series, functional, a, b, x, s, p, q)
-            except Exception as exc:  # per-point errors recorded, never raised
-                rep = _error_report(
-                    canonical_id(ineq), alpha, exc, a=a, b=b, x=x, s=s, p=p, q=q
-                )
-            return rep.with_fn(fn_text)
-
-        return task
-
-    for ineq in cfg.inequalities:
-        axes = applicable_axes(ineq)
-        s_axis = cfg.s_values if "s" in axes else (None,)
-        pq_axis = cfg.pq_pairs if "pq" in axes else ((None, None),)
-        x_axis = cfg.x_fractions if "x" in axes else (None,)
-        for alpha in cfg.alphas:
-            for spec in cfg.functions:
+            fn_text = spec.canonical()
+            series = spec.realize(ctx)
+            for ineq in cfg.inequalities:
+                ineq = canonical_id(ineq)
+                axes = applicable_axes(ineq)
+                s_axis = cfg.s_values if "s" in axes else (None,)
+                pq_axis = cfg.pq_pairs if "pq" in axes else ((None, None),)
+                x_axis = cfg.x_fractions if "x" in axes else (None,)
                 for (a, b) in cfg.intervals:
                     for s in s_axis:
                         for (p, q) in pq_axis:
                             for frac in x_axis:
                                 x = None if frac is None else a + frac * (b - a)
-                                tasks.append(make_task(ineq, alpha, spec, a, b, x, s, p, q))
-
-    if parallel:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(lambda t: t(), tasks))
-    else:
-        rows = [t() for t in tasks]
+                                try:
+                                    rep = evaluate_single(ineq, series, functional, a, b, x, s, p, q)
+                                except Exception as exc:  # per-point errors recorded, never raised
+                                    rep = _error_report(ineq, alpha, exc, a=a, b=b, x=x, s=s, p=p, q=q)
+                                rows.append(rep.with_fn(fn_text))
     rows.sort(key=_sort_key)
     return rows
 

@@ -134,10 +134,15 @@ def sup_abs(f: AlphaSeries, a: float, b: float, grid: int = 1025) -> float:
     """Sup norm of ``|f|`` on ``[a, b]``: dense grid plus local refinement.
 
     After the grid scan, the cell around the maximizer is re-gridded three
-    times, which is enough for the smooth series handled here.
+    times, which is enough for the smooth series handled here.  The value
+    is cached on ``f`` per ``(a, b, grid)``.
     """
     if grid < 3:
         raise ValueError(f"grid must be >= 3, got {grid}")
+    key = ("sup", a, b, grid)
+    cached = f._memo.get(key)
+    if cached is not None:
+        return cached
     lo, hi = a, b
     best = 0.0
     for _ in range(4):
@@ -147,6 +152,7 @@ def sup_abs(f: AlphaSeries, a: float, b: float, grid: int = 1025) -> float:
         best = max(best, float(vals[i]))
         lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, grid - 1)]
         grid = 33
+    f._memo[key] = best
     return best
 
 
@@ -314,9 +320,17 @@ def _second_derivative_data(
 def _hypothesis_note(
     f: AlphaSeries, s: float, a: float, b: float, grid: int, power: float = 1.0
 ) -> str:
-    """Grid-check the s-convexity hypothesis on |f^(2a)|**power; empty if ok."""
+    """Grid-check the s-convexity hypothesis on |f^(2a)|**power; empty when grid <= 0.
+
+    The hypothesis does not depend on the evaluation point, so the note is
+    cached on ``f`` per ``(s, a, b, grid, power)``.
+    """
     if grid <= 0:
         return ""
+    key = ("hyp", s, a, b, grid, power)
+    cached = f._memo.get(key)
+    if cached is not None:
+        return cached
     f2 = lf_derivative_n(f, 2)
 
     def cand(u: np.ndarray) -> np.ndarray:
@@ -325,9 +339,11 @@ def _hypothesis_note(
 
     verdict = check_s_convex_second(cand, s, a, b, grid, f.ctx)
     if verdict.holds_on_grid:
-        return "hypothesis=verified"
-    gap = verdict.witness[3] if verdict.witness else float("nan")
-    return f"hypothesis=failed(gap={gap:.3g})"
+        note = "hypothesis=verified"
+    else:
+        note = f"hypothesis=failed(gap={verdict.witness[3]:.3g})"
+    f._memo[key] = note
+    return note
 
 
 def eval_thm1(

@@ -17,7 +17,7 @@ in particular) remain true under them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -73,13 +73,33 @@ class AlphaSeries:
     integrals.  Terms are kept sorted by grade with equal grades merged and
     zero coefficients dropped.  Evaluation uses ordinary real powers on
     ``x >= 0`` (``x > 0`` when a negative grade is present).
+
+    Values derived from the series alone (its derivative, integrals, sup
+    norms, hypothesis verdicts) are cached in ``_memo`` for the lifetime of
+    the instance; the cache takes no part in equality, hashing or repr.
     """
 
     terms: tuple[tuple[float, float], ...]
     ctx: AlphaContext
+    _scalar: tuple = field(init=False, repr=False, compare=False, hash=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", _normalize(self.terms))
+        terms = _normalize(self.terms)
+        object.__setattr__(self, "terms", terms)
+        a = self.ctx.alpha
+        exps = [k * a for k, _ in terms]
+        object.__setattr__(
+            self,
+            "_scalar",
+            (
+                np.array(exps),
+                # numpy computes ``array ** 2.0`` and ``array ** 0.5`` with
+                # square and sqrt, not pow; the scalar path must do the same
+                [i for i, e in enumerate(exps) if e == 2.0],
+                [i for i, e in enumerate(exps) if e == 0.5],
+            ),
+        )
 
     @classmethod
     def monomial(cls, grade: float, ctx: AlphaContext, coeff: float = 1.0) -> "AlphaSeries":
@@ -110,8 +130,12 @@ class AlphaSeries:
         """Vectorized evaluation at nonnegative points (not range-checked).
 
         Negative-grade terms evaluate to inf at 0, silently; use
-        :func:`series_eval` for the range-checked scalar path.
+        :func:`series_eval` for the range-checked scalar path.  A Python
+        float ``x >= 0`` takes a scalar path whose result is bit-identical
+        to evaluating the one-element array ``[x]``.
         """
+        if type(x) is float and x >= 0.0:
+            return self._evaluate_scalar(x)
         xs = np.asarray(x, dtype=float)
         out = np.zeros_like(xs)
         a = self.ctx.alpha
@@ -119,6 +143,23 @@ class AlphaSeries:
             for k, c in self.terms:
                 out = out + c * xs ** (k * a)
         return float(out) if np.isscalar(x) or xs.ndim == 0 else out
+
+    def _evaluate_scalar(self, x: float) -> float:
+        exps, squares, roots = self._scalar
+        if x == 0.0 and self.terms and self.terms[0][0] < 0.0:
+            with np.errstate(divide="ignore"):
+                powers = np.power(x, exps).tolist()
+        else:
+            powers = np.power(x, exps).tolist()
+        for i in squares:
+            powers[i] = x * x
+        for i in roots:
+            powers[i] = math.sqrt(x)
+        # same summation order as the array path, starting from +0.0
+        out = 0.0
+        for (_, c), v in zip(self.terms, powers):
+            out = out + c * v
+        return out
 
     def __call__(self, x: float) -> float:
         return series_eval(self, x)
@@ -159,8 +200,11 @@ def lf_derivative(f: AlphaSeries) -> AlphaSeries:
     The grade-0 case is excluded from the monomial rule (the difference
     quotient of a constant vanishes identically, and at alpha=1 the rule
     would hit the Gamma pole at 0), so constants simply map to the zero
-    series.
+    series.  The result is cached on ``f``; a pole is raised on every call.
     """
+    cached = f._memo.get("d1")
+    if cached is not None:
+        return cached
     a = f.ctx.alpha
     out: list[tuple[float, float]] = []
     for k, c in f.terms:
@@ -177,7 +221,8 @@ def lf_derivative(f: AlphaSeries) -> AlphaSeries:
                 f"derivative of grade {k} hits a Gamma pole (argument {lower})"
             )
         out.append((k - 1.0, c * gamma(1.0 + k * a) / gamma(lower)))
-    return AlphaSeries(tuple(out), f.ctx)
+    d1 = f._memo["d1"] = AlphaSeries(tuple(out), f.ctx)
+    return d1
 
 
 def lf_derivative_n(f: AlphaSeries, n: int) -> AlphaSeries:
@@ -194,12 +239,16 @@ def lf_integral(f: AlphaSeries, a: float, b: float) -> float:
 
     Equals ``sum_k c_k [G(1+k a)/G(1+(k+1) a)] (b**((k+1)a) - a**((k+1)a))``
     with signed powers, is zero when ``a == b`` and antisymmetric in
-    ``(a, b)`` by construction.
+    ``(a, b)`` by construction.  The value is cached on ``f`` per ``(a, b)``.
     """
     if a < 0.0 or b < 0.0:
         raise ValueError(f"integration endpoints must be nonnegative, got ({a}, {b})")
     if a == b:
         return 0.0
+    key = ("int", a, b)
+    cached = f._memo.get(key)
+    if cached is not None:
+        return cached
     al = f.ctx.alpha
     total = 0.0
     for k, c in f.terms:
@@ -207,6 +256,7 @@ def lf_integral(f: AlphaSeries, a: float, b: float) -> float:
         hi = alpha_pow_signed(b, f.ctx) ** (k + 1.0)
         lo = alpha_pow_signed(a, f.ctx) ** (k + 1.0)
         total += c * ratio * (hi - lo)
+    f._memo[key] = total
     return total
 
 

@@ -93,6 +93,42 @@ def test_negative_values_warn():
         check_s_convex_second(lambda x: x - 0.5, 0.5, 0.0, 1.0, 8, ctx)
 
 
+def test_nan_candidate_never_certifies():
+    ctx = AlphaContext(0.5)
+    verdict = check_s_convex_second(lambda u: u * np.nan, 0.5, 0.0, 1.0, 8, ctx)
+    assert not verdict.holds_on_grid
+    assert np.isnan(verdict.witness[3])
+
+
+def test_single_nan_lattice_point_fails_at_the_first_nan():
+    ctx = AlphaContext(1.0)
+
+    def f(u):
+        u = np.asarray(u, dtype=float)
+        return np.where(u == 0.375, np.nan, u**2)
+
+    verdict = check_s_convex_second(f, 1.0, 0.0, 1.0, 9, ctx)
+    assert not verdict.holds_on_grid
+    x1, x2, lam, gap = verdict.witness
+    assert (x1, x2, lam) == (0.0, 0.375, 0.0)
+    assert np.isnan(gap)
+
+
+def test_nan_in_refinement_probes_fails_the_check():
+    # lattice mixes are multiples of 1/64, so the NaN band is hit only by
+    # the random probes around the worst lattice point (0, 0, 0)
+    ctx = AlphaContext(1.0)
+
+    def f(u):
+        u = np.asarray(u, dtype=float)
+        return np.where((u > 0.0) & (u < 1.0 / 128.0), np.nan, u**2)
+
+    assert check_s_convex_second(f, 1.0, 0.0, 1.0, 9, ctx).holds_on_grid
+    verdict = check_s_convex_second(f, 1.0, 0.0, 1.0, 9, ctx, refine=200, seed=5)
+    assert not verdict.holds_on_grid
+    assert np.isnan(verdict.witness[3])
+
+
 def test_refinement_is_seeded_and_can_sharpen_the_witness():
     ctx = AlphaContext(1.0)
     f = lambda x: -(x**2)

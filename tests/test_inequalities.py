@@ -16,12 +16,13 @@ from alphaineq.inequalities import (
     eval_thm1,
     eval_thm2,
     eval_thm3,
+    _hypothesis_note,
     identity_residual,
     ostrowski_constants,
     sup_abs,
 )
 from alphaineq.quadrature import MomentFunctional, alpha_binomial_series, fractal_integral_numeric
-from alphaineq.series import AlphaSeries, series_mul
+from alphaineq.series import AlphaSeries, lf_derivative, lf_derivative_n, lf_integral, series_mul
 
 G = math.gamma
 CTX1 = AlphaContext(1.0)
@@ -265,6 +266,44 @@ class TestTheorem1:
         assert "hypothesis=verified" in ok.notes
         bad = eval_thm1(mono(2.5, CTX1), 1.0, 0.5, 0.0, 1.0, hypothesis_grid=24)
         assert "hypothesis=failed" in bad.notes
+
+
+class TestPerSeriesCache:
+    @staticmethod
+    def derived(f):
+        f2 = lf_derivative_n(f, 2)
+        return (
+            lf_derivative(f),
+            f2,
+            lf_integral(f, 0.2, 1.7),
+            sup_abs(f2, 0.0, 2.0),
+            sup_abs(f2, 0.5, 2.0, 257),
+            _hypothesis_note(f, 0.5, 0.0, 1.0, 12),
+            _hypothesis_note(f, 1.0, 0.0, 1.0, 12, power=2.0),
+        )
+
+    def test_cached_values_match_a_fresh_copy(self):
+        f = AlphaSeries(((2.0, 1.0), (2.5, 1.0), (4.0, 0.25)), CTX1)
+        first = self.derived(f)
+        assert self.derived(f) == first  # served from the cache
+        assert self.derived(AlphaSeries(f.terms, f.ctx)) == first
+        assert first[5:] == ("hypothesis=verified", "hypothesis=failed(gap=1.65)")
+
+    def test_filled_cache_is_invisible(self):
+        f = parse_function_spec("ml:7").realize(CTX_HALF)
+        fresh = AlphaSeries(f.terms, f.ctx)
+        self.derived(f)
+        assert f._memo and not fresh._memo
+        assert f == fresh
+        assert hash(f) == hash(fresh)
+        assert repr(f) == repr(fresh)
+
+    def test_hypothesis_note_is_shared_across_points(self):
+        f = mono(2.5, CTX1)
+        reps = [eval_thm1(f, 1.0, x, 0.0, 1.0, hypothesis_grid=24) for x in (0.25, 0.5)]
+        assert reps[0].notes == reps[1].notes
+        assert reps[0].notes.startswith("hypothesis=failed")
+        assert eval_thm1(mono(2.5, CTX1), 1.0, 0.5, 0.0, 1.0, hypothesis_grid=24) == reps[1]
 
 
 class TestTheorem2:

@@ -1,13 +1,16 @@
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alphaineq.alphanum import AlphaContext
 from alphaineq.series import (
     AlphaSeries,
+    GammaPoleError,
     byparts_residual,
     lf_derivative,
     lf_derivative_n,
@@ -78,6 +81,60 @@ class TestEval:
         with pytest.raises(ValueError):
             series_eval(mono(1.0, CTX_HALF), -0.1)
 
+    def test_scalar_pole_at_zero_is_silent_inf(self):
+        f = AlphaSeries(((-0.5, 1.0), (1.0, 2.0)), CTX_HALF)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = f.evaluate(0.0)
+        assert type(value) is float and value == math.inf
+
+
+def _bits(v):
+    return struct.pack("<d", float(v))
+
+
+@st.composite
+def _series_and_point(draw):
+    # alphas 0.25, 0.5 and 1 make the exponents 0.5, 1 and 2 exact, the ones
+    # numpy's array power treats specially
+    alpha = draw(st.sampled_from([0.25, 0.5, 1.0, 0.3, 0.8]))
+    special = st.sampled_from([e / alpha for e in (0.5, 1.0, 2.0)])
+    grade = st.one_of(special, st.floats(-0.99, 8.0), st.sampled_from([-0.5, 0.0]))
+    grades = draw(st.lists(grade, min_size=0, max_size=5))
+    coeffs = draw(
+        st.lists(st.floats(-8.0, 8.0), min_size=len(grades), max_size=len(grades))
+    )
+    x = draw(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, math.inf, math.nan, 0.5, 1.0, 4.0]),
+            st.floats(0.0, 1e3),
+            st.floats(-4.0, 0.0),
+        )
+    )
+    return AlphaSeries(tuple(zip(grades, coeffs)), AlphaContext(alpha)), x
+
+
+@pytest.mark.parametrize("alpha, grade", [(0.5, 1.0), (1.0, 0.5), (0.25, 8.0), (1.0, 2.0), (0.3, 2.5)])
+def test_scalar_evaluate_matches_array_on_many_points(alpha, grade):
+    # numpy's array power uses sqrt for exponent 0.5 and square for 2; pow
+    # differs from both in a few percent of points, so sample many
+    f = AlphaSeries(((grade, 1.0),), AlphaContext(alpha))
+    xs = np.random.default_rng(0).uniform(0.0, 3.0, 2000)
+    assert [_bits(f.evaluate(float(x))) for x in xs] == [_bits(v) for v in f.evaluate(xs)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series_and_point())
+@example((AlphaSeries(((1.0, 1.5), (2.0, -2.0), (4.0, 0.25)), CTX_HALF), -0.0))
+@example((AlphaSeries(((-0.5, 3.0), (2.0, 1.0)), CTX_HALF), 0.0))
+def test_scalar_evaluate_is_bit_identical_to_array(case):
+    f, x = case
+    with np.errstate(all="ignore"):
+        scalar = f.evaluate(x)
+        vector = f.evaluate(np.array([x]))[0]
+    assert type(scalar) is float
+    assert _bits(scalar) == _bits(vector)
+
 
 class TestDerivative:
     def test_monomial_rule(self):
@@ -110,6 +167,22 @@ class TestDerivative:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             lf_derivative_n(mono(1.0, CTX_ONE), -1)
+
+    def test_derivative_is_cached_on_the_series(self):
+        f = mono(3.0, CTX_HALF)
+        assert lf_derivative(f) is lf_derivative(f)
+        assert lf_derivative_n(f, 2) is lf_derivative(lf_derivative(f))
+
+    def test_pole_raises_on_every_call(self):
+        # f' = c x^{-1/2} cannot be differentiated again
+        f = mono(0.5, CTX_ONE)
+        d1 = lf_derivative(f)
+        for _ in range(2):
+            with pytest.raises(GammaPoleError):
+                lf_derivative(d1)
+            with pytest.raises(GammaPoleError):
+                lf_derivative_n(f, 2)
+        assert "d1" not in d1._memo
 
 
 class TestIntegral:
