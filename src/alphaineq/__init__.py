@@ -33,6 +33,7 @@ from .harness import (
 )
 from .inequalities import (
     COROLLARY_VARIANTS,
+    INEQUALITIES,
     IneqReport,
     OstrowskiConstants,
     eval_corollary,

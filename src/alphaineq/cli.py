@@ -15,10 +15,10 @@ from typing import Optional, Sequence
 
 from .alphanum import AlphaContext
 from .harness import (
+    ID_ALIASES,
     INEQUALITY_IDS,
     evaluate_single,
     SweepConfig,
-    Tolerances,
     canonical_id,
     emit_report,
     falsify,
@@ -42,7 +42,7 @@ def create_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=float, required=True)
 
     p = sub.add_parser("eval", help="evaluate one inequality at one parameter point")
-    p.add_argument("--ineq", required=True, choices=sorted(set(INEQUALITY_IDS) | {"identity-residual-zero"}))
+    p.add_argument("--ineq", required=True, choices=sorted({*INEQUALITY_IDS, *ID_ALIASES}))
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--p", type=float, default=None)
@@ -108,8 +108,6 @@ def _cmd_falsify(args: argparse.Namespace) -> int:
         alphas=(args.alpha,),
         functions=(family,),
         inequalities=(canonical_id(args.ineq),),
-        tolerances=Tolerances(),
-        seed=args.seed,
     )
     witness = falsify(args.ineq, family, cfg, args.trials, args.seed, adversarial=args.adversarial)
     if witness is None:

@@ -2,10 +2,11 @@
 
 The harness owns all I/O: parsing the textual function mini-language,
 expanding sweep configurations into Cartesian products of parameter points,
-randomized falsification with shrinking, and CSV/JSON report files.  All
-evaluation goes through the pure evaluators in :mod:`alphaineq.inequalities`,
-so sweep points are independent; rows are sorted before emission, which
-makes the output independent of the evaluation order.
+randomized falsification with shrinking, and CSV/JSON report files.  It
+holds no per-inequality logic: ids, their axes and their evaluators all come
+from the :data:`alphaineq.inequalities.INEQUALITIES` registry, so sweep
+points are independent; rows are sorted before emission, which makes the
+output independent of the evaluation order.
 """
 
 from __future__ import annotations
@@ -21,23 +22,12 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .alphanum import AlphaContext, gamma
-from .inequalities import (
-    COROLLARY_VARIANTS,
-    IneqReport,
-    eval_corollary,
-    eval_ghh,
-    eval_holder,
-    eval_ostrowski_classic,
-    eval_shh,
-    eval_thm1,
-    eval_thm2,
-    eval_thm3,
-    identity_residual,
-)
+from .inequalities import INEQUALITIES, IneqReport
 from .quadrature import MomentFunctional
 from .series import AlphaSeries
 
 __all__ = [
+    "ID_ALIASES",
     "INEQUALITY_IDS",
     "FunctionSpec",
     "SpecSyntaxError",
@@ -53,42 +43,11 @@ __all__ = [
     "run_sweep",
 ]
 
-INEQUALITY_IDS = (
-    "ghh",
-    "shh",
-    "holder",
-    "ostrowski",
-    "identity",
-    "thm1",
-    "thm2",
-    "thm3",
-) + COROLLARY_VARIANTS
+#: Every inequality id, in the order of the :data:`INEQUALITIES` registry.
+INEQUALITY_IDS = tuple(INEQUALITIES)
 
-# accepted aliases for inequality ids (falsification targets)
-_ID_ALIASES = {"identity-residual-zero": "identity"}
-
-# axes beyond (alpha, interval, fn) that each inequality consumes; the sweep
-# is the product over exactly these, so inapplicable axes never multiply the
-# row count
-_EXTRA_AXES: dict[str, frozenset[str]] = {
-    "ghh": frozenset(),
-    "shh": frozenset({"s"}),
-    "holder": frozenset({"pq"}),
-    "ostrowski": frozenset({"x"}),
-    "identity": frozenset({"x"}),
-    "thm1": frozenset({"s", "x"}),
-    "thm2": frozenset({"s", "x", "pq"}),
-    "thm3": frozenset({"s", "x", "pq"}),
-    "midpoint-thm1": frozenset({"s"}),
-    "theta-thm1": frozenset({"s", "x"}),
-    "midpoint-theta-thm1": frozenset({"s"}),
-    "midpoint-thm2": frozenset({"s", "pq"}),
-    "theta-thm2": frozenset({"s", "x", "pq"}),
-    "midpoint-theta-thm2": frozenset({"s", "pq"}),
-    "midpoint-thm3": frozenset({"s", "pq"}),
-    "theta-thm3": frozenset({"s", "x", "pq"}),
-    "midpoint-theta-thm3": frozenset({"s", "pq"}),
-}
+#: Accepted aliases for inequality ids (falsification targets).
+ID_ALIASES = {"identity-residual-zero": "identity"}
 
 CSV_COLUMNS = ("ineq", "alpha", "s", "p", "q", "a", "b", "x", "fn", "lhs", "rhs", "slack", "holds", "notes")
 
@@ -223,7 +182,6 @@ class SweepConfig:
     s_values: tuple[float, ...] = (0.5,)
     pq_pairs: tuple[tuple[float, float], ...] = ((2.0, 2.0),)
     tolerances: Tolerances = field(default_factory=Tolerances)
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for a in self.alphas:
@@ -242,7 +200,7 @@ class SweepConfig:
             if abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
                 raise ValueError(f"(p, q) = ({p}, {q}) are not conjugate")
         for ineq in self.inequalities:
-            if canonical_id(ineq) not in _EXTRA_AXES:
+            if canonical_id(ineq) not in INEQUALITIES:
                 raise ValueError(f"unknown inequality id {ineq!r}")
 
     def context(self, alpha: float) -> AlphaContext:
@@ -260,7 +218,6 @@ class SweepConfig:
             s_values=tuple(raw.get("s_values", [0.5])),
             pq_pairs=tuple((float(p), float(q)) for p, q in raw.get("pq_pairs", [(2.0, 2.0)])),
             tolerances=tol,
-            seed=int(raw.get("seed", 0)),
         )
 
     @classmethod
@@ -270,12 +227,12 @@ class SweepConfig:
 
 
 def canonical_id(ineq: str) -> str:
-    return _ID_ALIASES.get(ineq, ineq)
+    return ID_ALIASES.get(ineq, ineq)
 
 
 def applicable_axes(ineq: str) -> frozenset[str]:
     """Extra axes (beyond alpha, interval, fn) the inequality consumes."""
-    return _EXTRA_AXES[canonical_id(ineq)]
+    return INEQUALITIES[canonical_id(ineq)][0]
 
 
 def expected_row_count(cfg: SweepConfig) -> int:
@@ -306,7 +263,8 @@ def evaluate_single(
     p: Optional[float],
     q: Optional[float],
 ) -> IneqReport:
-    axes = applicable_axes(ineq)
+    """Evaluate one registered inequality at one parameter point."""
+    axes, evaluator = INEQUALITIES[canonical_id(ineq)]
     if "s" in axes and s is None:
         raise ValueError(f"{ineq} needs the convexity order s")
     if "pq" in axes and q is None:
@@ -315,36 +273,7 @@ def evaluate_single(
         raise ValueError(f"{ineq} needs conjugate (p, q)")
     if "x" in axes and x is None:
         raise ValueError(f"{ineq} needs the evaluation point x")
-    ctx = series.ctx
-    if ineq == "ghh":
-        return eval_ghh(series, a, b)
-    if ineq == "shh":
-        return eval_shh(series, s, a, b)
-    if ineq == "holder":
-        return eval_holder(series.evaluate, series.evaluate, p, q, a, b, functional)
-    if ineq == "ostrowski":
-        return eval_ostrowski_classic(series, x, a, b)
-    if ineq == "identity":
-        residual = identity_residual(series, x, a, b, functional)
-        return IneqReport(
-            ineq="identity",
-            alpha=ctx.alpha,
-            lhs=residual,
-            rhs=0.0,
-            slack=-residual,
-            holds=residual <= ctx.slack_tol,
-            a=a,
-            b=b,
-            x=x,
-            notes="identity-residual",
-        )
-    if ineq == "thm1":
-        return eval_thm1(series, s, x, a, b)
-    if ineq == "thm2":
-        return eval_thm2(series, s, p, q, x, a, b)
-    if ineq == "thm3":
-        return eval_thm3(series, s, q, x, a, b)
-    return eval_corollary(ineq, series, a, b, s, p=p, q=q, x=x)
+    return evaluator(series, functional, a, b, x, s, p, q)
 
 
 def _error_report(ineq: str, alpha: float, exc: Exception, **params) -> IneqReport:
@@ -469,7 +398,7 @@ def falsify(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if canonical_id(ineq_id) not in _EXTRA_AXES:
+    if canonical_id(ineq_id) not in INEQUALITIES:
         raise ValueError(f"unknown inequality id {ineq_id!r}")
     rng = np.random.default_rng(seed)
     functionals: dict[float, MomentFunctional] = {}
@@ -557,30 +486,6 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _rows_as_dicts(rows: Sequence[IneqReport]) -> list[dict]:
-    out = []
-    for r in rows:
-        out.append(
-            {
-                "ineq": r.ineq,
-                "alpha": r.alpha,
-                "s": r.s,
-                "p": r.p,
-                "q": r.q,
-                "a": r.a,
-                "b": r.b,
-                "x": r.x,
-                "fn": r.fn,
-                "lhs": r.lhs,
-                "rhs": r.rhs,
-                "slack": r.slack,
-                "holds": r.holds,
-                "notes": r.notes,
-            }
-        )
-    return out
-
-
 def emit_report(rows: Sequence[IneqReport], format: str, path: str | Path) -> None:
     """Write reports as CSV (17 significant digits) or JSON."""
     if format not in ("csv", "json"):
@@ -592,12 +497,12 @@ def emit_report(rows: Sequence[IneqReport], format: str, path: str | Path) -> No
 
 def render_report(rows: Sequence[IneqReport], format: str) -> str:
     if format == "json":
-        return json.dumps(_rows_as_dicts(rows), indent=2) + "\n"
+        return json.dumps([{c: getattr(r, c) for c in CSV_COLUMNS} for r in rows], indent=2) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in _rows_as_dicts(rows):
-        writer.writerow([_csv_cell(r[c]) for c in CSV_COLUMNS])
+    for r in rows:
+        writer.writerow([_csv_cell(getattr(r, c)) for c in CSV_COLUMNS])
     return buf.getvalue()
 
 

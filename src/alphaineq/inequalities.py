@@ -8,13 +8,21 @@ calculus and everything here is an established theorem, while for alpha < 1
 the reported slacks and residuals constitute a consistency study of the
 term-wise calculus itself.
 
-The midpoint/sup-norm corollary bounds are implemented in the form obtained
-by specializing their parent bound at ``x = (a+b)/2`` and applying the
-s-convexity and subadditivity steps in ordinary real arithmetic.  Care is
-needed here: dividing the midpoint chain by ``2**(s*alpha)`` twice, or
-dropping the ``2**(1/q)`` factor that the conjugate-exponent route
-produces, yields tighter-looking expressions that are simply false for
-convex inputs at alpha = 1, so only the honestly derived forms are used.
+:data:`INEQUALITIES` is the one registry of inequality ids: each id maps to
+the sweep axes it consumes and the evaluator that computes its row.  The
+harness, the sweep validation and the CLI read their ids from it.
+
+The three theorems share one signed left side (the second-derivative
+identity, which :func:`identity_residual` checks directly) and one
+Gamma-ratio prefactor per theorem.  The midpoint/sup-norm corollary bounds
+are implemented in the form obtained by specializing their parent bound at
+``x = (a+b)/2`` and applying the s-convexity and subadditivity steps in
+ordinary real arithmetic; each theorem contributes a row of factors to the
+three corollary forms.  Care is needed here: dividing the midpoint chain by
+``2**(s*alpha)`` twice, or dropping the ``2**(1/q)`` factor that the
+conjugate-exponent route produces, yields tighter-looking expressions that
+are simply false for convex inputs at alpha = 1, so only the honestly
+derived forms are used.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from .series import AlphaSeries, lf_derivative, lf_derivative_n, lf_integral
 
 __all__ = [
     "COROLLARY_VARIANTS",
+    "INEQUALITIES",
     "IneqReport",
     "OstrowskiConstants",
     "eval_corollary",
@@ -45,11 +54,6 @@ __all__ = [
     "ostrowski_constants",
     "sup_abs",
 ]
-
-COROLLARY_VARIANTS = tuple(
-    f"{kind}-thm{i}" for i in (1, 2, 3) for kind in ("midpoint", "theta", "midpoint-theta")
-)
-
 
 @dataclass(frozen=True)
 class OstrowskiConstants:
@@ -123,6 +127,11 @@ def _check_point(x: float, a: float, b: float) -> None:
         raise ValueError(f"need a <= x <= b, got x={x} for [{a}, {b}]")
 
 
+def _check_s(s: float) -> None:
+    if not (0.0 < s <= 1.0):
+        raise ValueError(f"s must lie in (0, 1], got {s}")
+
+
 def _check_conjugate(p: float, q: float, tol: float = 1e-12) -> None:
     if p <= 1.0 or q <= 1.0:
         raise ValueError(f"need p, q > 1, got ({p}, {q})")
@@ -158,8 +167,7 @@ def sup_abs(f: AlphaSeries, a: float, b: float, grid: int = 1025) -> float:
 
 def ostrowski_constants(s: float, ctx: AlphaContext) -> OstrowskiConstants:
     """The moment constants of the s-convex Ostrowski bounds."""
-    if not (0.0 < s <= 1.0):
-        raise ValueError(f"s must lie in (0, 1], got {s}")
+    _check_s(s)
     a = ctx.alpha
     M = gamma(1.0 + (s + 2.0) * a) / gamma(1.0 + (s + 3.0) * a)
     N = (
@@ -189,8 +197,7 @@ def eval_ghh(f: AlphaSeries, a: float, b: float) -> IneqReport:
 def eval_shh(f: AlphaSeries, s: float, a: float, b: float) -> IneqReport:
     """Two-sided s-convex Hermite-Hadamard check."""
     _check_interval(a, b)
-    if not (0.0 < s <= 1.0):
-        raise ValueError(f"s must lie in (0, 1], got {s}")
+    _check_s(s)
     ctx = f.ctx
     al = ctx.alpha
     left = 2.0 ** ((s - 1.0) * al) / gamma(1.0 + al) * f.evaluate((a + b) / 2.0)
@@ -267,15 +274,19 @@ def eval_ostrowski_classic(
     return _report("ostrowski", ctx, lhs, rhs, a=a, b=b, x=x)
 
 
-def _ostrowski_lhs(f: AlphaSeries, x: float, a: float, b: float) -> float:
+def _ostrowski_signed(f: AlphaSeries, x: float, a: float, b: float) -> float:
+    """Signed left side of the second-derivative identity at ``x``."""
     ctx = f.ctx
     al = ctx.alpha
-    f1 = lf_derivative(f)
-    return abs(
+    return (
         lf_integral(f, a, b) / (b - a) ** al
         - f.evaluate(x) / gamma(1.0 + al)
-        + _spow(2.0 * x - a - b, ctx) * f1.evaluate(x) / gamma(1.0 + 2.0 * al)
+        + _spow(2.0 * x - a - b, ctx) * lf_derivative(f).evaluate(x) / gamma(1.0 + 2.0 * al)
     )
+
+
+def _ostrowski_lhs(f: AlphaSeries, x: float, a: float, b: float) -> float:
+    return abs(_ostrowski_signed(f, x, a, b))
 
 
 def identity_residual(
@@ -294,11 +305,7 @@ def identity_residual(
     ctx = f.ctx
     al = ctx.alpha
     f2 = lf_derivative_n(f, 2)
-    lhs = (
-        lf_integral(f, a, b) / (b - a) ** al
-        - f.evaluate(x) / gamma(1.0 + al)
-        + _spow(2.0 * x - a - b, ctx) * lf_derivative(f).evaluate(x) / gamma(1.0 + 2.0 * al)
-    )
+    lhs = _ostrowski_signed(f, x, a, b)
     # a side's moment only enters with a nonzero prefactor; skipping the
     # degenerate side also avoids 0 * inf when f2 is singular at an endpoint
     rhs = 0.0
@@ -308,13 +315,6 @@ def identity_residual(
         rhs += _spow(b - x, ctx) ** 3 * composed_moment(f2, 2.0, x, b, functional)
     rhs /= gamma(1.0 + 2.0 * al) * (b - a) ** al
     return abs(lhs - rhs)
-
-
-def _second_derivative_data(
-    f: AlphaSeries, x: float, a: float, b: float
-) -> tuple[float, float, float]:
-    f2 = lf_derivative_n(f, 2)
-    return abs(f2.evaluate(x)), abs(f2.evaluate(a)), abs(f2.evaluate(b))
 
 
 def _hypothesis_note(
@@ -346,6 +346,50 @@ def _hypothesis_note(
     return note
 
 
+def _front(
+    thm: str, s: float, p: Optional[float], q: Optional[float], al: float, g2: float
+) -> float:
+    """The Hoelder (thm2) or power-mean (thm3) prefactor, 1 for thm1; ``g2 = G(1+2*alpha)``."""
+    if thm == "thm2":
+        return (gamma(1.0 + 2.0 * p * al) / gamma(1.0 + (2.0 * p + 1.0) * al)) ** (1.0 / p) * (
+            gamma(1.0 + s * al) / gamma(1.0 + (s + 1.0) * al)
+        ) ** (1.0 / q)
+    if thm == "thm3":
+        return (g2 / gamma(1.0 + 3.0 * al)) ** (1.0 - 1.0 / q)
+    return 1.0
+
+
+def _theorem_report(
+    thm: str,
+    f: AlphaSeries,
+    s: float,
+    p: Optional[float],
+    q: Optional[float],
+    x: float,
+    a: float,
+    b: float,
+    grid: int,
+    side: Callable[[float, float], float],
+) -> IneqReport:
+    """The shared body of thm1-3.
+
+    A theorem contributes only its prefactor (:func:`_front`) and
+    ``side(|f''(x)|, |f''(e)|)``, which is weighted per endpoint ``e``.
+    """
+    ctx = f.ctx
+    g2 = gamma(1.0 + 2.0 * ctx.alpha)
+    f2 = lf_derivative_n(f, 2)
+    dx, da, db = abs(f2.evaluate(x)), abs(f2.evaluate(a)), abs(f2.evaluate(b))
+    rhs = (
+        _front(thm, s, p, q, ctx.alpha, g2)
+        * (_spow(x - a, ctx) ** 3 * side(dx, da) + _spow(b - x, ctx) ** 3 * side(dx, db))
+        / (g2 * (b - a) ** ctx.alpha)
+    )
+    notes = _hypothesis_note(f, s, a, b, grid, power=1.0 if q is None else q)
+    lhs = _ostrowski_lhs(f, x, a, b)
+    return _report(thm, ctx, lhs, rhs, notes=notes, a=a, b=b, x=x, s=s, p=p, q=q)
+
+
 def eval_thm1(
     f: AlphaSeries,
     s: float,
@@ -362,18 +406,10 @@ def eval_thm1(
     """
     _check_interval(a, b)
     _check_point(x, a, b)
-    if not (0.0 < s <= 1.0):
-        raise ValueError(f"s must lie in (0, 1], got {s}")
-    ctx = f.ctx
-    al = ctx.alpha
-    const = ostrowski_constants(s, ctx)
-    dx, da, db = _second_derivative_data(f, x, a, b)
-    rhs = (
-        _spow(x - a, ctx) ** 3 * (const.M * dx + const.N * da)
-        + _spow(b - x, ctx) ** 3 * (const.M * dx + const.N * db)
-    ) / (gamma(1.0 + 2.0 * al) * (b - a) ** al)
-    notes = _hypothesis_note(f, s, a, b, hypothesis_grid)
-    return _report("thm1", ctx, _ostrowski_lhs(f, x, a, b), rhs, notes=notes, a=a, b=b, x=x, s=s)
+    _check_s(s)
+    c = ostrowski_constants(s, f.ctx)
+    side = lambda dx, de: c.M * dx + c.N * de
+    return _theorem_report("thm1", f, s, None, None, x, a, b, hypothesis_grid, side)
 
 
 def eval_thm2(
@@ -390,26 +426,9 @@ def eval_thm2(
     _check_interval(a, b)
     _check_point(x, a, b)
     _check_conjugate(p, q)
-    if not (0.0 < s <= 1.0):
-        raise ValueError(f"s must lie in (0, 1], got {s}")
-    ctx = f.ctx
-    al = ctx.alpha
-    dx, da, db = _second_derivative_data(f, x, a, b)
-    hoelder = (gamma(1.0 + 2.0 * p * al) / gamma(1.0 + (2.0 * p + 1.0) * al)) ** (1.0 / p)
-    sfac = (gamma(1.0 + s * al) / gamma(1.0 + (s + 1.0) * al)) ** (1.0 / q)
-    rhs = (
-        hoelder
-        * sfac
-        * (
-            _spow(x - a, ctx) ** 3 * (dx**q + da**q) ** (1.0 / q)
-            + _spow(b - x, ctx) ** 3 * (dx**q + db**q) ** (1.0 / q)
-        )
-        / (gamma(1.0 + 2.0 * al) * (b - a) ** al)
-    )
-    notes = _hypothesis_note(f, s, a, b, hypothesis_grid, power=q)
-    return _report(
-        "thm2", ctx, _ostrowski_lhs(f, x, a, b), rhs, notes=notes, a=a, b=b, x=x, s=s, p=p, q=q
-    )
+    _check_s(s)
+    side = lambda dx, de: (dx**q + de**q) ** (1.0 / q)
+    return _theorem_report("thm2", f, s, p, q, x, a, b, hypothesis_grid, side)
 
 
 def eval_thm3(
@@ -426,25 +445,10 @@ def eval_thm3(
     _check_point(x, a, b)
     if q < 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
-    if not (0.0 < s <= 1.0):
-        raise ValueError(f"s must lie in (0, 1], got {s}")
-    ctx = f.ctx
-    al = ctx.alpha
-    const = ostrowski_constants(s, ctx)
-    dx, da, db = _second_derivative_data(f, x, a, b)
-    mean_pow = (gamma(1.0 + 2.0 * al) / gamma(1.0 + 3.0 * al)) ** (1.0 - 1.0 / q)
-    rhs = (
-        mean_pow
-        * (
-            _spow(x - a, ctx) ** 3 * (const.M * dx**q + const.N * da**q) ** (1.0 / q)
-            + _spow(b - x, ctx) ** 3 * (const.M * dx**q + const.N * db**q) ** (1.0 / q)
-        )
-        / (gamma(1.0 + 2.0 * al) * (b - a) ** al)
-    )
-    notes = _hypothesis_note(f, s, a, b, hypothesis_grid, power=q)
-    return _report(
-        "thm3", ctx, _ostrowski_lhs(f, x, a, b), rhs, notes=notes, a=a, b=b, x=x, s=s, q=q
-    )
+    _check_s(s)
+    c = ostrowski_constants(s, f.ctx)
+    side = lambda dx, de: (c.M * dx**q + c.N * de**q) ** (1.0 / q)
+    return _theorem_report("thm3", f, s, None, q, x, a, b, hypothesis_grid, side)
 
 
 def _midpoint_lhs(f: AlphaSeries, a: float, b: float) -> float:
@@ -453,6 +457,25 @@ def _midpoint_lhs(f: AlphaSeries, a: float, b: float) -> float:
         lf_integral(f, a, b) / (b - a) ** al
         - f.evaluate((a + b) / 2.0) / gamma(1.0 + al)
     )
+
+
+# Per-theorem factors of the corollary forms, from (M, N, 2**(s*alpha),
+# alpha, s, q): (lead, sup, midpoint divisor, midpoint bracket).  The theta
+# forms multiply ``lead`` before and ``sup`` after ``3**alpha * theta``; the
+# slot a theorem does not use holds 1.0, which multiplies exactly, so every
+# theorem keeps its own floating-point operation order.
+_COROLLARY_FACTORS: dict[str, Callable[..., tuple]] = {
+    "thm1": lambda M, N, sa, al, s, q: (1.0, M + N, 8.0**al, 2.0 * M / sa + N),
+    "thm2": lambda M, N, sa, al, s, q: (
+        2.0 ** (1.0 / q), 1.0, 2.0 ** ((3.0 + s / q) * al), 1.0 + (1.0 + sa) ** (1.0 / q)
+    ),
+    "thm3": lambda M, N, sa, al, s, q: (
+        1.0,
+        (M + N) ** (1.0 / q),
+        2.0 ** ((3.0 + s / q) * al),
+        (M + sa * N) ** (1.0 / q) + M ** (1.0 / q),
+    ),
+}
 
 
 def eval_corollary(
@@ -476,93 +499,111 @@ def eval_corollary(
     if variant not in COROLLARY_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose one of {COROLLARY_VARIANTS}")
     _check_interval(a, b)
-    if not (0.0 < s <= 1.0):
-        raise ValueError(f"s must lie in (0, 1], got {s}")
-    kind, thm = variant.rsplit("-", 1)
-    needs_pq = thm == "thm2"
-    needs_q = thm in ("thm2", "thm3")
-    if needs_pq:
+    _check_s(s)
+    form, thm = variant.rsplit("-", 1)
+    if thm == "thm2":
         if p is None or q is None:
             raise ValueError(f"{variant} needs conjugate (p, q)")
         _check_conjugate(p, q)
-    elif needs_q:
+    elif thm == "thm3":
         if q is None or q < 1.0:
             raise ValueError(f"{variant} needs q >= 1")
 
     ctx = f.ctx
     al = ctx.alpha
     const = ostrowski_constants(s, ctx)
-    M, N = const.M, const.N
     g2 = gamma(1.0 + 2.0 * al)
     f2 = lf_derivative_n(f, 2)
     da, db = abs(f2.evaluate(a)), abs(f2.evaluate(b))
     theta = sup_abs(f2, a, b, grid)
-    sa = 2.0 ** (s * al)
+    front = _front(thm, s, p, q, al, g2)
+    lead, sup, div, mid = _COROLLARY_FACTORS[thm](const.M, const.N, 2.0 ** (s * al), al, s, q)
 
-    if thm == "thm1":
-        front = 1.0
-    elif thm == "thm2":
-        front = (gamma(1.0 + 2.0 * p * al) / gamma(1.0 + (2.0 * p + 1.0) * al)) ** (1.0 / p) * (
-            gamma(1.0 + s * al) / gamma(1.0 + (s + 1.0) * al)
-        ) ** (1.0 / q)
-    else:
-        front = (g2 / gamma(1.0 + 3.0 * al)) ** (1.0 - 1.0 / q)
-
-    if kind == "midpoint":
-        lhs = _midpoint_lhs(f, a, b)
-        scale = (b - a) ** (2.0 * al) / g2
-        if thm == "thm1":
-            rhs = front * scale / 8.0**al * (2.0 * M / sa + N) * (da + db)
-        elif thm == "thm2":
-            rhs = (
-                front
-                * scale
-                / 2.0 ** ((3.0 + s / q) * al)
-                * (1.0 + (1.0 + sa) ** (1.0 / q))
-                * (da + db)
-            )
-        else:
-            rhs = (
-                front
-                * scale
-                / 2.0 ** ((3.0 + s / q) * al)
-                * ((M + sa * N) ** (1.0 / q) + M ** (1.0 / q))
-                * (da + db)
-            )
-        rep_x: Optional[float] = None
-    elif kind == "theta":
+    if form == "theta":
         if x is None:
             raise ValueError(f"{variant} needs the evaluation point x")
         _check_point(x, a, b)
         lhs = _ostrowski_lhs(f, x, a, b)
         bracket = (b - a) ** (2.0 * al) / 12.0**al + _spow(x - (a + b) / 2.0, ctx) ** 2
-        if thm == "thm1":
-            rhs = front * 3.0**al * theta * (M + N) / g2 * bracket
-        elif thm == "thm2":
-            rhs = front * 2.0 ** (1.0 / q) * 3.0**al * theta / g2 * bracket
-        else:
-            rhs = front * 3.0**al * theta * (M + N) ** (1.0 / q) / g2 * bracket
-        rep_x = x
-    else:  # midpoint-theta
+        rhs = front * lead * 3.0**al * theta * sup / g2 * bracket
+    else:
+        x = None  # midpoint forms ignore x
         lhs = _midpoint_lhs(f, a, b)
-        scale = theta * (b - a) ** (2.0 * al) / (4.0**al * g2)
-        if thm == "thm1":
-            rhs = front * (M + N) * scale
-        elif thm == "thm2":
-            rhs = front * 2.0 ** (1.0 / q) * scale
-        else:
-            rhs = front * (M + N) ** (1.0 / q) * scale
-        rep_x = None
+        if form == "midpoint":
+            rhs = front * ((b - a) ** (2.0 * al) / g2) / div * mid * (da + db)
+        else:  # midpoint-theta
+            rhs = front * lead * sup * (theta * (b - a) ** (2.0 * al) / (4.0**al * g2))
+    p = p if thm == "thm2" else None
+    q = q if thm != "thm1" else None
+    return _report(variant, ctx, lhs, rhs, a=a, b=b, x=x, s=s, p=p, q=q)
 
-    return _report(
-        variant,
-        ctx,
-        lhs,
-        rhs,
+
+def _identity_report(
+    f: AlphaSeries, functional: MomentFunctional, a: float, b: float, x: float
+) -> IneqReport:
+    # built here rather than by _report: slack is -residual, which keeps the
+    # sign of a zero residual (0.0 - residual would not)
+    residual = identity_residual(f, x, a, b, functional)
+    ctx = f.ctx
+    return IneqReport(
+        ineq="identity",
+        alpha=ctx.alpha,
+        lhs=residual,
+        rhs=0.0,
+        slack=-residual,
+        holds=residual <= ctx.slack_tol,
         a=a,
         b=b,
-        x=rep_x,
-        s=s,
-        p=p if needs_pq else None,
-        q=q if needs_q else None,
+        x=x,
+        notes="identity-residual",
     )
+
+
+Evaluator = Callable[..., IneqReport]
+
+
+def _corollary(variant: str) -> Evaluator:
+    return lambda f, fl, a, b, x, s, p, q: eval_corollary(variant, f, a, b, s, p=p, q=q, x=x)
+
+
+#: Every inequality id, in report order: the axes it consumes beyond
+#: (alpha, interval, fn), and its evaluator, called as
+#: ``evaluator(series, functional, a, b, x, s, p, q)``.  A sweep is the
+#: product over exactly these axes.  Evaluators look the ``eval_*`` functions
+#: up by module name when called, so whatever rebinds those names sees every call.
+INEQUALITIES: dict[str, tuple[frozenset[str], Evaluator]] = {
+    "ghh": (frozenset(), lambda f, fl, a, b, x, s, p, q: eval_ghh(f, a, b)),
+    "shh": (frozenset({"s"}), lambda f, fl, a, b, x, s, p, q: eval_shh(f, s, a, b)),
+    "holder": (
+        frozenset({"pq"}),
+        lambda f, fl, a, b, x, s, p, q: eval_holder(f.evaluate, f.evaluate, p, q, a, b, fl),
+    ),
+    "ostrowski": (
+        frozenset({"x"}),
+        lambda f, fl, a, b, x, s, p, q: eval_ostrowski_classic(f, x, a, b),
+    ),
+    "identity": (
+        frozenset({"x"}),
+        lambda f, fl, a, b, x, s, p, q: _identity_report(f, fl, a, b, x),
+    ),
+    "thm1": (frozenset({"s", "x"}), lambda f, fl, a, b, x, s, p, q: eval_thm1(f, s, x, a, b)),
+    "thm2": (
+        frozenset({"s", "x", "pq"}),
+        lambda f, fl, a, b, x, s, p, q: eval_thm2(f, s, p, q, x, a, b),
+    ),
+    "thm3": (
+        frozenset({"s", "x", "pq"}),
+        lambda f, fl, a, b, x, s, p, q: eval_thm3(f, s, q, x, a, b),
+    ),
+    # every corollary takes s; the theta forms also x, the thm2/thm3 forms also (p, q)
+    **{
+        f"{form}-thm{i}": (
+            frozenset({"s"} | ({"x"} if form == "theta" else set()) | ({"pq"} if i > 1 else set())),
+            _corollary(f"{form}-thm{i}"),
+        )
+        for i in (1, 2, 3)
+        for form in ("midpoint", "theta", "midpoint-theta")
+    },
+}
+
+COROLLARY_VARIANTS = tuple(i for i in INEQUALITIES if "-thm" in i)

@@ -177,20 +177,17 @@ def composed_moment(
     e: float,
     functional: MomentFunctional,
     absolute: bool = False,
-    qpow: float = 1.0,
 ) -> float:
     """Moment of ``t**(w*alpha) * phi(f2(t*x + (1-t)*e))`` over ``[0, 1]``.
 
-    ``phi`` is the identity, the absolute value, or ``|.|**qpow`` depending
-    on the flags.  The known weight ``t**(w*alpha)`` is folded into the
-    moments rather than the fit (real-grade moments are exact), which keeps
-    the fit target smooth.  Three argument shapes admit exact evaluation and
-    bypass the fit entirely: a constant argument (``x == e``), a pure
-    scaling (``e == 0``), and a reflected scaling (``x == 0``, via Beta
-    moments of ``(1-t)`` powers).
+    ``phi`` is the identity, or the absolute value when ``absolute`` is set.
+    The known weight ``t**(w*alpha)`` is folded into the moments rather than
+    the fit (real-grade moments are exact), which keeps the fit target
+    smooth.  Three argument shapes admit exact evaluation and bypass the fit
+    entirely: a constant argument (``x == e``), a pure scaling (``e == 0``),
+    and a reflected scaling (``x == 0``, via Beta moments of ``(1-t)``
+    powers).
     """
-    if qpow < 1.0:
-        raise ValueError(f"qpow must be >= 1, got {qpow}")
     if weight_grade < 0.0:
         raise ValueError(f"weight_grade must be nonnegative, got {weight_grade}")
     if x < 0.0 or e < 0.0:
@@ -198,26 +195,23 @@ def composed_moment(
     if f2.is_zero:
         return 0.0
     a = f2.ctx.alpha
-    use_abs = absolute or qpow != 1.0
 
-    def phi_scalar(v: float) -> float:
-        if not use_abs:
-            return v
-        return abs(v) ** qpow if qpow != 1.0 else abs(v)
+    def phi(v: float) -> float:
+        return abs(v) if absolute else v
 
     if x == e:
-        return phi_scalar(f2.evaluate(x)) * functional.moment(weight_grade)
+        return phi(f2.evaluate(x)) * functional.moment(weight_grade)
 
-    sign = _sign_constant(f2)
+    # a term-wise sum is exact unless |.| must act on a sum of mixed signs
+    termwise = not absolute or _sign_constant(f2) is not None
     if e == 0.0:
         # argument t*x: each term is an exact real-grade moment
         if len(f2.terms) == 1:
             k, c = f2.terms[0]
-            amp = phi_scalar(c * x ** (k * a))
-            return amp * functional.moment(weight_grade + k * (qpow if use_abs else 1.0))
-        if qpow == 1.0 and (not use_abs or sign is not None):
+            return phi(c * x ** (k * a)) * functional.moment(weight_grade + k)
+        if termwise:
             total = sum(c * x ** (k * a) * functional.moment(weight_grade + k) for k, c in f2.terms)
-            return abs(total) if use_abs else total
+            return phi(total)
     if x == 0.0:
         # argument e*(1-t): Beta moments of t**(w*a) * (1-t)**(k*a)
         ga = math.gamma(a)
@@ -229,17 +223,14 @@ def composed_moment(
 
         if len(f2.terms) == 1:
             k, c = f2.terms[0]
-            amp = phi_scalar(c * e ** (k * a))
-            return amp * beta_moment(k * (qpow if use_abs else 1.0))
-        if qpow == 1.0 and (not use_abs or sign is not None):
+            return phi(c * e ** (k * a)) * beta_moment(k)
+        if termwise:
             total = sum(c * e ** (k * a) * beta_moment(k) for k, c in f2.terms)
-            return abs(total) if use_abs else total
+            return phi(total)
 
     t = functional.grid
     y = f2.evaluate(e + t * (x - e))
-    if use_abs:
-        y = np.abs(y) ** qpow if qpow != 1.0 else np.abs(y)
-    coeffs, _ = functional.fit(y)
+    coeffs, _ = functional.fit(np.abs(y) if absolute else y)
     moments = np.array(
         [functional.moment(k + weight_grade) for k in range(functional.max_grade + 1)]
     )

@@ -281,7 +281,6 @@ def test_criterion_9_determinism_and_exit_codes(tmp_path, capsys):
             x_fractions=(0.0, 0.5, 1.0),
             s_values=(0.5, 1.0),
             pq_pairs=((2.0, 2.0),),
-            seed=77,
         )
         assert render_report(run_sweep(cfg), "csv") == render_report(run_sweep(cfg), "csv")
         family = parse_function_spec("mono:1")

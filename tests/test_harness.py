@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from alphaineq.alphanum import AlphaContext
 from alphaineq.cli import main
 from alphaineq.harness import (
+    CSV_COLUMNS,
     INEQUALITY_IDS,
     FunctionSpec,
     SpecSyntaxError,
@@ -15,6 +16,7 @@ from alphaineq.harness import (
     Tolerances,
     applicable_axes,
     emit_report,
+    evaluate_single,
     expected_row_count,
     falsify,
     load_report,
@@ -22,7 +24,7 @@ from alphaineq.harness import (
     render_report,
     run_sweep,
 )
-from alphaineq.inequalities import identity_residual
+from alphaineq.inequalities import INEQUALITIES, identity_residual
 from alphaineq.quadrature import MomentFunctional
 from alphaineq.series import AlphaSeries
 
@@ -195,6 +197,46 @@ class TestRunSweep:
         assert len(rows) == 1
         assert not rows[0].holds
         assert rows[0].lhs == pytest.approx(0.6440746838, abs=1e-9)
+
+
+class TestRegistry:
+    """Every id behaves as its :data:`INEQUALITIES` row declares."""
+
+    @pytest.mark.parametrize("ineq", INEQUALITY_IDS)
+    def test_reported_parameters_follow_the_axes(self, ineq):
+        ctx = AlphaContext(0.5)
+        series = parse_function_spec("mono:3").realize(ctx)
+        rep = evaluate_single(ineq, series, MomentFunctional(ctx), 0.5, 1.5, 0.9, 0.5, 2.0, 2.0)
+        axes = INEQUALITIES[ineq][0]
+        assert rep.ineq == ineq
+        assert (rep.a, rep.b) == (0.5, 1.5)
+        assert (rep.s is not None) == ("s" in axes)
+        assert (rep.x is not None) == ("x" in axes)
+        assert (rep.q is not None) == ("pq" in axes)
+        assert (rep.p is not None) == (ineq == "holder" or ineq.endswith("thm2"))
+        assert math.isfinite(rep.slack)
+
+    def test_ids_and_axes_come_from_the_registry(self):
+        assert INEQUALITY_IDS == tuple(INEQUALITIES)
+        assert len(INEQUALITY_IDS) == 17
+        for ineq in INEQUALITY_IDS:
+            assert applicable_axes(ineq) == INEQUALITIES[ineq][0]
+
+    def test_unknown_id_raises(self):
+        ctx = AlphaContext(1.0)
+        series = parse_function_spec("mono:2").realize(ctx)
+        with pytest.raises(KeyError):
+            evaluate_single("thm9", series, MomentFunctional(ctx), 0.0, 1.0, 0.5, 0.5, 2.0, 2.0)
+
+    def test_zero_identity_residual_keeps_its_negative_sign(self):
+        # slack is -residual, so an exact zero residual reports slack -0.0
+        ctx = AlphaContext(0.5)
+        series = parse_function_spec("mono:2").realize(ctx)
+        rep = evaluate_single("identity", series, MomentFunctional(ctx), 0.0, 1.0, 1.0, None, None, None)
+        assert rep.lhs == 0.0 and rep.holds
+        assert rep.slack == 0.0 and math.copysign(1.0, rep.slack) == -1.0
+        row = render_report([rep], "csv").splitlines()[1].split(",")
+        assert row[CSV_COLUMNS.index("slack")] == "-0"
 
 
 class TestFalsify:

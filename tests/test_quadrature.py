@@ -212,20 +212,10 @@ class TestComposedMoment:
         oracle = kernel_integral(lambda t: t * f2.evaluate(1.0 - t), 0.5)
         assert got == pytest.approx(oracle, abs=1e-10)
 
-    def test_qpow_route(self):
-        ctx = AlphaContext(1.0)
-        functional = MomentFunctional(ctx)
-        f2 = AlphaSeries(((1.0, 1.0), (0.0, -0.5)), ctx)  # t - 1/2, changes sign
-        got = composed_moment(f2, 2.0, 1.0, 0.0, functional, absolute=True, qpow=2.0)
-        oracle, _ = quad(lambda t: t**2 * abs(t - 0.5) ** 2, 0, 1)
-        assert got == pytest.approx(oracle, abs=1e-10)
-
     def test_validation(self):
         ctx = AlphaContext(0.5)
         functional = MomentFunctional(ctx)
         f2 = AlphaSeries.monomial(1.0, ctx)
-        with pytest.raises(ValueError):
-            composed_moment(f2, 2.0, 1.0, 0.0, functional, qpow=0.5)
         with pytest.raises(ValueError):
             composed_moment(f2, -1.0, 1.0, 0.0, functional)
         with pytest.raises(ValueError):
