@@ -19,7 +19,6 @@ from .harness import (
     INEQUALITY_IDS,
     evaluate_single,
     SweepConfig,
-    canonical_id,
     emit_report,
     falsify,
     parse_function_spec,
@@ -86,7 +85,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     series = spec.realize(ctx)
     functional = MomentFunctional(ctx)
     rep = evaluate_single(
-        canonical_id(args.ineq), series, functional, args.a, args.b, args.x, args.s, args.p, args.q
+        args.ineq, series, functional, args.a, args.b, args.x, args.s, args.p, args.q
     ).with_fn(spec.canonical())
     sys.stdout.write(render_report([rep], args.format))
     return 0 if rep.holds else 1
@@ -107,7 +106,7 @@ def _cmd_falsify(args: argparse.Namespace) -> int:
     cfg = SweepConfig(
         alphas=(args.alpha,),
         functions=(family,),
-        inequalities=(canonical_id(args.ineq),),
+        inequalities=(args.ineq,),
     )
     witness = falsify(args.ineq, family, cfg, args.trials, args.seed, adversarial=args.adversarial)
     if witness is None:

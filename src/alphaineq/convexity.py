@@ -74,7 +74,7 @@ def _first_nonfinite(
 
 def _lattice_check(
     f: Callable,
-    weight: Callable[[np.ndarray, float], np.ndarray],
+    e: float,
     lo: float,
     hi: float,
     grid: int,
@@ -82,6 +82,7 @@ def _lattice_check(
     refine: int,
     seed: int,
 ) -> ConvexityVerdict:
+    """Check ``f(l*x1 + (1-l)*x2) <= l**e f(x1) + (1-l)**e f(x2)`` on a lattice."""
     if not (0.0 <= lo < hi):
         raise ValueError(f"need 0 <= lo < hi, got ({lo}, {hi})")
     if grid < 3:
@@ -92,7 +93,7 @@ def _lattice_check(
     fx = fn(xs)
     x1, x2, lam = np.meshgrid(xs, xs, lams, indexing="ij")
     mix = lam * x1 + (1.0 - lam) * x2
-    gap = fn(mix) - (weight(lam, 1.0) * fx[:, None, None] + weight(lam, -1.0) * fx[None, :, None])
+    gap = fn(mix) - (lam**e * fx[:, None, None] + (1.0 - lam) ** e * fx[None, :, None])
     bad = _first_nonfinite(gap, x1, x2, lam)
     if bad is not None:
         return bad
@@ -108,7 +109,7 @@ def _lattice_check(
         rx1 = np.clip(best[0] + dx * rng.uniform(-1, 1, refine), lo, hi)
         rx2 = np.clip(best[1] + dx * rng.uniform(-1, 1, refine), lo, hi)
         rl = np.clip(best[2] + dl * rng.uniform(-1, 1, refine), 0.0, 1.0)
-        rgap = fn(rl * rx1 + (1 - rl) * rx2) - (weight(rl, 1.0) * fn(rx1) + weight(rl, -1.0) * fn(rx2))
+        rgap = fn(rl * rx1 + (1 - rl) * rx2) - (rl**e * fn(rx1) + (1.0 - rl) ** e * fn(rx2))
         bad = _first_nonfinite(rgap, rx1, rx2, rl)
         if bad is not None:
             return bad
@@ -131,12 +132,7 @@ def check_generalized_convex(
     seed: int = 0,
 ) -> ConvexityVerdict:
     """Check ``f(l*x1 + (1-l)*x2) <= l**a f(x1) + (1-l)**a f(x2)`` on a lattice."""
-    a = ctx.alpha
-
-    def weight(lam: np.ndarray, side: float) -> np.ndarray:
-        return lam**a if side > 0 else (1.0 - lam) ** a
-
-    return _lattice_check(f, weight, lo, hi, grid, ctx, refine, seed)
+    return _lattice_check(f, ctx.alpha, lo, hi, grid, ctx, refine, seed)
 
 
 def check_s_convex_second(
@@ -165,9 +161,4 @@ def check_s_convex_second(
             NegativeValuesWarning,
             stacklevel=2,
         )
-    sa = s * ctx.alpha
-
-    def weight(lam: np.ndarray, side: float) -> np.ndarray:
-        return lam**sa if side > 0 else (1.0 - lam) ** sa
-
-    return _lattice_check(f, weight, lo, hi, grid, ctx, refine, seed)
+    return _lattice_check(f, s * ctx.alpha, lo, hi, grid, ctx, refine, seed)

@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -50,6 +50,9 @@ INEQUALITY_IDS = tuple(INEQUALITIES)
 ID_ALIASES = {"identity-residual-zero": "identity"}
 
 CSV_COLUMNS = ("ineq", "alpha", "s", "p", "q", "a", "b", "x", "fn", "lhs", "rhs", "slack", "holds", "notes")
+
+#: The report columns holding text; ``holds`` is a bool and every other column a float or None.
+_TEXT_COLUMNS = ("ineq", "fn", "notes")
 
 
 class SpecSyntaxError(ValueError):
@@ -235,21 +238,20 @@ def applicable_axes(ineq: str) -> frozenset[str]:
     return INEQUALITIES[canonical_id(ineq)][0]
 
 
+def _axes(cfg: SweepConfig, ineq: str) -> tuple[tuple, tuple, tuple]:
+    """The s, (p, q) and x-fraction values ``ineq`` sweeps; ``None`` for an axis it does not use."""
+    axes = applicable_axes(ineq)
+    return (
+        cfg.s_values if "s" in axes else (None,),
+        cfg.pq_pairs if "pq" in axes else ((None, None),),
+        cfg.x_fractions if "x" in axes else (None,),
+    )
+
+
 def expected_row_count(cfg: SweepConfig) -> int:
     """Row count of :func:`run_sweep`: the product of applicable axes only."""
     base = len(cfg.alphas) * len(cfg.intervals) * len(cfg.functions)
-    total = 0
-    for ineq in cfg.inequalities:
-        axes = applicable_axes(ineq)
-        n = base
-        if "s" in axes:
-            n *= len(cfg.s_values)
-        if "pq" in axes:
-            n *= len(cfg.pq_pairs)
-        if "x" in axes:
-            n *= len(cfg.x_fractions)
-        total += n
-    return total
+    return sum(base * math.prod(map(len, _axes(cfg, ineq))) for ineq in cfg.inequalities)
 
 
 def evaluate_single(
@@ -322,10 +324,7 @@ def run_sweep(cfg: SweepConfig) -> list[IneqReport]:
             series = spec.realize(ctx)
             for ineq in cfg.inequalities:
                 ineq = canonical_id(ineq)
-                axes = applicable_axes(ineq)
-                s_axis = cfg.s_values if "s" in axes else (None,)
-                pq_axis = cfg.pq_pairs if "pq" in axes else ((None, None),)
-                x_axis = cfg.x_fractions if "x" in axes else (None,)
+                s_axis, pq_axis, x_axis = _axes(cfg, ineq)
                 for (a, b) in cfg.intervals:
                     for s in s_axis:
                         for (p, q) in pq_axis:
@@ -348,30 +347,7 @@ class _Point:
     b: float
     frac: float
     s: float
-    p: float
-    q: float
-
-    def x(self) -> float:
-        return self.a + self.frac * (self.b - self.a)
-
-
-def _eval_point(ineq: str, pt: _Point, cfg: SweepConfig,
-                functionals: dict[float, MomentFunctional]) -> Optional[IneqReport]:
-    ctx = cfg.context(pt.alpha)
-    if pt.alpha not in functionals:
-        functionals[pt.alpha] = MomentFunctional(ctx)
-    series = AlphaSeries(pt.terms, ctx)
-    if series.is_zero:
-        return None
-    fn_text = FunctionSpec("series", pt.terms).canonical()
-    try:
-        rep = evaluate_single(
-            canonical_id(ineq), series, functionals[pt.alpha],
-            pt.a, pt.b, pt.x(), pt.s, pt.p, pt.q,
-        )
-    except Exception:
-        return None
-    return rep.with_fn(fn_text)
+    p: float  # q is its conjugate
 
 
 def falsify(
@@ -388,68 +364,79 @@ def falsify(
     family as given, on the unit interval, with endpoint and midpoint
     evaluation points), then ``trials`` seeded random points whose
     coefficients carry nonnegative jitter; adversarial mode re-draws signs
-    as well.
+    as well.  Only a violation with a finite slack is a witness.
 
     Shrinking is slack-preserving: a step (halving coefficients toward
     zero, moving x toward the midpoint, moving the interval length toward
     one) is accepted only while the candidate still violates and the
-    violation has not weakened, so the returned witness is the simplest
-    configuration with the original slack.
+    violation has not weakened, so the returned witness, whose ``fn`` is
+    its series, is the simplest configuration with the original slack.
+
+    An evaluator error, such as the Gamma pole of a family without a second
+    derivative, propagates as it does from :func:`evaluate_single`.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if canonical_id(ineq_id) not in INEQUALITIES:
+    ineq = canonical_id(ineq_id)
+    if ineq not in INEQUALITIES:
         raise ValueError(f"unknown inequality id {ineq_id!r}")
     rng = np.random.default_rng(seed)
-    functionals: dict[float, MomentFunctional] = {}
+    # the moment functional (with its context) and the family terms of each alpha, built once
+    functionals = {alpha: MomentFunctional(cfg.context(alpha)) for alpha in cfg.alphas}
+    family_terms = {alpha: family.realize(fl.ctx).terms for alpha, fl in functionals.items()}
 
-    def terms_for(alpha: float) -> tuple[tuple[float, float], ...]:
-        # nonnegative coefficient jitter keeps the candidates convexity
-        # friendly; adversarial mode re-draws signs as well
-        base = family.realize(cfg.context(alpha)).terms
-        lo = -2.0 if adversarial else 0.0
-        scales = rng.uniform(lo, 2.0, size=len(base))
-        return tuple((k, c * sc) for (k, c), sc in zip(base, scales))
+    def evaluate(pt: _Point) -> Optional[IneqReport]:
+        functional = functionals[pt.alpha]
+        series = AlphaSeries(pt.terms, functional.ctx)
+        if series.is_zero:
+            return None
+        x = pt.a + pt.frac * (pt.b - pt.a)
+        q = pt.p / (pt.p - 1.0)
+        return evaluate_single(ineq, series, functional, pt.a, pt.b, x, pt.s, pt.p, q)
+
+    def violates(rep: Optional[IneqReport]) -> bool:
+        return rep is not None and not rep.holds and math.isfinite(rep.slack)
 
     # canonical probes first: scan them all and keep the worst violation,
     # which makes the witness for fixed families deterministic
-    best: Optional[tuple[_Point, IneqReport]] = None
+    found: Optional[tuple[_Point, IneqReport]] = None
     for alpha in cfg.alphas:
-        base_terms = family.realize(cfg.context(alpha)).terms
         for frac in (0.0, 0.5, 1.0):
-            pt = _Point(alpha, base_terms, 0.0, 1.0, frac, 0.5, 2.0, 2.0)
-            rep = _eval_point(ineq_id, pt, cfg, functionals)
-            if rep is None or rep.holds or not math.isfinite(rep.slack):
-                continue
-            if best is None or rep.slack < best[1].slack:
-                best = (pt, rep)
-    if best is not None:
-        return _shrink(ineq_id, best[0], best[1], cfg, functionals)
+            pt = _Point(alpha, family_terms[alpha], 0.0, 1.0, frac, 0.5, 2.0)
+            rep = evaluate(pt)
+            if violates(rep) and (found is None or rep.slack < found[1].slack):
+                found = (pt, rep)
 
-    for _ in range(trials):
-        alpha = float(rng.choice(np.asarray(cfg.alphas)))
-        a = float(rng.uniform(0.0, 2.0))
-        b = a + float(rng.uniform(0.25, 2.75))
-        frac = float(rng.uniform(0.0, 1.0))
-        s = float(rng.uniform(0.05, 1.0))
-        p = float(rng.uniform(1.2, 4.0))
-        pt = _Point(alpha, terms_for(alpha), a, b, frac, s, p, p / (p - 1.0))
-        rep = _eval_point(ineq_id, pt, cfg, functionals)
-        if rep is None or rep.holds or not math.isfinite(rep.slack):
-            continue
-        return _shrink(ineq_id, pt, rep, cfg, functionals)
-    return None
+    if found is None:
+        for _ in range(trials):
+            alpha = float(rng.choice(np.asarray(cfg.alphas)))
+            a = float(rng.uniform(0.0, 2.0))
+            b = a + float(rng.uniform(0.25, 2.75))
+            frac = float(rng.uniform(0.0, 1.0))
+            s = float(rng.uniform(0.05, 1.0))
+            p = float(rng.uniform(1.2, 4.0))
+            # nonnegative coefficient jitter keeps the candidates convexity
+            # friendly; adversarial mode re-draws signs as well
+            base = family_terms[alpha]
+            scales = rng.uniform(-2.0 if adversarial else 0.0, 2.0, size=len(base))
+            terms = tuple((k, c * sc) for (k, c), sc in zip(base, scales))
+            pt = _Point(alpha, terms, a, b, frac, s, p)
+            rep = evaluate(pt)
+            if violates(rep):
+                found = (pt, rep)
+                break
+    if found is None:
+        return None
+    pt, rep = _shrink(evaluate, *found, cfg.tolerances.fp_tol)
+    return rep.with_fn(FunctionSpec("series", pt.terms).canonical())
 
 
 def _shrink(
-    ineq_id: str,
+    evaluate: Callable[[_Point], Optional[IneqReport]],
     pt: _Point,
     rep: IneqReport,
-    cfg: SweepConfig,
-    functionals: dict[float, MomentFunctional],
-) -> IneqReport:
-    fp_tol = cfg.tolerances.fp_tol
-
+    fp_tol: float,
+) -> tuple[_Point, IneqReport]:
     def candidates(cur: _Point) -> Iterable[_Point]:
         for i in range(len(cur.terms)):
             halved = tuple(
@@ -463,17 +450,16 @@ def _shrink(
             yield replace(cur, b=cur.a + (length + 1.0) / 2.0)
 
     for _ in range(64):
-        improved = False
         for cand in candidates(pt):
-            cand_rep = _eval_point(ineq_id, cand, cfg, functionals)
+            cand_rep = evaluate(cand)
             if cand_rep is None or cand_rep.holds:
                 continue
             if cand_rep.slack <= rep.slack + fp_tol:  # violation not weakened
-                pt, rep, improved = cand, cand_rep, True
+                pt, rep = cand, cand_rep
                 break
-        if not improved:
+        else:  # no candidate kept the violation
             break
-    return rep
+    return pt, rep
 
 
 def _csv_cell(value) -> str:
@@ -495,9 +481,17 @@ def emit_report(rows: Sequence[IneqReport], format: str, path: str | Path) -> No
         fh.write(text)
 
 
+def _json_value(value):
+    # strict JSON has no NaN or Infinity: write a non-finite float as its CSV cell
+    if isinstance(value, float) and not math.isfinite(value):
+        return _fmt(value)
+    return value
+
+
 def render_report(rows: Sequence[IneqReport], format: str) -> str:
     if format == "json":
-        return json.dumps([{c: getattr(r, c) for c in CSV_COLUMNS} for r in rows], indent=2) + "\n"
+        records = [{c: _json_value(getattr(r, c)) for c in CSV_COLUMNS} for r in rows]
+        return json.dumps(records, indent=2, allow_nan=False) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -506,33 +500,19 @@ def render_report(rows: Sequence[IneqReport], format: str) -> str:
     return buf.getvalue()
 
 
+def _parse_cell(column: str, cell):
+    """A report value from its CSV cell or its JSON value; non-finite floats are strings in both."""
+    if column in _TEXT_COLUMNS or not isinstance(cell, str):
+        return cell
+    if column == "holds":
+        return cell == "true"
+    return float(cell) if cell else None
+
+
 def load_report(path: str | Path, format: str) -> list[IneqReport]:
     """Read back an emitted report; inverse of :func:`emit_report`."""
-    if format == "json":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return [IneqReport(**row) for row in raw]
-    if format != "csv":
+    if format not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
-    out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                IneqReport(
-                    ineq=row["ineq"],
-                    alpha=float(row["alpha"]),
-                    s=float(row["s"]) if row["s"] else None,
-                    p=float(row["p"]) if row["p"] else None,
-                    q=float(row["q"]) if row["q"] else None,
-                    a=float(row["a"]) if row["a"] else None,
-                    b=float(row["b"]) if row["b"] else None,
-                    x=float(row["x"]) if row["x"] else None,
-                    fn=row["fn"],
-                    lhs=float(row["lhs"]),
-                    rhs=float(row["rhs"]),
-                    slack=float(row["slack"]),
-                    holds=row["holds"] == "true",
-                    notes=row["notes"],
-                )
-            )
-    return out
+        records = json.load(fh) if format == "json" else csv.DictReader(fh)
+        return [IneqReport(**{c: _parse_cell(c, row[c]) for c in CSV_COLUMNS}) for row in records]

@@ -206,9 +206,6 @@ def composed_moment(
     termwise = not absolute or _sign_constant(f2) is not None
     if e == 0.0:
         # argument t*x: each term is an exact real-grade moment
-        if len(f2.terms) == 1:
-            k, c = f2.terms[0]
-            return phi(c * x ** (k * a)) * functional.moment(weight_grade + k)
         if termwise:
             total = sum(c * x ** (k * a) * functional.moment(weight_grade + k) for k, c in f2.terms)
             return phi(total)
@@ -221,9 +218,6 @@ def composed_moment(
             q = (k + 1.0) * a
             return math.gamma(p) * math.gamma(q) / math.gamma(p + q) / ga
 
-        if len(f2.terms) == 1:
-            k, c = f2.terms[0]
-            return phi(c * e ** (k * a)) * beta_moment(k)
         if termwise:
             total = sum(c * e ** (k * a) * beta_moment(k) for k, c in f2.terms)
             return phi(total)

@@ -24,9 +24,9 @@ from alphaineq.harness import (
     render_report,
     run_sweep,
 )
-from alphaineq.inequalities import INEQUALITIES, identity_residual
+from alphaineq.inequalities import INEQUALITIES, IneqReport, identity_residual
 from alphaineq.quadrature import MomentFunctional
-from alphaineq.series import AlphaSeries
+from alphaineq.series import AlphaSeries, GammaPoleError
 
 
 class TestFunctionSpec:
@@ -275,6 +275,26 @@ class TestFalsify:
         with pytest.raises(ValueError):
             falsify("nosuch", parse_function_spec("mono:2"), _cfg(), trials=1, seed=1)
 
+    def test_evaluator_error_propagates(self):
+        # f'' of mono:0.5 has grade -0.5: every trial raises, which is not
+        # "no counterexample"
+        cfg = _cfg(alphas=(0.5,), inequalities=("thm1",))
+        with pytest.raises(GammaPoleError, match="cannot differentiate grade -0.5"):
+            falsify("thm1", parse_function_spec("mono:0.5"), cfg, trials=5, seed=1)
+
+    def test_random_trial_witness_round_trips_through_its_fn(self):
+        cfg = _cfg(alphas=(1.0,), inequalities=("thm1",))
+        family = parse_function_spec("mono:2.5")
+        w = falsify("thm1", family, cfg, trials=50, seed=11, adversarial=True)
+        assert w is not None
+        # a random trial's interval, not a canonical probe's [0, 1]
+        assert (w.a, w.b) == pytest.approx((0.43442260704298064, 1.4723794749015597))
+        ctx = AlphaContext(w.alpha)
+        series = parse_function_spec(w.fn).realize(ctx)
+        again = evaluate_single(w.ineq, series, MomentFunctional(ctx), w.a, w.b, w.x, w.s, w.p, w.q)
+        assert not w.holds and not again.holds
+        assert again.slack == w.slack
+
 
 class TestEmission:
     def test_csv_single_row(self, tmp_path):
@@ -298,6 +318,30 @@ class TestEmission:
         path = tmp_path / "out.json"
         emit_report(rows, "json", path)
         assert load_report(path, "json") == rows
+
+    def test_json_is_strict_and_keeps_non_finite_values(self, tmp_path):
+        # f'' of this series has a grade -0.5 term, infinite at a = 0, so
+        # rhs = slack = inf
+        ctx = AlphaContext(0.5)
+        series = parse_function_spec("series:(1.5,2);(4,0.25)").realize(ctx)
+        rep = evaluate_single("thm1", series, MomentFunctional(ctx), 0.0, 1.0, 0.5, 0.5, None, None)
+        assert math.isinf(rep.slack)
+        text = render_report([rep], "json")
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        record = json.loads(text, parse_constant=reject)[0]
+        assert (record["rhs"], record["slack"]) == ("inf", "inf")
+        path = tmp_path / "inf.json"
+        path.write_text(text)
+        (back,) = load_report(path, "json")
+        assert math.isinf(back.slack) and back.slack > 0
+        assert back == rep
+        nan_row = IneqReport("ghh", 1.0, float("nan"), float("-inf"), float("nan"), False)
+        path.write_text(render_report([nan_row], "json"))
+        (back,) = load_report(path, "json")
+        assert math.isnan(back.lhs) and math.isnan(back.slack) and back.rhs == float("-inf")
 
     def test_csv_round_trip(self, tmp_path):
         rows = run_sweep(_cfg(alphas=(0.3, 1.0), inequalities=("thm2", "holder")))
@@ -379,6 +423,14 @@ class TestCli:
         assert main(["sweep", "--config", str(path)]) == 2
         assert main(["sweep", "--config", str(tmp_path / "missing.json")]) == 2
         capsys.readouterr()
+
+    def test_falsify_evaluator_error_is_exit_two(self, capsys):
+        code = main(["falsify", "--ineq", "thm1", "--family", "mono:0.5",
+                     "--trials", "5", "--seed", "1", "--alpha", "0.5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "cannot differentiate grade -0.5" in captured.err
+        assert "no counterexample" not in captured.out
 
     def test_falsify_exit_codes(self, capsys):
         found = main(["falsify", "--ineq", "identity-residual-zero", "--family", "mono:1",

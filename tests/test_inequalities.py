@@ -16,6 +16,7 @@ from alphaineq.inequalities import (
     eval_thm1,
     eval_thm2,
     eval_thm3,
+    _binding_report,
     _hypothesis_note,
     identity_residual,
     ostrowski_constants,
@@ -99,6 +100,35 @@ class TestHermiteHadamard:
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             eval_ghh(mono(2.0, CTX1), 1.0, 0.5)
+
+    def test_overflowing_mean_does_not_hold(self):
+        # f(b) and the mean overflow to inf while f(mid) stays finite, so the
+        # right slack is inf - inf = nan: a NaN must never certify the chain
+        rep = eval_ghh(AlphaSeries(((150.0, 1e300),), CTX1), 0.0, 2.0)
+        assert math.isnan(rep.slack)
+        assert not rep.holds
+
+    @pytest.mark.parametrize(
+        "left, mid, right",
+        [
+            (math.nan, 1.0, 2.0),
+            (0.0, 1.0, math.nan),
+            (0.0, math.inf, math.inf),
+            (math.nan, 0.0, math.nan),
+        ],
+    )
+    def test_nan_slack_binds(self, left, mid, right):
+        rep = _binding_report("ghh", CTX1, left, mid, right)
+        assert math.isnan(rep.slack)
+        assert not rep.holds
+
+    @pytest.mark.parametrize(
+        "left, mid, right", [(0.0, 1.0, 3.0), (0.0, 2.0, 3.0), (0.0, 2.0, 1.0), (1.0, 0.0, 3.0)]
+    )
+    def test_binding_side_has_the_smaller_slack(self, left, mid, right):
+        rep = _binding_report("ghh", CTX1, left, mid, right)
+        assert rep.slack == min(mid - left, right - mid)
+        assert rep.holds == (rep.slack >= -CTX1.slack_tol)
 
 
 class TestSHH:
