@@ -122,7 +122,7 @@ def _cmd_quad_test(args: argparse.Namespace) -> int:
     print("grade  closed-form         numeric             relerr")
     for k in range(args.max_grade + 1):
         closed = functional.moment(k)
-        numeric, _ = fractal_integral_numeric(lambda t, k=k: t ** (k * args.alpha), functional)
+        numeric = fractal_integral_numeric(lambda t, k=k: t ** (k * args.alpha), functional)
         rel = abs(numeric - closed) / closed
         worst = max(worst, rel)
         print(f"{k:>5}  {closed:.17g}  {numeric:.17g}  {rel:.3e}")

@@ -200,7 +200,8 @@ class SweepConfig:
             if not (0.0 < s <= 1.0):
                 raise ValueError(f"s must lie in (0, 1], got {s}")
         for p, q in self.pq_pairs:
-            if abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
+            # written so that a NaN p or q fails the test
+            if not abs(1.0 / p + 1.0 / q - 1.0) <= 1e-12:
                 raise ValueError(f"(p, q) = ({p}, {q}) are not conjugate")
         for ineq in self.inequalities:
             if canonical_id(ineq) not in INEQUALITIES:
@@ -419,7 +420,8 @@ def falsify(
             # friendly; adversarial mode re-draws signs as well
             base = family_terms[alpha]
             scales = rng.uniform(-2.0 if adversarial else 0.0, 2.0, size=len(base))
-            terms = tuple((k, c * sc) for (k, c), sc in zip(base, scales))
+            # Python floats, so the witness's values and ``holds`` are not numpy scalars
+            terms = tuple((k, float(c * sc)) for (k, c), sc in zip(base, scales))
             pt = _Point(alpha, terms, a, b, frac, s, p)
             rep = evaluate(pt)
             if violates(rep):

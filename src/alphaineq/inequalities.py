@@ -34,7 +34,7 @@ import numpy as np
 
 from .alphanum import AlphaContext, alpha_pow_signed, gamma
 from .convexity import check_s_convex_second
-from .quadrature import MomentFunctional, composed_moment, fractal_integral_numeric
+from .quadrature import MomentFunctional, _sample, composed_moment, fractal_integral_numeric
 from .series import AlphaSeries, lf_derivative, lf_derivative_n, lf_integral
 
 __all__ = [
@@ -133,9 +133,10 @@ def _check_s(s: float) -> None:
 
 
 def _check_conjugate(p: float, q: float, tol: float = 1e-12) -> None:
-    if p <= 1.0 or q <= 1.0:
+    # written so that a NaN fails each test
+    if not (p > 1.0 and q > 1.0):
         raise ValueError(f"need p, q > 1, got ({p}, {q})")
-    if abs(1.0 / p + 1.0 / q - 1.0) > tol:
+    if not abs(1.0 / p + 1.0 / q - 1.0) <= tol:
         raise ValueError(f"(p, q) = ({p}, {q}) are not conjugate")
 
 
@@ -237,21 +238,21 @@ def eval_holder(
     """Generalized Hoelder inequality via the numeric moment functional.
 
     Integrals over ``[a, b]`` are pulled back to ``[0, 1]`` through the
-    affine map with the factor ``(b-a)**alpha``.
+    affine map with the factor ``(b-a)**alpha``.  ``|f|`` and ``|g|`` are
+    sampled once on the pulled-back grid and the three integrands are built
+    from those samples.
     """
     _check_interval(a, b)
     _check_conjugate(p, q)
     ctx = functional.ctx
     al = ctx.alpha
     scale = (b - a) ** al
-
-    def pull(h: Callable) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda t: np.abs(np.asarray(h(a + t * (b - a)), dtype=float))
-
-    fg = lambda t: pull(f)(t) * pull(g)(t)
-    lhs = scale * fractal_integral_numeric(fg, functional)[0]
-    intf = scale * fractal_integral_numeric(lambda t: pull(f)(t) ** p, functional)[0]
-    intg = scale * fractal_integral_numeric(lambda t: pull(g)(t) ** q, functional)[0]
+    u = a + functional.grid * (b - a)
+    abs_f = np.abs(_sample(f, u))
+    abs_g = np.abs(_sample(g, u))
+    lhs = scale * fractal_integral_numeric(lambda t: abs_f * abs_g, functional)
+    intf = scale * fractal_integral_numeric(lambda t: abs_f**p, functional)
+    intg = scale * fractal_integral_numeric(lambda t: abs_g**q, functional)
     rhs = max(intf, 0.0) ** (1.0 / p) * max(intg, 0.0) ** (1.0 / q)
     return _report("holder", ctx, lhs, rhs, a=a, b=b, p=p, q=q)
 
@@ -439,7 +440,7 @@ def eval_thm3(
     """Power-mean-route Ostrowski-type bound; collapses to thm1 at q = 1."""
     _check_interval(a, b)
     _check_point(x, a, b)
-    if q < 1.0:
+    if not q >= 1.0:  # a NaN q fails too
         raise ValueError(f"q must be >= 1, got {q}")
     _check_s(s)
     c = ostrowski_constants(s, f.ctx)
@@ -501,7 +502,7 @@ def eval_corollary(
             raise ValueError(f"{variant} needs conjugate (p, q)")
         _check_conjugate(p, q)
     elif thm == "thm3":
-        if q is None or q < 1.0:
+        if q is None or not q >= 1.0:
             raise ValueError(f"{variant} needs q >= 1")
 
     ctx = f.ctx

@@ -12,12 +12,20 @@ by the positive kernel ``(1-t)**(alpha-1) / G(alpha)`` for *every* real grade
   far faster than the fit itself (the fit error only enters through the
   quadrature error on the residual).
 
-Integrands outside the monomial span are projected onto the basis
-``{t**(k*alpha) : k = 0..n}`` by weighted least squares and integrated via
-the exact moments.  The basis is severely ill-conditioned, so the solve runs
-through an orthogonalizing SVD with a relative spectral cutoff; an explicit
-Tikhonov ridge at any useful strength would bias the moments past their
-exactness requirement, so truncation is used instead.
+An integrand outside the monomial span is, in effect, projected onto the
+basis ``{t**(k*alpha) : k = 0..n}`` by weighted least squares and integrated
+via the exact moments.  That value is linear in the samples, so it is a
+quadrature rule: for a known weight ``t**(w*alpha)`` the functional solves
+``(sqrt(W) A)^T z = mu_w`` once, with ``mu_w[k] = moment(k + w)``, caches
+``q_w = sqrt(W) z`` and integrates each sample vector ``y`` as ``q_w @ y``.
+The basis is severely ill-conditioned, so the solve runs through an
+orthogonalizing SVD with a relative spectral cutoff; an explicit pseudo-
+inverse loses about 1e-7 of relative accuracy, and a Tikhonov ridge at any
+useful strength would bias the moments past their exactness requirement.
+The weights are not all positive (for alpha <= 0.1, and for alpha = 0.3 at
+grade 12, some are negative).  :meth:`MomentFunctional.fit` keeps the
+coefficient-level fit, with its residual, as the reference the rule is
+tested against.
 """
 
 from __future__ import annotations
@@ -58,14 +66,18 @@ class MomentFunctional:
 
     ``max_grade`` is the largest integer grade in the projection basis and
     ``nodes`` the number of Gauss-Jacobi points (defaults to four per basis
-    function).  Construction precomputes nodes, weights and the whitened
-    design matrix; evaluation is pure, so instances are safe to share.
+    function).  Construction precomputes the nodes, the square roots of the
+    Gauss-Jacobi weights and the design matrix.  The quadrature rule of each
+    weight grade is computed on first use and cached in ``_weights`` for the
+    lifetime of the instance; the cache takes no part in equality, hashing
+    or repr.
     """
 
     ctx: AlphaContext
     max_grade: int = 10
     nodes: int = 0
     _grid: tuple = field(init=False, repr=False, compare=False)
+    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         if self.max_grade < 1:
@@ -87,9 +99,7 @@ class MomentFunctional:
         t = (x + 1.0) / 2.0
         w = w / (2.0**a * math.gamma(a))
         design = np.stack([t ** (k * a) for k in range(self.max_grade + 1)], axis=1)
-        sqrt_w = np.sqrt(w)
-        mus = np.array([self.moment(k) for k in range(self.max_grade + 1)])
-        object.__setattr__(self, "_grid", (t, sqrt_w, design, mus))
+        object.__setattr__(self, "_grid", (t, np.sqrt(w), design))
 
     def moment(self, k: float) -> float:
         """Exact moment ``J[t**(k*alpha)]`` for a real grade ``k >= 0``."""
@@ -102,14 +112,59 @@ class MomentFunctional:
     def grid(self) -> np.ndarray:
         return self._grid[0]
 
-    def fit(self, values: np.ndarray) -> tuple[np.ndarray, float]:
-        """Least-squares coefficients for samples on the grid, plus max residual."""
-        t, sqrt_w, design, _ = self._grid
+    def weights(self, weight_grade: float = 0.0) -> np.ndarray:
+        """Quadrature weights ``q`` with ``q @ g(grid) ~= J[t**(w*alpha) * g]``.
+
+        ``q @ y`` equals ``fit(y)``'s coefficients dotted with the moments
+        ``moment(k + w)``, up to rounding (which the ill-conditioned basis
+        amplifies on non-smooth samples): it is the same truncated-SVD
+        least-squares projection, solved once for the moments instead of
+        once per sample vector.
+        """
+        q = self._weights.get(weight_grade)
+        if q is None:
+            _, sqrt_w, design = self._grid
+            mus = np.array([self.moment(k + weight_grade) for k in range(self.max_grade + 1)])
+            z, *_ = np.linalg.lstsq((design * sqrt_w[:, None]).T, mus, rcond=CUTOFF_REL)
+            q = sqrt_w * z
+            if not np.all(np.isfinite(q)):
+                raise QuadratureError(
+                    f"quadrature weights for weight grade {weight_grade} are not "
+                    "finite; use a smaller max_grade"
+                )
+            q.flags.writeable = False  # shared by every later call
+            self._weights[weight_grade] = q
+        return q
+
+    def integrate(self, values: np.ndarray, weight_grade: float = 0.0) -> float:
+        """``J[t**(w*alpha) * g]`` from the samples of ``g`` on the grid.
+
+        Raises :class:`QuadratureError` instead of returning a non-finite value.
+        """
+        y = self._samples(values)
+        value = float(self.weights(weight_grade) @ y)
+        # a NaN or infinite sample always makes the sum non-finite (0 * inf is
+        # NaN), so the samples need scanning only when the sum is
+        if not math.isfinite(value):
+            _check_finite(y)
+            raise QuadratureError(f"the integral of finite samples overflowed to {value}")
+        return value
+
+    def _samples(self, values: np.ndarray) -> np.ndarray:
         y = np.asarray(values, dtype=float)
-        if y.shape != t.shape:
-            raise ValueError(f"expected {t.shape[0]} samples, got {y.shape}")
-        if not np.all(np.isfinite(y)):
-            raise QuadratureError("integrand produced non-finite values on the grid")
+        if y.shape != self.grid.shape:
+            raise ValueError(f"expected {self.grid.shape[0]} samples, got {y.shape}")
+        return y
+
+    def fit(self, values: np.ndarray) -> tuple[np.ndarray, float]:
+        """Least-squares coefficients for samples on the grid, plus max residual.
+
+        The reference for :meth:`weights`: ``coeffs @ [moment(k + w)]`` is
+        the integral that ``integrate(values, w)`` computes.
+        """
+        _, sqrt_w, design = self._grid
+        y = self._samples(values)
+        _check_finite(y)
         coeffs, *_ = np.linalg.lstsq(design * sqrt_w[:, None], y * sqrt_w, rcond=CUTOFF_REL)
         if not np.all(np.isfinite(coeffs)):
             raise QuadratureError(
@@ -118,6 +173,11 @@ class MomentFunctional:
             )
         residual = float(np.max(np.abs(design @ coeffs - y)))
         return coeffs, residual
+
+
+def _check_finite(y: np.ndarray) -> None:
+    if not np.all(np.isfinite(y)):
+        raise QuadratureError("integrand produced non-finite values on the grid")
 
 
 def _sample(g: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> np.ndarray:
@@ -132,17 +192,15 @@ def _sample(g: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> np.ndarray:
 
 def fractal_integral_numeric(
     g: Callable[[np.ndarray], np.ndarray], functional: MomentFunctional
-) -> tuple[float, float]:
-    """Fractal integral of a pointwise integrand, with its fit residual.
+) -> float:
+    """Fractal integral of a pointwise integrand.
 
-    Fits ``g`` on the Gauss-Jacobi grid by weighted least squares in the
-    basis ``{t**(k*alpha)}`` and returns ``sum_k c_k * moment(k)`` together
-    with the max-norm fit residual as the error indicator.
+    Samples ``g`` on the Gauss-Jacobi grid and applies the cached weights of
+    the least-squares projection onto ``{t**(k*alpha)}``, so the value is
+    ``sum_k c_k * moment(k)`` for the fit coefficients ``c`` of
+    :meth:`MomentFunctional.fit`, up to rounding.
     """
-    t = functional.grid
-    coeffs, residual = functional.fit(_sample(g, t))
-    value = float(coeffs @ functional._grid[3])
-    return value, residual
+    return functional.integrate(_sample(g, functional.grid))
 
 
 def alpha_binomial_series(n: int, ctx: AlphaContext) -> AlphaSeries:
@@ -181,12 +239,12 @@ def composed_moment(
     """Moment of ``t**(w*alpha) * phi(f2(t*x + (1-t)*e))`` over ``[0, 1]``.
 
     ``phi`` is the identity, or the absolute value when ``absolute`` is set.
-    The known weight ``t**(w*alpha)`` is folded into the moments rather than
-    the fit (real-grade moments are exact), which keeps the fit target
-    smooth.  Three argument shapes admit exact evaluation and bypass the fit
-    entirely: a constant argument (``x == e``), a pure scaling (``e == 0``),
-    and a reflected scaling (``x == 0``, via Beta moments of ``(1-t)``
-    powers).
+    The known weight ``t**(w*alpha)`` is folded into the quadrature weights
+    of grade ``w`` rather than the samples (real-grade moments are exact),
+    which keeps the projected integrand smooth.  Three argument shapes admit
+    exact evaluation and bypass the quadrature entirely: a constant argument
+    (``x == e``), a pure scaling (``e == 0``), and a reflected scaling
+    (``x == 0``, via Beta moments of ``(1-t)`` powers).
     """
     if weight_grade < 0.0:
         raise ValueError(f"weight_grade must be nonnegative, got {weight_grade}")
@@ -222,10 +280,5 @@ def composed_moment(
             total = sum(c * e ** (k * a) * beta_moment(k) for k, c in f2.terms)
             return phi(total)
 
-    t = functional.grid
-    y = f2.evaluate(e + t * (x - e))
-    coeffs, _ = functional.fit(np.abs(y) if absolute else y)
-    moments = np.array(
-        [functional.moment(k + weight_grade) for k in range(functional.max_grade + 1)]
-    )
-    return float(coeffs @ moments)
+    y = f2.evaluate(e + functional.grid * (x - e))
+    return functional.integrate(np.abs(y) if absolute else y, weight_grade)

@@ -114,14 +114,14 @@ def test_criterion_4_moment_and_constant_cross_checks():
             for s in (0.25, 0.5, 0.75):
                 # t^{2a} t^{s a}: single monomial of grade s+2
                 closed = G(1 + (s + 2) * alpha) / G(1 + (s + 3) * alpha)
-                numeric, _ = fractal_integral_numeric(
+                numeric = fractal_integral_numeric(
                     lambda t: t ** ((s + 2) * alpha), small
                 )
                 assert abs(numeric - closed) <= 1e-6
                 # t^{2a} (1-t)^{s a} in its reflected fractal normal form
                 h = series_mul(AlphaSeries.monomial(s, ctx), alpha_binomial_series(2, ctx))
                 closed_n = ostrowski_constants(s, ctx).N
-                numeric_n, _ = fractal_integral_numeric(h.evaluate, wide)
+                numeric_n = fractal_integral_numeric(h.evaluate, wide)
                 assert abs(numeric_n - closed_n) <= 1e-6
         c = ostrowski_constants(1.0, AlphaContext(1.0))
         assert abs(c.M - 0.25) <= 1e-10

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -110,6 +112,8 @@ class TestSweepConfig:
             {"x_fractions": [1.5]},
             {"s_values": [0.0]},
             {"pq_pairs": [[2.0, 3.0]]},
+            {"pq_pairs": [[math.nan, 2.0]]},
+            {"pq_pairs": [[2.0, math.nan]]},
             {"inequalities": ["thm9"]},
         ],
     )
@@ -295,6 +299,16 @@ class TestFalsify:
         assert not w.holds and not again.holds
         assert again.slack == w.slack
 
+    def test_random_trial_witness_has_python_values(self):
+        cfg = _cfg(alphas=(1.0,), inequalities=("thm1",))
+        family = parse_function_spec("mono:2.5")
+        w = falsify("thm1", family, cfg, trials=50, seed=11, adversarial=True)
+        assert all(type(getattr(w, c)) is float for c in ("lhs", "rhs", "slack", "a", "b", "x"))
+        assert type(w.holds) is bool
+        assert json.loads(render_report([w], "json"))[0]["holds"] is False
+        (row,) = csv.DictReader(io.StringIO(render_report([w], "csv")))
+        assert row["holds"] == "false"
+
 
 class TestEmission:
     def test_csv_single_row(self, tmp_path):
@@ -385,6 +399,17 @@ class TestCli:
                      "--a", "0", "--b", "1", "--x", "0.5", "--fn", "mono:3"])
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "ineq, p, q",
+        [("thm2", "nan", "2"), ("thm2", "2", "nan"), ("holder", "nan", "2"),
+         ("theta-thm2", "nan", "2"), ("thm3", "2", "nan"), ("midpoint-thm3", "2", "nan")],
+    )
+    def test_eval_rejects_nan_p_or_q(self, ineq, p, q, capsys):
+        code = main(["eval", "--ineq", ineq, "--alpha", "1", "--s", "1", "--p", p, "--q", q,
+                     "--a", "0", "--b", "1", "--x", "0.5", "--fn", "mono:3"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_sweep_roundtrip(self, tmp_path, capsys):
         cfg = {

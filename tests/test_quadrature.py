@@ -41,14 +41,16 @@ class TestMoments:
     def test_basis_exactness(self, alpha):
         functional = MomentFunctional(AlphaContext(alpha))
         for k in range(functional.max_grade + 1):
-            value, resid = fractal_integral_numeric(lambda t, k=k: t ** (k * alpha), functional)
+            g = lambda t, k=k: t ** (k * alpha)
+            value = fractal_integral_numeric(g, functional)
+            _, resid = functional.fit(g(functional.grid))
             closed = functional.moment(k)
             assert abs(value - closed) / closed <= 1e-10
             assert resid <= 1e-10
 
     def test_constant_at_alpha_one(self):
         functional = MomentFunctional(AlphaContext(1.0))
-        value, _ = fractal_integral_numeric(lambda t: np.ones_like(t), functional)
+        value = fractal_integral_numeric(lambda t: np.ones_like(t), functional)
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_real_grade_moment_matches_kernel(self):
@@ -81,12 +83,131 @@ class TestConstruction:
             fractal_integral_numeric(lambda t: np.where(t > 0.5, np.inf, 1.0), functional)
 
 
+def fit_reference(functional, y, weight_grade=0.0):
+    """The per-call least-squares value that the cached weights replace."""
+    coeffs, _ = functional.fit(y)
+    grades = np.arange(functional.max_grade + 1) + weight_grade
+    return float(coeffs @ np.array([functional.moment(k) for k in grades]))
+
+
+#: A series that changes sign at u = 1, inside both segments below.
+MIXED = ((0.5, 1.0), (2.0, -1.0))
+SEGMENTS = ((0.3, 1.6), (1.2, 0.4))
+
+
+class TestWeights:
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("weight_grade", (0.0, 2.0))
+    def test_exact_on_the_basis(self, alpha, weight_grade):
+        functional = MomentFunctional(AlphaContext(alpha))
+        q = functional.weights(weight_grade)
+        for k in range(functional.max_grade + 1):
+            closed = functional.moment(k + weight_grade)
+            assert abs(q @ functional.grid ** (k * alpha) - closed) <= 1e-13 * closed
+
+    def test_computed_once_per_weight_grade(self):
+        functional = MomentFunctional(AlphaContext(0.5))
+        assert functional.weights(2.0) is functional.weights(2.0)
+        assert functional.weights(0.0) is not functional.weights(2.0)
+        assert not functional.weights(2.0).flags.writeable
+        assert functional == MomentFunctional(AlphaContext(0.5))
+        assert hash(functional) == hash(MomentFunctional(AlphaContext(0.5)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("weight_grade", (0.0, 2.0))
+    def test_one_non_finite_sample_anywhere_raises(self, bad, weight_grade):
+        functional = MomentFunctional(AlphaContext(0.3))
+        for i in range(functional.nodes):
+            y = np.ones(functional.nodes)
+            y[i] = bad
+            with pytest.raises(QuadratureError, match="non-finite"):
+                functional.integrate(y, weight_grade)
+
+    def test_overflowing_integral_raises(self):
+        functional = MomentFunctional(AlphaContext(0.5))
+        with np.errstate(over="ignore"), pytest.raises(QuadratureError, match="overflowed"):
+            functional.integrate(np.full(functional.nodes, 1.7e308))
+
+    def test_non_finite_weights_raise_when_built(self, monkeypatch):
+        functional = MomentFunctional(AlphaContext(0.5))
+        monkeypatch.setattr(MomentFunctional, "moment", lambda self, k: math.inf)
+        with pytest.raises(QuadratureError, match="not finite"):
+            functional.weights(0.0)
+
+    # The agreement below is measured against the integral of |g|, the scale
+    # at which rounding enters; for a one-signed integrand it is the plain
+    # relative error.  Smooth integrands only: on a kinked sample vector the
+    # truncated-SVD components amplify rounding differently in the two
+    # solves (up to about 1e-9 apart), far below either one's error against
+    # the true integral, which test_no_less_accurate_than_the_fit_reference
+    # checks.
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize(
+        "g", [np.exp, np.cos, lambda t: 1.0 / (1.0 + t * t)], ids=["exp", "cos", "rational"]
+    )
+    def test_integral_matches_fit_reference(self, alpha, g):
+        functional = MomentFunctional(AlphaContext(alpha))
+        ref = fit_reference(functional, g(functional.grid))
+        assert abs(fractal_integral_numeric(g, functional) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("weight_grade", (0.0, 2.0))
+    @pytest.mark.parametrize("x, e", SEGMENTS)
+    def test_composed_moment_matches_fit_reference(self, alpha, weight_grade, x, e):
+        ctx = AlphaContext(alpha)
+        functional = MomentFunctional(ctx)
+        f2 = AlphaSeries(MIXED, ctx)
+        y = f2.evaluate(e + functional.grid * (x - e))
+        ref = fit_reference(functional, y, weight_grade)
+        scale = fit_reference(functional, np.abs(y), weight_grade)
+        got = composed_moment(f2, weight_grade, x, e, functional)
+        assert abs(got - ref) <= 1e-12 * scale
+
+
+class TestMpmathOracle:
+    """The kernel integral in 30-digit arithmetic as the true value."""
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("case", ["exp", "rational", "kink", "reflected", "composed-abs"])
+    def test_no_less_accurate_than_the_fit_reference(self, alpha, case):
+        mp = pytest.importorskip("mpmath")
+        ctx = AlphaContext(alpha)
+        functional = MomentFunctional(ctx)
+        t = functional.grid
+        a = mp.mpf(alpha)
+        w = 0.0
+        if case == "exp":
+            y, g, points = np.exp(t), mp.exp, [0, 1]
+        elif case == "rational":
+            y, g, points = 1.0 / (1.0 + t * t), lambda u: 1 / (1 + u * u), [0, 1]
+        elif case == "kink":
+            kink = mp.mpf("0.37")
+            y, g, points = np.abs(t - 0.37), lambda u: abs(u - kink), [0, kink, 1]
+        elif case == "reflected":
+            y, g, points = (1.0 - t) ** 0.375, lambda u: (1 - u) ** mp.mpf(0.375), [0, 1]
+        else:  # t**(2a) * |f2| on a segment through the sign change of f2
+            f2 = AlphaSeries(MIXED, ctx)
+            x, e = SEGMENTS[0]
+            w, y = 2.0, np.abs(f2.evaluate(e + t * (x - e)))
+
+            def g(u):
+                v = mp.mpf(e) + u * (mp.mpf(x) - mp.mpf(e))
+                return u ** (2 * a) * abs(sum(mp.mpf(c) * v ** (mp.mpf(k) * a) for k, c in MIXED))
+
+            points = [0, mp.mpf(e - 1.0) / (e - x), 1]
+        with mp.workdps(30):
+            true = mp.quad(lambda u: g(u) * (1 - u) ** (a - 1), points) / mp.gamma(a)
+        err_weights = float(abs(functional.integrate(y, w) - true) / abs(true))
+        err_fit = float(abs(fit_reference(functional, y, w) - true) / abs(true))
+        assert err_weights <= err_fit + 1e-10
+
+
 @pytest.mark.parametrize("alpha", ALPHAS)
 @pytest.mark.parametrize("s", S_VALUES)
 def test_pure_power_weight_moment(alpha, s):
     """t^{2a} * t^{s a} is the single monomial of grade s+2."""
     functional = MomentFunctional(AlphaContext(alpha))
-    value, _ = fractal_integral_numeric(lambda t: t ** ((s + 2) * alpha), functional)
+    value = fractal_integral_numeric(lambda t: t ** ((s + 2) * alpha), functional)
     closed = moment_closed(s + 2, alpha)
     assert abs(value - closed) / closed <= 1e-8
 
@@ -104,7 +225,7 @@ def test_mixed_weight_moment_in_normal_form(alpha, s):
     ctx = AlphaContext(alpha)
     h = series_mul(AlphaSeries.monomial(s, ctx), alpha_binomial_series(2, ctx))
     functional = MomentFunctional(ctx, max_grade=12, nodes=384)
-    value, _ = fractal_integral_numeric(h.evaluate, functional)
+    value = fractal_integral_numeric(h.evaluate, functional)
     assert value == pytest.approx(n_closed(s, alpha), abs=1e-6)
 
 
@@ -116,7 +237,7 @@ def test_mixed_weight_moment_pointwise_reading_disagrees_below_alpha_one():
     s, alpha = 0.5, 0.5
     g = lambda t: t ** (2 * alpha) * (1 - t) ** (s * alpha)
     functional = MomentFunctional(AlphaContext(alpha), max_grade=12, nodes=384)
-    value, _ = fractal_integral_numeric(g, functional)
+    value = fractal_integral_numeric(g, functional)
     assert value == pytest.approx(kernel_integral(g, alpha), abs=1e-3)
     assert abs(value - n_closed(s, alpha)) > 0.01
 
@@ -125,7 +246,7 @@ def test_mixed_weight_moment_readings_agree_at_alpha_one():
     s, alpha = 0.5, 1.0
     g = lambda t: t**2 * (1 - t) ** (s * alpha)
     functional = MomentFunctional(AlphaContext(alpha), max_grade=12, nodes=384)
-    value, _ = fractal_integral_numeric(g, functional)
+    value = fractal_integral_numeric(g, functional)
     assert value == pytest.approx(n_closed(s, alpha), abs=1e-6)
 
 
@@ -135,7 +256,7 @@ def test_mixed_weight_moment_readings_agree_at_alpha_one():
 )
 def test_classical_reduction_at_alpha_one(g, name):
     functional = MomentFunctional(AlphaContext(1.0))
-    value, _ = fractal_integral_numeric(g, functional)
+    value = fractal_integral_numeric(g, functional)
     oracle, _ = quad(g, 0, 1)
     assert value == pytest.approx(oracle, abs=1e-8)
 
@@ -148,7 +269,7 @@ def test_fit_residual_non_increasing_in_basis_size(alpha, s):
     residuals = []
     for n in range(4, 11):
         functional = MomentFunctional(ctx, max_grade=n, nodes=40)
-        _, resid = fractal_integral_numeric(g, functional)
+        _, resid = functional.fit(g(functional.grid))
         residuals.append(resid)
     assert all(b <= a + 1e-15 for a, b in zip(residuals, residuals[1:]))
 
@@ -163,7 +284,7 @@ def test_monotone_on_nonnegative_integrands():
             grades = rng.uniform(0.0, 6.0, size=4)
             coeffs = rng.uniform(0.0, 3.0, size=4)
             g = lambda t: sum(c * t ** (k * alpha) for k, c in zip(grades, coeffs))
-            value, _ = fractal_integral_numeric(g, functional)
+            value = fractal_integral_numeric(g, functional)
             assert value >= -1e-12
             checked += 1
     print(f"positivity checked on {checked} nonnegative integrands")
@@ -211,6 +332,14 @@ class TestComposedMoment:
         got = composed_moment(f2, 2.0, 0.0, 1.0, functional)
         oracle = kernel_integral(lambda t: t * f2.evaluate(1.0 - t), 0.5)
         assert got == pytest.approx(oracle, abs=1e-10)
+
+    def test_non_finite_sample_on_the_quadrature_path(self):
+        ctx = AlphaContext(0.5)
+        functional = MomentFunctional(ctx)
+        # finite terms whose sum overflows everywhere on the segment
+        f2 = AlphaSeries(((0.0, 1e308), (1.0, 1e308)), ctx)
+        with np.errstate(over="ignore"), pytest.raises(QuadratureError, match="non-finite"):
+            composed_moment(f2, 2.0, 0.4, 1.5, functional)
 
     def test_validation(self):
         ctx = AlphaContext(0.5)

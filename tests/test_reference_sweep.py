@@ -23,8 +23,8 @@ CONFIG = Path(__file__).resolve().parents[1] / "bench" / "reference_sweep.json"
 RECORDED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
 DIGESTS = {
-    "csv": "cc41fbca8555dc56b702c23d873df152bbaf345c6166ca428489b83d8e47f83e",
-    "json": "58a9e1ca883128c8c573df9905a3ea111ec813d52f4953d23da8813b6eff78a2",
+    "csv": "5abf2d1b55fdb79f91ea6083dd725bc72b38d8fafaeaaa774f43ebb36cb4df6c",
+    "json": "befa715f33141bb5b576267edad17f750761d6d916f11fccd5b2006b830fd81e",
 }
 
 
