@@ -39,24 +39,20 @@ class MittagLefflerError(ArithmeticError):
 
 @dataclass(frozen=True)
 class AlphaContext:
-    """Ambient parameters: the order ``alpha`` and the global tolerances.
+    """Ambient parameters: the order ``alpha`` and the slack tolerance.
 
     ``slack_tol`` is the signed tolerance used when deciding whether an
-    inequality holds (slack >= -slack_tol); ``fp_tol`` is the tolerance for
-    pure floating-point identities.
+    inequality holds (slack >= -slack_tol).
     """
 
     alpha: float
     slack_tol: float = 1e-9
-    fp_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.slack_tol <= 0.0:
             raise ValueError(f"slack_tol must be positive, got {self.slack_tol}")
-        if self.fp_tol <= 0.0:
-            raise ValueError(f"fp_tol must be positive, got {self.fp_tol}")
 
 
 @dataclass(frozen=True, order=True)
@@ -75,12 +71,6 @@ class AlphaReal:
             raise OverflowError("base overflowed the finite range")
         if math.isnan(self.base):
             raise ValueError("base must be a number")
-
-    def __add__(self, other: "AlphaReal") -> "AlphaReal":
-        return alpha_add(self, other)
-
-    def __mul__(self, other: "AlphaReal") -> "AlphaReal":
-        return alpha_mul(self, other)
 
     def __neg__(self) -> "AlphaReal":
         return AlphaReal(-self.base)

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .alphanum import AlphaContext, gamma
-from .inequalities import INEQUALITIES, IneqReport
+from .inequalities import INEQUALITIES, IneqReport, _check_conjugate, _check_interval, _check_s
 from .quadrature import MomentFunctional
 from .series import AlphaSeries
 
@@ -94,9 +94,6 @@ class FunctionSpec:
             return AlphaSeries(self.payload, ctx)
         terms = tuple((float(k), 1.0 / gamma(1.0 + k * ctx.alpha)) for k in range(self.payload[0]))
         return AlphaSeries(terms, ctx)
-
-    def __str__(self) -> str:
-        return self.canonical()
 
 
 def _fmt(v: float) -> str:
@@ -187,28 +184,25 @@ class SweepConfig:
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self) -> None:
+        # the checks the evaluators and the context apply, so a config they
+        # would reject fails here instead of as error rows
         for a in self.alphas:
-            if not (0.0 < a <= 1.0):
-                raise ValueError(f"alpha must lie in (0, 1], got {a}")
+            self.context(a)
         for lo, hi in self.intervals:
-            if not (0.0 <= lo < hi):
-                raise ValueError(f"need 0 <= a < b in intervals, got ({lo}, {hi})")
+            _check_interval(lo, hi)
         for fr in self.x_fractions:
             if not (0.0 <= fr <= 1.0):
                 raise ValueError(f"x fractions must lie in [0, 1], got {fr}")
         for s in self.s_values:
-            if not (0.0 < s <= 1.0):
-                raise ValueError(f"s must lie in (0, 1], got {s}")
+            _check_s(s)
         for p, q in self.pq_pairs:
-            # written so that a NaN p or q fails the test
-            if not abs(1.0 / p + 1.0 / q - 1.0) <= 1e-12:
-                raise ValueError(f"(p, q) = ({p}, {q}) are not conjugate")
+            _check_conjugate(p, q)
         for ineq in self.inequalities:
             if canonical_id(ineq) not in INEQUALITIES:
                 raise ValueError(f"unknown inequality id {ineq!r}")
 
     def context(self, alpha: float) -> AlphaContext:
-        return AlphaContext(alpha, self.tolerances.slack_tol, self.tolerances.fp_tol)
+        return AlphaContext(alpha, self.tolerances.slack_tol)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
@@ -271,15 +265,21 @@ def evaluate_single(
     if "s" in axes and s is None:
         raise ValueError(f"{ineq} needs the convexity order s")
     if "pq" in axes and q is None:
-        raise ValueError(f"{ineq} needs q" + ("" if ineq.endswith("thm3") else " and p"))
-    if "pq" in axes and p is None and not ineq.endswith("thm3"):
+        raise ValueError(f"{ineq} needs q" + (" and p" if _uses_p(ineq) else ""))
+    if "pq" in axes and p is None and _uses_p(ineq):
         raise ValueError(f"{ineq} needs conjugate (p, q)")
     if "x" in axes and x is None:
         raise ValueError(f"{ineq} needs the evaluation point x")
     return evaluator(series, functional, a, b, x, s, p, q)
 
 
-def _error_report(ineq: str, alpha: float, exc: Exception, **params) -> IneqReport:
+def _uses_p(ineq: str) -> bool:
+    """Whether ``ineq`` reads p; the thm3 family takes only q from its (p, q) axis."""
+    return "pq" in applicable_axes(ineq) and not ineq.endswith("thm3")
+
+
+def _error_report(ineq: str, alpha: float, exc: Exception, p: Optional[float], **params) -> IneqReport:
+    """An error row with the parameters that a successful row of ``ineq`` reports."""
     return IneqReport(
         ineq=ineq,
         alpha=alpha,
@@ -288,6 +288,7 @@ def _error_report(ineq: str, alpha: float, exc: Exception, **params) -> IneqRepo
         slack=float("nan"),
         holds=False,
         notes=f"error: {exc}",
+        p=p if _uses_p(ineq) else None,
         **params,
     )
 
@@ -476,8 +477,6 @@ def _csv_cell(value) -> str:
 
 def emit_report(rows: Sequence[IneqReport], format: str, path: str | Path) -> None:
     """Write reports as CSV (17 significant digits) or JSON."""
-    if format not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
     text = render_report(rows, format)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -490,7 +489,14 @@ def _json_value(value):
     return value
 
 
+def _check_format(format: str) -> None:
+    if format not in ("csv", "json"):
+        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+
+
 def render_report(rows: Sequence[IneqReport], format: str) -> str:
+    """The report text in ``format``, ``csv`` or ``json``."""
+    _check_format(format)
     if format == "json":
         records = [{c: _json_value(getattr(r, c)) for c in CSV_COLUMNS} for r in rows]
         return json.dumps(records, indent=2, allow_nan=False) + "\n"
@@ -513,8 +519,7 @@ def _parse_cell(column: str, cell):
 
 def load_report(path: str | Path, format: str) -> list[IneqReport]:
     """Read back an emitted report; inverse of :func:`emit_report`."""
-    if format not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+    _check_format(format)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         records = json.load(fh) if format == "json" else csv.DictReader(fh)
         return [IneqReport(**{c: _parse_cell(c, row[c]) for c in CSV_COLUMNS}) for row in records]

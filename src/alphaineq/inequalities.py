@@ -65,8 +65,6 @@ class OstrowskiConstants:
 
     M: float
     N: float
-    s: float
-    ctx: AlphaContext
 
 
 @dataclass(frozen=True)
@@ -176,7 +174,7 @@ def ostrowski_constants(s: float, ctx: AlphaContext) -> OstrowskiConstants:
         - 2.0**a * gamma(1.0 + (s + 1.0) * a) / gamma(1.0 + (s + 2.0) * a)
         + M
     )
-    return OstrowskiConstants(M=M, N=N, s=s, ctx=ctx)
+    return OstrowskiConstants(M=M, N=N)
 
 
 def eval_ghh(f: AlphaSeries, a: float, b: float) -> IneqReport:
@@ -239,8 +237,9 @@ def eval_holder(
 
     Integrals over ``[a, b]`` are pulled back to ``[0, 1]`` through the
     affine map with the factor ``(b-a)**alpha``.  ``|f|`` and ``|g|`` are
-    sampled once on the pulled-back grid and the three integrands are built
-    from those samples.
+    sampled once on the pulled-back grid (each must map an array to an
+    array of the same shape) and the three integrands are built from those
+    samples.
     """
     _check_interval(a, b)
     _check_conjugate(p, q)

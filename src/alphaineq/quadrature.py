@@ -181,13 +181,20 @@ def _check_finite(y: np.ndarray) -> None:
 
 
 def _sample(g: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> np.ndarray:
+    """``g`` at the points ``t``, in one call on the whole array.
+
+    Raises ``ValueError`` unless ``g`` maps the array to an array of the
+    same shape: a function of one scalar is rejected, not called per point.
+    """
     try:
         y = np.asarray(g(t), dtype=float)
-        if y.shape == t.shape:
-            return y
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(g(ti)) for ti in t])
+    except TypeError as exc:
+        raise ValueError(f"the function must map an array to an array: {exc}") from exc
+    if y.shape != t.shape:
+        raise ValueError(
+            f"the function must map an array of shape {t.shape} to the same shape, got {y.shape}"
+        )
+    return y
 
 
 def fractal_integral_numeric(
@@ -195,7 +202,8 @@ def fractal_integral_numeric(
 ) -> float:
     """Fractal integral of a pointwise integrand.
 
-    Samples ``g`` on the Gauss-Jacobi grid and applies the cached weights of
+    ``g`` must map an array to an array of the same shape.  Samples ``g``
+    on the Gauss-Jacobi grid and applies the cached weights of
     the least-squares projection onto ``{t**(k*alpha)}``, so the value is
     ``sum_k c_k * moment(k)`` for the fit coefficients ``c`` of
     :meth:`MomentFunctional.fit`, up to rounding.

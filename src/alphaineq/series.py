@@ -117,15 +117,6 @@ class AlphaSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "AlphaSeries") -> "AlphaSeries":
-        return series_add(self, other)
-
-    def __mul__(self, other: "AlphaSeries") -> "AlphaSeries":
-        return series_mul(self, other)
-
-    def scaled(self, c: float) -> "AlphaSeries":
-        return series_scale(self, c)
-
     def evaluate(self, x: np.ndarray | float) -> np.ndarray | float:
         """Vectorized evaluation at nonnegative points (not range-checked).
 
@@ -160,9 +151,6 @@ class AlphaSeries:
         for (_, c), v in zip(self.terms, powers):
             out = out + c * v
         return out
-
-    def __call__(self, x: float) -> float:
-        return series_eval(self, x)
 
 
 def _require_same_ctx(f: AlphaSeries, g: AlphaSeries) -> None:

@@ -18,15 +18,13 @@ from alphaineq.alphanum import (
 
 def test_context_validation():
     AlphaContext(1.0)
-    AlphaContext(0.3, slack_tol=1e-6, fp_tol=1e-10)
+    AlphaContext(0.3, slack_tol=1e-6)
     with pytest.raises(ValueError):
         AlphaContext(0.0)
     with pytest.raises(ValueError):
         AlphaContext(1.5)
     with pytest.raises(ValueError):
         AlphaContext(0.5, slack_tol=0.0)
-    with pytest.raises(ValueError):
-        AlphaContext(0.5, fp_tol=-1.0)
 
 
 class TestBaseArithmetic:

@@ -61,3 +61,22 @@ def test_traced_registry_reaches_every_evaluator_and_restores(spans):
     evaluators = [t[0] for t in spans.TARGETS if t[0].startswith("inequalities.eval_")]
     evaluators.append("inequalities.identity_residual")
     assert [n for n in evaluators if tracer.stats[n].calls == 0] == []
+
+
+def test_lattice_points_hook_reads_the_grid_argument(spans):
+    # the convexity.lattice_points hook reads ``grid`` as the fifth positional argument
+    import inspect
+
+    from alphaineq import convexity
+    from alphaineq.alphanum import AlphaContext
+
+    signature = inspect.signature(convexity.check_s_convex_second)
+    assert list(signature.parameters).index("grid") == 4
+    named = dict(f=lambda u: u * u, s=0.5, lo=0.0, hi=1.0, grid=7, ctx=AlphaContext(1.0))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        convexity.check_s_convex_second(*signature.bind(**named).args)
+    finally:
+        tracer.uninstall()
+    assert tracer.stats["convexity.check_s_convex_second"].extra == 7**3

@@ -115,6 +115,7 @@ class TestSweepConfig:
             {"pq_pairs": [[math.nan, 2.0]]},
             {"pq_pairs": [[2.0, math.nan]]},
             {"inequalities": ["thm9"]},
+            {"pq_pairs": [[0.5, -1.0]]},  # conjugate, but not p, q > 1
         ],
     )
     def test_validation(self, patch):
@@ -193,6 +194,19 @@ class TestRunSweep:
         assert len(rows) == 1
         assert not rows[0].holds
         assert rows[0].notes.startswith("error:")
+
+    def test_error_rows_report_the_parameters_of_their_id(self):
+        # mono:0.5 has no second derivative; its rows are errors, the mono:3 rows are not
+        cfg = _cfg(
+            functions=(parse_function_spec("mono:0.5"), parse_function_spec("mono:3")),
+            inequalities=("thm3", "midpoint-thm3"),
+        )
+        filled = {}
+        for row in run_sweep(cfg):
+            cells = tuple(getattr(row, c) is not None for c in ("s", "p", "q", "a", "b", "x"))
+            filled.setdefault(row.ineq, {})[row.notes.startswith("error:")] = cells
+        assert filled["thm3"][True] == filled["thm3"][False] == (True, False, True, True, True, True)
+        assert filled["midpoint-thm3"][True] == filled["midpoint-thm3"][False]
 
     def test_consistency_study_flags_but_does_not_crash(self):
         cfg = _cfg(alphas=(0.5,), functions=(parse_function_spec("mono:1"),),
@@ -366,6 +380,12 @@ class TestEmission:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             emit_report([], "xml", tmp_path / "x.xml")
+        assert not (tmp_path / "x.xml").exists()
+        with pytest.raises(ValueError, match="format"):
+            render_report([], "xml")
+        emit_report([], "csv", tmp_path / "e.csv")
+        with pytest.raises(ValueError, match="format"):
+            load_report(tmp_path / "e.csv", "xml")
 
 
 class TestCli:
@@ -399,6 +419,14 @@ class TestCli:
                      "--a", "0", "--b", "1", "--x", "0.5", "--fn", "mono:3"])
         assert code == 2
         capsys.readouterr()
+        code = main(["eval", "--ineq", "thm2", "--alpha", "1", "--s", "0.5", "--q", "2",
+                     "--a", "0", "--b", "1", "--x", "0.5", "--fn", "mono:3"])
+        assert code == 2
+        assert "needs conjugate (p, q)" in capsys.readouterr().err
+        code = main(["eval", "--ineq", "thm1", "--alpha", "1", "--s", "1",
+                     "--a", "0", "--b", "1", "--fn", "mono:3"])
+        assert code == 2
+        assert "needs the evaluation point x" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "ineq, p, q",
@@ -446,6 +474,10 @@ class TestCli:
         assert main(["sweep", "--config", str(path)]) == 2
         path.write_text(json.dumps({"alphas": [2.0], "functions": ["mono:1"], "inequalities": ["ghh"]}))
         assert main(["sweep", "--config", str(path)]) == 2
+        path.write_text(json.dumps({"alphas": [1.0], "functions": ["mono:3"], "inequalities": ["thm2"],
+                                    "pq_pairs": [[0.5, -1.0]]}))
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert "need p, q > 1" in capsys.readouterr().err
         assert main(["sweep", "--config", str(tmp_path / "missing.json")]) == 2
         capsys.readouterr()
 

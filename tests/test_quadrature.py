@@ -82,6 +82,13 @@ class TestConstruction:
         with pytest.raises(QuadratureError, match="non-finite"):
             fractal_integral_numeric(lambda t: np.where(t > 0.5, np.inf, 1.0), functional)
 
+    @pytest.mark.parametrize(
+        "g", [lambda t: 1.0, lambda t: math.exp(t), lambda t: t[:-1]], ids=["scalar", "math", "shape"]
+    )
+    def test_integrand_must_map_an_array_to_the_same_shape(self, g):
+        with pytest.raises(ValueError, match="same shape|an array"):
+            fractal_integral_numeric(g, MomentFunctional(AlphaContext(0.5)))
+
 
 def fit_reference(functional, y, weight_grade=0.0):
     """The per-call least-squares value that the cached weights replace."""
