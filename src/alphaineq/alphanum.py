@@ -51,8 +51,8 @@ class AlphaContext:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.slack_tol <= 0.0:
-            raise ValueError(f"slack_tol must be positive, got {self.slack_tol}")
+        if not (0.0 < self.slack_tol < math.inf):  # NaN fails too
+            raise ValueError(f"slack_tol must be positive and finite, got {self.slack_tol}")
 
 
 @dataclass(frozen=True, order=True)

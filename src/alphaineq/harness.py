@@ -169,6 +169,13 @@ class Tolerances:
     slack_tol: float = 1e-9
     fp_tol: float = 1e-12
 
+    def __post_init__(self) -> None:
+        # each test is written so that NaN fails it
+        if not (0.0 < self.slack_tol < math.inf):
+            raise ValueError(f"slack_tol must be positive and finite, got {self.slack_tol}")
+        if not (0.0 <= self.fp_tol < math.inf):
+            raise ValueError(f"fp_tol must be nonnegative and finite, got {self.fp_tol}")
+
 
 @dataclass(frozen=True)
 class SweepConfig:

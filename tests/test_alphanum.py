@@ -27,6 +27,12 @@ def test_context_validation():
         AlphaContext(0.5, slack_tol=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-9])
+def test_context_rejects_a_slack_tol_that_is_not_positive_and_finite(bad):
+    with pytest.raises(ValueError, match="slack_tol"):
+        AlphaContext(0.5, slack_tol=bad)
+
+
 class TestBaseArithmetic:
     def test_addition_adds_bases(self):
         assert alpha_add(AlphaReal(2.0), AlphaReal(3.0)).base == 5.0

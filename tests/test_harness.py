@@ -128,6 +128,27 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig.from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "tolerances",
+        [
+            {"slack_tol": math.nan},
+            {"slack_tol": math.inf},
+            {"slack_tol": 0.0},
+            {"fp_tol": math.nan},
+            {"fp_tol": math.inf},
+            {"fp_tol": -1.0},
+        ],
+    )
+    def test_tolerances_must_be_finite_and_signed_right(self, tolerances):
+        raw = {"alphas": [1.0], "functions": ["mono:2"], "inequalities": ["ghh"], "tolerances": tolerances}
+        with pytest.raises(ValueError, match=next(iter(tolerances))):
+            SweepConfig.from_dict(raw)
+        with pytest.raises(ValueError):
+            Tolerances(**tolerances)
+
+    def test_zero_fp_tol_is_accepted(self):
+        assert Tolerances(fp_tol=0.0).fp_tol == 0.0
+
 
 def _cfg(**overrides):
     base = dict(
@@ -480,6 +501,15 @@ class TestCli:
         assert "need p, q > 1" in capsys.readouterr().err
         assert main(["sweep", "--config", str(tmp_path / "missing.json")]) == 2
         capsys.readouterr()
+
+    def test_sweep_nan_slack_tol_is_exit_two(self, tmp_path, capsys):
+        # with a NaN slack_tol this row (slack +0.039) would read holds=false
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"alphas": [1.0], "functions": ["poly:0,0,0,1"], "inequalities": ["thm1"],
+                                    "tolerances": {"slack_tol": math.nan}}))
+        assert "NaN" in path.read_text()
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert "slack_tol must be positive and finite, got nan" in capsys.readouterr().err
 
     def test_falsify_evaluator_error_is_exit_two(self, capsys):
         code = main(["falsify", "--ineq", "thm1", "--family", "mono:0.5",

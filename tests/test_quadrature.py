@@ -8,6 +8,7 @@ from alphaineq.alphanum import AlphaContext
 from alphaineq.quadrature import (
     MomentFunctional,
     QuadratureError,
+    _gauss_jacobi,
     alpha_binomial_series,
     composed_moment,
     fractal_integral_numeric,
@@ -169,6 +170,34 @@ class TestWeights:
         scale = fit_reference(functional, np.abs(y), weight_grade)
         got = composed_moment(f2, weight_grade, x, e, functional)
         assert abs(got - ref) <= 1e-12 * scale
+
+
+class TestGaussJacobiRule:
+    """The numpy Golub-Welsch rule against mpmath's in 40-digit arithmetic."""
+
+    @pytest.mark.parametrize("alpha", (0.05, 0.1, 0.3, 0.7, 1.0))
+    @pytest.mark.parametrize("n", (2, 8, 40, 48))
+    def test_nodes_and_weights_match_the_oracle(self, alpha, n):
+        mp = pytest.importorskip("mpmath")
+        x, w = _gauss_jacobi(n, alpha)
+        with mp.workdps(40):
+            nodes, weights = mp.gauss_quadrature(n, "jacobi", mp.mpf(alpha) - 1, 0)
+            exact = sorted(zip(nodes, weights))
+            node_err = max(abs(mp.mpf(xi) - xe) for xi, (xe, _) in zip(x, exact))
+            weight_err = max(abs(mp.mpf(wi) / we - 1) for wi, (_, we) in zip(w, exact))
+        assert np.all(np.diff(x) > 0.0)
+        assert node_err <= 1e-15
+        assert weight_err <= 1e-12
+
+    @pytest.mark.parametrize("alpha", (0.05, 0.5, 1.0))
+    def test_exact_for_polynomials_up_to_degree_2n_minus_1(self, alpha):
+        # with t = (1 + x) / 2 the moments of t**k are Beta integrals
+        n = 8
+        x, w = _gauss_jacobi(n, alpha)
+        t = (1.0 + x) / 2.0
+        for k in range(2 * n):
+            exact = 2.0**alpha * math.gamma(k + 1) * math.gamma(alpha) / math.gamma(k + 1 + alpha)
+            assert abs(w @ t**k - exact) <= 1e-13 * exact
 
 
 class TestMpmathOracle:
