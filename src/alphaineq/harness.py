@@ -213,22 +213,63 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
-        tol = Tolerances(**raw.get("tolerances", {}))
+        """The config of a JSON document; a malformed field raises ValueError naming it."""
+        if not isinstance(raw, dict):
+            raise ValueError(f"a sweep config must be a JSON object, got {type(raw).__name__}")
+        tolerances = raw.get("tolerances", {})
+        if not isinstance(tolerances, dict):
+            raise ValueError(f"tolerances must be an object, got {tolerances!r}")
+        for name, value in tolerances.items():
+            if name not in Tolerances.__dataclass_fields__:
+                raise ValueError(
+                    f"unknown tolerance {name!r}; expected {', '.join(Tolerances.__dataclass_fields__)}"
+                )
+            _number(f"tolerances.{name}", value)
         return cls(
-            alphas=tuple(raw["alphas"]),
-            functions=tuple(parse_function_spec(t) for t in raw["functions"]),
-            inequalities=tuple(raw["inequalities"]),
-            intervals=tuple((float(a), float(b)) for a, b in raw.get("intervals", [(0.0, 1.0)])),
-            x_fractions=tuple(raw.get("x_fractions", [0.5])),
-            s_values=tuple(raw.get("s_values", [0.5])),
-            pq_pairs=tuple((float(p), float(q)) for p, q in raw.get("pq_pairs", [(2.0, 2.0)])),
-            tolerances=tol,
+            alphas=tuple(_number("alphas", v) for v in _items(raw, "alphas")),
+            functions=tuple(parse_function_spec(_text("functions", t)) for t in _items(raw, "functions")),
+            inequalities=tuple(_text("inequalities", t) for t in _items(raw, "inequalities")),
+            intervals=_pairs(raw, "intervals", [(0.0, 1.0)]),
+            x_fractions=tuple(_number("x_fractions", v) for v in _items(raw, "x_fractions", [0.5])),
+            s_values=tuple(_number("s_values", v) for v in _items(raw, "s_values", [0.5])),
+            pq_pairs=_pairs(raw, "pq_pairs", [(2.0, 2.0)]),
+            tolerances=Tolerances(**tolerances),
         )
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SweepConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _items(raw: dict, name: str, default: Optional[list] = None) -> list:
+    """The list field ``name`` of a config document; required when there is no default."""
+    value = raw[name] if default is None else raw.get(name, default)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def _number(name: str, value):
+    # JSON true and false read as bools, which are ints to Python
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must hold numbers, got {value!r}")
+    return value
+
+
+def _text(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must hold strings, got {value!r}")
+    return value
+
+
+def _pairs(raw: dict, name: str, default: list) -> tuple[tuple[float, float], ...]:
+    pairs = []
+    for item in _items(raw, name, default):
+        if not (isinstance(item, (list, tuple)) and len(item) == 2):
+            raise ValueError(f"{name} must hold pairs of numbers, got {item!r}")
+        pairs.append(tuple(float(_number(name, v)) for v in item))
+    return tuple(pairs)
 
 
 def canonical_id(ineq: str) -> str:
@@ -381,6 +422,13 @@ def falsify(
     violation has not weakened, so the returned witness, whose ``fn`` is
     its series, is the simplest configuration with the original slack.
 
+    Points that share their terms share one series, so the values cached
+    on it (f', f'', I(f), theta) are computed once: the canonical probes
+    use their family's series, and a shrink step that moves only x or b
+    re-uses the series of the current point and its candidates.  Only the
+    series of the latest random trial and of the current shrink
+    neighbourhood are kept, so the reuse stays bounded.
+
     An evaluator error, such as the Gamma pole of a family without a second
     derivative, propagates as it does from :func:`evaluate_single`.
     """
@@ -390,18 +438,30 @@ def falsify(
     if ineq not in INEQUALITIES:
         raise ValueError(f"unknown inequality id {ineq_id!r}")
     rng = np.random.default_rng(seed)
-    # the moment functional (with its context) and the family terms of each alpha, built once
+    # the moment functional (with its context) and the family series of each alpha, built once
     functionals = {alpha: MomentFunctional(cfg.context(alpha)) for alpha in cfg.alphas}
-    family_terms = {alpha: family.realize(fl.ctx).terms for alpha, fl in functionals.items()}
+    families = {alpha: family.realize(fl.ctx) for alpha, fl in functionals.items()}
+    family_terms = {alpha: f.terms for alpha, f in families.items()}
+    # the series of the points the search may evaluate again, keyed by (alpha, terms)
+    kept = {(alpha, f.terms): f for alpha, f in families.items()}
 
     def evaluate(pt: _Point) -> Optional[IneqReport]:
         functional = functionals[pt.alpha]
-        series = AlphaSeries(pt.terms, functional.ctx)
+        key = (pt.alpha, pt.terms)
+        series = kept.get(key)
+        if series is None:
+            series = kept[key] = AlphaSeries(pt.terms, functional.ctx)
         if series.is_zero:
             return None
         x = pt.a + pt.frac * (pt.b - pt.a)
         q = pt.p / (pt.p - 1.0)
         return evaluate_single(ineq, series, functional, pt.a, pt.b, x, pt.s, pt.p, q)
+
+    def retain(pt: _Point) -> None:
+        """Keep only the series of ``pt``, whose terms a shrink step just changed to."""
+        series = kept[pt.alpha, pt.terms]
+        kept.clear()
+        kept[pt.alpha, pt.terms] = series
 
     def violates(rep: Optional[IneqReport]) -> bool:
         return rep is not None and not rep.holds and math.isfinite(rep.slack)
@@ -417,36 +477,47 @@ def falsify(
                 found = (pt, rep)
 
     if found is None:
+        # A trial draws a, the length of [a, b], the x fraction, s, p and one
+        # scale per coefficient from [low, high): nonnegative coefficient
+        # jitter keeps the candidates convexity friendly; adversarial mode
+        # re-draws signs as well.  One ``random(n)`` call and the map
+        # ``low + (high - low) * u`` give the values of separate
+        # ``uniform(low, high)`` calls bit for bit, without their overhead.
+        jitter = -2.0 if adversarial else 0.0
+        bounds = {}
+        for alpha, base in family_terms.items():
+            lows = (0.0, 0.25, 0.0, 0.05, 1.2) + (jitter,) * len(base)
+            highs = (2.0, 2.75, 1.0, 1.0, 4.0) + (2.0,) * len(base)
+            bounds[alpha] = tuple((lo, hi - lo) for lo, hi in zip(lows, highs))
         for _ in range(trials):
-            alpha = float(rng.choice(np.asarray(cfg.alphas)))
-            a = float(rng.uniform(0.0, 2.0))
-            b = a + float(rng.uniform(0.25, 2.75))
-            frac = float(rng.uniform(0.0, 1.0))
-            s = float(rng.uniform(0.05, 1.0))
-            p = float(rng.uniform(1.2, 4.0))
-            # nonnegative coefficient jitter keeps the candidates convexity
-            # friendly; adversarial mode re-draws signs as well
-            base = family_terms[alpha]
-            scales = rng.uniform(-2.0 if adversarial else 0.0, 2.0, size=len(base))
+            # the index draw of ``rng.choice(cfg.alphas)``, which draws nothing from one alpha
+            i = rng.integers(0, len(cfg.alphas), dtype=np.int64) if len(cfg.alphas) > 1 else 0
+            alpha = float(cfg.alphas[i])
+            draws = rng.random(len(bounds[alpha])).tolist()
             # Python floats, so the witness's values and ``holds`` are not numpy scalars
-            terms = tuple((k, float(c * sc)) for (k, c), sc in zip(base, scales))
-            pt = _Point(alpha, terms, a, b, frac, s, p)
+            a, length, frac, s, p, *scales = [lo + span * u for (lo, span), u in zip(bounds[alpha], draws)]
+            terms = tuple((k, c * sc) for (k, c), sc in zip(family_terms[alpha], scales))
+            pt = _Point(alpha, terms, a, a + length, frac, s, p)
+            kept.clear()  # a random trial's terms never recur, unless a shrink starts from them
             rep = evaluate(pt)
             if violates(rep):
                 found = (pt, rep)
                 break
+
     if found is None:
         return None
-    pt, rep = _shrink(evaluate, *found, cfg.tolerances.fp_tol)
+    pt, rep = _shrink(evaluate, retain, *found, cfg.tolerances.fp_tol)
     return rep.with_fn(FunctionSpec("series", pt.terms).canonical())
 
 
 def _shrink(
     evaluate: Callable[[_Point], Optional[IneqReport]],
+    retain: Callable[[_Point], None],
     pt: _Point,
     rep: IneqReport,
     fp_tol: float,
 ) -> tuple[_Point, IneqReport]:
+    """Shrink a violating point; ``retain(cand)`` runs on each accepted step that changes the terms."""
     def candidates(cur: _Point) -> Iterable[_Point]:
         for i in range(len(cur.terms)):
             halved = tuple(
@@ -465,6 +536,8 @@ def _shrink(
             if cand_rep is None or cand_rep.holds:
                 continue
             if cand_rep.slack <= rep.slack + fp_tol:  # violation not weakened
+                if cand.terms != pt.terms:
+                    retain(cand)
                 pt, rep = cand, cand_rep
                 break
         else:  # no candidate kept the violation

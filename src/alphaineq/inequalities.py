@@ -138,12 +138,34 @@ def _check_conjugate(p: float, q: float, tol: float = 1e-12) -> None:
         raise ValueError(f"(p, q) = ({p}, {q}) are not conjugate")
 
 
+def _grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """``np.linspace(lo, hi, n)`` bit for bit, without its per-call overhead.
+
+    The same arithmetic as linspace: ``arange(n) * step + lo`` with the
+    last point set to ``hi``, and linspace's fallback for a step that
+    underflows to zero.
+    """
+    xs = np.arange(n, dtype=float)
+    delta = hi - lo
+    step = delta / (n - 1)
+    if step == 0.0:
+        xs /= n - 1
+        xs *= delta
+    else:
+        xs *= step
+    xs += lo
+    xs[-1] = hi
+    return xs
+
+
 def sup_abs(f: AlphaSeries, a: float, b: float, grid: int = 1025) -> float:
     """Sup norm of ``|f|`` on ``[a, b]``: dense grid plus local refinement.
 
     After the grid scan, the cell around the maximizer is re-gridded three
-    times, which is enough for the smooth series handled here.  The value
-    is cached on ``f`` per ``(a, b, grid)``.
+    times, which is enough for the smooth series handled here.  The grids
+    are those of ``np.linspace``, built by :func:`_grid`.  The value is
+    cached on ``f`` per ``(a, b, grid)``, so a caller that keeps the series
+    computes it once per interval.
     """
     if grid < 3:
         raise ValueError(f"grid must be >= 3, got {grid}")
@@ -154,7 +176,7 @@ def sup_abs(f: AlphaSeries, a: float, b: float, grid: int = 1025) -> float:
     lo, hi = a, b
     best = 0.0
     for _ in range(4):
-        xs = np.linspace(lo, hi, grid)
+        xs = _grid(lo, hi, grid)
         vals = np.abs(f.evaluate(xs))
         i = int(np.argmax(vals))
         best = max(best, float(vals[i]))
@@ -488,7 +510,9 @@ def eval_corollary(
 
     ``variant`` selects the midpoint form, the sup-norm (theta) form, or
     the combined form, for each of the three theorems.  Theta is the grid
-    supremum of ``|f^(2a)|`` over ``[a, b]``.  Midpoint forms ignore ``x``;
+    supremum of ``|f^(2a)|`` over ``[a, b]`` (:func:`sup_abs`); only the
+    theta and midpoint-theta forms compute it, and only the midpoint forms
+    evaluate ``|f^(2a)|`` at the endpoints.  Midpoint forms ignore ``x``;
     theta forms require it.
     """
     if variant not in COROLLARY_VARIANTS:
@@ -509,24 +533,26 @@ def eval_corollary(
     const = ostrowski_constants(s, ctx)
     g2 = gamma(1.0 + 2.0 * al)
     f2 = lf_derivative_n(f, 2)
-    da, db = abs(f2.evaluate(a)), abs(f2.evaluate(b))
-    theta = sup_abs(f2, a, b)
     front = _front(thm, s, p, q, al, g2)
     lead, sup, div, mid = _COROLLARY_FACTORS[thm](const.M, const.N, 2.0 ** (s * al), al, s, q)
 
+    # each form computes only what it reads: theta, or |f''| at the endpoints
     if form == "theta":
         if x is None:
             raise ValueError(f"{variant} needs the evaluation point x")
         _check_point(x, a, b)
         lhs = _ostrowski_lhs(f, x, a, b)
+        theta = sup_abs(f2, a, b)
         bracket = (b - a) ** (2.0 * al) / 12.0**al + _spow(x - (a + b) / 2.0, ctx) ** 2
         rhs = front * lead * 3.0**al * theta * sup / g2 * bracket
     else:
         x = None  # midpoint forms ignore x
         lhs = _midpoint_lhs(f, a, b)
         if form == "midpoint":
+            da, db = abs(f2.evaluate(a)), abs(f2.evaluate(b))
             rhs = front * ((b - a) ** (2.0 * al) / g2) / div * mid * (da + db)
         else:  # midpoint-theta
+            theta = sup_abs(f2, a, b)
             rhs = front * lead * sup * (theta * (b - a) ** (2.0 * al) / (4.0**al * g2))
     p = p if thm == "thm2" else None
     q = q if thm != "thm1" else None

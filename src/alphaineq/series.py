@@ -123,17 +123,28 @@ class AlphaSeries:
         Negative-grade terms evaluate to inf at 0, silently; use
         :func:`series_eval` for the range-checked scalar path.  A Python
         float ``x >= 0`` takes a scalar path whose result is bit-identical
-        to evaluating the one-element array ``[x]``.
+        to evaluating the one-element array ``[x]``.  The array path sums
+        ``c * x**(k*alpha)`` in term order from +0.0, in place, and sets
+        numpy's error state only when a negative grade can divide by zero.
         """
         if type(x) is float and x >= 0.0:
             return self._evaluate_scalar(x)
         xs = np.asarray(x, dtype=float)
+        if self.terms and self.terms[0][0] < 0.0:
+            with np.errstate(divide="ignore"):
+                out = self._sum_terms(xs)
+        else:
+            out = self._sum_terms(xs)
+        return float(out) if xs.ndim == 0 else out
+
+    def _sum_terms(self, xs: np.ndarray) -> np.ndarray:
         out = np.zeros_like(xs)
         a = self.ctx.alpha
-        with np.errstate(divide="ignore"):
-            for k, c in self.terms:
-                out = out + c * xs ** (k * a)
-        return float(out) if np.isscalar(x) or xs.ndim == 0 else out
+        for k, c in self.terms:
+            term = xs ** (k * a)
+            term *= c
+            out += term
+        return out
 
     def _evaluate_scalar(self, x: float) -> float:
         exps, squares, roots = self._scalar

@@ -2,11 +2,14 @@ import csv
 import io
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alphaineq import harness
 from alphaineq.alphanum import AlphaContext
 from alphaineq.cli import main
 from alphaineq.harness import (
@@ -145,6 +148,38 @@ class TestSweepConfig:
             SweepConfig.from_dict(raw)
         with pytest.raises(ValueError):
             Tolerances(**tolerances)
+
+    @pytest.mark.parametrize(
+        "patch, field",
+        [
+            ({"tolerances": {"slack": 1e-9}}, "unknown tolerance 'slack'"),
+            ({"tolerances": {"slack_tol": "1e-9"}}, "tolerances.slack_tol"),
+            ({"tolerances": {"fp_tol": True}}, "tolerances.fp_tol"),
+            ({"tolerances": [1e-9]}, "tolerances"),
+            ({"alphas": ["1"]}, "alphas"),
+            ({"alphas": [True]}, "alphas"),
+            ({"alphas": 1.0}, "alphas"),
+            ({"functions": [2]}, "functions"),
+            ({"inequalities": [["ghh"]]}, "inequalities"),
+            ({"intervals": [["0", "1"]]}, "intervals"),
+            ({"intervals": [[0.0, 1.0, 2.0]]}, "intervals"),
+            ({"x_fractions": [None]}, "x_fractions"),
+            ({"s_values": ["0.5"]}, "s_values"),
+            ({"pq_pairs": [[2.0, False]]}, "pq_pairs"),
+        ],
+    )
+    def test_malformed_fields_are_named(self, patch, field):
+        raw = {"alphas": [1.0], "functions": ["mono:2"], "inequalities": ["ghh"], **patch}
+        with pytest.raises(ValueError, match=re.escape(field)):
+            SweepConfig.from_dict(raw)
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            SweepConfig.from_dict([1])
+
+    def test_integer_numbers_are_accepted(self):
+        raw = {"alphas": [1], "functions": ["mono:2"], "inequalities": ["ghh"], "tolerances": {"fp_tol": 0}}
+        assert SweepConfig.from_dict(raw).tolerances.fp_tol == 0
 
     def test_zero_fp_tol_is_accepted(self):
         assert Tolerances(fp_tol=0.0).fp_tol == 0.0
@@ -345,6 +380,90 @@ class TestFalsify:
         assert row["holds"] == "false"
 
 
+class TestFalsifySeriesReuse:
+    """Points of one ``falsify`` call that share their terms share one series."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """Record each series the harness builds and each evaluated point."""
+        built, points = [], []
+
+        class Recorded(AlphaSeries):
+            def __post_init__(self):
+                super().__post_init__()
+                built.append((self.ctx.alpha, self.terms))
+
+        real = harness.evaluate_single
+
+        def recorded(ineq, series, functional, a, b, x, *rest):
+            points.append((series, functional.ctx.alpha, a, b, x))
+            return real(ineq, series, functional, a, b, x, *rest)
+
+        monkeypatch.setattr(harness, "AlphaSeries", Recorded)
+        monkeypatch.setattr(harness, "evaluate_single", recorded)
+        return built, points
+
+    def test_canonical_probes_build_one_series_per_alpha(self, monkeypatch):
+        # a poly has the same terms at every alpha, so only the key's alpha tells them apart
+        family = parse_function_spec("poly:1,0.5,0.25,0.1")
+        terms = family.realize(AlphaContext(1.0)).terms
+        built, points = self.record(monkeypatch)
+        falsify("ghh", family, _cfg(alphas=(1.0, 0.5), inequalities=("ghh",)), trials=1, seed=3)
+        assert sorted(alpha for alpha, t in built if t == terms) == [0.5, 1.0]
+        assert len(points) >= 6
+        assert all(series.ctx.alpha == alpha for series, alpha, *_ in points)
+
+    def test_shrink_steps_that_move_x_or_b_build_no_series(self, monkeypatch):
+        built, points = self.record(monkeypatch)
+        cfg = _cfg(alphas=(0.5,), inequalities=("ostrowski",))
+        w = falsify("ostrowski", parse_function_spec("mono:2.5"), cfg, trials=60, seed=7)
+        assert (w.a, w.b) != (0.0, 1.0)  # a random trial's witness, shrunk
+        assert len(built) == len(set(built))  # no (alpha, terms) is built twice
+        assert all(series.ctx.alpha == alpha for series, alpha, *_ in points)
+        # past the canonical probes on [0, 1], a series that served several
+        # points served the x and b moves of the shrink
+        served = {}
+        for series, _, a, b, x in points:
+            if (a, b) != (0.0, 1.0):
+                served.setdefault(id(series), set()).add((a, b, x))
+        assert max(len(moves) for moves in served.values()) > 1
+
+
+def _scalar_draw_trials(family, alphas, trials, seed, adversarial):
+    """The random trials as separate ``choice`` and ``uniform`` calls: the reference stream."""
+    rng = np.random.default_rng(seed)
+    base = {alpha: family.realize(AlphaContext(alpha)).terms for alpha in alphas}
+    for _ in range(trials):
+        alpha = float(rng.choice(np.asarray(alphas)))
+        a = float(rng.uniform(0.0, 2.0))
+        b = a + float(rng.uniform(0.25, 2.75))
+        frac = float(rng.uniform(0.0, 1.0))
+        s = float(rng.uniform(0.05, 1.0))
+        p = float(rng.uniform(1.2, 4.0))
+        scales = rng.uniform(-2.0 if adversarial else 0.0, 2.0, size=len(base[alpha]))
+        terms = tuple((k, float(c * sc)) for (k, c), sc in zip(base[alpha], scales))
+        yield alpha, a, b, a + frac * (b - a), s, p, AlphaSeries(terms, AlphaContext(alpha)).terms
+
+
+@pytest.mark.parametrize("alphas", [(1.0,), (0.5, 1.0), (0.5, 0.8, 1.0), (0.3, 0.5, 0.7, 0.9, 1.0)])
+@pytest.mark.parametrize("adversarial", [False, True])
+def test_random_trials_draw_the_scalar_stream(monkeypatch, alphas, adversarial):
+    # holder finds no counterexample here, so every point past the probes is a trial
+    family = parse_function_spec("ml:6")
+    points = []
+    real = harness.evaluate_single
+
+    def recorded(ineq, series, functional, a, b, x, s, p, q):
+        points.append((functional.ctx.alpha, a, b, x, s, p, series.terms))
+        return real(ineq, series, functional, a, b, x, s, p, q)
+
+    monkeypatch.setattr(harness, "evaluate_single", recorded)
+    cfg = _cfg(alphas=alphas, inequalities=("holder",))
+    assert falsify("holder", family, cfg, trials=40, seed=17, adversarial=adversarial) is None
+    trials = points[3 * len(alphas):]
+    assert trials == list(_scalar_draw_trials(family, alphas, 40, 17, adversarial))
+
+
 class TestEmission:
     def test_csv_single_row(self, tmp_path):
         rows = run_sweep(_cfg())
@@ -501,6 +620,17 @@ class TestCli:
         assert "need p, q > 1" in capsys.readouterr().err
         assert main(["sweep", "--config", str(tmp_path / "missing.json")]) == 2
         capsys.readouterr()
+        # malformed documents: each once died with a TypeError or AttributeError (exit 1)
+        base = {"alphas": [1.0], "functions": ["mono:2"], "inequalities": ["ghh"]}
+        for doc, field in (
+            ({**base, "tolerances": {"slack": 1e-9}}, "slack"),
+            ({**base, "tolerances": {"slack_tol": "1e-9"}}, "slack_tol"),
+            ({**base, "alphas": ["1"]}, "alphas"),
+            ([1], "JSON object"),
+        ):
+            path.write_text(json.dumps(doc))
+            assert main(["sweep", "--config", str(path)]) == 2
+            assert field in capsys.readouterr().err
 
     def test_sweep_nan_slack_tol_is_exit_two(self, tmp_path, capsys):
         # with a NaN slack_tol this row (slack +0.039) would read holds=false

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from alphaineq import inequalities
 from alphaineq.alphanum import AlphaContext
 from alphaineq.harness import parse_function_spec
 from alphaineq.inequalities import (
     COROLLARY_VARIANTS,
+    _grid,
     eval_corollary,
     eval_ghh,
     eval_holder,
@@ -537,3 +539,78 @@ def test_sup_abs_refinement():
     xs = np.linspace(0.0, 1.5, 400001)
     brute = float(np.max(np.abs(f.evaluate(xs))))
     assert got == pytest.approx(brute, rel=1e-6)
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("n", (3, 33, 1025))
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (0.0, 1.0),
+        (0.1, 0.7),
+        (0.25, 2.75),
+        (1.0, 1.0 + 2e-16),  # tiny: a few ulps wide
+        (0.3, np.nextafter(0.3, 1.0)),
+        (1e-300, 3e-300),
+        (0.0, 5e-324),  # the step underflows to zero
+        (0.0, 1e300),  # wide
+        # across zero, where lo + (hi - lo) != hi and the last point needs setting
+        (-0.028459483414117318, 0.21166322448628785),
+        (-136.04936684419548, 0.0020155649322356464),
+        (2.0, 2.0),
+        (np.float64(0.47), np.float64(0.53)),
+    ],
+)
+def test_sup_grid_is_linspace_bit_for_bit(n, lo, hi):
+    assert (_bits(_grid(lo, hi, n)) == _bits(np.linspace(lo, hi, n))).all()
+
+
+def test_sup_grid_matches_linspace_on_seeded_intervals():
+    rng = np.random.default_rng(8)
+    for lo, width in zip(rng.uniform(-3.0, 3.0, 300), 10.0 ** rng.uniform(-15.0, 2.0, 300)):
+        for n in (3, 33, 1025):
+            assert (_bits(_grid(lo, lo + width, n)) == _bits(np.linspace(lo, lo + width, n))).all()
+
+
+class TestThetaOnlyWhereRead:
+    # rows of ml:6 at alpha = 0.5 on [0.25, 1.75], s = 0.5, recorded before
+    # the midpoint forms stopped computing theta
+    ARGS = {"midpoint-thm1": {}, "midpoint-thm2": {"p": 3.0, "q": 1.5}, "midpoint-thm3": {"q": 1.5}}
+    RHS = {
+        "midpoint-thm1": 7.233660545491792,
+        "midpoint-thm2": 7.958730575101799,
+        "midpoint-thm3": 6.829044730545626,
+    }
+
+    @staticmethod
+    def counting_sup(monkeypatch):
+        calls = []
+        real = inequalities.sup_abs
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(inequalities, "sup_abs", counted)
+        return calls
+
+    @pytest.mark.parametrize("variant", ["midpoint-thm1", "midpoint-thm2", "midpoint-thm3"])
+    def test_midpoint_forms_make_no_sup_call(self, monkeypatch, variant):
+        calls = self.counting_sup(monkeypatch)
+        f = parse_function_spec("ml:6").realize(CTX_HALF)
+        rep = eval_corollary(variant, f, 0.25, 1.75, 0.5, **self.ARGS[variant])
+        assert calls == []
+        assert rep.lhs == 0.9850778969632596 and rep.rhs == self.RHS[variant]
+        assert not any(key[0] == "sup" for key in lf_derivative_n(f, 2)._memo)
+
+    @pytest.mark.parametrize("variant", [v for v in COROLLARY_VARIANTS if "theta" in v])
+    def test_theta_forms_still_compute_theta(self, monkeypatch, variant):
+        calls = self.counting_sup(monkeypatch)
+        q = None if variant.endswith("thm1") else 1.5
+        p = 3.0 if variant.endswith("thm2") else None
+        f = parse_function_spec("ml:6").realize(CTX_HALF)
+        eval_corollary(variant, f, 0.25, 1.75, 0.5, p=p, q=q, x=0.6)
+        assert len(calls) == 1

@@ -283,3 +283,36 @@ def test_series_addition_commutes(grades, coeffs):
     ks = [k for k, _ in out.terms]
     assert ks == sorted(set(ks))
     assert all(c != 0.0 for _, c in out.terms)
+
+
+def _term_loop(f, x):
+    """The array path as a plain loop over the terms: the reference for ``evaluate``."""
+    xs = np.asarray(x, dtype=float)
+    out = np.zeros_like(xs)
+    with np.errstate(divide="ignore"):
+        for k, c in f.terms:
+            out = out + c * xs ** (k * f.ctx.alpha)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series_and_point())
+@example((AlphaSeries(((1.0, -1.0), (2.0, -3.0)), CTX_HALF), 0.0))  # -0.0 terms, +0.0 sum
+@example((AlphaSeries(((0.5, -2.0), (2.0, -1.0)), CTX_HALF), -0.0))
+@example((AlphaSeries(((-0.5, 3.0), (2.0, 1.0)), CTX_HALF), 0.0))
+def test_array_evaluate_matches_the_term_loop(case):
+    f, x = case
+    xs = np.array([x, 0.0, -0.0, 0.25, 1.0, 3.5])
+    with np.errstate(all="ignore"):
+        got = f.evaluate(xs)
+        want = _term_loop(f, xs)
+    assert [_bits(v) for v in got] == [_bits(v) for v in want]
+
+
+def test_array_pole_at_zero_is_silent_inf():
+    f = AlphaSeries(((-0.5, 1.0), (1.0, 2.0)), CTX_HALF)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = f.evaluate(np.array([0.0, 1.0]))
+    assert values[0] == math.inf
+    assert _bits(values[1]) == _bits(_term_loop(f, np.array([1.0]))[0])
