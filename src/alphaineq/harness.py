@@ -16,6 +16,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -580,11 +581,23 @@ def render_report(rows: Sequence[IneqReport], format: str) -> str:
     if format == "json":
         records = [{c: _json_value(getattr(r, c)) for c in CSV_COLUMNS} for r in rows]
         return json.dumps(records, indent=2, allow_nan=False) + "\n"
+    # each distinct nonzero float is formatted once; zeros skip the table,
+    # where -0.0 and 0.0 would share an entry
+    texts: dict[float, str] = {}
+
+    def cell(value) -> str:
+        if type(value) is float and value:
+            text = texts.get(value)
+            if text is None:
+                text = texts[value] = _fmt(value)
+            return text
+        return _csv_cell(value)
+
+    values = attrgetter(*CSV_COLUMNS)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in rows:
-        writer.writerow([_csv_cell(getattr(r, c)) for c in CSV_COLUMNS])
+    writer.writerows([cell(v) for v in values(r)] for r in rows)
     return buf.getvalue()
 
 

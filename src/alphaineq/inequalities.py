@@ -27,7 +27,7 @@ derived forms are used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -67,7 +67,7 @@ class OstrowskiConstants:
     N: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IneqReport:
     """One verification record: an inequality, its parameters, and the slack."""
 
@@ -87,7 +87,11 @@ class IneqReport:
     notes: str = ""
 
     def with_fn(self, fn: str) -> "IneqReport":
-        return replace(self, fn=fn)
+        """This record with ``fn`` set: ``replace(self, fn=fn)``, built positionally, which costs less."""
+        return IneqReport(
+            self.ineq, self.alpha, self.lhs, self.rhs, self.slack, self.holds,
+            self.s, self.p, self.q, self.a, self.b, self.x, fn, self.notes,
+        )
 
 
 def _report(
@@ -293,14 +297,23 @@ def eval_ostrowski_classic(f: AlphaSeries, x: float, a: float, b: float) -> Ineq
 
 
 def _ostrowski_signed(f: AlphaSeries, x: float, a: float, b: float) -> float:
-    """Signed left side of the second-derivative identity at ``x``."""
+    """Signed left side of the second-derivative identity at ``x``.
+
+    thm1-3, the theta corollaries and the identity all read it, so it is
+    cached on ``f`` per ``(a, b, x)``.
+    """
+    key = ("lhs", a, b, x)
+    cached = f._memo.get(key)
+    if cached is not None:
+        return cached
     ctx = f.ctx
     al = ctx.alpha
-    return (
+    signed = f._memo[key] = (
         lf_integral(f, a, b) / (b - a) ** al
         - f.evaluate(x) / gamma(1.0 + al)
         + _spow(2.0 * x - a - b, ctx) * lf_derivative(f).evaluate(x) / gamma(1.0 + 2.0 * al)
     )
+    return signed
 
 
 def _ostrowski_lhs(f: AlphaSeries, x: float, a: float, b: float) -> float:
@@ -364,17 +377,36 @@ def _hypothesis_note(
     return note
 
 
-def _front(
-    thm: str, s: float, p: Optional[float], q: Optional[float], al: float, g2: float
-) -> float:
-    """The Hoelder (thm2) or power-mean (thm3) prefactor, 1 for thm1; ``g2 = G(1+2*alpha)``."""
+def _constants(f: AlphaSeries, s: float) -> OstrowskiConstants:
+    """:func:`ostrowski_constants` at ``f``'s alpha, cached on ``f`` per ``s``."""
+    key = ("const", s)
+    cached = f._memo.get(key)
+    if cached is None:
+        cached = f._memo[key] = ostrowski_constants(s, f.ctx)
+    return cached
+
+
+def _front(f: AlphaSeries, thm: str, s: float, p: Optional[float], q: Optional[float]) -> float:
+    """The Hoelder (thm2) or power-mean (thm3) prefactor, 1 for thm1.
+
+    It depends on alpha and the parameters alone, so it is cached on ``f``
+    per ``(thm, s, p, q)``.
+    """
+    if thm == "thm1":
+        return 1.0
+    key = ("front", thm, s, p, q)
+    cached = f._memo.get(key)
+    if cached is not None:
+        return cached
+    al = f.ctx.alpha
     if thm == "thm2":
-        return (gamma(1.0 + 2.0 * p * al) / gamma(1.0 + (2.0 * p + 1.0) * al)) ** (1.0 / p) * (
+        front = (gamma(1.0 + 2.0 * p * al) / gamma(1.0 + (2.0 * p + 1.0) * al)) ** (1.0 / p) * (
             gamma(1.0 + s * al) / gamma(1.0 + (s + 1.0) * al)
         ) ** (1.0 / q)
-    if thm == "thm3":
-        return (g2 / gamma(1.0 + 3.0 * al)) ** (1.0 - 1.0 / q)
-    return 1.0
+    else:
+        front = (gamma(1.0 + 2.0 * al) / gamma(1.0 + 3.0 * al)) ** (1.0 - 1.0 / q)
+    f._memo[key] = front
+    return front
 
 
 def _theorem_report(
@@ -399,7 +431,7 @@ def _theorem_report(
     f2 = lf_derivative_n(f, 2)
     dx, da, db = abs(f2.evaluate(x)), abs(f2.evaluate(a)), abs(f2.evaluate(b))
     rhs = (
-        _front(thm, s, p, q, ctx.alpha, g2)
+        _front(f, thm, s, p, q)
         * (_spow(x - a, ctx) ** 3 * side(dx, da) + _spow(b - x, ctx) ** 3 * side(dx, db))
         / (g2 * (b - a) ** ctx.alpha)
     )
@@ -425,7 +457,7 @@ def eval_thm1(
     _check_interval(a, b)
     _check_point(x, a, b)
     _check_s(s)
-    c = ostrowski_constants(s, f.ctx)
+    c = _constants(f, s)
     side = lambda dx, de: c.M * dx + c.N * de
     return _theorem_report("thm1", f, s, None, None, x, a, b, hypothesis_grid, side)
 
@@ -464,17 +496,23 @@ def eval_thm3(
     if not q >= 1.0:  # a NaN q fails too
         raise ValueError(f"q must be >= 1, got {q}")
     _check_s(s)
-    c = ostrowski_constants(s, f.ctx)
+    c = _constants(f, s)
     side = lambda dx, de: (c.M * dx**q + c.N * de**q) ** (1.0 / q)
     return _theorem_report("thm3", f, s, None, q, x, a, b, hypothesis_grid, side)
 
 
 def _midpoint_lhs(f: AlphaSeries, a: float, b: float) -> float:
+    """The left side of the midpoint corollaries, cached on ``f`` per ``(a, b)``."""
+    key = ("mid", a, b)
+    cached = f._memo.get(key)
+    if cached is not None:
+        return cached
     al = f.ctx.alpha
-    return abs(
+    lhs = f._memo[key] = abs(
         lf_integral(f, a, b) / (b - a) ** al
         - f.evaluate((a + b) / 2.0) / gamma(1.0 + al)
     )
+    return lhs
 
 
 # Per-theorem factors of the corollary forms, from (M, N, 2**(s*alpha),
@@ -530,10 +568,10 @@ def eval_corollary(
 
     ctx = f.ctx
     al = ctx.alpha
-    const = ostrowski_constants(s, ctx)
+    const = _constants(f, s)
     g2 = gamma(1.0 + 2.0 * al)
     f2 = lf_derivative_n(f, 2)
-    front = _front(thm, s, p, q, al, g2)
+    front = _front(f, thm, s, p, q)
     lead, sup, div, mid = _COROLLARY_FACTORS[thm](const.M, const.N, 2.0 ** (s * al), al, s, q)
 
     # each form computes only what it reads: theta, or |f''| at the endpoints

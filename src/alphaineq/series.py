@@ -75,8 +75,10 @@ class AlphaSeries:
     ``x >= 0`` (``x > 0`` when a negative grade is present).
 
     Values derived from the series alone (its derivative, integrals, sup
-    norms, hypothesis verdicts) are cached in ``_memo`` for the lifetime of
-    the instance; the cache takes no part in equality, hashing or repr.
+    norms, values at single points, hypothesis verdicts) are cached in
+    ``_memo`` for the lifetime of the instance, and so are the evaluators'
+    per-point left sides and their constants that depend on alpha alone;
+    the cache takes no part in equality, hashing or repr.
     """
 
     terms: tuple[tuple[float, float], ...]
@@ -123,12 +125,18 @@ class AlphaSeries:
         Negative-grade terms evaluate to inf at 0, silently; use
         :func:`series_eval` for the range-checked scalar path.  A Python
         float ``x >= 0`` takes a scalar path whose result is bit-identical
-        to evaluating the one-element array ``[x]``.  The array path sums
-        ``c * x**(k*alpha)`` in term order from +0.0, in place, and sets
-        numpy's error state only when a negative grade can divide by zero.
+        to evaluating the one-element array ``[x]``, and is cached on the
+        series per ``x``; ``-0.0`` and ``0.0`` share one entry, as they give
+        the same value.  The array path sums ``c * x**(k*alpha)`` in term
+        order from +0.0, in place, and sets numpy's error state only when a
+        negative grade can divide by zero.
         """
         if type(x) is float and x >= 0.0:
-            return self._evaluate_scalar(x)
+            key = ("ev", x)
+            value = self._memo.get(key)
+            if value is None:
+                value = self._memo[key] = self._evaluate_scalar(x)
+            return value
         xs = np.asarray(x, dtype=float)
         if self.terms and self.terms[0][0] < 0.0:
             with np.errstate(divide="ignore"):

@@ -2,14 +2,16 @@ import csv
 import io
 import json
 import math
+import random
 import re
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphaineq import harness
+from alphaineq import harness, inequalities
 from alphaineq.alphanum import AlphaContext
 from alphaineq.cli import main
 from alphaineq.harness import (
@@ -264,6 +266,29 @@ class TestRunSweep:
         assert filled["thm3"][True] == filled["thm3"][False] == (True, False, True, True, True, True)
         assert filled["midpoint-thm3"][True] == filled["midpoint-thm3"][False]
 
+    def test_constants_computed_once_per_alpha_fn_s(self, monkeypatch):
+        calls = []
+        real = inequalities.ostrowski_constants
+
+        def counted(s, ctx):
+            calls.append((ctx.alpha, s))
+            return real(s, ctx)
+
+        monkeypatch.setattr(inequalities, "ostrowski_constants", counted)
+        cfg = _cfg(
+            alphas=(0.5, 1.0),
+            functions=(parse_function_spec("mono:3"), parse_function_spec("ml:4")),
+            inequalities=("thm1", "thm3", "midpoint-thm1", "theta-thm2", "midpoint-theta-thm3"),
+            intervals=((0.0, 1.0), (0.5, 2.0)),
+            x_fractions=(0.0, 0.5, 1.0),
+            s_values=(0.5, 1.0),
+            pq_pairs=((2.0, 2.0), (3.0, 1.5)),
+        )
+        rows = run_sweep(cfg)
+        assert not any(r.notes.startswith("error:") for r in rows)
+        # one call per (alpha, fn, s): each (alpha, s) once for each of the two functions
+        assert sorted(calls) == sorted([(a, s) for a in cfg.alphas for s in cfg.s_values] * 2)
+
     def test_consistency_study_flags_but_does_not_crash(self):
         cfg = _cfg(alphas=(0.5,), functions=(parse_function_spec("mono:1"),),
                    inequalities=("identity",), x_fractions=(1.0,))
@@ -271,6 +296,77 @@ class TestRunSweep:
         assert len(rows) == 1
         assert not rows[0].holds
         assert rows[0].lhs == pytest.approx(0.6440746838, abs=1e-9)
+
+
+def _row_bits(rep):
+    """Every field of a report, floats as their bit patterns (NaN and -0.0 included)."""
+    return tuple(
+        struct.pack("<d", v) if type(v) is float else v
+        for v in (getattr(rep, c) for c in CSV_COLUMNS)
+    )
+
+
+class TestWarmCache:
+    """A row on a series whose cache a sweep filled equals the row on a fresh series."""
+
+    ALPHAS = (0.5, 1.0)
+    # mono:0.5 has no second derivative, so its rows raise; the series form
+    # has an f'' singular at 0, which gives the NaN and infinite rows
+    FUNCTIONS = ("mono:2.5", "poly:1,0,0.5", "series:(1.5,2);(4,0.25)", "ml:5", "mono:0.5")
+    # [0, 1] and [0.5, 1] share b and the point x = b, so a cache key without a collides
+    INTERVALS = ((0.0, 1.0), (0.5, 1.0), (0.25, 2.0))
+
+    @staticmethod
+    def points(seed):
+        rng = random.Random(seed)
+        fracs = (0.0, 1.0, 0.5, round(rng.uniform(0.05, 0.95), 6))
+        p = round(rng.uniform(1.2, 4.0), 6)
+        return fracs, (1.0, round(rng.uniform(0.05, 0.95), 6)), ((2.0, 2.0), (p, p / (p - 1.0)))
+
+    @staticmethod
+    def row(ineq, series, functional, a, b, x, s, p, q):
+        try:
+            return _row_bits(evaluate_single(ineq, series, functional, a, b, x, s, p, q))
+        except (ValueError, ArithmeticError) as exc:
+            return ("error", type(exc), str(exc))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_warm_rows_equal_fresh_rows(self, seed):
+        fracs, s_values, pq_pairs = self.points(seed)
+        order = random.Random(seed)
+        seen = {"nan": 0, "-0": 0, "error": 0, "x=a": 0, "x=b": 0}
+        for alpha in self.ALPHAS:
+            functional = MomentFunctional(AlphaContext(alpha))
+            for text in self.FUNCTIONS:
+                spec = parse_function_spec(text)
+                points = []
+                for ineq in INEQUALITY_IDS:
+                    axes = applicable_axes(ineq)
+                    for a, b in self.INTERVALS:
+                        for s in s_values if "s" in axes else (None,):
+                            for p, q in pq_pairs if "pq" in axes else ((None, None),):
+                                for fr in fracs if "x" in axes else (None,):
+                                    x = None if fr is None else a + fr * (b - a)
+                                    points.append((ineq, a, b, x, s, p, q))
+                warm = spec.realize(functional.ctx)
+                order.shuffle(points)
+                for pt in points:  # the earlier sweep that fills the cache
+                    self.row(pt[0], warm, functional, *pt[1:])
+                order.shuffle(points)
+                for pt in points:
+                    ineq, a, b, x, *_ = pt
+                    got = self.row(ineq, warm, functional, *pt[1:])
+                    fresh = self.row(ineq, spec.realize(functional.ctx), functional, *pt[1:])
+                    assert got == fresh, (alpha, text, pt)
+                    if got[0] == "error":
+                        seen["error"] += 1
+                        continue
+                    slack = struct.unpack("<d", got[CSV_COLUMNS.index("slack")])[0]
+                    seen["nan"] += math.isnan(slack)
+                    seen["-0"] += slack == 0.0 and math.copysign(1.0, slack) < 0.0
+                    seen["x=a"] += x == a
+                    seen["x=b"] += x == b
+        assert all(seen.values()), seen
 
 
 class TestRegistry:
@@ -516,6 +612,48 @@ class TestEmission:
         path = tmp_path / "out.csv"
         emit_report(rows, "csv", path)
         assert load_report(path, "csv") == rows
+
+    @staticmethod
+    def per_cell_csv(rows):
+        """The CSV rendering that formats every cell on its own, kept as the reference."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for r in rows:
+            writer.writerow([harness._csv_cell(getattr(r, c)) for c in CSV_COLUMNS])
+        return buf.getvalue()
+
+    def test_csv_matches_per_cell_rendering_on_edge_rows(self):
+        nan, inf = float("nan"), float("inf")
+        edge = [
+            # 0.0 and -0.0 in one column, in both orders
+            IneqReport("ghh", 1.0, 0.0, -0.0, -0.0, True, a=0.0, b=-0.0),
+            IneqReport("ghh", 1.0, -0.0, 0.0, 0.0, True, a=-0.0, b=0.0),
+            IneqReport("ghh", 0.5, nan, inf, -inf, False, x=nan, s=inf),
+            IneqReport("ghh", 0.5, -inf, nan, nan, False, x=-inf),
+            # a float and an int of one value that print differently, and a
+            # bool next to the equal float 1.0
+            IneqReport("ghh", 1.0, 1e17, 10**17, 1.0, True, s=1, p=1.0),
+            IneqReport("thm1", 0.5, np.float64(0.25), 0.25, np.float64(-0.0), np.bool_(False)),
+            IneqReport(
+                "thm1", 0.5, 0.1, 0.2, 0.1, True,
+                fn="series:(1.5,2);(4,0.25)", notes='say "hi",\nthen stop',
+            ),
+        ]
+        # a config with "s_values": [1] puts the int 1 in the s column
+        raw = {"alphas": [0.5, 1], "functions": ["poly:1,0,0.5", "series:(1.5,2);(4,0.25)"],
+               "inequalities": ["thm1", "identity", "midpoint-thm2"], "s_values": [1, 0.5],
+               "x_fractions": [0, 0.5, 1]}
+        swept = run_sweep(SweepConfig.from_dict(raw))
+        assert any(type(r.s) is int for r in swept)
+        rows = edge + swept
+        text = render_report(rows, "csv")
+        assert text == self.per_cell_csv(rows)
+        table = list(csv.reader(io.StringIO(text)))
+        assert table[1][CSV_COLUMNS.index("lhs")] == "0" and table[1][CSV_COLUMNS.index("rhs")] == "-0"
+        assert table[5][CSV_COLUMNS.index("lhs")] == "1e+17"
+        assert table[5][CSV_COLUMNS.index("rhs")] == "100000000000000000"
+        assert table[7][CSV_COLUMNS.index("notes")] == 'say "hi",\nthen stop'
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):

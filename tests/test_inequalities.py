@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -530,6 +531,9 @@ def test_report_integrity_across_evaluators():
     # parameters echo the inputs bit-for-bit
     rep = eval_thm2(f, 0.5, 3.0, 1.5, 0.8, 0.25, 1.5)
     assert (rep.s, rep.p, rep.q, rep.x, rep.alpha) == (0.5, 3.0, 1.5, 0.8, 1.0)
+    # with_fn builds positionally what replace builds by name
+    for rep in reports + [rep]:
+        assert rep.with_fn("poly:0,0,1,0.5") == replace(rep, fn="poly:0,0,1,0.5")
 
 
 def test_sup_abs_refinement():

@@ -136,6 +136,29 @@ def test_scalar_evaluate_is_bit_identical_to_array(case):
     assert _bits(scalar) == _bits(vector)
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [
+        ((1.0, 1.5),),  # exponent 0.5 at alpha = 0.5
+        ((2.0, -2.0),),  # exponent 1
+        ((4.0, 0.25),),  # exponent 2
+        ((6.0, 3.0),),  # exponent 3
+        ((-0.5, 2.0), (2.0, 1.0)),  # a negative grade: inf at zero
+        ((0.0, 1.0), (1.0, -1.0), (2.0, 1.0), (4.0, -1.0), (6.0, 1.0)),
+    ],
+)
+def test_negative_zero_evaluates_like_zero(terms):
+    # the scalar cache gives -0.0 and 0.0 one key, so their values must agree bit for bit
+    values = []  # a fresh series per order, evaluated first at 0.0, then first at -0.0
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        f = AlphaSeries(terms, CTX_HALF)
+        values.append(f.evaluate(first))
+        assert _bits(f.evaluate(second)) == _bits(values[-1])
+    assert _bits(values[0]) == _bits(values[1])
+    with np.errstate(divide="ignore"):
+        assert _bits(values[0]) == _bits(AlphaSeries(terms, CTX_HALF).evaluate(np.array([-0.0]))[0])
+
+
 class TestDerivative:
     def test_monomial_rule(self):
         a = 0.5
