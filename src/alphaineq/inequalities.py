@@ -27,6 +27,7 @@ derived forms are used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -35,7 +36,7 @@ import numpy as np
 from .alphanum import AlphaContext, alpha_pow_signed, gamma
 from .convexity import check_s_convex_second
 from .quadrature import MomentFunctional, _sample, composed_moment, fractal_integral_numeric
-from .series import AlphaSeries, lf_derivative, lf_derivative_n, lf_integral
+from .series import AlphaSeries, lf_derivative, lf_derivative_n, lf_integral, memoized
 
 __all__ = [
     "COROLLARY_VARIANTS",
@@ -115,13 +116,9 @@ def _report(
     )
 
 
-def _spow(u: float, ctx: AlphaContext) -> float:
-    return alpha_pow_signed(u, ctx)
-
-
 def _check_interval(a: float, b: float) -> None:
-    if not (0.0 <= a < b):
-        raise ValueError(f"need 0 <= a < b, got ({a}, {b})")
+    if not (0.0 <= a < b < math.inf):
+        raise ValueError(f"need 0 <= a < b with b finite, got ({a}, {b})")
 
 
 def _check_point(x: float, a: float, b: float) -> None:
@@ -173,10 +170,11 @@ def sup_abs(f: AlphaSeries, a: float, b: float, grid: int = 1025) -> float:
     """
     if grid < 3:
         raise ValueError(f"grid must be >= 3, got {grid}")
-    key = ("sup", a, b, grid)
-    cached = f._memo.get(key)
-    if cached is not None:
-        return cached
+    return _sup_abs(f, a, b, grid)
+
+
+@memoized("sup")
+def _sup_abs(f: AlphaSeries, a: float, b: float, grid: int) -> float:
     lo, hi = a, b
     best = 0.0
     for _ in range(4):
@@ -186,7 +184,6 @@ def sup_abs(f: AlphaSeries, a: float, b: float, grid: int = 1025) -> float:
         best = max(best, float(vals[i]))
         lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, grid - 1)]
         grid = 33
-    f._memo[key] = best
     return best
 
 
@@ -291,29 +288,25 @@ def eval_ostrowski_classic(f: AlphaSeries, x: float, a: float, b: float) -> Ineq
     mean = gamma(1.0 + al) * lf_integral(f, a, b) / (b - a) ** al
     lhs = abs(f.evaluate(x) - mean)
     theta1 = sup_abs(lf_derivative(f), a, b)
-    bracket = 1.0 / 4.0**al + (_spow(x - (a + b) / 2.0, ctx) / (b - a) ** al) ** 2
+    bracket = 1.0 / 4.0**al + (alpha_pow_signed(x - (a + b) / 2.0, ctx) / (b - a) ** al) ** 2
     rhs = 2.0**al * gamma(1.0 + al) / gamma(1.0 + 2.0 * al) * bracket * (b - a) ** al * theta1
     return _report("ostrowski", ctx, lhs, rhs, a=a, b=b, x=x)
 
 
+@memoized("lhs")
 def _ostrowski_signed(f: AlphaSeries, x: float, a: float, b: float) -> float:
     """Signed left side of the second-derivative identity at ``x``.
 
     thm1-3, the theta corollaries and the identity all read it, so it is
-    cached on ``f`` per ``(a, b, x)``.
+    cached on ``f`` per ``(x, a, b)``.
     """
-    key = ("lhs", a, b, x)
-    cached = f._memo.get(key)
-    if cached is not None:
-        return cached
     ctx = f.ctx
     al = ctx.alpha
-    signed = f._memo[key] = (
+    return (
         lf_integral(f, a, b) / (b - a) ** al
         - f.evaluate(x) / gamma(1.0 + al)
-        + _spow(2.0 * x - a - b, ctx) * lf_derivative(f).evaluate(x) / gamma(1.0 + 2.0 * al)
+        + alpha_pow_signed(2.0 * x - a - b, ctx) * lf_derivative(f).evaluate(x) / gamma(1.0 + 2.0 * al)
     )
-    return signed
 
 
 def _ostrowski_lhs(f: AlphaSeries, x: float, a: float, b: float) -> float:
@@ -341,9 +334,9 @@ def identity_residual(
     # degenerate side also avoids 0 * inf when f2 is singular at an endpoint
     rhs = 0.0
     if x > a:
-        rhs += _spow(x - a, ctx) ** 3 * composed_moment(f2, 2.0, x, a, functional)
+        rhs += alpha_pow_signed(x - a, ctx) ** 3 * composed_moment(f2, 2.0, x, a, functional)
     if x < b:
-        rhs += _spow(b - x, ctx) ** 3 * composed_moment(f2, 2.0, x, b, functional)
+        rhs += alpha_pow_signed(b - x, ctx) ** 3 * composed_moment(f2, 2.0, x, b, functional)
     rhs /= gamma(1.0 + 2.0 * al) * (b - a) ** al
     return abs(lhs - rhs)
 
@@ -356,12 +349,11 @@ def _hypothesis_note(
     The hypothesis does not depend on the evaluation point, so the note is
     cached on ``f`` per ``(s, a, b, grid, power)``.
     """
-    if grid <= 0:
-        return ""
-    key = ("hyp", s, a, b, grid, power)
-    cached = f._memo.get(key)
-    if cached is not None:
-        return cached
+    return _hypothesis_verdict(f, s, a, b, grid, power) if grid > 0 else ""
+
+
+@memoized("hyp")
+def _hypothesis_verdict(f: AlphaSeries, s: float, a: float, b: float, grid: int, power: float) -> str:
     f2 = lf_derivative_n(f, 2)
 
     def cand(u: np.ndarray) -> np.ndarray:
@@ -370,22 +362,17 @@ def _hypothesis_note(
 
     verdict = check_s_convex_second(cand, s, a, b, grid, f.ctx)
     if verdict.holds_on_grid:
-        note = "hypothesis=verified"
-    else:
-        note = f"hypothesis=failed(gap={verdict.witness[3]:.3g})"
-    f._memo[key] = note
-    return note
+        return "hypothesis=verified"
+    return f"hypothesis=failed(gap={verdict.witness[3]:.3g})"
 
 
+@memoized("const")
 def _constants(f: AlphaSeries, s: float) -> OstrowskiConstants:
     """:func:`ostrowski_constants` at ``f``'s alpha, cached on ``f`` per ``s``."""
-    key = ("const", s)
-    cached = f._memo.get(key)
-    if cached is None:
-        cached = f._memo[key] = ostrowski_constants(s, f.ctx)
-    return cached
+    return ostrowski_constants(s, f.ctx)
 
 
+@memoized("front")
 def _front(f: AlphaSeries, thm: str, s: float, p: Optional[float], q: Optional[float]) -> float:
     """The Hoelder (thm2) or power-mean (thm3) prefactor, 1 for thm1.
 
@@ -394,19 +381,12 @@ def _front(f: AlphaSeries, thm: str, s: float, p: Optional[float], q: Optional[f
     """
     if thm == "thm1":
         return 1.0
-    key = ("front", thm, s, p, q)
-    cached = f._memo.get(key)
-    if cached is not None:
-        return cached
     al = f.ctx.alpha
     if thm == "thm2":
-        front = (gamma(1.0 + 2.0 * p * al) / gamma(1.0 + (2.0 * p + 1.0) * al)) ** (1.0 / p) * (
+        return (gamma(1.0 + 2.0 * p * al) / gamma(1.0 + (2.0 * p + 1.0) * al)) ** (1.0 / p) * (
             gamma(1.0 + s * al) / gamma(1.0 + (s + 1.0) * al)
         ) ** (1.0 / q)
-    else:
-        front = (gamma(1.0 + 2.0 * al) / gamma(1.0 + 3.0 * al)) ** (1.0 - 1.0 / q)
-    f._memo[key] = front
-    return front
+    return (gamma(1.0 + 2.0 * al) / gamma(1.0 + 3.0 * al)) ** (1.0 - 1.0 / q)
 
 
 def _theorem_report(
@@ -432,7 +412,8 @@ def _theorem_report(
     dx, da, db = abs(f2.evaluate(x)), abs(f2.evaluate(a)), abs(f2.evaluate(b))
     rhs = (
         _front(f, thm, s, p, q)
-        * (_spow(x - a, ctx) ** 3 * side(dx, da) + _spow(b - x, ctx) ** 3 * side(dx, db))
+        * (alpha_pow_signed(x - a, ctx) ** 3 * side(dx, da)
+           + alpha_pow_signed(b - x, ctx) ** 3 * side(dx, db))
         / (g2 * (b - a) ** ctx.alpha)
     )
     notes = _hypothesis_note(f, s, a, b, grid, power=1.0 if q is None else q)
@@ -501,18 +482,14 @@ def eval_thm3(
     return _theorem_report("thm3", f, s, None, q, x, a, b, hypothesis_grid, side)
 
 
+@memoized("mid")
 def _midpoint_lhs(f: AlphaSeries, a: float, b: float) -> float:
     """The left side of the midpoint corollaries, cached on ``f`` per ``(a, b)``."""
-    key = ("mid", a, b)
-    cached = f._memo.get(key)
-    if cached is not None:
-        return cached
     al = f.ctx.alpha
-    lhs = f._memo[key] = abs(
+    return abs(
         lf_integral(f, a, b) / (b - a) ** al
         - f.evaluate((a + b) / 2.0) / gamma(1.0 + al)
     )
-    return lhs
 
 
 # Per-theorem factors of the corollary forms, from (M, N, 2**(s*alpha),
@@ -581,7 +558,7 @@ def eval_corollary(
         _check_point(x, a, b)
         lhs = _ostrowski_lhs(f, x, a, b)
         theta = sup_abs(f2, a, b)
-        bracket = (b - a) ** (2.0 * al) / 12.0**al + _spow(x - (a + b) / 2.0, ctx) ** 2
+        bracket = (b - a) ** (2.0 * al) / 12.0**al + alpha_pow_signed(x - (a + b) / 2.0, ctx) ** 2
         rhs = front * lead * 3.0**al * theta * sup / g2 * bracket
     else:
         x = None  # midpoint forms ignore x

@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .alphanum import AlphaContext
-from .series import AlphaSeries
+from .series import AlphaSeries, memoized
 
 __all__ = [
     "MomentFunctional",
@@ -75,7 +75,7 @@ class MomentFunctional:
     Gauss-Jacobi weights (both from the numpy Golub-Welsch rule with a
     Newton polish, :func:`_gauss_jacobi`) and the design matrix.  The
     quadrature rule of each weight grade is computed on first use and cached
-    in ``_weights`` for the lifetime of the instance; the cache takes no part
+    in ``_memo`` for the lifetime of the instance; the cache takes no part
     in equality, hashing or repr.
     """
 
@@ -83,7 +83,7 @@ class MomentFunctional:
     max_grade: int = 10
     nodes: int = 0
     _grid: tuple = field(init=False, repr=False, compare=False)
-    _weights: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         if self.max_grade < 1:
@@ -118,7 +118,8 @@ class MomentFunctional:
     def grid(self) -> np.ndarray:
         return self._grid[0]
 
-    def weights(self, weight_grade: float = 0.0) -> np.ndarray:
+    @memoized("weights")
+    def weights(self, weight_grade: float) -> np.ndarray:
         """Quadrature weights ``q`` with ``q @ g(grid) ~= J[t**(w*alpha) * g]``.
 
         ``q @ y`` equals ``fit(y)``'s coefficients dotted with the moments
@@ -127,19 +128,16 @@ class MomentFunctional:
         least-squares projection, solved once for the moments instead of
         once per sample vector.
         """
-        q = self._weights.get(weight_grade)
-        if q is None:
-            _, sqrt_w, design = self._grid
-            mus = np.array([self.moment(k + weight_grade) for k in range(self.max_grade + 1)])
-            z, *_ = np.linalg.lstsq((design * sqrt_w[:, None]).T, mus, rcond=CUTOFF_REL)
-            q = sqrt_w * z
-            if not np.all(np.isfinite(q)):
-                raise QuadratureError(
-                    f"quadrature weights for weight grade {weight_grade} are not "
-                    "finite; use a smaller max_grade"
-                )
-            q.flags.writeable = False  # shared by every later call
-            self._weights[weight_grade] = q
+        _, sqrt_w, design = self._grid
+        mus = np.array([self.moment(k + weight_grade) for k in range(self.max_grade + 1)])
+        z, *_ = np.linalg.lstsq((design * sqrt_w[:, None]).T, mus, rcond=CUTOFF_REL)
+        q = sqrt_w * z
+        if not np.all(np.isfinite(q)):
+            raise QuadratureError(
+                f"quadrature weights for weight grade {weight_grade} are not "
+                "finite; use a smaller max_grade"
+            )
+        q.flags.writeable = False  # shared by every later call
         return q
 
     def integrate(self, values: np.ndarray, weight_grade: float = 0.0) -> float:

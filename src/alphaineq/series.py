@@ -16,9 +16,10 @@ in particular) remain true under them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -64,6 +65,29 @@ def _normalize(terms: Iterable[tuple[float, float]]) -> tuple[tuple[float, float
     return tuple((k, c) for k, c in merged if c != 0.0)
 
 
+def memoized(tag: str) -> Callable[[Callable], Callable]:
+    """Cache ``fn(obj, *args)`` in ``obj._memo`` under ``(tag, *args)``.
+
+    Arguments are positional only, so one value never sits under two keys;
+    ``None`` counts as a miss, and a call that raises stores nothing.
+    """
+
+    head = (tag,)
+
+    def decorate(fn: Callable) -> Callable:
+        @functools.wraps(fn)
+        def cached(obj, *args):
+            key = head + args
+            value = obj._memo.get(key)
+            if value is None:
+                value = obj._memo[key] = fn(obj, *args)
+            return value
+
+        return cached
+
+    return decorate
+
+
 @dataclass(frozen=True)
 class AlphaSeries:
     """A finite sum ``sum_k c_k * x**(k*alpha)`` over grades ``k > -1``.
@@ -83,25 +107,10 @@ class AlphaSeries:
 
     terms: tuple[tuple[float, float], ...]
     ctx: AlphaContext
-    _scalar: tuple = field(init=False, repr=False, compare=False, hash=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
-        terms = _normalize(self.terms)
-        object.__setattr__(self, "terms", terms)
-        a = self.ctx.alpha
-        exps = [k * a for k, _ in terms]
-        object.__setattr__(
-            self,
-            "_scalar",
-            (
-                np.array(exps),
-                # numpy computes ``array ** 2.0`` and ``array ** 0.5`` with
-                # square and sqrt, not pow; the scalar path must do the same
-                [i for i, e in enumerate(exps) if e == 2.0],
-                [i for i, e in enumerate(exps) if e == 0.5],
-            ),
-        )
+        object.__setattr__(self, "terms", _normalize(self.terms))
 
     @classmethod
     def monomial(cls, grade: float, ctx: AlphaContext, coeff: float = 1.0) -> "AlphaSeries":
@@ -132,6 +141,8 @@ class AlphaSeries:
         negative grade can divide by zero.
         """
         if type(x) is float and x >= 0.0:
+            # the hottest call in the program: a hit stays inline, since routing
+            # it through ``memoized`` adds a frame per hit and slows sweeps measurably
             key = ("ev", x)
             value = self._memo.get(key)
             if value is None:
@@ -154,8 +165,17 @@ class AlphaSeries:
             out += term
         return out
 
+    @memoized("scalar")
+    def _scalar_plan(self) -> tuple:
+        exps = [k * self.ctx.alpha for k, _ in self.terms]
+        # numpy computes ``array ** 2.0`` and ``array ** 0.5`` with square and
+        # sqrt, not pow; the scalar path must do the same
+        squares = [i for i, e in enumerate(exps) if e == 2.0]
+        roots = [i for i, e in enumerate(exps) if e == 0.5]
+        return np.array(exps), squares, roots
+
     def _evaluate_scalar(self, x: float) -> float:
-        exps, squares, roots = self._scalar
+        exps, squares, roots = self._scalar_plan()
         if x == 0.0 and self.terms and self.terms[0][0] < 0.0:
             with np.errstate(divide="ignore"):
                 powers = np.power(x, exps).tolist()
@@ -201,6 +221,7 @@ def series_eval(f: AlphaSeries, x: float) -> float:
     return float(f.evaluate(float(x)))
 
 
+@memoized("d1")
 def lf_derivative(f: AlphaSeries) -> AlphaSeries:
     """Term-wise derivative of order alpha; constants are annihilated.
 
@@ -209,9 +230,6 @@ def lf_derivative(f: AlphaSeries) -> AlphaSeries:
     would hit the Gamma pole at 0), so constants simply map to the zero
     series.  The result is cached on ``f``; a pole is raised on every call.
     """
-    cached = f._memo.get("d1")
-    if cached is not None:
-        return cached
     a = f.ctx.alpha
     out: list[tuple[float, float]] = []
     for k, c in f.terms:
@@ -228,8 +246,7 @@ def lf_derivative(f: AlphaSeries) -> AlphaSeries:
                 f"derivative of grade {k} hits a Gamma pole (argument {lower})"
             )
         out.append((k - 1.0, c * gamma(1.0 + k * a) / gamma(lower)))
-    d1 = f._memo["d1"] = AlphaSeries(tuple(out), f.ctx)
-    return d1
+    return AlphaSeries(tuple(out), f.ctx)
 
 
 def lf_derivative_n(f: AlphaSeries, n: int) -> AlphaSeries:
@@ -241,6 +258,7 @@ def lf_derivative_n(f: AlphaSeries, n: int) -> AlphaSeries:
     return f
 
 
+@memoized("int")
 def lf_integral(f: AlphaSeries, a: float, b: float) -> float:
     """The normalized definite integral of order alpha over ``[a, b]``.
 
@@ -252,10 +270,6 @@ def lf_integral(f: AlphaSeries, a: float, b: float) -> float:
         raise ValueError(f"integration endpoints must be nonnegative, got ({a}, {b})")
     if a == b:
         return 0.0
-    key = ("int", a, b)
-    cached = f._memo.get(key)
-    if cached is not None:
-        return cached
     al = f.ctx.alpha
     total = 0.0
     for k, c in f.terms:
@@ -263,7 +277,6 @@ def lf_integral(f: AlphaSeries, a: float, b: float) -> float:
         hi = alpha_pow_signed(b, f.ctx) ** (k + 1.0)
         lo = alpha_pow_signed(a, f.ctx) ** (k + 1.0)
         total += c * ratio * (hi - lo)
-    f._memo[key] = total
     return total
 
 

@@ -55,7 +55,8 @@ def criterion(number, label):
 
 def test_criterion_1_field_axioms_and_order():
     with criterion(1, "alpha-field axioms"):
-        start = time.perf_counter()
+        # CPU time, not wall time, so a loaded machine cannot fail the bound
+        start = time.process_time()
         rng = np.random.default_rng(101)
         nums = rng.integers(-2000, 2001, size=(10_000, 3)).astype(float) / 16.0
         for a, b, c in nums:
@@ -75,8 +76,8 @@ def test_criterion_1_field_axioms_and_order():
         pairs = rng.uniform(-100.0, 100.0, size=(10_000, 2))
         for a, b in pairs:
             assert (AlphaReal(a) < AlphaReal(b)) == (a < b)
-        elapsed = time.perf_counter() - start
-        assert elapsed < 1.0, f"field-axiom checks took {elapsed:.2f} s"
+        elapsed = time.process_time() - start
+        assert elapsed < 1.0, f"field-axiom checks took {elapsed:.2f} s of CPU time"
 
 
 def test_criterion_2_gamma_accuracy():

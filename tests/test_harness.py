@@ -114,6 +114,7 @@ class TestSweepConfig:
             {"alphas": [1.5]},
             {"intervals": [[1.0, 0.5]]},
             {"intervals": [[-0.5, 1.0]]},
+            {"intervals": [[0.0, math.inf]]},
             {"x_fractions": [1.5]},
             {"s_values": [0.0]},
             {"pq_pairs": [[2.0, 3.0]]},
@@ -756,6 +757,10 @@ class TestCli:
                                     "pq_pairs": [[0.5, -1.0]]}))
         assert main(["sweep", "--config", str(path)]) == 2
         assert "need p, q > 1" in capsys.readouterr().err
+        path.write_text(json.dumps({"alphas": [1.0], "functions": ["mono:2"], "inequalities": ["ghh"],
+                                    "intervals": [[0.0, math.inf]]}))
+        assert main(["sweep", "--config", str(path)]) == 2
+        assert "need 0 <= a < b" in capsys.readouterr().err
         assert main(["sweep", "--config", str(tmp_path / "missing.json")]) == 2
         capsys.readouterr()
         # malformed documents: each once died with a TypeError or AttributeError (exit 1)

@@ -15,6 +15,7 @@ from alphaineq.series import (
     lf_derivative,
     lf_derivative_n,
     lf_integral,
+    memoized,
     series_add,
     series_eval,
     series_mul,
@@ -205,7 +206,41 @@ class TestDerivative:
                 lf_derivative(d1)
             with pytest.raises(GammaPoleError):
                 lf_derivative_n(f, 2)
-        assert "d1" not in d1._memo
+        assert d1._memo == {}
+
+
+def test_memoized_keys_on_tag_and_every_argument():
+    class Owner:
+        def __init__(self):
+            self._memo = {}
+
+    calls = []
+
+    @memoized("t")
+    def fn(obj, a, b):
+        calls.append((a, b))
+        if a < 0:
+            raise ValueError(a)
+        return [a, b] if a else None
+
+    @memoized("u")
+    def other(obj, a, b):
+        return ["u", a, b]
+
+    obj = Owner()
+    first = fn(obj, 1, 2)
+    assert fn(obj, 1, 2) is first
+    assert fn(obj, 3, 2) == [3, 2] and fn(obj, 1, 3) == [1, 3]
+    assert other(obj, 1, 2) == ["u", 1, 2]
+    assert fn(obj, 1, 2) is first
+    assert calls == [(1, 2), (3, 2), (1, 3)]
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            fn(obj, -1, 2)
+        assert fn(obj, 0, 2) is None  # None is a miss
+    assert calls[3:] == [(-1, 2), (0, 2)] * 2
+    assert ("t", -1, 2) not in obj._memo
+    assert obj._memo[("u", 1, 2)] == ["u", 1, 2] and obj._memo[("t", 1, 2)] is first
 
 
 class TestIntegral:
