@@ -3,7 +3,7 @@
 Subcommands: ``constants``, ``eval``, ``sweep``, ``falsify``, ``quad-test``.
 Exit codes: 0 when every evaluated inequality holds, 1 when at least one
 violation was found (slack below -slack_tol), 2 on configuration or runtime
-errors.
+errors, including a sweep in which every row raised.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     series = spec.realize(ctx)
     functional = MomentFunctional(ctx)
     rep = evaluate_single(
-        args.ineq, series, functional, args.a, args.b, args.x, args.s, args.p, args.q
-    ).with_fn(spec.canonical())
+        args.ineq, series, functional, args.a, args.b, args.x, args.s, args.p, args.q, fn=spec.canonical()
+    )
     sys.stdout.write(render_report([rep], args.format))
     return 0 if rep.holds else 1
 
@@ -98,6 +98,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         emit_report(rows, args.format, args.out)
     else:
         sys.stdout.write(render_report(rows, args.format))
+    if rows and all(r.notes.startswith("error:") for r in rows):
+        print(f"error: every one of the {len(rows)} rows raised; see the notes column", file=sys.stderr)
+        return 2
     return 0 if all(r.holds for r in rows) else 1
 
 

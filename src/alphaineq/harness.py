@@ -55,6 +55,12 @@ CSV_COLUMNS = ("ineq", "alpha", "s", "p", "q", "a", "b", "x", "fn", "lhs", "rhs"
 #: The report columns holding text; ``holds`` is a bool and every other column a float or None.
 _TEXT_COLUMNS = ("ineq", "fn", "notes")
 
+#: The cell types of the rows the program builds: each of the six parameter
+#: cells (s, p, q, a, b, x) between head and tail is a float or None.
+_ROW_HEAD = (str, float)
+_PARAM_TYPES = frozenset({float, type(None)})
+_ROW_TAIL = (str, float, float, float, bool, str)
+
 
 class SpecSyntaxError(ValueError):
     """A function spec failed to parse; carries the offending position."""
@@ -308,8 +314,9 @@ def evaluate_single(
     s: Optional[float],
     p: Optional[float],
     q: Optional[float],
+    fn: str = "",
 ) -> IneqReport:
-    """Evaluate one registered inequality at one parameter point."""
+    """Evaluate one registered inequality at one parameter point, naming the function ``fn``."""
     axes, evaluator = INEQUALITIES[canonical_id(ineq)]
     if "s" in axes and s is None:
         raise ValueError(f"{ineq} needs the convexity order s")
@@ -319,7 +326,7 @@ def evaluate_single(
         raise ValueError(f"{ineq} needs conjugate (p, q)")
     if "x" in axes and x is None:
         raise ValueError(f"{ineq} needs the evaluation point x")
-    return evaluator(series, functional, a, b, x, s, p, q)
+    return evaluator(series, functional, a, b, x, s, p, q, fn)
 
 
 def _uses_p(ineq: str) -> bool:
@@ -327,18 +334,14 @@ def _uses_p(ineq: str) -> bool:
     return "pq" in applicable_axes(ineq) and not ineq.endswith("thm3")
 
 
-def _error_report(ineq: str, alpha: float, exc: Exception, p: Optional[float], **params) -> IneqReport:
+def _error_report(
+    ineq: str, alpha: float, exc: Exception, s: Optional[float], p: Optional[float], q: Optional[float],
+    a: float, b: float, x: Optional[float], fn: str,
+) -> IneqReport:
     """An error row with the parameters that a successful row of ``ineq`` reports."""
     return IneqReport(
-        ineq=ineq,
-        alpha=alpha,
-        lhs=float("nan"),
-        rhs=float("nan"),
-        slack=float("nan"),
-        holds=False,
-        notes=f"error: {exc}",
-        p=p if _uses_p(ineq) else None,
-        **params,
+        ineq, alpha, float("nan"), float("nan"), float("nan"), False,
+        s, p if _uses_p(ineq) else None, q, a, b, x, fn, f"error: {exc}",
     )
 
 
@@ -364,7 +367,8 @@ def run_sweep(cfg: SweepConfig) -> list[IneqReport]:
     ``holds=False``; they never abort the sweep.  Output order is imposed by
     a deterministic sort, so the evaluation order is unobservable.  Each
     (alpha, function) pair is realized once, so the values cached on its
-    series are shared by all of its rows.
+    series are shared by all of its rows.  Each row is built once, with the
+    function's canonical spec as its ``fn``.
     """
     rows: list[IneqReport] = []
     for alpha in cfg.alphas:
@@ -382,10 +386,10 @@ def run_sweep(cfg: SweepConfig) -> list[IneqReport]:
                             for frac in x_axis:
                                 x = None if frac is None else a + frac * (b - a)
                                 try:
-                                    rep = evaluate_single(ineq, series, functional, a, b, x, s, p, q)
+                                    rep = evaluate_single(ineq, series, functional, a, b, x, s, p, q, fn_text)
                                 except Exception as exc:  # per-point errors recorded, never raised
-                                    rep = _error_report(ineq, alpha, exc, a=a, b=b, x=x, s=s, p=p, q=q)
-                                rows.append(rep.with_fn(fn_text))
+                                    rep = _error_report(ineq, alpha, exc, s, p, q, a, b, x, fn_text)
+                                rows.append(rep)
     rows.sort(key=_sort_key)
     return rows
 
@@ -575,29 +579,59 @@ def _check_format(format: str) -> None:
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
 
 
+class _Cells(dict):
+    """Cells rendered once per distinct value by ``render``; zeros are not stored, as 0.0 == -0.0."""
+
+    def __init__(self, render: Callable[[object], str]) -> None:
+        self.render = render
+
+    def __missing__(self, value) -> str:
+        text = self.render(value)
+        if value != 0:
+            self[value] = text
+        return text
+
+
 def render_report(rows: Sequence[IneqReport], format: str) -> str:
-    """The report text in ``format``, ``csv`` or ``json``."""
+    """The report text in ``format``, ``csv`` or ``json``.
+
+    A CSV row of the cell types the program builds is one f-string of cells
+    rendered once per distinct value in this call (floats by ``format(v, ".17g")``,
+    texts by ``csv`` quoting); any other row, such as one holding an int or a
+    numpy scalar, goes cell by cell through :func:`_csv_cell` and the writer.
+    """
     _check_format(format)
     if format == "json":
         records = [{c: _json_value(getattr(r, c)) for c in CSV_COLUMNS} for r in rows]
         return json.dumps(records, indent=2, allow_nan=False) + "\n"
-    # each distinct nonzero float is formatted once; zeros skip the table,
-    # where -0.0 and 0.0 would share an entry
-    texts: dict[float, str] = {}
-
-    def cell(value) -> str:
-        if type(value) is float and value:
-            text = texts.get(value)
-            if text is None:
-                text = texts[value] = _fmt(value)
-            return text
-        return _csv_cell(value)
-
-    values = attrgetter(*CSV_COLUMNS)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    writer.writerows([cell(v) for v in values(r)] for r in rows)
+
+    def quote(text: str) -> str:
+        line = io.StringIO()
+        # two fields, as a lone empty field would be written as ""
+        csv.writer(line, lineterminator="\n").writerow(("", text))
+        return line.getvalue()[1:-1]
+
+    num, txt, plain = _Cells(_fmt), _Cells(quote), {}
+    num[None] = ""  # an empty parameter cell; _fmt takes floats only
+    values = attrgetter(*CSV_COLUMNS)
+    for r in rows:
+        v = values(r)
+        types = tuple(map(type, v))
+        ok = plain.get(types)
+        if ok is None:
+            ok = types[:2] == _ROW_HEAD and types[8:] == _ROW_TAIL and _PARAM_TYPES.issuperset(types[2:8])
+            plain[types] = ok
+        if not ok:
+            writer.writerow([_csv_cell(c) for c in v])
+            continue
+        ineq, alpha, s, p, q, a, b, x, fn, lhs, rhs, slack, holds, notes = v
+        buf.write(
+            f"{txt[ineq]},{num[alpha]},{num[s]},{num[p]},{num[q]},{num[a]},{num[b]},{num[x]},"
+            f"{txt[fn]},{num[lhs]},{num[rhs]},{num[slack]},{'true' if holds else 'false'},{txt[notes]}\n"
+        )
     return buf.getvalue()
 
 

@@ -101,19 +101,17 @@ def _report(
     lhs: float,
     rhs: float,
     notes: str = "",
-    **params: Optional[float],
+    s: Optional[float] = None,
+    p: Optional[float] = None,
+    q: Optional[float] = None,
+    a: Optional[float] = None,
+    b: Optional[float] = None,
+    x: Optional[float] = None,
+    fn: str = "",
 ) -> IneqReport:
+    """The one report of a row, built positionally; ``holds`` is ``rhs - lhs >= -slack_tol``."""
     slack = rhs - lhs
-    return IneqReport(
-        ineq=ineq,
-        alpha=ctx.alpha,
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        holds=slack >= -ctx.slack_tol,
-        notes=notes,
-        **params,
-    )
+    return IneqReport(ineq, ctx.alpha, lhs, rhs, slack, slack >= -ctx.slack_tol, s, p, q, a, b, x, fn, notes)
 
 
 def _check_interval(a: float, b: float) -> None:
@@ -200,7 +198,7 @@ def ostrowski_constants(s: float, ctx: AlphaContext) -> OstrowskiConstants:
     return OstrowskiConstants(M=M, N=N)
 
 
-def eval_ghh(f: AlphaSeries, a: float, b: float) -> IneqReport:
+def eval_ghh(f: AlphaSeries, a: float, b: float, fn: str = "") -> IneqReport:
     """Two-sided Hermite-Hadamard check for a generalized convex candidate.
 
     The report's lhs/rhs carry the binding pair of the chain
@@ -213,10 +211,10 @@ def eval_ghh(f: AlphaSeries, a: float, b: float) -> IneqReport:
     left = f.evaluate((a + b) / 2.0)
     mid = gamma(1.0 + al) * lf_integral(f, a, b) / (b - a) ** al
     right = (f.evaluate(a) + f.evaluate(b)) / 2.0**al
-    return _binding_report("ghh", ctx, left, mid, right, a=a, b=b)
+    return _binding_report("ghh", ctx, left, mid, right, a=a, b=b, fn=fn)
 
 
-def eval_shh(f: AlphaSeries, s: float, a: float, b: float) -> IneqReport:
+def eval_shh(f: AlphaSeries, s: float, a: float, b: float, fn: str = "") -> IneqReport:
     """Two-sided s-convex Hermite-Hadamard check."""
     _check_interval(a, b)
     _check_s(s)
@@ -225,7 +223,7 @@ def eval_shh(f: AlphaSeries, s: float, a: float, b: float) -> IneqReport:
     left = 2.0 ** ((s - 1.0) * al) / gamma(1.0 + al) * f.evaluate((a + b) / 2.0)
     mid = lf_integral(f, a, b) / (b - a) ** al
     right = gamma(1.0 + s * al) / gamma(1.0 + (s + 1.0) * al) * (f.evaluate(a) + f.evaluate(b))
-    return _binding_report("shh", ctx, left, mid, right, a=a, b=b, s=s)
+    return _binding_report("shh", ctx, left, mid, right, s=s, a=a, b=b, fn=fn)
 
 
 def _binding_report(
@@ -234,7 +232,10 @@ def _binding_report(
     left: float,
     mid: float,
     right: float,
-    **params: Optional[float],
+    s: Optional[float] = None,
+    a: Optional[float] = None,
+    b: Optional[float] = None,
+    fn: str = "",
 ) -> IneqReport:
     slack_left = mid - left
     slack_right = right - mid
@@ -244,7 +245,7 @@ def _binding_report(
     else:
         lhs, rhs, binding = mid, right, "right"
     notes = f"left={left:.17g} mid={mid:.17g} right={right:.17g} binding={binding}"
-    return _report(ineq, ctx, lhs, rhs, notes=notes, **params)
+    return _report(ineq, ctx, lhs, rhs, notes, s=s, a=a, b=b, fn=fn)
 
 
 def eval_holder(
@@ -255,6 +256,7 @@ def eval_holder(
     a: float,
     b: float,
     functional: MomentFunctional,
+    fn: str = "",
 ) -> IneqReport:
     """Generalized Hoelder inequality via the numeric moment functional.
 
@@ -276,10 +278,10 @@ def eval_holder(
     intf = scale * fractal_integral_numeric(lambda t: abs_f**p, functional)
     intg = scale * fractal_integral_numeric(lambda t: abs_g**q, functional)
     rhs = max(intf, 0.0) ** (1.0 / p) * max(intg, 0.0) ** (1.0 / q)
-    return _report("holder", ctx, lhs, rhs, a=a, b=b, p=p, q=q)
+    return _report("holder", ctx, lhs, rhs, p=p, q=q, a=a, b=b, fn=fn)
 
 
-def eval_ostrowski_classic(f: AlphaSeries, x: float, a: float, b: float) -> IneqReport:
+def eval_ostrowski_classic(f: AlphaSeries, x: float, a: float, b: float, fn: str = "") -> IneqReport:
     """The first-derivative Ostrowski bound with a grid sup norm."""
     _check_interval(a, b)
     _check_point(x, a, b)
@@ -290,7 +292,7 @@ def eval_ostrowski_classic(f: AlphaSeries, x: float, a: float, b: float) -> Ineq
     theta1 = sup_abs(lf_derivative(f), a, b)
     bracket = 1.0 / 4.0**al + (alpha_pow_signed(x - (a + b) / 2.0, ctx) / (b - a) ** al) ** 2
     rhs = 2.0**al * gamma(1.0 + al) / gamma(1.0 + 2.0 * al) * bracket * (b - a) ** al * theta1
-    return _report("ostrowski", ctx, lhs, rhs, a=a, b=b, x=x)
+    return _report("ostrowski", ctx, lhs, rhs, a=a, b=b, x=x, fn=fn)
 
 
 @memoized("lhs")
@@ -400,6 +402,7 @@ def _theorem_report(
     b: float,
     grid: int,
     side: Callable[[float, float], float],
+    fn: str,
 ) -> IneqReport:
     """The shared body of thm1-3.
 
@@ -418,7 +421,7 @@ def _theorem_report(
     )
     notes = _hypothesis_note(f, s, a, b, grid, power=1.0 if q is None else q)
     lhs = _ostrowski_lhs(f, x, a, b)
-    return _report(thm, ctx, lhs, rhs, notes=notes, a=a, b=b, x=x, s=s, p=p, q=q)
+    return _report(thm, ctx, lhs, rhs, notes, s=s, p=p, q=q, a=a, b=b, x=x, fn=fn)
 
 
 def eval_thm1(
@@ -428,6 +431,7 @@ def eval_thm1(
     a: float,
     b: float,
     hypothesis_grid: int = 0,
+    fn: str = "",
 ) -> IneqReport:
     """Ostrowski-type bound for |f^(2a)| generalized s-convex (second sense).
 
@@ -440,7 +444,7 @@ def eval_thm1(
     _check_s(s)
     c = _constants(f, s)
     side = lambda dx, de: c.M * dx + c.N * de
-    return _theorem_report("thm1", f, s, None, None, x, a, b, hypothesis_grid, side)
+    return _theorem_report("thm1", f, s, None, None, x, a, b, hypothesis_grid, side, fn)
 
 
 def eval_thm2(
@@ -452,6 +456,7 @@ def eval_thm2(
     a: float,
     b: float,
     hypothesis_grid: int = 0,
+    fn: str = "",
 ) -> IneqReport:
     """Hoelder-route Ostrowski-type bound for |f^(2a)|**q s-convex."""
     _check_interval(a, b)
@@ -459,7 +464,7 @@ def eval_thm2(
     _check_conjugate(p, q)
     _check_s(s)
     side = lambda dx, de: (dx**q + de**q) ** (1.0 / q)
-    return _theorem_report("thm2", f, s, p, q, x, a, b, hypothesis_grid, side)
+    return _theorem_report("thm2", f, s, p, q, x, a, b, hypothesis_grid, side, fn)
 
 
 def eval_thm3(
@@ -470,6 +475,7 @@ def eval_thm3(
     a: float,
     b: float,
     hypothesis_grid: int = 0,
+    fn: str = "",
 ) -> IneqReport:
     """Power-mean-route Ostrowski-type bound; collapses to thm1 at q = 1."""
     _check_interval(a, b)
@@ -479,7 +485,7 @@ def eval_thm3(
     _check_s(s)
     c = _constants(f, s)
     side = lambda dx, de: (c.M * dx**q + c.N * de**q) ** (1.0 / q)
-    return _theorem_report("thm3", f, s, None, q, x, a, b, hypothesis_grid, side)
+    return _theorem_report("thm3", f, s, None, q, x, a, b, hypothesis_grid, side, fn)
 
 
 @memoized("mid")
@@ -520,6 +526,7 @@ def eval_corollary(
     p: Optional[float] = None,
     q: Optional[float] = None,
     x: Optional[float] = None,
+    fn: str = "",
 ) -> IneqReport:
     """Evaluate one of the nine corollary bounds derived from the theorems.
 
@@ -571,27 +578,19 @@ def eval_corollary(
             rhs = front * lead * sup * (theta * (b - a) ** (2.0 * al) / (4.0**al * g2))
     p = p if thm == "thm2" else None
     q = q if thm != "thm1" else None
-    return _report(variant, ctx, lhs, rhs, a=a, b=b, x=x, s=s, p=p, q=q)
+    return _report(variant, ctx, lhs, rhs, s=s, p=p, q=q, a=a, b=b, x=x, fn=fn)
 
 
 def _identity_report(
-    f: AlphaSeries, functional: MomentFunctional, a: float, b: float, x: float
+    f: AlphaSeries, functional: MomentFunctional, a: float, b: float, x: float, fn: str = ""
 ) -> IneqReport:
     # built here rather than by _report: slack is -residual, which keeps the
     # sign of a zero residual (0.0 - residual would not)
     residual = identity_residual(f, x, a, b, functional)
     ctx = f.ctx
     return IneqReport(
-        ineq="identity",
-        alpha=ctx.alpha,
-        lhs=residual,
-        rhs=0.0,
-        slack=-residual,
-        holds=residual <= ctx.slack_tol,
-        a=a,
-        b=b,
-        x=x,
-        notes="identity-residual",
+        "identity", ctx.alpha, residual, 0.0, -residual, residual <= ctx.slack_tol,
+        None, None, None, a, b, x, fn, "identity-residual",
     )
 
 
@@ -599,37 +598,37 @@ Evaluator = Callable[..., IneqReport]
 
 
 def _corollary(variant: str) -> Evaluator:
-    return lambda f, fl, a, b, x, s, p, q: eval_corollary(variant, f, a, b, s, p=p, q=q, x=x)
+    return lambda f, fl, a, b, x, s, p, q, fn: eval_corollary(variant, f, a, b, s, p, q, x, fn)
 
 
 #: Every inequality id, in report order: the axes it consumes beyond
 #: (alpha, interval, fn), and its evaluator, called as
-#: ``evaluator(series, functional, a, b, x, s, p, q)``.  A sweep is the
+#: ``evaluator(series, functional, a, b, x, s, p, q, fn)``.  A sweep is the
 #: product over exactly these axes.  Evaluators look the ``eval_*`` functions
 #: up by module name when called, so whatever rebinds those names sees every call.
 INEQUALITIES: dict[str, tuple[frozenset[str], Evaluator]] = {
-    "ghh": (frozenset(), lambda f, fl, a, b, x, s, p, q: eval_ghh(f, a, b)),
-    "shh": (frozenset({"s"}), lambda f, fl, a, b, x, s, p, q: eval_shh(f, s, a, b)),
+    "ghh": (frozenset(), lambda f, fl, a, b, x, s, p, q, fn: eval_ghh(f, a, b, fn)),
+    "shh": (frozenset({"s"}), lambda f, fl, a, b, x, s, p, q, fn: eval_shh(f, s, a, b, fn)),
     "holder": (
         frozenset({"pq"}),
-        lambda f, fl, a, b, x, s, p, q: eval_holder(f.evaluate, f.evaluate, p, q, a, b, fl),
+        lambda f, fl, a, b, x, s, p, q, fn: eval_holder(f.evaluate, f.evaluate, p, q, a, b, fl, fn),
     ),
     "ostrowski": (
         frozenset({"x"}),
-        lambda f, fl, a, b, x, s, p, q: eval_ostrowski_classic(f, x, a, b),
+        lambda f, fl, a, b, x, s, p, q, fn: eval_ostrowski_classic(f, x, a, b, fn),
     ),
     "identity": (
         frozenset({"x"}),
-        lambda f, fl, a, b, x, s, p, q: _identity_report(f, fl, a, b, x),
+        lambda f, fl, a, b, x, s, p, q, fn: _identity_report(f, fl, a, b, x, fn),
     ),
-    "thm1": (frozenset({"s", "x"}), lambda f, fl, a, b, x, s, p, q: eval_thm1(f, s, x, a, b)),
+    "thm1": (frozenset({"s", "x"}), lambda f, fl, a, b, x, s, p, q, fn: eval_thm1(f, s, x, a, b, fn=fn)),
     "thm2": (
         frozenset({"s", "x", "pq"}),
-        lambda f, fl, a, b, x, s, p, q: eval_thm2(f, s, p, q, x, a, b),
+        lambda f, fl, a, b, x, s, p, q, fn: eval_thm2(f, s, p, q, x, a, b, fn=fn),
     ),
     "thm3": (
         frozenset({"s", "x", "pq"}),
-        lambda f, fl, a, b, x, s, p, q: eval_thm3(f, s, q, x, a, b),
+        lambda f, fl, a, b, x, s, p, q, fn: eval_thm3(f, s, q, x, a, b, fn=fn),
     ),
     # every corollary takes s; the theta forms also x, the thm2/thm3 forms also (p, q)
     **{

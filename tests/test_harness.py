@@ -8,7 +8,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alphaineq import harness, inequalities
@@ -290,6 +290,33 @@ class TestRunSweep:
         # one call per (alpha, fn, s): each (alpha, s) once for each of the two functions
         assert sorted(calls) == sorted([(a, s) for a in cfg.alphas for s in cfg.s_values] * 2)
 
+    def test_each_row_is_built_once(self, monkeypatch, capsys):
+        # every evaluator builds its report with fn in place, so nothing calls with_fn
+        def rebuilt(self, fn):
+            raise AssertionError(f"{self.ineq} row built a second time")
+
+        monkeypatch.setattr(IneqReport, "with_fn", rebuilt)
+        # mono:0.5 has no second derivative, so the rows that read f'' are error rows
+        cfg = _cfg(
+            alphas=(0.5,),
+            functions=(parse_function_spec("mono:3"), parse_function_spec("mono:0.5")),
+            inequalities=INEQUALITY_IDS,
+        )
+        rows = run_sweep(cfg)
+        assert len(rows) == expected_row_count(cfg)
+        assert {r.fn for r in rows} == {"mono:3", "mono:0.5"}
+        assert {r.fn for r in rows if r.notes.startswith("error:")} == {"mono:0.5"}
+        assert {r.ineq for r in rows if r.fn == "mono:3"} == set(INEQUALITY_IDS)
+        ctx = AlphaContext(0.5)
+        series, functional = parse_function_spec("mono:3").realize(ctx), MomentFunctional(ctx)
+        for ineq in INEQUALITY_IDS:
+            rep = evaluate_single(ineq, series, functional, 0.5, 1.5, 0.9, 0.5, 2.0, 2.0, fn="mono:3")
+            assert rep.fn == "mono:3"
+        assert main(["eval", "--ineq", "thm1", "--alpha", "1", "--s", "1", "--a", "0", "--b", "1",
+                     "--x", "0.5", "--fn", "poly:0,0,0,1"]) == 0
+        header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert row[header.index("fn")] == "poly:0,0,0,1"
+
     def test_consistency_study_flags_but_does_not_crash(self):
         cfg = _cfg(alphas=(0.5,), functions=(parse_function_spec("mono:1"),),
                    inequalities=("identity",), x_fractions=(1.0,))
@@ -561,6 +588,25 @@ def test_random_trials_draw_the_scalar_stream(monkeypatch, alphas, adversarial):
     assert trials == list(_scalar_draw_trials(family, alphas, 40, 17, adversarial))
 
 
+_SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 1e17])
+_FLOATS = st.one_of(_SPECIAL_FLOATS, st.floats())
+_TEXTS = st.text(alphabet=',"\n\r ab1.:-', max_size=6)
+# the cell types of every row the program builds: one-line rendering
+_PLAIN_ROWS = st.builds(
+    IneqReport, _TEXTS, _FLOATS, _FLOATS, _FLOATS, _FLOATS, st.booleans(),
+    *[st.one_of(st.none(), _FLOATS)] * 6, _TEXTS, _TEXTS,
+)
+# any other cell type: per-cell rendering
+_ODD_CELLS = st.one_of(
+    st.none(), _FLOATS, st.sampled_from([10**17, 0, -3]), st.integers(),
+    _FLOATS.map(np.float64), st.booleans().map(np.bool_),
+)
+_ODD_ROWS = st.builds(
+    IneqReport, _TEXTS, _ODD_CELLS, _ODD_CELLS, _ODD_CELLS, _ODD_CELLS, st.one_of(st.booleans(), _ODD_CELLS),
+    *[_ODD_CELLS] * 6, st.one_of(_TEXTS, st.none()), _TEXTS,
+)
+
+
 class TestEmission:
     def test_csv_single_row(self, tmp_path):
         rows = run_sweep(_cfg())
@@ -655,6 +701,18 @@ class TestEmission:
         assert table[5][CSV_COLUMNS.index("lhs")] == "1e+17"
         assert table[5][CSV_COLUMNS.index("rhs")] == "100000000000000000"
         assert table[7][CSV_COLUMNS.index("notes")] == 'say "hi",\nthen stop'
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(_PLAIN_ROWS, _ODD_ROWS), max_size=8))
+    @example([
+        IneqReport("ghh", 0.0, -0.0, 0.0, -0.0, True, a=-0.0, b=0.0),
+        IneqReport("ghh", -0.0, 0.0, -0.0, 0.0, False, 0.0, -0.0),
+        IneqReport("thm1", 1e17, 10**17, 5e-324, -2.5e-310, np.bool_(True), np.float64(-0.0)),
+        IneqReport("thm1", 1.0, 1e17, 0.0, 0.0, True, s=10**17),
+        IneqReport(",", math.nan, math.inf, -math.inf, math.nan, False, fn='"', notes="\r\n"),
+    ])
+    def test_csv_matches_per_cell_rendering_on_generated_rows(self, rows):
+        assert render_report(rows, "csv") == self.per_cell_csv(rows)
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
@@ -774,6 +832,22 @@ class TestCli:
             path.write_text(json.dumps(doc))
             assert main(["sweep", "--config", str(path)]) == 2
             assert field in capsys.readouterr().err
+
+    def test_sweep_with_only_error_rows_is_exit_two(self, tmp_path, capsys):
+        # eval and falsify exit 2 on these inputs; a sweep exits 1 only while some row did not raise
+        path = tmp_path / "errors.json"
+        for doc, code in (
+            ({"alphas": [0.5], "functions": ["mono:0.5"], "inequalities": ["thm1"]}, 2),
+            ({"alphas": [1.0], "functions": ["mono:2"], "inequalities": ["ghh"],
+              "intervals": [[0.0, 1e308]]}, 2),
+            ({"alphas": [0.5], "functions": ["mono:0.5", "mono:3"], "inequalities": ["thm1"]}, 1),
+        ):
+            path.write_text(json.dumps(doc))
+            out = tmp_path / "rows.csv"
+            assert main(["sweep", "--config", str(path), "--out", str(out)]) == code
+            notes = [r.notes.startswith("error:") for r in load_report(out, "csv")]
+            assert notes and all(notes) == (code == 2)
+            assert ("rows raised" in capsys.readouterr().err) == (code == 2)
 
     def test_sweep_nan_slack_tol_is_exit_two(self, tmp_path, capsys):
         # with a NaN slack_tol this row (slack +0.039) would read holds=false
