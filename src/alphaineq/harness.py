@@ -3,8 +3,9 @@
 The harness owns all I/O: parsing the textual function mini-language,
 expanding sweep configurations into Cartesian products of parameter points,
 randomized falsification with shrinking, and CSV/JSON report files.  It
-holds no per-inequality logic: ids, their axes and their evaluators all come
-from the :data:`alphaineq.inequalities.INEQUALITIES` registry, so sweep
+holds no per-inequality logic: ids, their axes, whether they read p and
+their evaluators all come from the
+:data:`alphaineq.inequalities.INEQUALITIES` registry, so sweep
 points are independent; rows are sorted before emission, which makes the
 output independent of the evaluation order.
 """
@@ -317,31 +318,26 @@ def evaluate_single(
     fn: str = "",
 ) -> IneqReport:
     """Evaluate one registered inequality at one parameter point, naming the function ``fn``."""
-    axes, evaluator = INEQUALITIES[canonical_id(ineq)]
+    axes, reads_p, evaluator = INEQUALITIES[canonical_id(ineq)]
     if "s" in axes and s is None:
         raise ValueError(f"{ineq} needs the convexity order s")
     if "pq" in axes and q is None:
-        raise ValueError(f"{ineq} needs q" + (" and p" if _uses_p(ineq) else ""))
-    if "pq" in axes and p is None and _uses_p(ineq):
+        raise ValueError(f"{ineq} needs q" + (" and p" if reads_p else ""))
+    if reads_p and p is None:
         raise ValueError(f"{ineq} needs conjugate (p, q)")
     if "x" in axes and x is None:
         raise ValueError(f"{ineq} needs the evaluation point x")
     return evaluator(series, functional, a, b, x, s, p, q, fn)
 
 
-def _uses_p(ineq: str) -> bool:
-    """Whether ``ineq`` reads p; the thm3 family takes only q from its (p, q) axis."""
-    return "pq" in applicable_axes(ineq) and not ineq.endswith("thm3")
-
-
 def _error_report(
     ineq: str, alpha: float, exc: Exception, s: Optional[float], p: Optional[float], q: Optional[float],
     a: float, b: float, x: Optional[float], fn: str,
 ) -> IneqReport:
-    """An error row with the parameters that a successful row of ``ineq`` reports."""
+    """An error row with the parameters that a successful row of ``ineq`` reports, naming the exception."""
     return IneqReport(
         ineq, alpha, float("nan"), float("nan"), float("nan"), False,
-        s, p if _uses_p(ineq) else None, q, a, b, x, fn, f"error: {exc}",
+        s, p if INEQUALITIES[ineq][1] else None, q, a, b, x, fn, f"error: {type(exc).__name__}: {exc}",
     )
 
 
@@ -363,12 +359,12 @@ def _sort_key(r: IneqReport):
 def run_sweep(cfg: SweepConfig) -> list[IneqReport]:
     """Evaluate the Cartesian product of the config axes, one report per point.
 
-    Per-point failures become rows with the error in the notes and
-    ``holds=False``; they never abort the sweep.  Output order is imposed by
-    a deterministic sort, so the evaluation order is unobservable.  Each
-    (alpha, function) pair is realized once, so the values cached on its
-    series are shared by all of its rows.  Each row is built once, with the
-    function's canonical spec as its ``fn``.
+    Per-point failures become rows whose notes name the exception and its
+    message, with ``holds=False``; they never abort the sweep.  Output order
+    is imposed by a deterministic sort, so the evaluation order is
+    unobservable.  Each (alpha, function) pair is realized once, so the
+    values cached on its series are shared by all of its rows.  Each row is
+    built once, with the function's canonical spec as its ``fn``.
     """
     rows: list[IneqReport] = []
     for alpha in cfg.alphas:

@@ -9,20 +9,23 @@ the reported slacks and residuals constitute a consistency study of the
 term-wise calculus itself.
 
 :data:`INEQUALITIES` is the one registry of inequality ids: each id maps to
-the sweep axes it consumes and the evaluator that computes its row.  The
-harness, the sweep validation and the CLI read their ids from it.
+the sweep axes it consumes, whether it reads p, and the evaluator that
+computes its row.  The harness, the sweep validation and the CLI read their
+ids from it.
 
 The three theorems share one signed left side (the second-derivative
-identity, which :func:`identity_residual` checks directly) and one
-Gamma-ratio prefactor per theorem.  The midpoint/sup-norm corollary bounds
-are implemented in the form obtained by specializing their parent bound at
-``x = (a+b)/2`` and applying the s-convexity and subadditivity steps in
-ordinary real arithmetic; each theorem contributes a row of factors to the
-three corollary forms.  Care is needed here: dividing the midpoint chain by
-``2**(s*alpha)`` twice, or dropping the ``2**(1/q)`` factor that the
-conjugate-exponent route produces, yields tighter-looking expressions that
-are simply false for convex inputs at alpha = 1, so only the honestly
-derived forms are used.
+identity, which :func:`identity_residual` checks directly).  The
+midpoint/sup-norm corollary bounds are implemented in the form obtained by
+specializing their parent bound at ``x = (a+b)/2`` and applying the
+s-convexity and subadditivity steps in ordinary real arithmetic.  Each
+theorem is defined in one place, :func:`_theorem`, whose record holds its
+Gamma-ratio prefactor, its per-endpoint side and its factors in the three
+corollary forms; the theorem's rows and its corollaries' rows all read it.
+Care is needed here: dividing the midpoint chain by ``2**(s*alpha)``
+twice, or dropping the ``2**(1/q)`` factor that the conjugate-exponent
+route produces, yields tighter-looking expressions that are simply false
+for convex inputs at alpha = 1, so only the honestly derived forms are
+used.
 """
 
 from __future__ import annotations
@@ -374,21 +377,41 @@ def _constants(f: AlphaSeries, s: float) -> OstrowskiConstants:
     return ostrowski_constants(s, f.ctx)
 
 
-@memoized("front")
-def _front(f: AlphaSeries, thm: str, s: float, p: Optional[float], q: Optional[float]) -> float:
-    """The Hoelder (thm2) or power-mean (thm3) prefactor, 1 for thm1.
+@memoized("thm")
+def _theorem(f: AlphaSeries, thm: str, s: float, p: Optional[float], q: Optional[float]) -> tuple:
+    """The record of ``thm``: what its and its corollaries' rows read that is free of (x, a, b).
 
-    It depends on alpha and the parameters alone, so it is cached on ``f``
-    per ``(thm, s, p, q)``.
+    That is ``(f'', G(1+2a), front, side, lead, sup, div, mid)`` at ``f``'s
+    alpha, cached on ``f`` per ``(thm, s, p, q)``.  Callers pass p for thm2
+    only and q for thm2 and thm3 only, so rows that differ in a parameter
+    their theorem ignores share one record; thm2 reads no M or N, so its
+    record computes none.  ``front`` is the Hoelder (thm2) or power-mean
+    (thm3) prefactor, 1 for thm1, and ``side(|f''(x)|, |f''(e)|)`` is
+    weighted per endpoint ``e``.  The theta forms multiply ``lead`` before
+    and ``sup`` after ``3**alpha * theta``; the midpoint form divides by
+    ``div`` and multiplies by its bracket ``mid``.  A slot a theorem does not
+    use holds 1.0, which multiplies exactly, so every theorem keeps its own
+    floating-point operation order.
     """
-    if thm == "thm1":
-        return 1.0
     al = f.ctx.alpha
+    f2 = lf_derivative_n(f, 2)
+    g2 = gamma(1.0 + 2.0 * al)
+    sa = 2.0 ** (s * al)
     if thm == "thm2":
-        return (gamma(1.0 + 2.0 * p * al) / gamma(1.0 + (2.0 * p + 1.0) * al)) ** (1.0 / p) * (
+        front = (gamma(1.0 + 2.0 * p * al) / gamma(1.0 + (2.0 * p + 1.0) * al)) ** (1.0 / p) * (
             gamma(1.0 + s * al) / gamma(1.0 + (s + 1.0) * al)
         ) ** (1.0 / q)
-    return (gamma(1.0 + 2.0 * al) / gamma(1.0 + 3.0 * al)) ** (1.0 - 1.0 / q)
+        side = lambda dx, de: (dx**q + de**q) ** (1.0 / q)
+        div, mid = 2.0 ** ((3.0 + s / q) * al), 1.0 + (1.0 + sa) ** (1.0 / q)
+        return f2, g2, front, side, 2.0 ** (1.0 / q), 1.0, div, mid
+    c = _constants(f, s)
+    M, N = c.M, c.N
+    if thm == "thm1":
+        return f2, g2, 1.0, lambda dx, de: M * dx + N * de, 1.0, M + N, 8.0**al, 2.0 * M / sa + N
+    front = (g2 / gamma(1.0 + 3.0 * al)) ** (1.0 - 1.0 / q)
+    side = lambda dx, de: (M * dx**q + N * de**q) ** (1.0 / q)
+    div, mid = 2.0 ** ((3.0 + s / q) * al), (M + sa * N) ** (1.0 / q) + M ** (1.0 / q)
+    return f2, g2, front, side, 1.0, (M + N) ** (1.0 / q), div, mid
 
 
 def _theorem_report(
@@ -401,20 +424,14 @@ def _theorem_report(
     a: float,
     b: float,
     grid: int,
-    side: Callable[[float, float], float],
     fn: str,
 ) -> IneqReport:
-    """The shared body of thm1-3.
-
-    A theorem contributes only its prefactor (:func:`_front`) and
-    ``side(|f''(x)|, |f''(e)|)``, which is weighted per endpoint ``e``.
-    """
+    """The shared body of thm1-3: the theorem's record (:func:`_theorem`) at one point."""
     ctx = f.ctx
-    g2 = gamma(1.0 + 2.0 * ctx.alpha)
-    f2 = lf_derivative_n(f, 2)
+    f2, g2, front, side = _theorem(f, thm, s, p, q)[:4]
     dx, da, db = abs(f2.evaluate(x)), abs(f2.evaluate(a)), abs(f2.evaluate(b))
     rhs = (
-        _front(f, thm, s, p, q)
+        front
         * (alpha_pow_signed(x - a, ctx) ** 3 * side(dx, da)
            + alpha_pow_signed(b - x, ctx) ** 3 * side(dx, db))
         / (g2 * (b - a) ** ctx.alpha)
@@ -442,9 +459,7 @@ def eval_thm1(
     _check_interval(a, b)
     _check_point(x, a, b)
     _check_s(s)
-    c = _constants(f, s)
-    side = lambda dx, de: c.M * dx + c.N * de
-    return _theorem_report("thm1", f, s, None, None, x, a, b, hypothesis_grid, side, fn)
+    return _theorem_report("thm1", f, s, None, None, x, a, b, hypothesis_grid, fn)
 
 
 def eval_thm2(
@@ -463,8 +478,7 @@ def eval_thm2(
     _check_point(x, a, b)
     _check_conjugate(p, q)
     _check_s(s)
-    side = lambda dx, de: (dx**q + de**q) ** (1.0 / q)
-    return _theorem_report("thm2", f, s, p, q, x, a, b, hypothesis_grid, side, fn)
+    return _theorem_report("thm2", f, s, p, q, x, a, b, hypothesis_grid, fn)
 
 
 def eval_thm3(
@@ -483,9 +497,7 @@ def eval_thm3(
     if not q >= 1.0:  # a NaN q fails too
         raise ValueError(f"q must be >= 1, got {q}")
     _check_s(s)
-    c = _constants(f, s)
-    side = lambda dx, de: (c.M * dx**q + c.N * de**q) ** (1.0 / q)
-    return _theorem_report("thm3", f, s, None, q, x, a, b, hypothesis_grid, side, fn)
+    return _theorem_report("thm3", f, s, None, q, x, a, b, hypothesis_grid, fn)
 
 
 @memoized("mid")
@@ -496,25 +508,6 @@ def _midpoint_lhs(f: AlphaSeries, a: float, b: float) -> float:
         lf_integral(f, a, b) / (b - a) ** al
         - f.evaluate((a + b) / 2.0) / gamma(1.0 + al)
     )
-
-
-# Per-theorem factors of the corollary forms, from (M, N, 2**(s*alpha),
-# alpha, s, q): (lead, sup, midpoint divisor, midpoint bracket).  The theta
-# forms multiply ``lead`` before and ``sup`` after ``3**alpha * theta``; the
-# slot a theorem does not use holds 1.0, which multiplies exactly, so every
-# theorem keeps its own floating-point operation order.
-_COROLLARY_FACTORS: dict[str, Callable[..., tuple]] = {
-    "thm1": lambda M, N, sa, al, s, q: (1.0, M + N, 8.0**al, 2.0 * M / sa + N),
-    "thm2": lambda M, N, sa, al, s, q: (
-        2.0 ** (1.0 / q), 1.0, 2.0 ** ((3.0 + s / q) * al), 1.0 + (1.0 + sa) ** (1.0 / q)
-    ),
-    "thm3": lambda M, N, sa, al, s, q: (
-        1.0,
-        (M + N) ** (1.0 / q),
-        2.0 ** ((3.0 + s / q) * al),
-        (M + sa * N) ** (1.0 / q) + M ** (1.0 / q),
-    ),
-}
 
 
 def eval_corollary(
@@ -535,7 +528,8 @@ def eval_corollary(
     supremum of ``|f^(2a)|`` over ``[a, b]`` (:func:`sup_abs`); only the
     theta and midpoint-theta forms compute it, and only the midpoint forms
     evaluate ``|f^(2a)|`` at the endpoints.  Midpoint forms ignore ``x``;
-    theta forms require it.
+    theta forms require it.  All else a row reads comes from the record of
+    its theorem (:func:`_theorem`), which the theorem's own rows share.
     """
     if variant not in COROLLARY_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose one of {COROLLARY_VARIANTS}")
@@ -549,14 +543,12 @@ def eval_corollary(
     elif thm == "thm3":
         if q is None or not q >= 1.0:
             raise ValueError(f"{variant} needs q >= 1")
-
+    # dropped before the lookup (and from the report), so these rows share their theorem's record
+    p = p if thm == "thm2" else None
+    q = q if thm != "thm1" else None
     ctx = f.ctx
     al = ctx.alpha
-    const = _constants(f, s)
-    g2 = gamma(1.0 + 2.0 * al)
-    f2 = lf_derivative_n(f, 2)
-    front = _front(f, thm, s, p, q)
-    lead, sup, div, mid = _COROLLARY_FACTORS[thm](const.M, const.N, 2.0 ** (s * al), al, s, q)
+    f2, g2, front, _, lead, sup, div, mid = _theorem(f, thm, s, p, q)
 
     # each form computes only what it reads: theta, or |f''| at the endpoints
     if form == "theta":
@@ -576,8 +568,6 @@ def eval_corollary(
         else:  # midpoint-theta
             theta = sup_abs(f2, a, b)
             rhs = front * lead * sup * (theta * (b - a) ** (2.0 * al) / (4.0**al * g2))
-    p = p if thm == "thm2" else None
-    q = q if thm != "thm1" else None
     return _report(variant, ctx, lhs, rhs, s=s, p=p, q=q, a=a, b=b, x=x, fn=fn)
 
 
@@ -602,38 +592,43 @@ def _corollary(variant: str) -> Evaluator:
 
 
 #: Every inequality id, in report order: the axes it consumes beyond
-#: (alpha, interval, fn), and its evaluator, called as
+#: (alpha, interval, fn), whether it reads p (the thm3 family takes only q
+#: from its (p, q) axis), and its evaluator, called as
 #: ``evaluator(series, functional, a, b, x, s, p, q, fn)``.  A sweep is the
 #: product over exactly these axes.  Evaluators look the ``eval_*`` functions
 #: up by module name when called, so whatever rebinds those names sees every call.
-INEQUALITIES: dict[str, tuple[frozenset[str], Evaluator]] = {
-    "ghh": (frozenset(), lambda f, fl, a, b, x, s, p, q, fn: eval_ghh(f, a, b, fn)),
-    "shh": (frozenset({"s"}), lambda f, fl, a, b, x, s, p, q, fn: eval_shh(f, s, a, b, fn)),
+INEQUALITIES: dict[str, tuple[frozenset[str], bool, Evaluator]] = {
+    "ghh": (frozenset(), False, lambda f, fl, a, b, x, s, p, q, fn: eval_ghh(f, a, b, fn)),
+    "shh": (frozenset({"s"}), False, lambda f, fl, a, b, x, s, p, q, fn: eval_shh(f, s, a, b, fn)),
     "holder": (
-        frozenset({"pq"}),
+        frozenset({"pq"}), True,
         lambda f, fl, a, b, x, s, p, q, fn: eval_holder(f.evaluate, f.evaluate, p, q, a, b, fl, fn),
     ),
     "ostrowski": (
-        frozenset({"x"}),
+        frozenset({"x"}), False,
         lambda f, fl, a, b, x, s, p, q, fn: eval_ostrowski_classic(f, x, a, b, fn),
     ),
     "identity": (
-        frozenset({"x"}),
+        frozenset({"x"}), False,
         lambda f, fl, a, b, x, s, p, q, fn: _identity_report(f, fl, a, b, x, fn),
     ),
-    "thm1": (frozenset({"s", "x"}), lambda f, fl, a, b, x, s, p, q, fn: eval_thm1(f, s, x, a, b, fn=fn)),
+    "thm1": (
+        frozenset({"s", "x"}), False,
+        lambda f, fl, a, b, x, s, p, q, fn: eval_thm1(f, s, x, a, b, fn=fn),
+    ),
     "thm2": (
-        frozenset({"s", "x", "pq"}),
+        frozenset({"s", "x", "pq"}), True,
         lambda f, fl, a, b, x, s, p, q, fn: eval_thm2(f, s, p, q, x, a, b, fn=fn),
     ),
     "thm3": (
-        frozenset({"s", "x", "pq"}),
+        frozenset({"s", "x", "pq"}), False,
         lambda f, fl, a, b, x, s, p, q, fn: eval_thm3(f, s, q, x, a, b, fn=fn),
     ),
     # every corollary takes s; the theta forms also x, the thm2/thm3 forms also (p, q)
     **{
         f"{form}-thm{i}": (
             frozenset({"s"} | ({"x"} if form == "theta" else set()) | ({"pq"} if i > 1 else set())),
+            i == 2,
             _corollary(f"{form}-thm{i}"),
         )
         for i in (1, 2, 3)

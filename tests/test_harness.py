@@ -397,6 +397,71 @@ class TestWarmCache:
         assert all(seen.values()), seen
 
 
+class TestTheoremRecord:
+    """thm1-3 and their corollaries read every point-invariant value from one cached record per theorem."""
+
+    SPEC = parse_function_spec("ml:5")
+    INTERVALS = ((0.0, 1.0), (0.5, 2.0))
+    S_VALUES = (0.5, 1.0)
+    # the last pair is conjugate within the 1e-12 tolerance and shares q with
+    # the first, so only p tells their thm2 rows apart
+    PQ_PAIRS = ((2.0, 2.0), (3.0, 1.5), (2.000000000001, 2.0))
+    FRACS = (0.0, 0.5, 1.0)
+
+    @classmethod
+    def points(cls, ineq, pq_pairs=PQ_PAIRS):
+        axes = applicable_axes(ineq)
+        return [
+            (ineq, a, b, None if fr is None else a + fr * (b - a), s, p, q)
+            for a, b in cls.INTERVALS
+            for s in cls.S_VALUES
+            for p, q in (pq_pairs if "pq" in axes else ((None, None),))
+            for fr in (cls.FRACS if "x" in axes else (None,))
+        ]
+
+    @classmethod
+    def rows(cls, points, functional, series=None):
+        """The rows of ``points`` on ``series``, or each on a fresh series when it is None."""
+        fresh = series is None
+        rows = [
+            TestWarmCache.row(pt[0], cls.SPEC.realize(functional.ctx) if fresh else series, functional, *pt[1:])
+            for pt in points
+        ]
+        assert not any(r[0] == "error" for r in rows)
+        return rows
+
+    @staticmethod
+    def refuse_gamma(monkeypatch):
+        def gamma(z):
+            raise AssertionError(f"gamma({z}) called on a warm series")
+
+        monkeypatch.setattr("alphaineq.inequalities.gamma", gamma)
+        monkeypatch.setattr("alphaineq.series.gamma", gamma)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_warm_rows_make_no_gamma_call(self, alpha, monkeypatch):
+        functional = MomentFunctional(AlphaContext(alpha))
+        warm = self.SPEC.realize(functional.ctx)
+        points = [pt for ineq in INEQUALITY_IDS if "thm" in ineq for pt in self.points(ineq)]
+        fresh = self.rows(points, functional)
+        assert self.rows(points, functional, warm) == fresh
+        self.refuse_gamma(monkeypatch)
+        assert self.rows(points, functional, warm) == fresh
+
+    def test_thm3_corollaries_share_the_record_of_thm3(self, monkeypatch):
+        functional = MomentFunctional(AlphaContext(0.5))
+        warm = self.SPEC.realize(functional.ctx)
+        self.rows(self.points("thm3"), functional, warm)
+        for a, b in self.INTERVALS:  # the midpoint left side is cached per (a, b), outside the record
+            inequalities._midpoint_lhs(warm, a, b)
+        # the thm3 forms take only q from the pair, so any p shares the record of thm3
+        pairs = [(p, q) for q in (2.0, 1.5) for p in (None, 1.25, q / (q - 1.0), 7.0)]
+        points = [pt for ineq in INEQUALITY_IDS if ineq.endswith("-thm3") for pt in self.points(ineq, pairs)]
+        fresh = self.rows(points, functional)
+        self.refuse_gamma(monkeypatch)
+        assert self.rows(points, functional, warm) == fresh
+
+
 class TestRegistry:
     """Every id behaves as its :data:`INEQUALITIES` row declares."""
 
@@ -836,17 +901,20 @@ class TestCli:
     def test_sweep_with_only_error_rows_is_exit_two(self, tmp_path, capsys):
         # eval and falsify exit 2 on these inputs; a sweep exits 1 only while some row did not raise
         path = tmp_path / "errors.json"
-        for doc, code in (
-            ({"alphas": [0.5], "functions": ["mono:0.5"], "inequalities": ["thm1"]}, 2),
+        # and each error row names its exception
+        for doc, code, error in (
+            ({"alphas": [0.5], "functions": ["mono:0.5"], "inequalities": ["thm1"]}, 2, "GammaPoleError"),
             ({"alphas": [1.0], "functions": ["mono:2"], "inequalities": ["ghh"],
-              "intervals": [[0.0, 1e308]]}, 2),
-            ({"alphas": [0.5], "functions": ["mono:0.5", "mono:3"], "inequalities": ["thm1"]}, 1),
+              "intervals": [[0.0, 1e308]]}, 2, "OverflowError"),
+            ({"alphas": [0.5], "functions": ["mono:0.5", "mono:3"], "inequalities": ["thm1"]}, 1, "GammaPoleError"),
         ):
             path.write_text(json.dumps(doc))
             out = tmp_path / "rows.csv"
             assert main(["sweep", "--config", str(path), "--out", str(out)]) == code
-            notes = [r.notes.startswith("error:") for r in load_report(out, "csv")]
+            rows = load_report(out, "csv")
+            notes = [r.notes.startswith("error:") for r in rows]
             assert notes and all(notes) == (code == 2)
+            assert all(r.notes.startswith(f"error: {error}: ") for r in rows if r.notes.startswith("error:"))
             assert ("rows raised" in capsys.readouterr().err) == (code == 2)
 
     def test_sweep_nan_slack_tol_is_exit_two(self, tmp_path, capsys):
