@@ -5,9 +5,10 @@ expanding sweep configurations into Cartesian products of parameter points,
 randomized falsification with shrinking, and CSV/JSON report files.  It
 holds no per-inequality logic: ids, their axes, whether they read p and
 their evaluators all come from the
-:data:`alphaineq.inequalities.INEQUALITIES` registry, so sweep
-points are independent; rows are sorted before emission, which makes the
-output independent of the evaluation order.
+:data:`alphaineq.inequalities.INEQUALITIES` registry, and each evaluator
+checks the parameters its row says it reads, so :func:`evaluate_single`
+only dispatches.  Sweep points are independent; rows are sorted before
+emission, which makes the output independent of the evaluation order.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import product
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
@@ -252,7 +254,9 @@ class SweepConfig:
 
 def _items(raw: dict, name: str, default: Optional[list] = None) -> list:
     """The list field ``name`` of a config document; required when there is no default."""
-    value = raw[name] if default is None else raw.get(name, default)
+    if default is None and name not in raw:
+        raise ValueError(f"missing required field {name!r}")
+    value = raw.get(name, default)
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{name} must be a list, got {value!r}")
     return value
@@ -317,17 +321,8 @@ def evaluate_single(
     q: Optional[float],
     fn: str = "",
 ) -> IneqReport:
-    """Evaluate one registered inequality at one parameter point, naming the function ``fn``."""
-    axes, reads_p, evaluator = INEQUALITIES[canonical_id(ineq)]
-    if "s" in axes and s is None:
-        raise ValueError(f"{ineq} needs the convexity order s")
-    if "pq" in axes and q is None:
-        raise ValueError(f"{ineq} needs q" + (" and p" if reads_p else ""))
-    if reads_p and p is None:
-        raise ValueError(f"{ineq} needs conjugate (p, q)")
-    if "x" in axes and x is None:
-        raise ValueError(f"{ineq} needs the evaluation point x")
-    return evaluator(series, functional, a, b, x, s, p, q, fn)
+    """Evaluate one registered inequality at one point, naming the function ``fn``; its evaluator checks the point."""
+    return INEQUALITIES[canonical_id(ineq)][2](series, functional, a, b, x, s, p, q, fn)
 
 
 def _error_report(
@@ -364,28 +359,25 @@ def run_sweep(cfg: SweepConfig) -> list[IneqReport]:
     is imposed by a deterministic sort, so the evaluation order is
     unobservable.  Each (alpha, function) pair is realized once, so the
     values cached on its series are shared by all of its rows.  Each row is
-    built once, with the function's canonical spec as its ``fn``.
+    built once, with the function's canonical spec as its ``fn``.  An
+    overflow shows in its row, so numpy does not warn of it.
     """
     rows: list[IneqReport] = []
-    for alpha in cfg.alphas:
-        ctx = cfg.context(alpha)
-        functional = MomentFunctional(ctx)
-        for spec in cfg.functions:
-            fn_text = spec.canonical()
-            series = spec.realize(ctx)
-            for ineq in cfg.inequalities:
-                ineq = canonical_id(ineq)
-                s_axis, pq_axis, x_axis = _axes(cfg, ineq)
-                for (a, b) in cfg.intervals:
-                    for s in s_axis:
-                        for (p, q) in pq_axis:
-                            for frac in x_axis:
-                                x = None if frac is None else a + frac * (b - a)
-                                try:
-                                    rep = evaluate_single(ineq, series, functional, a, b, x, s, p, q, fn_text)
-                                except Exception as exc:  # per-point errors recorded, never raised
-                                    rep = _error_report(ineq, alpha, exc, s, p, q, a, b, x, fn_text)
-                                rows.append(rep)
+    with np.errstate(over="ignore"):
+        for alpha in cfg.alphas:
+            ctx = cfg.context(alpha)
+            functional = MomentFunctional(ctx)
+            for spec in cfg.functions:
+                fn_text = spec.canonical()
+                series = spec.realize(ctx)
+                for ineq in map(canonical_id, cfg.inequalities):
+                    for (a, b), s, (p, q), frac in product(cfg.intervals, *_axes(cfg, ineq)):
+                        x = None if frac is None else a + frac * (b - a)
+                        try:
+                            rep = evaluate_single(ineq, series, functional, a, b, x, s, p, q, fn_text)
+                        except Exception as exc:  # per-point errors recorded, never raised
+                            rep = _error_report(ineq, alpha, exc, s, p, q, a, b, x, fn_text)
+                        rows.append(rep)
     rows.sort(key=_sort_key)
     return rows
 

@@ -11,7 +11,9 @@ term-wise calculus itself.
 :data:`INEQUALITIES` is the one registry of inequality ids: each id maps to
 the sweep axes it consumes, whether it reads p, and the evaluator that
 computes its row.  The harness, the sweep validation and the CLI read their
-ids from it.
+ids from it.  The row is also the id's parameter contract, which every
+evaluator checks through :func:`_params`: a missing or bad parameter raises
+``ValueError`` naming the id, and an unread one is None in the report.
 
 The three theorems share one signed left side (the second-derivative
 identity, which :func:`identity_residual` checks directly).  The
@@ -38,7 +40,7 @@ import numpy as np
 
 from .alphanum import AlphaContext, alpha_pow_signed, gamma
 from .convexity import check_s_convex_second
-from .quadrature import MomentFunctional, _sample, composed_moment, fractal_integral_numeric
+from .quadrature import MomentFunctional, _sample, composed_moment
 from .series import AlphaSeries, lf_derivative, lf_derivative_n, lf_integral, memoized
 
 __all__ = [
@@ -140,6 +142,35 @@ def _check_conjugate(p: float, q: float, tol: float = 1e-12) -> None:
         raise ValueError(f"(p, q) = ({p}, {q}) are not conjugate")
 
 
+def _params(ineq: str, a: float, b: float, x: Optional[float] = None, s: Optional[float] = None,
+            p: Optional[float] = None, q: Optional[float] = None) -> tuple:
+    """``(x, s, p, q)`` with the ones ``ineq``'s registry row does not read set to None.
+
+    Checks ``[a, b]`` and each read parameter; a missing or bad one raises ``ValueError`` naming ``ineq``.
+    """
+    axes, reads_p = INEQUALITIES[ineq][:2]
+    reads_s, reads_q, reads_x = "s" in axes, "pq" in axes, "x" in axes
+    if reads_s and s is None:
+        raise ValueError(f"{ineq} needs the convexity order s")
+    if reads_p and (p is None or q is None):
+        raise ValueError(f"{ineq} needs conjugate (p, q)")
+    if reads_x and x is None:
+        raise ValueError(f"{ineq} needs the evaluation point x")
+    try:
+        _check_interval(a, b)
+        if reads_s:
+            _check_s(s)
+        if reads_p:
+            _check_conjugate(p, q)
+        elif reads_q and not (q is not None and q >= 1.0):  # a NaN q fails too
+            raise ValueError(f"need q >= 1, got {q}")
+        if reads_x:
+            _check_point(x, a, b)
+    except ValueError as exc:
+        raise ValueError(f"{ineq}: {exc}") from None
+    return x if reads_x else None, s if reads_s else None, p if reads_p else None, q if reads_q else None
+
+
 def _grid(lo: float, hi: float, n: int) -> np.ndarray:
     """``np.linspace(lo, hi, n)`` bit for bit, without its per-call overhead.
 
@@ -165,9 +196,10 @@ def sup_abs(f: AlphaSeries, a: float, b: float, grid: int = 1025) -> float:
 
     After the grid scan, the cell around the maximizer is re-gridded three
     times, which is enough for the smooth series handled here.  The grids
-    are those of ``np.linspace``, built by :func:`_grid`.  The value is
-    cached on ``f`` per ``(a, b, grid)``, so a caller that keeps the series
-    computes it once per interval.
+    are those of ``np.linspace``, built by :func:`_grid`.  A NaN sample
+    (``inf - inf`` at a pole) makes the value NaN.  The value is cached on
+    ``f`` per ``(a, b, grid)``, so a caller that keeps the series computes
+    it once per interval.
     """
     if grid < 3:
         raise ValueError(f"grid must be >= 3, got {grid}")
@@ -181,7 +213,9 @@ def _sup_abs(f: AlphaSeries, a: float, b: float, grid: int) -> float:
     for _ in range(4):
         xs = _grid(lo, hi, grid)
         vals = np.abs(f.evaluate(xs))
-        i = int(np.argmax(vals))
+        i = int(np.argmax(vals))  # the first NaN, if there is one
+        if np.isnan(vals[i]):
+            return math.nan
         best = max(best, float(vals[i]))
         lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, grid - 1)]
         grid = 33
@@ -208,7 +242,7 @@ def eval_ghh(f: AlphaSeries, a: float, b: float, fn: str = "") -> IneqReport:
     ``f(mid) <= normalized mean <= endpoint average``; the full chain is
     recorded in the notes.
     """
-    _check_interval(a, b)
+    _params("ghh", a, b)
     ctx = f.ctx
     al = ctx.alpha
     left = f.evaluate((a + b) / 2.0)
@@ -219,8 +253,7 @@ def eval_ghh(f: AlphaSeries, a: float, b: float, fn: str = "") -> IneqReport:
 
 def eval_shh(f: AlphaSeries, s: float, a: float, b: float, fn: str = "") -> IneqReport:
     """Two-sided s-convex Hermite-Hadamard check."""
-    _check_interval(a, b)
-    _check_s(s)
+    _params("shh", a, b, s=s)
     ctx = f.ctx
     al = ctx.alpha
     left = 2.0 ** ((s - 1.0) * al) / gamma(1.0 + al) * f.evaluate((a + b) / 2.0)
@@ -267,27 +300,25 @@ def eval_holder(
     affine map with the factor ``(b-a)**alpha``.  ``|f|`` and ``|g|`` are
     sampled once on the pulled-back grid (each must map an array to an
     array of the same shape) and the three integrands are built from those
-    samples.
+    samples, which the functional integrates directly.
     """
-    _check_interval(a, b)
-    _check_conjugate(p, q)
+    _params("holder", a, b, p=p, q=q)
     ctx = functional.ctx
     al = ctx.alpha
     scale = (b - a) ** al
     u = a + functional.grid * (b - a)
     abs_f = np.abs(_sample(f, u))
     abs_g = np.abs(_sample(g, u))
-    lhs = scale * fractal_integral_numeric(lambda t: abs_f * abs_g, functional)
-    intf = scale * fractal_integral_numeric(lambda t: abs_f**p, functional)
-    intg = scale * fractal_integral_numeric(lambda t: abs_g**q, functional)
+    lhs = scale * functional.integrate(abs_f * abs_g)
+    intf = scale * functional.integrate(abs_f**p)
+    intg = scale * functional.integrate(abs_g**q)
     rhs = max(intf, 0.0) ** (1.0 / p) * max(intg, 0.0) ** (1.0 / q)
     return _report("holder", ctx, lhs, rhs, p=p, q=q, a=a, b=b, fn=fn)
 
 
 def eval_ostrowski_classic(f: AlphaSeries, x: float, a: float, b: float, fn: str = "") -> IneqReport:
     """The first-derivative Ostrowski bound with a grid sup norm."""
-    _check_interval(a, b)
-    _check_point(x, a, b)
+    _params("ostrowski", a, b, x=x)
     ctx = f.ctx
     al = ctx.alpha
     mean = gamma(1.0 + al) * lf_integral(f, a, b) / (b - a) ** al
@@ -329,8 +360,7 @@ def identity_residual(
     Zero residual means the identity holds for this input; for alpha < 1 it
     generally does not, and the residual is the reported inconsistency.
     """
-    _check_interval(a, b)
-    _check_point(x, a, b)
+    _params("identity", a, b, x=x)
     ctx = f.ctx
     al = ctx.alpha
     f2 = lf_derivative_n(f, 2)
@@ -456,9 +486,7 @@ def eval_thm1(
     and the outcome recorded in the notes; the bound is evaluated either
     way, since a failed hypothesis is itself a reportable finding.
     """
-    _check_interval(a, b)
-    _check_point(x, a, b)
-    _check_s(s)
+    _params("thm1", a, b, x, s)
     return _theorem_report("thm1", f, s, None, None, x, a, b, hypothesis_grid, fn)
 
 
@@ -474,10 +502,7 @@ def eval_thm2(
     fn: str = "",
 ) -> IneqReport:
     """Hoelder-route Ostrowski-type bound for |f^(2a)|**q s-convex."""
-    _check_interval(a, b)
-    _check_point(x, a, b)
-    _check_conjugate(p, q)
-    _check_s(s)
+    _params("thm2", a, b, x, s, p, q)
     return _theorem_report("thm2", f, s, p, q, x, a, b, hypothesis_grid, fn)
 
 
@@ -492,11 +517,7 @@ def eval_thm3(
     fn: str = "",
 ) -> IneqReport:
     """Power-mean-route Ostrowski-type bound; collapses to thm1 at q = 1."""
-    _check_interval(a, b)
-    _check_point(x, a, b)
-    if not q >= 1.0:  # a NaN q fails too
-        raise ValueError(f"q must be >= 1, got {q}")
-    _check_s(s)
+    _params("thm3", a, b, x, s, q=q)
     return _theorem_report("thm3", f, s, None, q, x, a, b, hypothesis_grid, fn)
 
 
@@ -527,40 +548,27 @@ def eval_corollary(
     the combined form, for each of the three theorems.  Theta is the grid
     supremum of ``|f^(2a)|`` over ``[a, b]`` (:func:`sup_abs`); only the
     theta and midpoint-theta forms compute it, and only the midpoint forms
-    evaluate ``|f^(2a)|`` at the endpoints.  Midpoint forms ignore ``x``;
-    theta forms require it.  All else a row reads comes from the record of
-    its theorem (:func:`_theorem`), which the theorem's own rows share.
+    evaluate ``|f^(2a)|`` at the endpoints.  Of ``x``, ``p`` and ``q``,
+    :func:`_params` keeps those the variant's registry row reads.  All else a
+    row reads comes from the record of its theorem (:func:`_theorem`), which
+    the theorem's own rows share.
     """
     if variant not in COROLLARY_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose one of {COROLLARY_VARIANTS}")
-    _check_interval(a, b)
-    _check_s(s)
+    # unread parameters are None in the record's key, so these rows share their theorem's record
+    x, s, p, q = _params(variant, a, b, x, s, p, q)
     form, thm = variant.rsplit("-", 1)
-    if thm == "thm2":
-        if p is None or q is None:
-            raise ValueError(f"{variant} needs conjugate (p, q)")
-        _check_conjugate(p, q)
-    elif thm == "thm3":
-        if q is None or not q >= 1.0:
-            raise ValueError(f"{variant} needs q >= 1")
-    # dropped before the lookup (and from the report), so these rows share their theorem's record
-    p = p if thm == "thm2" else None
-    q = q if thm != "thm1" else None
     ctx = f.ctx
     al = ctx.alpha
     f2, g2, front, _, lead, sup, div, mid = _theorem(f, thm, s, p, q)
 
     # each form computes only what it reads: theta, or |f''| at the endpoints
     if form == "theta":
-        if x is None:
-            raise ValueError(f"{variant} needs the evaluation point x")
-        _check_point(x, a, b)
         lhs = _ostrowski_lhs(f, x, a, b)
         theta = sup_abs(f2, a, b)
         bracket = (b - a) ** (2.0 * al) / 12.0**al + alpha_pow_signed(x - (a + b) / 2.0, ctx) ** 2
         rhs = front * lead * 3.0**al * theta * sup / g2 * bracket
     else:
-        x = None  # midpoint forms ignore x
         lhs = _midpoint_lhs(f, a, b)
         if form == "midpoint":
             da, db = abs(f2.evaluate(a)), abs(f2.evaluate(b))

@@ -31,7 +31,20 @@ from alphaineq.harness import (
     render_report,
     run_sweep,
 )
-from alphaineq.inequalities import INEQUALITIES, IneqReport, identity_residual
+from alphaineq.inequalities import (
+    COROLLARY_VARIANTS,
+    INEQUALITIES,
+    IneqReport,
+    eval_corollary,
+    eval_ghh,
+    eval_holder,
+    eval_ostrowski_classic,
+    eval_shh,
+    eval_thm1,
+    eval_thm2,
+    eval_thm3,
+    identity_residual,
+)
 from alphaineq.quadrature import MomentFunctional
 from alphaineq.series import AlphaSeries, GammaPoleError
 
@@ -502,6 +515,80 @@ class TestRegistry:
         assert row[CSV_COLUMNS.index("slack")] == "-0"
 
 
+def _reads(ineq):
+    """The parameters ``ineq`` reads, as letters of "spqx", taken from the paper and not the registry.
+
+    thm1 reads s and x, the Hoelder route (thm2) a conjugate pair (p, q),
+    the power-mean route (thm3) only q; the midpoint forms read no x.
+    """
+    plain = {"ghh": "", "shh": "s", "holder": "pq", "ostrowski": "x", "identity": "x"}
+    if ineq in plain:
+        return plain[ineq]
+    form, _, thm = ineq.rpartition("-")
+    return "s" + {"thm1": "", "thm2": "pq", "thm3": "q"}[thm] + ("" if form.startswith("midpoint") else "x")
+
+
+#: Each id's public evaluator, called with the arguments of its registry evaluator.
+PUBLIC = {
+    "ghh": lambda f, fl, a, b, x, s, p, q: eval_ghh(f, a, b),
+    "shh": lambda f, fl, a, b, x, s, p, q: eval_shh(f, s, a, b),
+    "holder": lambda f, fl, a, b, x, s, p, q: eval_holder(f.evaluate, f.evaluate, p, q, a, b, fl),
+    "ostrowski": lambda f, fl, a, b, x, s, p, q: eval_ostrowski_classic(f, x, a, b),
+    "identity": lambda f, fl, a, b, x, s, p, q: identity_residual(f, x, a, b, fl),
+    "thm1": lambda f, fl, a, b, x, s, p, q: eval_thm1(f, s, x, a, b),
+    "thm2": lambda f, fl, a, b, x, s, p, q: eval_thm2(f, s, p, q, x, a, b),
+    "thm3": lambda f, fl, a, b, x, s, p, q: eval_thm3(f, s, q, x, a, b),
+    **{
+        v: lambda f, fl, a, b, x, s, p, q, v=v: eval_corollary(v, f, a, b, s, p, q, x)
+        for v in COROLLARY_VARIANTS
+    },
+}
+
+
+class TestParameterContract:
+    """Each id checks exactly the parameters it reads, and reports only those."""
+
+    GOOD = {"s": 0.5, "p": 2.0, "q": 2.0, "x": 0.25}
+    BAD = {"s": 1.5, "p": 0.5, "q": 0.5, "x": 2.0}
+
+    @staticmethod
+    def call(route, ineq, a=0.0, b=1.0, **params):
+        ctx = AlphaContext(1.0)
+        f = parse_function_spec("poly:0,0,0,1").realize(ctx)
+        fl = MomentFunctional(ctx)
+        x, s, p, q = (params[n] for n in "xspq")
+        if route == "evaluate_single":
+            return evaluate_single(ineq, f, fl, a, b, x, s, p, q)
+        return PUBLIC[ineq](f, fl, a, b, x, s, p, q)
+
+    def test_every_id_has_a_public_evaluator(self):
+        assert set(PUBLIC) == set(INEQUALITY_IDS)
+
+    @pytest.mark.parametrize("route", ("evaluate_single", "public"))
+    @pytest.mark.parametrize("value", ("missing", "out of range"))
+    @pytest.mark.parametrize("ineq, name", [(i, n) for i in INEQUALITY_IDS for n in _reads(i)])
+    def test_missing_or_bad_parameter_names_the_id(self, ineq, name, value, route):
+        params = {**self.GOOD, name: None if value == "missing" else self.BAD[name]}
+        with pytest.raises(ValueError, match=rf"^{re.escape(ineq)}[ :]"):
+            self.call(route, ineq, **params)
+
+    @pytest.mark.parametrize("route", ("evaluate_single", "public"))
+    @pytest.mark.parametrize("ineq", INEQUALITY_IDS)
+    def test_bad_interval_names_the_id(self, ineq, route):
+        with pytest.raises(ValueError, match=rf"^{re.escape(ineq)}: need 0 <= a < b"):
+            self.call(route, ineq, a=1.0, b=0.5, **self.GOOD)
+
+    @pytest.mark.parametrize("route", ("evaluate_single", "public"))
+    @pytest.mark.parametrize("ineq", INEQUALITY_IDS)
+    def test_unread_parameters_are_none(self, ineq, route):
+        rep = self.call(route, ineq, **self.GOOD)
+        if not isinstance(rep, IneqReport):  # identity_residual returns the residual alone
+            assert ineq == "identity" and math.isfinite(rep)
+            return
+        reads = _reads(ineq)
+        assert (rep.s, rep.p, rep.q, rep.x) == tuple(self.GOOD[n] if n in reads else None for n in "spqx")
+
+
 class TestFalsify:
     def test_convex_family_on_classical_line_has_no_counterexample(self):
         cfg = _cfg(inequalities=("ghh",))
@@ -893,11 +980,15 @@ class TestCli:
             ({**base, "tolerances": {"slack_tol": "1e-9"}}, "slack_tol"),
             ({**base, "alphas": ["1"]}, "alphas"),
             ([1], "JSON object"),
+            # a missing required field once exited 2 with only its name: error: 'alphas'
+            *(({k: v for k, v in base.items() if k != name}, f"missing required field {name!r}")
+              for name in base),
         ):
             path.write_text(json.dumps(doc))
             assert main(["sweep", "--config", str(path)]) == 2
             assert field in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sweep_with_only_error_rows_is_exit_two(self, tmp_path, capsys):
         # eval and falsify exit 2 on these inputs; a sweep exits 1 only while some row did not raise
         path = tmp_path / "errors.json"
@@ -933,6 +1024,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert "cannot differentiate grade -0.5" in captured.err
         assert "no counterexample" not in captured.out
+
+    def test_falsify_finds_no_witness_in_a_nan_theta(self, capsys):
+        # theta of this family's f'' is NaN (inf - inf at 0), once read as 0 and reported as a witness
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            code = main(["falsify", "--ineq", "theta-thm1", "--family", "series:(1.5,1);(1.6,-1)",
+                         "--trials", "5", "--seed", "1", "--alpha", "1"])
+        assert code == 0
+        assert "no counterexample" in capsys.readouterr().out
 
     def test_falsify_exit_codes(self, capsys):
         found = main(["falsify", "--ineq", "identity-residual-zero", "--family", "mono:1",

@@ -545,6 +545,18 @@ def test_sup_abs_refinement():
     assert got == pytest.approx(brute, rel=1e-6)
 
 
+def test_sup_abs_is_nan_where_a_sample_is_nan():
+    # f'' = 0.75 x**-0.5 - 0.96 x**-0.4 is inf - inf = NaN at x = 0; the NaN once read as 0
+    f = parse_function_spec("series:(1.5,1);(1.6,-1)").realize(CTX1)
+    f2 = lf_derivative_n(f, 2)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        assert math.isnan(sup_abs(f2, 0.0, 1.0))
+        # theta is NaN, so the theta form's slack is NaN, not the violation -0.1846 that theta = 0 gave
+        rep = eval_corollary("theta-thm1", f, 0.0, 1.0, 0.5, x=0.5)
+    assert math.isnan(rep.rhs) and math.isnan(rep.slack) and not rep.holds
+    assert sup_abs(f2, 1e-9, 1.0) == pytest.approx(1.99e4, rel=1e-3)
+
+
 def _bits(v):
     return np.asarray(v, dtype=float).view(np.int64)
 
