@@ -3,7 +3,8 @@
 Subcommands: ``constants``, ``eval``, ``sweep``, ``falsify``, ``quad-test``.
 Exit codes: 0 when every evaluated inequality holds, 1 when at least one
 violation was found (slack below -slack_tol), 2 on configuration or runtime
-errors, including a sweep in which every row raised.
+errors, including a sweep in which every row raised and one in which a
+listed inequality would get no row.
 """
 
 from __future__ import annotations
@@ -13,10 +14,13 @@ import json
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .alphanum import AlphaContext
 from .harness import (
     ID_ALIASES,
     INEQUALITY_IDS,
+    _axes,
     evaluate_single,
     SweepConfig,
     emit_report,
@@ -79,6 +83,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
     return 0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in a sweep, the row shows an overflow or a NaN
 def _cmd_eval(args: argparse.Namespace) -> int:
     ctx = AlphaContext(args.alpha)
     spec = parse_function_spec(args.fn)
@@ -91,8 +96,20 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0 if rep.holds else 1
 
 
+def _check_every_id_gets_rows(cfg: SweepConfig) -> None:
+    """Raise ``ValueError`` when a listed id would get no row, naming it and the empty field."""
+    if not cfg.inequalities:
+        raise ValueError("inequalities is empty: the sweep would verify nothing")
+    fields = ("alphas", "functions", "intervals", "s_values", "pq_pairs", "x_fractions")
+    for ineq in cfg.inequalities:
+        for name, values in zip(fields, (cfg.alphas, cfg.functions, cfg.intervals, *_axes(cfg, ineq))):
+            if not values:
+                raise ValueError(f"{ineq} would get no row: {name} is empty")
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = SweepConfig.from_json(args.config)
+    _check_every_id_gets_rows(cfg)
     rows = run_sweep(cfg)
     if args.out:
         emit_report(rows, args.format, args.out)

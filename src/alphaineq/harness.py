@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .alphanum import AlphaContext, gamma
-from .inequalities import INEQUALITIES, IneqReport, _check_conjugate, _check_interval, _check_s
+from .inequalities import INEQUALITIES, IneqReport, _check_conjugate, _check_interval, _check_s, _read
 from .quadrature import MomentFunctional
 from .series import AlphaSeries
 
@@ -321,8 +321,14 @@ def evaluate_single(
     q: Optional[float],
     fn: str = "",
 ) -> IneqReport:
-    """Evaluate one registered inequality at one point, naming the function ``fn``; its evaluator checks the point."""
-    return INEQUALITIES[canonical_id(ineq)][2](series, functional, a, b, x, s, p, q, fn)
+    """Evaluate one registered inequality at one point, which its evaluator checks.
+
+    The evaluator builds a fresh row with an empty ``fn``; setting ``fn`` here is
+    the one change made to a row after its build.
+    """
+    rep = INEQUALITIES[canonical_id(ineq)][2](series, functional, a, b, x, s, p, q)
+    rep.fn = fn
+    return rep
 
 
 def _error_report(
@@ -330,27 +336,20 @@ def _error_report(
     a: float, b: float, x: Optional[float], fn: str,
 ) -> IneqReport:
     """An error row with the parameters that a successful row of ``ineq`` reports, naming the exception."""
-    return IneqReport(
-        ineq, alpha, float("nan"), float("nan"), float("nan"), False,
-        s, p if INEQUALITIES[ineq][1] else None, q, a, b, x, fn, f"error: {type(exc).__name__}: {exc}",
-    )
+    x, s, p, q = _read(ineq, x, s, p, q)
+    nan = float("nan")
+    notes = f"error: {type(exc).__name__}: {exc}"
+    return IneqReport(ineq, alpha, nan, nan, nan, False, s, p, q, a, b, x, fn, notes)
 
 
 def _sort_key(r: IneqReport):
+    # an empty s, x, p or q sorts as -1.0, below every value it can take; a sweep row always has a and b
     none = -1.0
-    return (
-        r.ineq,
-        r.alpha,
-        r.s if r.s is not None else none,
-        r.a if r.a is not None else none,
-        r.b if r.b is not None else none,
-        r.x if r.x is not None else none,
-        r.fn,
-        r.p if r.p is not None else none,
-        r.q if r.q is not None else none,
-    )
+    return (r.ineq, r.alpha, none if r.s is None else r.s, r.a, r.b, none if r.x is None else r.x, r.fn,
+            none if r.p is None else r.p, none if r.q is None else r.q)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_sweep(cfg: SweepConfig) -> list[IneqReport]:
     """Evaluate the Cartesian product of the config axes, one report per point.
 
@@ -359,25 +358,26 @@ def run_sweep(cfg: SweepConfig) -> list[IneqReport]:
     is imposed by a deterministic sort, so the evaluation order is
     unobservable.  Each (alpha, function) pair is realized once, so the
     values cached on its series are shared by all of its rows.  Each row is
-    built once, with the function's canonical spec as its ``fn``.  An
-    overflow shows in its row, so numpy does not warn of it.
+    built once, by its evaluator, and :func:`evaluate_single` sets the
+    function's canonical spec as its ``fn``.  An overflow or an invalid
+    value (``inf - inf``) shows in its row as inf or NaN, so numpy does not
+    warn of it.
     """
     rows: list[IneqReport] = []
-    with np.errstate(over="ignore"):
-        for alpha in cfg.alphas:
-            ctx = cfg.context(alpha)
-            functional = MomentFunctional(ctx)
-            for spec in cfg.functions:
-                fn_text = spec.canonical()
-                series = spec.realize(ctx)
-                for ineq in map(canonical_id, cfg.inequalities):
-                    for (a, b), s, (p, q), frac in product(cfg.intervals, *_axes(cfg, ineq)):
-                        x = None if frac is None else a + frac * (b - a)
-                        try:
-                            rep = evaluate_single(ineq, series, functional, a, b, x, s, p, q, fn_text)
-                        except Exception as exc:  # per-point errors recorded, never raised
-                            rep = _error_report(ineq, alpha, exc, s, p, q, a, b, x, fn_text)
-                        rows.append(rep)
+    for alpha in cfg.alphas:
+        ctx = cfg.context(alpha)
+        functional = MomentFunctional(ctx)
+        for spec in cfg.functions:
+            fn_text = spec.canonical()
+            series = spec.realize(ctx)
+            for ineq in map(canonical_id, cfg.inequalities):
+                for (a, b), s, (p, q), frac in product(cfg.intervals, *_axes(cfg, ineq)):
+                    x = None if frac is None else a + frac * (b - a)
+                    try:
+                        rep = evaluate_single(ineq, series, functional, a, b, x, s, p, q, fn_text)
+                    except Exception as exc:  # per-point errors recorded, never raised
+                        rep = _error_report(ineq, alpha, exc, s, p, q, a, b, x, fn_text)
+                    rows.append(rep)
     rows.sort(key=_sort_key)
     return rows
 
@@ -393,6 +393,7 @@ class _Point:
     p: float  # q is its conjugate
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def falsify(
     ineq_id: str,
     family: FunctionSpec,
@@ -423,7 +424,9 @@ def falsify(
     neighbourhood are kept, so the reuse stays bounded.
 
     An evaluator error, such as the Gamma pole of a family without a second
-    derivative, propagates as it does from :func:`evaluate_single`.
+    derivative, propagates as it does from :func:`evaluate_single`.  As in
+    :func:`run_sweep`, numpy does not warn of an overflow or an invalid value:
+    a NaN slack is never a witness.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

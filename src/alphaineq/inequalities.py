@@ -73,9 +73,14 @@ class OstrowskiConstants:
     N: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class IneqReport:
-    """One verification record: an inequality, its parameters, and the slack."""
+    """One verification record: an inequality, its parameters, and the slack.
+
+    A plain slotted record, so it is unhashable.  Its evaluator builds it
+    once; the one field set afterwards is ``fn``, by
+    :func:`alphaineq.harness.evaluate_single` on the row it was just handed.
+    """
 
     ineq: str
     alpha: float
@@ -100,23 +105,12 @@ class IneqReport:
         )
 
 
-def _report(
-    ineq: str,
-    ctx: AlphaContext,
-    lhs: float,
-    rhs: float,
-    notes: str = "",
-    s: Optional[float] = None,
-    p: Optional[float] = None,
-    q: Optional[float] = None,
-    a: Optional[float] = None,
-    b: Optional[float] = None,
-    x: Optional[float] = None,
-    fn: str = "",
-) -> IneqReport:
-    """The one report of a row, built positionally; ``holds`` is ``rhs - lhs >= -slack_tol``."""
+def _report(ineq: str, ctx: AlphaContext, lhs: float, rhs: float, notes: str = "", s: Optional[float] = None,
+            p: Optional[float] = None, q: Optional[float] = None, a: Optional[float] = None,
+            b: Optional[float] = None, x: Optional[float] = None) -> IneqReport:
+    """The row's report, built positionally with an empty ``fn``; ``holds`` is ``slack >= -slack_tol``."""
     slack = rhs - lhs
-    return IneqReport(ineq, ctx.alpha, lhs, rhs, slack, slack >= -ctx.slack_tol, s, p, q, a, b, x, fn, notes)
+    return IneqReport(ineq, ctx.alpha, lhs, rhs, slack, slack >= -ctx.slack_tol, s, p, q, a, b, x, "", notes)
 
 
 def _check_interval(a: float, b: float) -> None:
@@ -144,9 +138,9 @@ def _check_conjugate(p: float, q: float, tol: float = 1e-12) -> None:
 
 def _params(ineq: str, a: float, b: float, x: Optional[float] = None, s: Optional[float] = None,
             p: Optional[float] = None, q: Optional[float] = None) -> tuple:
-    """``(x, s, p, q)`` with the ones ``ineq``'s registry row does not read set to None.
+    """:func:`_read` of ``(x, s, p, q)``, after checking ``[a, b]`` and each parameter ``ineq`` reads.
 
-    Checks ``[a, b]`` and each read parameter; a missing or bad one raises ``ValueError`` naming ``ineq``.
+    A missing or bad one raises ``ValueError`` naming ``ineq``.
     """
     axes, reads_p = INEQUALITIES[ineq][:2]
     reads_s, reads_q, reads_x = "s" in axes, "pq" in axes, "x" in axes
@@ -168,7 +162,14 @@ def _params(ineq: str, a: float, b: float, x: Optional[float] = None, s: Optiona
             _check_point(x, a, b)
     except ValueError as exc:
         raise ValueError(f"{ineq}: {exc}") from None
-    return x if reads_x else None, s if reads_s else None, p if reads_p else None, q if reads_q else None
+    return _read(ineq, x, s, p, q)
+
+
+def _read(ineq: str, x: Optional[float], s: Optional[float], p: Optional[float], q: Optional[float]) -> tuple:
+    """``(x, s, p, q)``, unchecked, with the ones ``ineq``'s registry row does not read set to None."""
+    axes, reads_p = INEQUALITIES[ineq][:2]
+    return (x if "x" in axes else None, s if "s" in axes else None,
+            p if reads_p else None, q if "pq" in axes else None)
 
 
 def _grid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -235,7 +236,7 @@ def ostrowski_constants(s: float, ctx: AlphaContext) -> OstrowskiConstants:
     return OstrowskiConstants(M=M, N=N)
 
 
-def eval_ghh(f: AlphaSeries, a: float, b: float, fn: str = "") -> IneqReport:
+def eval_ghh(f: AlphaSeries, a: float, b: float) -> IneqReport:
     """Two-sided Hermite-Hadamard check for a generalized convex candidate.
 
     The report's lhs/rhs carry the binding pair of the chain
@@ -248,10 +249,10 @@ def eval_ghh(f: AlphaSeries, a: float, b: float, fn: str = "") -> IneqReport:
     left = f.evaluate((a + b) / 2.0)
     mid = gamma(1.0 + al) * lf_integral(f, a, b) / (b - a) ** al
     right = (f.evaluate(a) + f.evaluate(b)) / 2.0**al
-    return _binding_report("ghh", ctx, left, mid, right, a=a, b=b, fn=fn)
+    return _binding_report("ghh", ctx, left, mid, right, a=a, b=b)
 
 
-def eval_shh(f: AlphaSeries, s: float, a: float, b: float, fn: str = "") -> IneqReport:
+def eval_shh(f: AlphaSeries, s: float, a: float, b: float) -> IneqReport:
     """Two-sided s-convex Hermite-Hadamard check."""
     _params("shh", a, b, s=s)
     ctx = f.ctx
@@ -259,20 +260,11 @@ def eval_shh(f: AlphaSeries, s: float, a: float, b: float, fn: str = "") -> Ineq
     left = 2.0 ** ((s - 1.0) * al) / gamma(1.0 + al) * f.evaluate((a + b) / 2.0)
     mid = lf_integral(f, a, b) / (b - a) ** al
     right = gamma(1.0 + s * al) / gamma(1.0 + (s + 1.0) * al) * (f.evaluate(a) + f.evaluate(b))
-    return _binding_report("shh", ctx, left, mid, right, s=s, a=a, b=b, fn=fn)
+    return _binding_report("shh", ctx, left, mid, right, s=s, a=a, b=b)
 
 
-def _binding_report(
-    ineq: str,
-    ctx: AlphaContext,
-    left: float,
-    mid: float,
-    right: float,
-    s: Optional[float] = None,
-    a: Optional[float] = None,
-    b: Optional[float] = None,
-    fn: str = "",
-) -> IneqReport:
+def _binding_report(ineq: str, ctx: AlphaContext, left: float, mid: float, right: float,
+                    s: Optional[float] = None, a: Optional[float] = None, b: Optional[float] = None) -> IneqReport:
     slack_left = mid - left
     slack_right = right - mid
     # the smaller slack binds, and a NaN one always does, so ``holds`` covers both sides
@@ -281,7 +273,7 @@ def _binding_report(
     else:
         lhs, rhs, binding = mid, right, "right"
     notes = f"left={left:.17g} mid={mid:.17g} right={right:.17g} binding={binding}"
-    return _report(ineq, ctx, lhs, rhs, notes, s=s, a=a, b=b, fn=fn)
+    return _report(ineq, ctx, lhs, rhs, notes, s=s, a=a, b=b)
 
 
 def eval_holder(
@@ -292,7 +284,6 @@ def eval_holder(
     a: float,
     b: float,
     functional: MomentFunctional,
-    fn: str = "",
 ) -> IneqReport:
     """Generalized Hoelder inequality via the numeric moment functional.
 
@@ -313,10 +304,10 @@ def eval_holder(
     intf = scale * functional.integrate(abs_f**p)
     intg = scale * functional.integrate(abs_g**q)
     rhs = max(intf, 0.0) ** (1.0 / p) * max(intg, 0.0) ** (1.0 / q)
-    return _report("holder", ctx, lhs, rhs, p=p, q=q, a=a, b=b, fn=fn)
+    return _report("holder", ctx, lhs, rhs, p=p, q=q, a=a, b=b)
 
 
-def eval_ostrowski_classic(f: AlphaSeries, x: float, a: float, b: float, fn: str = "") -> IneqReport:
+def eval_ostrowski_classic(f: AlphaSeries, x: float, a: float, b: float) -> IneqReport:
     """The first-derivative Ostrowski bound with a grid sup norm."""
     _params("ostrowski", a, b, x=x)
     ctx = f.ctx
@@ -326,7 +317,7 @@ def eval_ostrowski_classic(f: AlphaSeries, x: float, a: float, b: float, fn: str
     theta1 = sup_abs(lf_derivative(f), a, b)
     bracket = 1.0 / 4.0**al + (alpha_pow_signed(x - (a + b) / 2.0, ctx) / (b - a) ** al) ** 2
     rhs = 2.0**al * gamma(1.0 + al) / gamma(1.0 + 2.0 * al) * bracket * (b - a) ** al * theta1
-    return _report("ostrowski", ctx, lhs, rhs, a=a, b=b, x=x, fn=fn)
+    return _report("ostrowski", ctx, lhs, rhs, a=a, b=b, x=x)
 
 
 @memoized("lhs")
@@ -444,18 +435,8 @@ def _theorem(f: AlphaSeries, thm: str, s: float, p: Optional[float], q: Optional
     return f2, g2, front, side, 1.0, (M + N) ** (1.0 / q), div, mid
 
 
-def _theorem_report(
-    thm: str,
-    f: AlphaSeries,
-    s: float,
-    p: Optional[float],
-    q: Optional[float],
-    x: float,
-    a: float,
-    b: float,
-    grid: int,
-    fn: str,
-) -> IneqReport:
+def _theorem_report(thm: str, f: AlphaSeries, s: float, p: Optional[float], q: Optional[float],
+                    x: float, a: float, b: float, grid: int) -> IneqReport:
     """The shared body of thm1-3: the theorem's record (:func:`_theorem`) at one point."""
     ctx = f.ctx
     f2, g2, front, side = _theorem(f, thm, s, p, q)[:4]
@@ -468,7 +449,7 @@ def _theorem_report(
     )
     notes = _hypothesis_note(f, s, a, b, grid, power=1.0 if q is None else q)
     lhs = _ostrowski_lhs(f, x, a, b)
-    return _report(thm, ctx, lhs, rhs, notes, s=s, p=p, q=q, a=a, b=b, x=x, fn=fn)
+    return _report(thm, ctx, lhs, rhs, notes, s=s, p=p, q=q, a=a, b=b, x=x)
 
 
 def eval_thm1(
@@ -478,7 +459,6 @@ def eval_thm1(
     a: float,
     b: float,
     hypothesis_grid: int = 0,
-    fn: str = "",
 ) -> IneqReport:
     """Ostrowski-type bound for |f^(2a)| generalized s-convex (second sense).
 
@@ -487,7 +467,7 @@ def eval_thm1(
     way, since a failed hypothesis is itself a reportable finding.
     """
     _params("thm1", a, b, x, s)
-    return _theorem_report("thm1", f, s, None, None, x, a, b, hypothesis_grid, fn)
+    return _theorem_report("thm1", f, s, None, None, x, a, b, hypothesis_grid)
 
 
 def eval_thm2(
@@ -499,11 +479,10 @@ def eval_thm2(
     a: float,
     b: float,
     hypothesis_grid: int = 0,
-    fn: str = "",
 ) -> IneqReport:
     """Hoelder-route Ostrowski-type bound for |f^(2a)|**q s-convex."""
     _params("thm2", a, b, x, s, p, q)
-    return _theorem_report("thm2", f, s, p, q, x, a, b, hypothesis_grid, fn)
+    return _theorem_report("thm2", f, s, p, q, x, a, b, hypothesis_grid)
 
 
 def eval_thm3(
@@ -514,11 +493,10 @@ def eval_thm3(
     a: float,
     b: float,
     hypothesis_grid: int = 0,
-    fn: str = "",
 ) -> IneqReport:
     """Power-mean-route Ostrowski-type bound; collapses to thm1 at q = 1."""
     _params("thm3", a, b, x, s, q=q)
-    return _theorem_report("thm3", f, s, None, q, x, a, b, hypothesis_grid, fn)
+    return _theorem_report("thm3", f, s, None, q, x, a, b, hypothesis_grid)
 
 
 @memoized("mid")
@@ -540,7 +518,6 @@ def eval_corollary(
     p: Optional[float] = None,
     q: Optional[float] = None,
     x: Optional[float] = None,
-    fn: str = "",
 ) -> IneqReport:
     """Evaluate one of the nine corollary bounds derived from the theorems.
 
@@ -576,19 +553,17 @@ def eval_corollary(
         else:  # midpoint-theta
             theta = sup_abs(f2, a, b)
             rhs = front * lead * sup * (theta * (b - a) ** (2.0 * al) / (4.0**al * g2))
-    return _report(variant, ctx, lhs, rhs, s=s, p=p, q=q, a=a, b=b, x=x, fn=fn)
+    return _report(variant, ctx, lhs, rhs, s=s, p=p, q=q, a=a, b=b, x=x)
 
 
-def _identity_report(
-    f: AlphaSeries, functional: MomentFunctional, a: float, b: float, x: float, fn: str = ""
-) -> IneqReport:
+def _identity_report(f: AlphaSeries, functional: MomentFunctional, a: float, b: float, x: float) -> IneqReport:
     # built here rather than by _report: slack is -residual, which keeps the
     # sign of a zero residual (0.0 - residual would not)
     residual = identity_residual(f, x, a, b, functional)
     ctx = f.ctx
     return IneqReport(
         "identity", ctx.alpha, residual, 0.0, -residual, residual <= ctx.slack_tol,
-        None, None, None, a, b, x, fn, "identity-residual",
+        None, None, None, a, b, x, "", "identity-residual",
     )
 
 
@@ -596,41 +571,42 @@ Evaluator = Callable[..., IneqReport]
 
 
 def _corollary(variant: str) -> Evaluator:
-    return lambda f, fl, a, b, x, s, p, q, fn: eval_corollary(variant, f, a, b, s, p, q, x, fn)
+    return lambda f, fl, a, b, x, s, p, q: eval_corollary(variant, f, a, b, s, p, q, x)
 
 
 #: Every inequality id, in report order: the axes it consumes beyond
 #: (alpha, interval, fn), whether it reads p (the thm3 family takes only q
 #: from its (p, q) axis), and its evaluator, called as
-#: ``evaluator(series, functional, a, b, x, s, p, q, fn)``.  A sweep is the
-#: product over exactly these axes.  Evaluators look the ``eval_*`` functions
-#: up by module name when called, so whatever rebinds those names sees every call.
+#: ``evaluator(series, functional, a, b, x, s, p, q)``; the row it returns
+#: has an empty ``fn``.  A sweep is the product over exactly these axes.
+#: Evaluators look the ``eval_*`` functions up by module name when called,
+#: so whatever rebinds those names sees every call.
 INEQUALITIES: dict[str, tuple[frozenset[str], bool, Evaluator]] = {
-    "ghh": (frozenset(), False, lambda f, fl, a, b, x, s, p, q, fn: eval_ghh(f, a, b, fn)),
-    "shh": (frozenset({"s"}), False, lambda f, fl, a, b, x, s, p, q, fn: eval_shh(f, s, a, b, fn)),
+    "ghh": (frozenset(), False, lambda f, fl, a, b, x, s, p, q: eval_ghh(f, a, b)),
+    "shh": (frozenset({"s"}), False, lambda f, fl, a, b, x, s, p, q: eval_shh(f, s, a, b)),
     "holder": (
         frozenset({"pq"}), True,
-        lambda f, fl, a, b, x, s, p, q, fn: eval_holder(f.evaluate, f.evaluate, p, q, a, b, fl, fn),
+        lambda f, fl, a, b, x, s, p, q: eval_holder(f.evaluate, f.evaluate, p, q, a, b, fl),
     ),
     "ostrowski": (
         frozenset({"x"}), False,
-        lambda f, fl, a, b, x, s, p, q, fn: eval_ostrowski_classic(f, x, a, b, fn),
+        lambda f, fl, a, b, x, s, p, q: eval_ostrowski_classic(f, x, a, b),
     ),
     "identity": (
         frozenset({"x"}), False,
-        lambda f, fl, a, b, x, s, p, q, fn: _identity_report(f, fl, a, b, x, fn),
+        lambda f, fl, a, b, x, s, p, q: _identity_report(f, fl, a, b, x),
     ),
     "thm1": (
         frozenset({"s", "x"}), False,
-        lambda f, fl, a, b, x, s, p, q, fn: eval_thm1(f, s, x, a, b, fn=fn),
+        lambda f, fl, a, b, x, s, p, q: eval_thm1(f, s, x, a, b),
     ),
     "thm2": (
         frozenset({"s", "x", "pq"}), True,
-        lambda f, fl, a, b, x, s, p, q, fn: eval_thm2(f, s, p, q, x, a, b, fn=fn),
+        lambda f, fl, a, b, x, s, p, q: eval_thm2(f, s, p, q, x, a, b),
     ),
     "thm3": (
         frozenset({"s", "x", "pq"}), False,
-        lambda f, fl, a, b, x, s, p, q, fn: eval_thm3(f, s, q, x, a, b, fn=fn),
+        lambda f, fl, a, b, x, s, p, q: eval_thm3(f, s, q, x, a, b),
     ),
     # every corollary takes s; the theta forms also x, the thm2/thm3 forms also (p, q)
     **{

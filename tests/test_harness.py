@@ -5,6 +5,7 @@ import math
 import random
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -304,7 +305,7 @@ class TestRunSweep:
         assert sorted(calls) == sorted([(a, s) for a in cfg.alphas for s in cfg.s_values] * 2)
 
     def test_each_row_is_built_once(self, monkeypatch, capsys):
-        # every evaluator builds its report with fn in place, so nothing calls with_fn
+        # every evaluator builds its report once, and evaluate_single sets fn on it, so nothing calls with_fn
         def rebuilt(self, fn):
             raise AssertionError(f"{self.ineq} row built a second time")
 
@@ -578,15 +579,43 @@ class TestParameterContract:
         with pytest.raises(ValueError, match=rf"^{re.escape(ineq)}: need 0 <= a < b"):
             self.call(route, ineq, a=1.0, b=0.5, **self.GOOD)
 
-    @pytest.mark.parametrize("route", ("evaluate_single", "public"))
+    def error_row(self, ineq):
+        # mono:0.5 has no second derivative at alpha = 0.5, so every row that reads f'' raises
+        g = self.GOOD
+        cfg = _cfg(alphas=(0.5,), functions=(parse_function_spec("mono:0.5"),), inequalities=INEQUALITY_IDS,
+                   x_fractions=(g["x"],), s_values=(g["s"],), pq_pairs=((g["p"], g["q"]),))
+        (rep,) = [r for r in run_sweep(cfg) if r.ineq == ineq]
+        assert rep.notes.startswith("error:") == (ineq not in ("ghh", "shh", "holder", "ostrowski"))
+        return rep
+
+    @pytest.mark.parametrize("route", ("evaluate_single", "public", "error row"))
     @pytest.mark.parametrize("ineq", INEQUALITY_IDS)
     def test_unread_parameters_are_none(self, ineq, route):
-        rep = self.call(route, ineq, **self.GOOD)
+        rep = self.error_row(ineq) if route == "error row" else self.call(route, ineq, **self.GOOD)
         if not isinstance(rep, IneqReport):  # identity_residual returns the residual alone
             assert ineq == "identity" and math.isfinite(rep)
             return
         reads = _reads(ineq)
         assert (rep.s, rep.p, rep.q, rep.x) == tuple(self.GOOD[n] if n in reads else None for n in "spqx")
+
+
+    @pytest.mark.parametrize("ineq", INEQUALITY_IDS)
+    def test_setting_fn_leaves_earlier_rows_alone(self, ineq):
+        ctx = AlphaContext(1.0)
+        f = parse_function_spec("poly:0,0,0,1").realize(ctx)
+        fl = MomentFunctional(ctx)
+        point = (0.0, 1.0, 0.25, 0.5, 2.0, 2.0)
+        first = evaluate_single(ineq, f, fl, *point, fn="A")
+        # the same point again, with every value cached on f warm
+        second = evaluate_single(ineq, f, fl, *point, fn="B")
+        assert (first.fn, second.fn) == ("A", "B")
+        assert first is not second
+        public = PUBLIC[ineq](f, fl, *point)
+        if ineq == "identity":  # identity_residual returns the residual alone
+            assert first.lhs == second.lhs == public
+            return
+        assert public.fn == ""
+        assert (first, second) == (replace(public, fn="A"), replace(public, fn="B"))
 
 
 class TestFalsify:
@@ -987,6 +1016,23 @@ class TestCli:
             path.write_text(json.dumps(doc))
             assert main(["sweep", "--config", str(path)]) == 2
             assert field in capsys.readouterr().err
+        # a listed id that would get no row: each once wrote what rows the other ids got and exited 0
+        for doc, error in (
+            ({**base, "alphas": []}, "ghh would get no row: alphas is empty"),
+            ({**base, "functions": []}, "ghh would get no row: functions is empty"),
+            ({**base, "intervals": []}, "ghh would get no row: intervals is empty"),
+            ({**base, "inequalities": []}, "inequalities is empty: the sweep would verify nothing"),
+            ({**base, "inequalities": ["thm1", "ghh"], "s_values": []},
+             "thm1 would get no row: s_values is empty"),
+            ({**base, "inequalities": ["ghh", "theta-thm2"], "pq_pairs": []},
+             "theta-thm2 would get no row: pq_pairs is empty"),
+            ({**base, "inequalities": ["ghh", "identity"], "x_fractions": []},
+             "identity would get no row: x_fractions is empty"),
+        ):
+            path.write_text(json.dumps(doc))
+            assert main(["sweep", "--config", str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: {error}\n"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sweep_with_only_error_rows_is_exit_two(self, tmp_path, capsys):
@@ -1026,12 +1072,29 @@ class TestCli:
         assert "no counterexample" not in captured.out
 
     def test_falsify_finds_no_witness_in_a_nan_theta(self, capsys):
-        # theta of this family's f'' is NaN (inf - inf at 0), once read as 0 and reported as a witness
-        with pytest.warns(RuntimeWarning, match="invalid value"):
-            code = main(["falsify", "--ineq", "theta-thm1", "--family", "series:(1.5,1);(1.6,-1)",
-                         "--trials", "5", "--seed", "1", "--alpha", "1"])
+        # theta of this family's f'' is NaN (inf - inf at 0), once read as 0 and reported as a witness;
+        # numpy once warned of the inf - inf, which the RuntimeWarning filter now turns into an error
+        code = main(["falsify", "--ineq", "theta-thm1", "--family", "series:(1.5,1);(1.6,-1)",
+                     "--trials", "5", "--seed", "1", "--alpha", "1"])
         assert code == 0
         assert "no counterexample" in capsys.readouterr().out
+
+    def test_eval_of_a_nan_theta_does_not_warn(self, capsys):
+        code = main(["eval", "--ineq", "theta-thm1", "--alpha", "1", "--s", "0.5", "--a", "0", "--b", "1",
+                     "--x", "0.5", "--fn", "series:(1.5,1);(1.6,-1)"])
+        assert code == 1
+        header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert row[header.index("slack")] == "nan" and row[header.index("notes")] == ""
+
+    def test_sweep_of_a_nan_theta_does_not_warn(self, tmp_path, capsys):
+        # once each row that read theta warned; with warnings as errors, each became an error row
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"alphas": [1.0], "functions": ["series:(1.5,1);(1.6,-1)"],
+                                    "inequalities": ["theta-thm1", "midpoint-theta-thm2"]}))
+        assert main(["sweep", "--config", str(path)]) == 1
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [(r["ineq"], r["slack"], r["notes"]) for r in rows] == [
+            ("midpoint-theta-thm2", "nan", ""), ("theta-thm1", "nan", "")]
 
     def test_falsify_exit_codes(self, capsys):
         found = main(["falsify", "--ineq", "identity-residual-zero", "--family", "mono:1",
