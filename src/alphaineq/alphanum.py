@@ -10,8 +10,10 @@ numeric embedding :func:`alpha_pow_signed`.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 __all__ = [
     "AlphaContext",
@@ -37,22 +39,58 @@ class MittagLefflerError(ArithmeticError):
     """The Mittag-Leffler series failed to reach the truncation tolerance."""
 
 
+def memoized(tag: str) -> Callable[[Callable], Callable]:
+    """Cache ``fn(obj, *args)`` in ``obj._memo`` under ``(tag, *args)``.
+
+    Arguments are positional only, so one value never sits under two keys;
+    ``None`` counts as a miss, and a call that raises stores nothing.
+    """
+
+    head = (tag,)
+
+    def decorate(fn: Callable) -> Callable:
+        @functools.wraps(fn)
+        def cached(obj, *args):
+            key = head + args
+            value = obj._memo.get(key)
+            if value is None:
+                value = obj._memo[key] = fn(obj, *args)
+            return value
+
+        return cached
+
+    return decorate
+
+
 @dataclass(frozen=True)
 class AlphaContext:
     """Ambient parameters: the order ``alpha`` and the slack tolerance.
 
     ``slack_tol`` is the signed tolerance used when deciding whether an
     inequality holds (slack >= -slack_tol).
+
+    Values that depend on alpha alone are cached in ``_memo`` for the
+    lifetime of the context: the Gamma factors of :meth:`gamma_grade` and
+    one grade plan per grade tuple (:func:`alphaineq.series._grade_plan`).
+    Nothing keyed by an inequality's parameters is stored here, so the cache
+    stays as small as the set of grades in use; it takes no part in
+    equality, hashing or repr.
     """
 
     alpha: float
     slack_tol: float = 1e-9
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not (0.0 < self.slack_tol < math.inf):  # NaN fails too
             raise ValueError(f"slack_tol must be positive and finite, got {self.slack_tol}")
+
+    @memoized("G")
+    def gamma_grade(self, k: int) -> float:
+        """``G(1 + k*alpha)``, cached per ``k``; callers ask for the fixed grades 1, 2 and 3 only."""
+        return gamma(1.0 + k * self.alpha)
 
 
 @dataclass(frozen=True, order=True)

@@ -565,6 +565,11 @@ def _json_value(value):
     return value
 
 
+def _json_float(v: float) -> str:
+    """A float cell as ``json.dumps`` writes it after :func:`_json_value`."""
+    return float.__repr__(v) if math.isfinite(v) else json.dumps(_fmt(v))
+
+
 def _check_format(format: str) -> None:
     if format not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
@@ -583,18 +588,51 @@ class _Cells(dict):
         return text
 
 
+class _PlainRows(dict):
+    """Whether a row's cells have exactly the types the program builds, decided once per type tuple."""
+
+    def __missing__(self, types: tuple) -> bool:
+        ok = self[types] = (
+            types[:2] == _ROW_HEAD and types[8:] == _ROW_TAIL and _PARAM_TYPES.issuperset(types[2:8])
+        )
+        return ok
+
+
 def render_report(rows: Sequence[IneqReport], format: str) -> str:
     """The report text in ``format``, ``csv`` or ``json``.
 
-    A CSV row of the cell types the program builds is one f-string of cells
-    rendered once per distinct value in this call (floats by ``format(v, ".17g")``,
-    texts by ``csv`` quoting); any other row, such as one holding an int or a
-    numpy scalar, goes cell by cell through :func:`_csv_cell` and the writer.
+    A row of the cell types the program builds is one formatted string of
+    cells rendered once per distinct value in this call: a CSV float by
+    ``format(v, ".17g")`` (``rhs`` and ``slack``, distinct on almost every
+    row, inline), a CSV text by ``csv`` quoting, a JSON float by
+    ``float.__repr__`` and a JSON text by ``json.dumps``.  Any other row, such
+    as one holding an int or a numpy scalar, goes cell by cell through
+    :func:`_csv_cell` and the writer, or as one record through ``json.dumps``.
+    Either way the text is that of the ``csv`` writer, or of
+    ``json.dumps(records, indent=2, allow_nan=False)`` with a newline.
     """
     _check_format(format)
+    values = attrgetter(*CSV_COLUMNS)
+    plain = _PlainRows()
     if format == "json":
-        records = [{c: _json_value(getattr(r, c)) for c in CSV_COLUMNS} for r in rows]
-        return json.dumps(records, indent=2, allow_nan=False) + "\n"
+        num, txt = _Cells(_json_float), _Cells(json.dumps)
+        num[None] = "null"
+        out = []
+        for r in rows:
+            v = values(r)
+            if not plain[tuple(map(type, v))]:
+                cells = {c: _json_value(x) for c, x in zip(CSV_COLUMNS, v)}
+                out.append(json.dumps([cells], indent=2, allow_nan=False)[2:-2])
+                continue
+            ineq, alpha, s, p, q, a, b, x, fn, lhs, rhs, slack, holds, notes = v
+            out.append(
+                f'  {{\n    "ineq": {txt[ineq]},\n    "alpha": {num[alpha]},\n    "s": {num[s]},\n'
+                f'    "p": {num[p]},\n    "q": {num[q]},\n    "a": {num[a]},\n    "b": {num[b]},\n'
+                f'    "x": {num[x]},\n    "fn": {txt[fn]},\n    "lhs": {num[lhs]},\n    "rhs": {num[rhs]},\n'
+                f'    "slack": {num[slack]},\n    "holds": {"true" if holds else "false"},\n'
+                f'    "notes": {txt[notes]}\n  }}'
+            )
+        return "[\n" + ",\n".join(out) + "\n]\n" if out else "[]\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -605,23 +643,17 @@ def render_report(rows: Sequence[IneqReport], format: str) -> str:
         csv.writer(line, lineterminator="\n").writerow(("", text))
         return line.getvalue()[1:-1]
 
-    num, txt, plain = _Cells(_fmt), _Cells(quote), {}
-    num[None] = ""  # an empty parameter cell; _fmt takes floats only
-    values = attrgetter(*CSV_COLUMNS)
+    num, txt = _Cells("{:.17g}".format), _Cells(quote)
+    num[None] = ""  # an empty parameter cell
     for r in rows:
         v = values(r)
-        types = tuple(map(type, v))
-        ok = plain.get(types)
-        if ok is None:
-            ok = types[:2] == _ROW_HEAD and types[8:] == _ROW_TAIL and _PARAM_TYPES.issuperset(types[2:8])
-            plain[types] = ok
-        if not ok:
+        if not plain[tuple(map(type, v))]:
             writer.writerow([_csv_cell(c) for c in v])
             continue
         ineq, alpha, s, p, q, a, b, x, fn, lhs, rhs, slack, holds, notes = v
         buf.write(
             f"{txt[ineq]},{num[alpha]},{num[s]},{num[p]},{num[q]},{num[a]},{num[b]},{num[x]},"
-            f"{txt[fn]},{num[lhs]},{num[rhs]},{num[slack]},{'true' if holds else 'false'},{txt[notes]}\n"
+            f"{txt[fn]},{num[lhs]},{rhs:.17g},{slack:.17g},{'true' if holds else 'false'},{txt[notes]}\n"
         )
     return buf.getvalue()
 

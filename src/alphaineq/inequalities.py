@@ -38,10 +38,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .alphanum import AlphaContext, alpha_pow_signed, gamma
+from .alphanum import AlphaContext, alpha_pow_signed, gamma, memoized
 from .convexity import check_s_convex_second
 from .quadrature import MomentFunctional, _sample, composed_moment
-from .series import AlphaSeries, lf_derivative, lf_derivative_n, lf_integral, memoized
+from .series import AlphaSeries, lf_derivative, lf_derivative_n, lf_integral
 
 __all__ = [
     "COROLLARY_VARIANTS",
@@ -214,10 +214,12 @@ def _sup_abs(f: AlphaSeries, a: float, b: float, grid: int) -> float:
     for _ in range(4):
         xs = _grid(lo, hi, grid)
         vals = np.abs(f.evaluate(xs))
-        i = int(np.argmax(vals))  # the first NaN, if there is one
-        if np.isnan(vals[i]):
+        i = int(vals.argmax())  # the first NaN, if there is one
+        v = vals.item(i)
+        if v != v:  # NaN
             return math.nan
-        best = max(best, float(vals[i]))
+        if v > best:
+            best = v
         lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, grid - 1)]
         grid = 33
     return best
@@ -247,7 +249,7 @@ def eval_ghh(f: AlphaSeries, a: float, b: float) -> IneqReport:
     ctx = f.ctx
     al = ctx.alpha
     left = f.evaluate((a + b) / 2.0)
-    mid = gamma(1.0 + al) * lf_integral(f, a, b) / (b - a) ** al
+    mid = ctx.gamma_grade(1) * lf_integral(f, a, b) / (b - a) ** al
     right = (f.evaluate(a) + f.evaluate(b)) / 2.0**al
     return _binding_report("ghh", ctx, left, mid, right, a=a, b=b)
 
@@ -257,7 +259,7 @@ def eval_shh(f: AlphaSeries, s: float, a: float, b: float) -> IneqReport:
     _params("shh", a, b, s=s)
     ctx = f.ctx
     al = ctx.alpha
-    left = 2.0 ** ((s - 1.0) * al) / gamma(1.0 + al) * f.evaluate((a + b) / 2.0)
+    left = 2.0 ** ((s - 1.0) * al) / ctx.gamma_grade(1) * f.evaluate((a + b) / 2.0)
     mid = lf_integral(f, a, b) / (b - a) ** al
     right = gamma(1.0 + s * al) / gamma(1.0 + (s + 1.0) * al) * (f.evaluate(a) + f.evaluate(b))
     return _binding_report("shh", ctx, left, mid, right, s=s, a=a, b=b)
@@ -312,11 +314,12 @@ def eval_ostrowski_classic(f: AlphaSeries, x: float, a: float, b: float) -> Ineq
     _params("ostrowski", a, b, x=x)
     ctx = f.ctx
     al = ctx.alpha
-    mean = gamma(1.0 + al) * lf_integral(f, a, b) / (b - a) ** al
+    g1 = ctx.gamma_grade(1)
+    mean = g1 * lf_integral(f, a, b) / (b - a) ** al
     lhs = abs(f.evaluate(x) - mean)
     theta1 = sup_abs(lf_derivative(f), a, b)
     bracket = 1.0 / 4.0**al + (alpha_pow_signed(x - (a + b) / 2.0, ctx) / (b - a) ** al) ** 2
-    rhs = 2.0**al * gamma(1.0 + al) / gamma(1.0 + 2.0 * al) * bracket * (b - a) ** al * theta1
+    rhs = 2.0**al * g1 / ctx.gamma_grade(2) * bracket * (b - a) ** al * theta1
     return _report("ostrowski", ctx, lhs, rhs, a=a, b=b, x=x)
 
 
@@ -331,8 +334,8 @@ def _ostrowski_signed(f: AlphaSeries, x: float, a: float, b: float) -> float:
     al = ctx.alpha
     return (
         lf_integral(f, a, b) / (b - a) ** al
-        - f.evaluate(x) / gamma(1.0 + al)
-        + alpha_pow_signed(2.0 * x - a - b, ctx) * lf_derivative(f).evaluate(x) / gamma(1.0 + 2.0 * al)
+        - f.evaluate(x) / ctx.gamma_grade(1)
+        + alpha_pow_signed(2.0 * x - a - b, ctx) * lf_derivative(f).evaluate(x) / ctx.gamma_grade(2)
     )
 
 
@@ -363,7 +366,7 @@ def identity_residual(
         rhs += alpha_pow_signed(x - a, ctx) ** 3 * composed_moment(f2, 2.0, x, a, functional)
     if x < b:
         rhs += alpha_pow_signed(b - x, ctx) ** 3 * composed_moment(f2, 2.0, x, b, functional)
-    rhs /= gamma(1.0 + 2.0 * al) * (b - a) ** al
+    rhs /= ctx.gamma_grade(2) * (b - a) ** al
     return abs(lhs - rhs)
 
 
@@ -416,7 +419,7 @@ def _theorem(f: AlphaSeries, thm: str, s: float, p: Optional[float], q: Optional
     """
     al = f.ctx.alpha
     f2 = lf_derivative_n(f, 2)
-    g2 = gamma(1.0 + 2.0 * al)
+    g2 = f.ctx.gamma_grade(2)
     sa = 2.0 ** (s * al)
     if thm == "thm2":
         front = (gamma(1.0 + 2.0 * p * al) / gamma(1.0 + (2.0 * p + 1.0) * al)) ** (1.0 / p) * (
@@ -429,7 +432,7 @@ def _theorem(f: AlphaSeries, thm: str, s: float, p: Optional[float], q: Optional
     M, N = c.M, c.N
     if thm == "thm1":
         return f2, g2, 1.0, lambda dx, de: M * dx + N * de, 1.0, M + N, 8.0**al, 2.0 * M / sa + N
-    front = (g2 / gamma(1.0 + 3.0 * al)) ** (1.0 - 1.0 / q)
+    front = (g2 / f.ctx.gamma_grade(3)) ** (1.0 - 1.0 / q)
     side = lambda dx, de: (M * dx**q + N * de**q) ** (1.0 / q)
     div, mid = 2.0 ** ((3.0 + s / q) * al), (M + sa * N) ** (1.0 / q) + M ** (1.0 / q)
     return f2, g2, front, side, 1.0, (M + N) ** (1.0 / q), div, mid
@@ -502,10 +505,10 @@ def eval_thm3(
 @memoized("mid")
 def _midpoint_lhs(f: AlphaSeries, a: float, b: float) -> float:
     """The left side of the midpoint corollaries, cached on ``f`` per ``(a, b)``."""
-    al = f.ctx.alpha
+    ctx = f.ctx
     return abs(
-        lf_integral(f, a, b) / (b - a) ** al
-        - f.evaluate((a + b) / 2.0) / gamma(1.0 + al)
+        lf_integral(f, a, b) / (b - a) ** ctx.alpha
+        - f.evaluate((a + b) / 2.0) / ctx.gamma_grade(1)
     )
 
 

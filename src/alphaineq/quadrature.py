@@ -42,8 +42,8 @@ from typing import Callable
 
 import numpy as np
 
-from .alphanum import AlphaContext
-from .series import AlphaSeries, memoized
+from .alphanum import AlphaContext, memoized
+from .series import AlphaSeries
 
 __all__ = [
     "MomentFunctional",
@@ -71,18 +71,18 @@ class MomentFunctional:
 
     ``max_grade`` is the largest integer grade in the projection basis and
     ``nodes`` the number of Gauss-Jacobi points (defaults to four per basis
-    function).  Construction precomputes the nodes, the square roots of the
-    Gauss-Jacobi weights (both from the numpy Golub-Welsch rule with a
-    Newton polish, :func:`_gauss_jacobi`) and the design matrix.  The
-    quadrature rule of each weight grade is computed on first use and cached
-    in ``_memo`` for the lifetime of the instance; the cache takes no part
-    in equality, hashing or repr.
+    function).  Construction only checks these; the nodes, the square roots
+    of the Gauss-Jacobi weights (both from the numpy Golub-Welsch rule with
+    a Newton polish, :func:`_gauss_jacobi`) and the design matrix are built
+    on first use, so a caller that never integrates numerically never builds
+    them.  They, and the quadrature rule of each weight grade, are cached in
+    ``_memo`` for the lifetime of the instance; the cache takes no part in
+    equality, hashing or repr.
     """
 
     ctx: AlphaContext
     max_grade: int = 10
     nodes: int = 0
-    _grid: tuple = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
@@ -100,12 +100,16 @@ class MomentFunctional:
                 f"nodes must be at least 2*max_grade, got {self.nodes} for "
                 f"max_grade {self.max_grade}"
             )
+
+    @memoized("rule")
+    def _rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nodes on ``[0, 1]``, the square roots of their weights and the design matrix."""
         a = self.ctx.alpha
         x, w = _gauss_jacobi(self.nodes, a)
         t = (x + 1.0) / 2.0
         w = w / (2.0**a * math.gamma(a))
         design = np.stack([t ** (k * a) for k in range(self.max_grade + 1)], axis=1)
-        object.__setattr__(self, "_grid", (t, np.sqrt(w), design))
+        return t, np.sqrt(w), design
 
     def moment(self, k: float) -> float:
         """Exact moment ``J[t**(k*alpha)]`` for a real grade ``k >= 0``."""
@@ -116,7 +120,7 @@ class MomentFunctional:
 
     @property
     def grid(self) -> np.ndarray:
-        return self._grid[0]
+        return self._rule()[0]
 
     @memoized("weights")
     def weights(self, weight_grade: float) -> np.ndarray:
@@ -128,7 +132,7 @@ class MomentFunctional:
         least-squares projection, solved once for the moments instead of
         once per sample vector.
         """
-        _, sqrt_w, design = self._grid
+        _, sqrt_w, design = self._rule()
         mus = np.array([self.moment(k + weight_grade) for k in range(self.max_grade + 1)])
         z, *_ = np.linalg.lstsq((design * sqrt_w[:, None]).T, mus, rcond=CUTOFF_REL)
         q = sqrt_w * z
@@ -166,7 +170,7 @@ class MomentFunctional:
         The reference for :meth:`weights`: ``coeffs @ [moment(k + w)]`` is
         the integral that ``integrate(values, w)`` computes.
         """
-        _, sqrt_w, design = self._grid
+        _, sqrt_w, design = self._rule()
         y = self._samples(values)
         _check_finite(y)
         coeffs, *_ = np.linalg.lstsq(design * sqrt_w[:, None], y * sqrt_w, rcond=CUTOFF_REL)

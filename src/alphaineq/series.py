@@ -16,14 +16,13 @@ in particular) remain true under them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .alphanum import AlphaContext, alpha_pow_signed, gamma
+from .alphanum import AlphaContext, alpha_pow_signed, gamma, memoized
 
 __all__ = [
     "AlphaSeries",
@@ -52,6 +51,13 @@ class GammaPoleError(ArithmeticError):
 
 
 def _normalize(terms: Iterable[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
+    """Terms sorted by grade, equal grades merged and zero coefficients dropped.
+
+    A tuple already in that form, such as a derivative's terms, is returned
+    as it is.
+    """
+    if type(terms) is tuple and _in_normal_form(terms):
+        return terms
     merged: list[list[float]] = []
     for k, c in sorted(terms):
         if not (math.isfinite(k) and math.isfinite(c)):
@@ -65,27 +71,101 @@ def _normalize(terms: Iterable[tuple[float, float]]) -> tuple[tuple[float, float
     return tuple((k, c) for k, c in merged if c != 0.0)
 
 
-def memoized(tag: str) -> Callable[[Callable], Callable]:
-    """Cache ``fn(obj, *args)`` in ``obj._memo`` under ``(tag, *args)``.
+def _in_normal_form(terms: tuple) -> bool:
+    """Whether the slow path of :func:`_normalize` would return ``terms`` unchanged.
 
-    Arguments are positional only, so one value never sits under two keys;
-    ``None`` counts as a miss, and a call that raises stores nothing.
+    True when every term is a pair tuple with a finite nonzero coefficient
+    and the grades rise from above the floor by more than the merge
+    tolerance each; a NaN or infinite grade fails the rise test.
+    """
+    prev = _GRADE_FLOOR
+    for term in terms:
+        k, c = term
+        if not (
+            type(term) is tuple
+            and k - prev > (_GRADE_MERGE_TOL * k if k > 1.0 else _GRADE_MERGE_TOL)
+            and c != 0.0
+            and c - c == 0.0
+        ):
+            return False
+        prev = k
+    return True
+
+
+class _GradePlan:
+    """What a series reads that depends only on its grades and alpha.
+
+    ``exps`` are the exponents ``k*alpha`` (and ``exp_array`` the same as an
+    array); ``squares`` and ``roots`` index the exponents 2.0 and 0.5, which
+    numpy computes by square and sqrt, not pow, so the scalar path must do
+    the same.  The derivative's Gamma pairs ``(G(1+k a), G(1+(k-1) a))`` per
+    differentiated term, or the message of the pole it hits, and the
+    integral's ratios ``G(1+k a)/G(1+(k+1) a)`` are computed on first use.
     """
 
-    head = (tag,)
+    __slots__ = ("grades", "alpha", "exps", "exp_array", "squares", "roots", "_pairs", "_ratios")
 
-    def decorate(fn: Callable) -> Callable:
-        @functools.wraps(fn)
-        def cached(obj, *args):
-            key = head + args
-            value = obj._memo.get(key)
-            if value is None:
-                value = obj._memo[key] = fn(obj, *args)
-            return value
+    def __init__(self, grades: tuple, alpha: float) -> None:
+        self.grades, self.alpha = grades, alpha
+        self.exps = [k * alpha for k in grades]
+        self.exp_array = np.array(self.exps, dtype=float)
+        self.squares = [i for i, e in enumerate(self.exps) if e == 2.0]
+        self.roots = [i for i, e in enumerate(self.exps) if e == 0.5]
+        self._pairs: Optional[tuple | str] = None
+        self._ratios: Optional[list] = None
 
-        return cached
+    def derivative_pairs(self) -> tuple[int, list]:
+        """``(skip, pairs)``: the number of leading constant terms and the Gamma pairs of the rest.
 
-    return decorate
+        Raises :class:`GammaPoleError` on every call when a grade cannot be
+        differentiated.
+        """
+        pairs = self._pairs
+        if pairs is None:
+            pairs = self._pairs = self._derivative_pairs()
+        if type(pairs) is str:
+            raise GammaPoleError(pairs)
+        return pairs
+
+    def _derivative_pairs(self) -> tuple | str:
+        a = self.alpha
+        out = []
+        # normalized grades are sorted, so a constant term comes before every
+        # grade that can be differentiated
+        skip = 0
+        for k in self.grades:
+            if k == 0.0:
+                skip += 1
+                continue
+            if k < 0.0:
+                return f"cannot differentiate grade {k}: the result would leave the integrable range"
+            lower = 1.0 + (k - 1.0) * a
+            if lower <= 0.0:
+                return f"derivative of grade {k} hits a Gamma pole (argument {lower})"
+            out.append((gamma(1.0 + k * a), gamma(lower)))
+        return skip, out
+
+    def integral_ratios(self) -> list:
+        ratios = self._ratios
+        if ratios is None:
+            a = self.alpha
+            ratios = self._ratios = [gamma(1.0 + k * a) / gamma(1.0 + (k + 1.0) * a) for k in self.grades]
+        return ratios
+
+
+@memoized("plan")
+def _grade_plan(ctx: AlphaContext, grades: tuple) -> _GradePlan:
+    """The plan of ``grades`` at ``ctx``'s alpha, shared through ``ctx._memo`` by every series with those grades."""
+    return _GradePlan(grades, ctx.alpha)
+
+
+def _plan_of(f: "AlphaSeries") -> _GradePlan:
+    """``f``'s grade plan, looked up once per series and then held by it."""
+    plan = f._plan
+    if plan is None:
+        plan = _grade_plan(f.ctx, tuple([k for k, _ in f.terms]))
+        object.__setattr__(f, "_plan", plan)
+    return plan
 
 
 @dataclass(frozen=True)
@@ -101,13 +181,16 @@ class AlphaSeries:
     Values derived from the series alone (its derivative, integrals, sup
     norms, values at single points, hypothesis verdicts) are cached in
     ``_memo`` for the lifetime of the instance, and so are the evaluators'
-    per-point left sides and their constants that depend on alpha alone;
-    the cache takes no part in equality, hashing or repr.
+    per-point left sides and their per-s constants; the cache takes no part
+    in equality, hashing or repr.  Neither does ``_plan``, a reference to
+    the grade plan (:class:`_GradePlan`) that this series shares, through
+    its context, with every series of the same grades.
     """
 
     terms: tuple[tuple[float, float], ...]
     ctx: AlphaContext
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
+    _plan: Optional[_GradePlan] = field(default=None, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", _normalize(self.terms))
@@ -157,33 +240,23 @@ class AlphaSeries:
         return float(out) if xs.ndim == 0 else out
 
     def _sum_terms(self, xs: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(xs)
-        a = self.ctx.alpha
-        for k, c in self.terms:
-            term = xs ** (k * a)
+        out = np.zeros(xs.shape)
+        for e, (_, c) in zip(_plan_of(self).exps, self.terms):
+            term = xs ** e
             term *= c
             out += term
         return out
 
-    @memoized("scalar")
-    def _scalar_plan(self) -> tuple:
-        exps = [k * self.ctx.alpha for k, _ in self.terms]
-        # numpy computes ``array ** 2.0`` and ``array ** 0.5`` with square and
-        # sqrt, not pow; the scalar path must do the same
-        squares = [i for i, e in enumerate(exps) if e == 2.0]
-        roots = [i for i, e in enumerate(exps) if e == 0.5]
-        return np.array(exps), squares, roots
-
     def _evaluate_scalar(self, x: float) -> float:
-        exps, squares, roots = self._scalar_plan()
+        plan = _plan_of(self)
         if x == 0.0 and self.terms and self.terms[0][0] < 0.0:
             with np.errstate(divide="ignore"):
-                powers = np.power(x, exps).tolist()
+                powers = np.power(x, plan.exp_array).tolist()
         else:
-            powers = np.power(x, exps).tolist()
-        for i in squares:
+            powers = np.power(x, plan.exp_array).tolist()
+        for i in plan.squares:
             powers[i] = x * x
-        for i in roots:
+        for i in plan.roots:
             powers[i] = math.sqrt(x)
         # same summation order as the array path, starting from +0.0
         out = 0.0
@@ -228,25 +301,13 @@ def lf_derivative(f: AlphaSeries) -> AlphaSeries:
     The grade-0 case is excluded from the monomial rule (the difference
     quotient of a constant vanishes identically, and at alpha=1 the rule
     would hit the Gamma pole at 0), so constants simply map to the zero
-    series.  The result is cached on ``f``; a pole is raised on every call.
+    series.  The Gamma pairs come from the grade plan, so series that share
+    their grades share them; the result is cached on ``f``, and a pole is
+    raised on every call.
     """
-    a = f.ctx.alpha
-    out: list[tuple[float, float]] = []
-    for k, c in f.terms:
-        if k == 0.0:
-            continue
-        if k < 0.0:
-            raise GammaPoleError(
-                f"cannot differentiate grade {k}: the result would leave the "
-                "integrable range"
-            )
-        lower = 1.0 + (k - 1.0) * a
-        if lower <= 0.0:
-            raise GammaPoleError(
-                f"derivative of grade {k} hits a Gamma pole (argument {lower})"
-            )
-        out.append((k - 1.0, c * gamma(1.0 + k * a) / gamma(lower)))
-    return AlphaSeries(tuple(out), f.ctx)
+    skip, pairs = _plan_of(f).derivative_pairs()
+    out = tuple([(k - 1.0, c * hi / lo) for (k, c), (hi, lo) in zip(f.terms[skip:], pairs)])
+    return AlphaSeries(out, f.ctx)
 
 
 def lf_derivative_n(f: AlphaSeries, n: int) -> AlphaSeries:
@@ -264,19 +325,18 @@ def lf_integral(f: AlphaSeries, a: float, b: float) -> float:
 
     Equals ``sum_k c_k [G(1+k a)/G(1+(k+1) a)] (b**((k+1)a) - a**((k+1)a))``
     with signed powers, is zero when ``a == b`` and antisymmetric in
-    ``(a, b)`` by construction.  The value is cached on ``f`` per ``(a, b)``.
+    ``(a, b)`` by construction.  The Gamma ratios come from the grade plan;
+    the value is cached on ``f`` per ``(a, b)``.
     """
     if a < 0.0 or b < 0.0:
         raise ValueError(f"integration endpoints must be nonnegative, got ({a}, {b})")
-    if a == b:
+    if a == b or not f.terms:
         return 0.0
-    al = f.ctx.alpha
+    ratios = _plan_of(f).integral_ratios()
+    pb, pa = alpha_pow_signed(b, f.ctx), alpha_pow_signed(a, f.ctx)
     total = 0.0
-    for k, c in f.terms:
-        ratio = gamma(1.0 + k * al) / gamma(1.0 + (k + 1.0) * al)
-        hi = alpha_pow_signed(b, f.ctx) ** (k + 1.0)
-        lo = alpha_pow_signed(a, f.ctx) ** (k + 1.0)
-        total += c * ratio * (hi - lo)
+    for (k, c), ratio in zip(f.terms, ratios):
+        total += c * ratio * (pb ** (k + 1.0) - pa ** (k + 1.0))
     return total
 
 

@@ -733,6 +733,27 @@ class TestFalsifySeriesReuse:
                 served.setdefault(id(series), set()).add((a, b, x))
         assert max(len(moves) for moves in served.values()) > 1
 
+    @pytest.mark.parametrize("ineq, family", [("thm1", "mono:3"), ("theta-thm1", "poly:1,0.5,0.25,0.1")])
+    def test_grade_plans_do_not_grow_with_trials(self, monkeypatch, ineq, family):
+        # no witness here, so every trial is a fresh series on the family's grades
+        cfg = _cfg(alphas=(1.0,), inequalities=(ineq,))
+        contexts = []
+        real = SweepConfig.context
+
+        def recorded(self, alpha):
+            contexts.append(real(self, alpha))
+            return contexts[-1]
+
+        monkeypatch.setattr(SweepConfig, "context", recorded)
+
+        def plans(trials):
+            contexts.clear()
+            assert falsify(ineq, parse_function_spec(family), cfg, trials=trials, seed=5) is None
+            return sum(1 for ctx in contexts for key in ctx._memo if key[0] == "plan")
+
+        few = plans(10)
+        assert 0 < plans(1000) <= few
+
 
 def _scalar_draw_trials(family, alphas, trials, seed, adversarial):
     """The random trials as separate ``choice`` and ``uniform`` calls: the reference stream."""
@@ -771,21 +792,29 @@ def test_random_trials_draw_the_scalar_stream(monkeypatch, alphas, adversarial):
 
 _SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 1e17])
 _FLOATS = st.one_of(_SPECIAL_FLOATS, st.floats())
-_TEXTS = st.text(alphabet=',"\n\r ab1.:-', max_size=6)
+# quotes, backslashes, control and non-ASCII characters
+_TEXTS = st.text(alphabet=',"\\\n\r\t\x00\x1f ab1.:-\u00e9\u20ac\U0001f600', max_size=6)
 # the cell types of every row the program builds: one-line rendering
 _PLAIN_ROWS = st.builds(
     IneqReport, _TEXTS, _FLOATS, _FLOATS, _FLOATS, _FLOATS, st.booleans(),
     *[st.one_of(st.none(), _FLOATS)] * 6, _TEXTS, _TEXTS,
 )
-# any other cell type: per-cell rendering
-_ODD_CELLS = st.one_of(
-    st.none(), _FLOATS, st.sampled_from([10**17, 0, -3]), st.integers(),
-    _FLOATS.map(np.float64), st.booleans().map(np.bool_),
+
+
+def _odd_rows(cells):
+    return st.builds(
+        IneqReport, _TEXTS, cells, cells, cells, cells, st.one_of(st.booleans(), cells),
+        *[cells] * 6, st.one_of(_TEXTS, st.none()), _TEXTS,
+    )
+
+
+# any other cell type: per-cell rendering, or one json.dumps per record;
+# json.dumps cannot write a numpy bool
+_JSON_ODD_CELLS = st.one_of(
+    st.none(), _FLOATS, st.sampled_from([10**17, 0, -3]), st.integers(), _FLOATS.map(np.float64),
 )
-_ODD_ROWS = st.builds(
-    IneqReport, _TEXTS, _ODD_CELLS, _ODD_CELLS, _ODD_CELLS, _ODD_CELLS, st.one_of(st.booleans(), _ODD_CELLS),
-    *[_ODD_CELLS] * 6, st.one_of(_TEXTS, st.none()), _TEXTS,
-)
+_ODD_ROWS = _odd_rows(st.one_of(_JSON_ODD_CELLS, st.booleans().map(np.bool_)))
+_JSON_ODD_ROWS = _odd_rows(_JSON_ODD_CELLS)
 
 
 class TestEmission:
@@ -894,6 +923,35 @@ class TestEmission:
     ])
     def test_csv_matches_per_cell_rendering_on_generated_rows(self, rows):
         assert render_report(rows, "csv") == self.per_cell_csv(rows)
+
+    @staticmethod
+    def dumped_json(rows):
+        """``json.dumps`` of all records at once, kept as the JSON reference."""
+        records = [{c: harness._json_value(getattr(r, c)) for c in CSV_COLUMNS} for r in rows]
+        return json.dumps(records, indent=2, allow_nan=False) + "\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(_PLAIN_ROWS, _JSON_ODD_ROWS), max_size=8))
+    @example([])
+    @example([IneqReport("thm2", 0.5, 0.1, 0.2, 0.1, True, s=1, fn=None), IneqReport("ghh", 1.0, 1.0, 1.0, 0.0, 1)])
+    def test_json_matches_json_dumps(self, rows):
+        assert render_report(rows, "json") == self.dumped_json(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_PLAIN_ROWS, max_size=8))
+    @example([])
+    @example([
+        IneqReport("ghh", 1.0, 0.0, -0.0, -0.0, True, a=0.0, b=-0.0),
+        IneqReport("ghh", -0.0, 0.0, -0.0, 0.0, False, 0.0, -0.0),
+        IneqReport("thm1", 0.5, math.nan, math.inf, -math.inf, False, x=math.nan, fn='say "hi"', notes="a\\b"),
+        IneqReport("thm1", 1e17, 5e-324, -2.5e-310, 0.0, True, notes="\u00e9\u20ac\U0001f600\x00"),
+    ])
+    def test_json_of_built_rows_matches_json_dumps_and_reads_back(self, tmp_path_factory, rows):
+        text = render_report(rows, "json")
+        assert text == self.dumped_json(rows)
+        path = tmp_path_factory.getbasetemp() / "rows.json"
+        path.write_text(text)
+        assert render_report(load_report(path, "json"), "json") == text
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):

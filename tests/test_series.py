@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alphaineq.alphanum import AlphaContext
+from alphaineq import series
+from alphaineq.alphanum import AlphaContext, alpha_pow_signed
 from alphaineq.series import (
     AlphaSeries,
     GammaPoleError,
@@ -374,3 +375,159 @@ def test_array_pole_at_zero_is_silent_inf():
         values = f.evaluate(np.array([0.0, 1.0]))
     assert values[0] == math.inf
     assert _bits(values[1]) == _bits(_term_loop(f, np.array([1.0]))[0])
+
+
+# The grade plan: one per grade tuple on the context, read by the derivative,
+# the integral and both evaluate paths.  The references below are the
+# per-term formulas the plan replaced; a list of terms always takes the
+# sort-and-merge path of normalization.
+
+
+def _parent_derivative(f):
+    a = f.ctx.alpha
+    out = []
+    for k, c in f.terms:
+        if k == 0.0:
+            continue
+        lower = 1.0 + (k - 1.0) * a
+        if k < 0.0 or lower <= 0.0:
+            raise GammaPoleError(k)
+        out.append((k - 1.0, c * math.gamma(1.0 + k * a) / math.gamma(lower)))
+    return AlphaSeries(out, f.ctx)
+
+
+def _parent_integral(f, a, b):
+    al = f.ctx.alpha
+    total = 0.0
+    for k, c in f.terms:
+        ratio = math.gamma(1.0 + k * al) / math.gamma(1.0 + (k + 1.0) * al)
+        hi = alpha_pow_signed(b, f.ctx) ** (k + 1.0)
+        lo = alpha_pow_signed(a, f.ctx) ** (k + 1.0)
+        total += c * ratio * (hi - lo)
+    return total
+
+
+def _parent_scalar(f, x):
+    exps = [k * f.ctx.alpha for k, _ in f.terms]
+    powers = np.power(x, np.array(exps, dtype=float)).tolist()
+    for i, e in enumerate(exps):
+        if e == 2.0:
+            powers[i] = x * x
+        elif e == 0.5:
+            powers[i] = math.sqrt(x)
+    out = 0.0
+    for (_, c), v in zip(f.terms, powers):
+        out = out + c * v
+    return out
+
+
+def _term_bits(f):
+    return [(_bits(k), _bits(c)) for k, c in f.terms]
+
+
+def _outcome(fn, *args):
+    """``fn(*args)`` as comparable bits, or the class of the error it raised."""
+    try:
+        value = fn(*args)
+    except (GammaPoleError, ValueError) as exc:
+        return type(exc)
+    return _term_bits(value) if isinstance(value, AlphaSeries) else _bits(value)
+
+
+@st.composite
+def _series_sharing_grades(draw):
+    """Two series with the same grades on one context, an interval and a point."""
+    alpha = draw(st.sampled_from([0.25, 0.5, 1.0, 0.3, 0.8]))
+    # exponents 0.5 and 2 (numpy's sqrt and square), constants, and grades
+    # just outside the merge tolerance of 1
+    special = st.sampled_from([e / alpha for e in (0.5, 1.0, 2.0)] + [0.0, 1.0, 1.0 + 1.5e-12])
+    grades = draw(st.lists(st.one_of(special, st.floats(0.0, 8.0)), max_size=5))
+    coeffs = st.lists(st.floats(-8.0, 8.0), min_size=len(grades), max_size=len(grades))
+    ctx = AlphaContext(alpha)
+    pair = [AlphaSeries(tuple(zip(grades, draw(coeffs))), ctx) for _ in range(2)]
+    point = st.floats(0.0, 4.0)
+    return pair, (draw(point), draw(point)), draw(point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series_sharing_grades())
+@example(([AlphaSeries(((2.0, 1.5), (4.0, -0.5)), CTX_HALF)] * 2, (0.0, 2.0), 3.0))
+@example(([AlphaSeries(((0.5, 2.0), (2.0, 1.0)), CTX_ONE)] * 2, (0.5, 1.5), 0.25))
+@example(([AlphaSeries(((6.5e-264, 1.0),), CTX_ONE)] * 2, (0.0, 0.0), 0.0))  # k - 1 rounds to -1: a pole
+def test_plan_built_values_match_the_per_term_formulas(case):
+    pair, (a, b), x = case
+    for f in pair:
+        assert _outcome(lf_derivative, f) == _outcome(_parent_derivative, f)
+        twice = lambda g: _parent_derivative(_parent_derivative(g))
+        assert _outcome(lf_derivative_n, f, 2) == _outcome(twice, f)
+        assert _outcome(lf_integral, f, a, b) == _outcome(_parent_integral, f, a, b)
+        assert _bits(f.evaluate(x)) == _bits(_parent_scalar(f, x))
+        xs = np.array([x, a, b, 0.5])
+        assert [_bits(v) for v in f.evaluate(xs)] == [_bits(v) for v in _term_loop(f, xs)]
+
+
+class TestGradePlan:
+    def test_lists_unsorted_tuples_and_inner_lists_are_normalized(self):
+        want = ((1.0, 3.0), (2.0, 1.0))
+        for terms in ([(2.0, 1.0), (1.0, 3.0)], ((2.0, 1.0), (1.0, 3.0)), ([1.0, 3.0], [2.0, 1.0])):
+            f = AlphaSeries(terms, CTX_HALF)
+            assert f.terms == want and type(f.terms) is tuple
+            assert all(type(t) is tuple for t in f.terms)
+
+    def test_a_normal_tuple_is_kept_as_it_is(self):
+        terms = ((0.0, 1.0), (1.0, -2.0), (2.5, 0.5))
+        assert AlphaSeries(terms, CTX_HALF).terms is terms
+
+    def test_grades_within_the_merge_tolerance(self):
+        assert AlphaSeries(((1.0, 1.0), (1.0 + 0.5e-12, 2.0)), CTX_HALF).terms == ((1.0, 3.0),)
+        apart = AlphaSeries(((1.0, 1.0), (1.0 + 1.5e-12, 2.0)), CTX_HALF)
+        assert len(apart.terms) == 2
+        assert _term_bits(lf_derivative(apart)) == _term_bits(_parent_derivative(apart))
+
+    def test_a_coefficient_that_underflows_is_dropped(self):
+        # G(1.25) / G(0.25) is about 1/4, which takes 5e-324 to 0
+        f = AlphaSeries(((0.25, 5e-324), (2.0, 1.0)), CTX_ONE)
+        assert lf_derivative(f).terms == ((1.0, 2.0),)
+
+    def test_an_overflowing_coefficient_raises_on_every_call(self):
+        f = AlphaSeries(((3.0, 1e308),), CTX_ONE)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="non-finite"):
+                lf_derivative(f)
+        assert f._memo == {}
+
+    def test_a_grade_below_one_lands_in_minus_one_to_zero(self):
+        f = AlphaSeries(((0.5, 2.0), (1.5, 1.0)), CTX_HALF)
+        d = lf_derivative(f)
+        assert d.terms[0][0] == -0.5
+        assert _term_bits(d) == _term_bits(_parent_derivative(f))
+
+    def test_plans_belong_to_their_context(self):
+        # the same grades at different alphas need their own Gamma factors
+        for alpha in (0.5, 1.0, 0.3):
+            f = AlphaSeries(((1.5, 1.0), (3.0, 2.0)), AlphaContext(alpha))
+            assert _term_bits(lf_derivative(f)) == _term_bits(_parent_derivative(f))
+            assert _bits(lf_integral(f, 0.5, 2.0)) == _bits(_parent_integral(f, 0.5, 2.0))
+            assert _bits(f.evaluate(0.7)) == _bits(_parent_scalar(f, 0.7))
+
+    def test_series_with_the_same_grades_compute_no_gamma(self, monkeypatch):
+        ctx = AlphaContext(0.5)
+        first = AlphaSeries(((1.0, 1.0), (2.5, -2.0), (4.0, 0.5)), ctx)
+        lf_derivative(first)
+        lf_integral(first, 0.0, 1.0)
+        calls = []
+        real = series.gamma
+        monkeypatch.setattr(series, "gamma", lambda v: calls.append(v) or real(v))
+        second = AlphaSeries(((1.0, 3.0), (2.5, 0.25), (4.0, -1.0)), ctx)
+        d = lf_derivative(second)
+        value = lf_integral(second, 0.5, 2.0)
+        assert calls == []
+        assert _term_bits(d) == _term_bits(_parent_derivative(second))
+        assert _bits(value) == _bits(_parent_integral(second, 0.5, 2.0))
+
+    def test_context_memo_takes_no_part_in_equality(self):
+        warm, cold = AlphaContext(0.5), AlphaContext(0.5)
+        lf_derivative(AlphaSeries(((1.0, 1.0), (3.0, 2.0)), warm))
+        warm.gamma_grade(2)
+        assert warm._memo and not cold._memo
+        assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
