@@ -279,8 +279,8 @@ def _binding_report(ineq: str, ctx: AlphaContext, left: float, mid: float, right
 
 
 def eval_holder(
-    f: Callable,
-    g: Callable,
+    f: Callable | AlphaSeries,
+    g: Callable | AlphaSeries,
     p: float,
     q: float,
     a: float,
@@ -293,20 +293,45 @@ def eval_holder(
     affine map with the factor ``(b-a)**alpha``.  ``|f|`` and ``|g|`` are
     sampled once on the pulled-back grid (each must map an array to an
     array of the same shape) and the three integrands are built from those
-    samples, which the functional integrates directly.
+    samples, which the functional integrates directly.  ``f`` and ``g`` may
+    also be one series, passed as both, as the registry's ``holder`` row
+    does: its samples and ``J[|f|*|f|]`` do not depend on ``(p, q)``, so
+    they are read from :func:`_holder_samples`, cached on the series per
+    ``(functional, a, b)``, and each row computes only ``|f|**p``,
+    ``|f|**q`` and their integrals.  Either way every value is computed in
+    the same order, so both give the same row bit for bit.
     """
     _params("holder", a, b, p=p, q=q)
     ctx = functional.ctx
     al = ctx.alpha
     scale = (b - a) ** al
-    u = a + functional.grid * (b - a)
-    abs_f = np.abs(_sample(f, u))
-    abs_g = np.abs(_sample(g, u))
-    lhs = scale * functional.integrate(abs_f * abs_g)
+    if f is g and isinstance(f, AlphaSeries):
+        abs_f, prod = _holder_samples(f, functional, a, b)
+        abs_g = abs_f
+    else:
+        u = a + functional.grid * (b - a)
+        abs_f = np.abs(_sample(f, u))
+        abs_g = np.abs(_sample(g, u))
+        prod = functional.integrate(abs_f * abs_g)
+    lhs = scale * prod
     intf = scale * functional.integrate(abs_f**p)
     intg = scale * functional.integrate(abs_g**q)
     rhs = max(intf, 0.0) ** (1.0 / p) * max(intg, 0.0) ** (1.0 / q)
     return _report("holder", ctx, lhs, rhs, p=p, q=q, a=a, b=b)
+
+
+@memoized("holder")
+def _holder_samples(f: AlphaSeries, functional: MomentFunctional, a: float, b: float) -> tuple:
+    """``(|f|, J[|f|*|f|])`` on ``functional``'s grid pulled back to ``[a, b]``, cached on ``f``.
+
+    The samples are read-only, since every holder row of the key shares
+    them.  A non-finite sample makes the integral raise
+    :class:`QuadratureError`, so nothing is cached and every row raises.
+    """
+    abs_f = np.abs(f.evaluate(a + functional.grid * (b - a)))
+    prod = functional.integrate(abs_f * abs_f)
+    abs_f.flags.writeable = False
+    return abs_f, prod
 
 
 def eval_ostrowski_classic(f: AlphaSeries, x: float, a: float, b: float) -> IneqReport:
@@ -589,7 +614,7 @@ INEQUALITIES: dict[str, tuple[frozenset[str], bool, Evaluator]] = {
     "shh": (frozenset({"s"}), False, lambda f, fl, a, b, x, s, p, q: eval_shh(f, s, a, b)),
     "holder": (
         frozenset({"pq"}), True,
-        lambda f, fl, a, b, x, s, p, q: eval_holder(f.evaluate, f.evaluate, p, q, a, b, fl),
+        lambda f, fl, a, b, x, s, p, q: eval_holder(f, f, p, q, a, b, fl),
     ),
     "ostrowski": (
         frozenset({"x"}), False,

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from alphaineq import inequalities
 from alphaineq.alphanum import AlphaContext
-from alphaineq.harness import parse_function_spec
+from alphaineq.harness import SweepConfig, parse_function_spec, run_sweep
 from alphaineq.inequalities import (
     COROLLARY_VARIANTS,
     _grid,
@@ -25,7 +25,7 @@ from alphaineq.inequalities import (
     ostrowski_constants,
     sup_abs,
 )
-from alphaineq.quadrature import MomentFunctional, alpha_binomial_series, fractal_integral_numeric
+from alphaineq.quadrature import MomentFunctional, QuadratureError, alpha_binomial_series, fractal_integral_numeric
 from alphaineq.series import AlphaSeries, lf_derivative, lf_derivative_n, lf_integral, series_mul
 
 G = math.gamma
@@ -196,6 +196,116 @@ class TestHoelder:
         f = lambda t: np.asarray(t, dtype=float)
         with pytest.raises(ValueError):
             eval_holder(f, f, 2.0, 3.0, 0.0, 1.0, functional)
+
+
+def _report_bits(rep):
+    return tuple(float(v).hex() for v in (rep.lhs, rep.rhs, rep.slack))
+
+
+def _holder_row(f, functional, a, b, p, q):
+    """The registry's holder row of ``f`` at one point."""
+    return inequalities.INEQUALITIES["holder"][2](f, functional, a, b, None, None, p, q)
+
+
+class TestHolderSharing:
+    """The registry's holder row reads |f| and J[|f|*|f|] from one value cached per (functional, a, b)."""
+
+    def test_registry_rows_match_the_callable_path_bit_for_bit(self):
+        rng = np.random.default_rng(20261019)
+        specs = ("mono:2", "ml:7", "poly:1,0,0.5", "series:(0.5,1);(2,-1)")  # the last changes sign at 1
+        checked = 0
+        for alpha in (0.3, 0.5, 0.8, 1.0):
+            ctx = AlphaContext(alpha)
+            # two functionals, so a key without the functional would hand one the other's samples
+            functionals = (MomentFunctional(ctx), MomentFunctional(ctx, max_grade=8, nodes=40))
+            for spec in specs:
+                f = parse_function_spec(spec).realize(ctx)
+                a = 0.0 if spec.startswith("series") else float(rng.uniform(0.0, 1.0))
+                # intervals sharing a, so a key without b would mix them up
+                intervals = [(0.0, 1.0), (a, a + 0.75), (a, a + float(rng.uniform(1.0, 2.5)))]
+                for functional in functionals:
+                    for lo, hi in intervals:
+                        for p in (2.0, *rng.uniform(1.2, 4.0, size=2)):
+                            p = float(p)
+                            q = p / (p - 1.0)
+                            fresh = parse_function_spec(spec).realize(ctx)
+                            want = eval_holder(fresh.evaluate, fresh.evaluate, p, q, lo, hi, functional)
+                            got = _holder_row(f, functional, lo, hi, p, q)
+                            assert _report_bits(got) == _report_bits(want), (alpha, spec, functional.nodes, lo, hi, p)
+                            assert got == want
+                            checked += 1
+        assert checked == 4 * 4 * 2 * 3 * 3
+
+    @pytest.mark.parametrize("k", (1, 4))
+    def test_one_array_evaluation_per_series_and_interval(self, k, monkeypatch):
+        calls = []
+        evaluate = AlphaSeries.evaluate
+
+        def counted(self, x):
+            if not isinstance(x, float):
+                calls.append(self.terms)
+            return evaluate(self, x)
+
+        monkeypatch.setattr(AlphaSeries, "evaluate", counted)
+        pairs = [[p, p / (p - 1.0)] for p in (2.0, 3.0, 1.5, 4.0)[:k]]
+        cfg = SweepConfig.from_dict({
+            "alphas": [0.5, 1.0],
+            "functions": ["mono:2", "series:(0.5,1);(2,-1)"],
+            "inequalities": ["holder"],
+            "intervals": [[0.0, 1.0], [0.5, 2.0], [0.5, 1.25]],
+            "pq_pairs": pairs,
+        })
+        rows = run_sweep(cfg)
+        assert len(rows) == 2 * 2 * 3 * k
+        assert not any(r.notes for r in rows)
+        assert len(calls) == 2 * 2 * 3  # per (alpha, function, interval), whatever k is
+
+    def test_a_non_finite_sample_raises_on_every_row_and_caches_nothing(self):
+        ctx = AlphaContext(0.5)
+        functional = MomentFunctional(ctx)
+        # finite terms whose sum overflows everywhere on the grid
+        f = AlphaSeries(((0.0, 1e308), (1.0, 1e308)), ctx)
+        with np.errstate(over="ignore"):
+            for p in (2.0, 3.0, 1.5):
+                with pytest.raises(QuadratureError, match="non-finite"):
+                    _holder_row(f, functional, 0.5, 2.0, p, p / (p - 1.0))
+                assert not [key for key in f._memo if key[0] == "holder"]
+
+    def test_the_cached_samples_are_shared_and_read_only(self):
+        ctx = AlphaContext(0.5)
+        functional = MomentFunctional(ctx)
+        f = mono(2.0, ctx)
+        first = inequalities._holder_samples(f, functional, 0.5, 2.0)
+        eval_holder(f, f, 3.0, 1.5, 0.5, 2.0, functional)
+        assert inequalities._holder_samples(f, functional, 0.5, 2.0) is first
+        assert not first[0].flags.writeable
+
+    def test_two_different_callables_are_each_sampled_once(self):
+        ctx = AlphaContext(0.5)
+        functional = MomentFunctional(ctx)
+        f = mono(2.0, ctx)
+        seen = {"f": 0, "g": 0}
+
+        def counting(name, fn):
+            def sample(t):
+                seen[name] += 1
+                return fn(t)
+            return sample
+
+        cf, cg = counting("f", f.evaluate), counting("g", f.evaluate)
+        reps = [eval_holder(cf, cg, p, p / (p - 1.0), 0.5, 2.0, functional) for p in (2.0, 3.0)]
+        assert seen == {"f": 2, "g": 2}
+        assert not [key for key in f._memo if key[0] == "holder"]
+        for rep, p in zip(reps, (2.0, 3.0)):
+            assert _report_bits(rep) == _report_bits(eval_holder(f, f, p, p / (p - 1.0), 0.5, 2.0, functional))
+
+    def test_a_series_with_another_argument_is_rejected(self):
+        ctx = AlphaContext(0.5)
+        functional = MomentFunctional(ctx)
+        f = mono(2.0, ctx)
+        for g in (f.evaluate, mono(2.0, ctx)):
+            with pytest.raises(ValueError, match="an array"):
+                eval_holder(f, g, 2.0, 2.0, 0.5, 2.0, functional)
 
 
 class TestOstrowskiClassic:

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from alphaineq.alphanum import AlphaContext
 from alphaineq.quadrature import (
+    CUTOFF_REL,
     MomentFunctional,
     QuadratureError,
     _gauss_jacobi,
@@ -98,6 +99,56 @@ def fit_reference(functional, y, weight_grade=0.0):
     return float(coeffs @ np.array([functional.moment(k) for k in grades]))
 
 
+#: Unit roundoff of IEEE double precision.
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def projection_oracle(functional, y, weight_grade=0.0):
+    """The least-squares projection that both paths compute, in 60 digits, and their rounding bound.
+
+    The projection is ``v = mu @ c`` for the coefficients ``c`` that
+    minimize ``|D (A c - y)|``, with ``D`` the square roots of the
+    Gauss-Jacobi weights, ``A`` the design matrix and ``mu`` the moments of
+    grade ``k + w``.  ``D``, ``A`` and ``y`` are taken as the doubles the
+    program holds; ``mu`` is recomputed in 60 digits.  No singular value of
+    ``D A`` falls below the SVD cutoff, so the truncated solve is this full
+    rank one.
+
+    The bound is the first-order perturbation of ``v`` under the backward
+    error of a least-squares solve, ``|E| <= g u |D A|`` (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., ch. 20).  With ``z``
+    the minimum-norm solution of ``(D A)^T z = mu`` and ``r = D y - D A c``,
+    ``dv = z^T E c - ((D A)^+ z)^T E^T r``, so ``|dv| <= g u (s_max |z| |c|
+    + kappa |z| |r|)``, where ``kappa`` is the condition number of ``D A``.
+    The rounding of the moments and of the two final dot products (the
+    moments against ``c``, the weights ``q = D z`` against ``y``) adds
+    ``g u`` times their absolute sums.  ``g = sqrt(nodes * basis)`` is the
+    square root of the worst-case constant of the backward error, the usual
+    size of accumulated rounding (Higham, section 2.8).
+    """
+    mp = pytest.importorskip("mpmath")
+    _, sqrt_w, design = functional._rule()
+    m, n = design.shape
+    with mp.workdps(60):
+        da = mp.matrix((design * sqrt_w[:, None]).tolist())  # each product rounded as the program rounds it
+        dy = mp.matrix([mp.mpf(v) for v in (y * sqrt_w).tolist()])
+        a = mp.mpf(functional.ctx.alpha)
+        mu = mp.matrix([mp.gamma(1 + (k + weight_grade) * a) / mp.gamma(1 + (k + weight_grade + 1) * a)
+                        for k in range(n)])
+        normal = da.T * da
+        c = mp.lu_solve(normal, da.T * dy)
+        z = da * mp.lu_solve(normal, mu)
+        r = dy - da * c
+        sv = mp.svd_r(da, compute_uv=False)
+        s_max, s_min = max(sv), min(sv)
+        assert s_min > CUTOFF_REL * s_max
+        kappa = s_max / s_min
+        value = sum(mu[k] * c[k] for k in range(n))
+        dots = sum(abs(mu[k] * c[k]) for k in range(n)) + sum(abs(z[i] * dy[i]) for i in range(m))
+        solve = (s_max * mp.norm(c) + kappa * mp.norm(r)) * mp.norm(z)
+        return float(value), float(math.sqrt(m * n) * UNIT_ROUNDOFF * (solve + dots))
+
+
 #: A series that changes sign at u = 1, inside both segments below.
 MIXED = ((0.5, 1.0), (2.0, -1.0))
 SEGMENTS = ((0.3, 1.6), (1.2, 0.4))
@@ -158,6 +209,10 @@ class TestWeights:
         ref = fit_reference(functional, g(functional.grid))
         assert abs(fractal_integral_numeric(g, functional) - ref) <= 1e-12 * abs(ref)
 
+    # Both paths solve one ill-conditioned least-squares problem (condition
+    # number up to about 7e8 at alpha = 0.3), so they differ by the rounding
+    # of the solve: each is held to the 60-digit solution of that problem
+    # within the bound derived from its condition number, not to the other.
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("weight_grade", (0.0, 2.0))
     @pytest.mark.parametrize("x, e", SEGMENTS)
@@ -166,10 +221,9 @@ class TestWeights:
         functional = MomentFunctional(ctx)
         f2 = AlphaSeries(MIXED, ctx)
         y = f2.evaluate(e + functional.grid * (x - e))
-        ref = fit_reference(functional, y, weight_grade)
-        scale = fit_reference(functional, np.abs(y), weight_grade)
-        got = composed_moment(f2, weight_grade, x, e, functional)
-        assert abs(got - ref) <= 1e-12 * scale
+        exact, bound = projection_oracle(functional, y, weight_grade)
+        assert abs(composed_moment(f2, weight_grade, x, e, functional) - exact) <= bound
+        assert abs(fit_reference(functional, y, weight_grade) - exact) <= bound
 
 
 class TestGaussJacobiRule:
@@ -201,7 +255,14 @@ class TestGaussJacobiRule:
 
 
 class TestMpmathOracle:
-    """The kernel integral in 30-digit arithmetic as the true value."""
+    """The kernel integral in 30-digit arithmetic as the true value.
+
+    The cached weights and the fit solve the same least-squares projection,
+    so neither can be more accurate than the other beyond the rounding of
+    that solve: each path is within the bound of :func:`projection_oracle`
+    of the 60-digit projection, and so no further from the true value than
+    the fit is, plus both bounds.
+    """
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("case", ["exp", "rational", "kink", "reflected", "composed-abs"])
@@ -233,9 +294,11 @@ class TestMpmathOracle:
             points = [0, mp.mpf(e - 1.0) / (e - x), 1]
         with mp.workdps(30):
             true = mp.quad(lambda u: g(u) * (1 - u) ** (a - 1), points) / mp.gamma(a)
-        err_weights = float(abs(functional.integrate(y, w) - true) / abs(true))
-        err_fit = float(abs(fit_reference(functional, y, w) - true) / abs(true))
-        assert err_weights <= err_fit + 1e-10
+        exact, bound = projection_oracle(functional, y, w)
+        weights, fit = functional.integrate(y, w), fit_reference(functional, y, w)
+        assert abs(weights - exact) <= bound
+        assert abs(fit - exact) <= bound
+        assert float(abs(weights - true)) <= float(abs(fit - true)) + 2.0 * bound
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
