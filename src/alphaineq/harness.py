@@ -3,10 +3,10 @@
 The harness owns all I/O: parsing the textual function mini-language,
 expanding sweep configurations into Cartesian products of parameter points,
 randomized falsification with shrinking, and CSV/JSON report files.  It
-holds no per-inequality logic: ids, their axes, whether they read p and
-their evaluators all come from the
+holds no per-inequality logic: ids, the parameters each reads (which fix
+the axes it sweeps) and their evaluators all come from the
 :data:`alphaineq.inequalities.INEQUALITIES` registry, and each evaluator
-checks the parameters its row says it reads, so :func:`evaluate_single`
+checks the parameters its record says it reads, so :func:`evaluate_single`
 only dispatches.  Sweep points are independent; rows are sorted before
 emission, which makes the output independent of the evaluation order.
 """
@@ -37,7 +37,6 @@ __all__ = [
     "SpecSyntaxError",
     "SweepConfig",
     "Tolerances",
-    "applicable_axes",
     "emit_report",
     "evaluate_single",
     "expected_row_count",
@@ -229,12 +228,11 @@ class SweepConfig:
         tolerances = raw.get("tolerances", {})
         if not isinstance(tolerances, dict):
             raise ValueError(f"tolerances must be an object, got {tolerances!r}")
-        for name, value in tolerances.items():
+        for name in tolerances:
             if name not in Tolerances.__dataclass_fields__:
                 raise ValueError(
                     f"unknown tolerance {name!r}; expected {', '.join(Tolerances.__dataclass_fields__)}"
                 )
-            _number(f"tolerances.{name}", value)
         return cls(
             alphas=tuple(_number("alphas", v) for v in _items(raw, "alphas")),
             functions=tuple(parse_function_spec(_text("functions", t)) for t in _items(raw, "functions")),
@@ -243,7 +241,7 @@ class SweepConfig:
             x_fractions=tuple(_number("x_fractions", v) for v in _items(raw, "x_fractions", [0.5])),
             s_values=tuple(_number("s_values", v) for v in _items(raw, "s_values", [0.5])),
             pq_pairs=_pairs(raw, "pq_pairs", [(2.0, 2.0)]),
-            tolerances=Tolerances(**tolerances),
+            tolerances=Tolerances(**{name: _number(f"tolerances.{name}", v) for name, v in tolerances.items()}),
         )
 
     @classmethod
@@ -262,11 +260,15 @@ def _items(raw: dict, name: str, default: Optional[list] = None) -> list:
     return value
 
 
-def _number(name: str, value):
+def _number(name: str, value) -> float:
+    """``value`` as a float, so a config written with ints gives the report of the same config with floats."""
     # JSON true and false read as bools, which are ints to Python
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must hold numbers, got {value!r}")
-    return value
+    try:
+        return float(value)
+    except OverflowError:  # an int too large for a float
+        raise ValueError(f"{name} must hold numbers a float can hold, got {value!r}") from None
 
 
 def _text(name: str, value) -> str:
@@ -280,7 +282,7 @@ def _pairs(raw: dict, name: str, default: list) -> tuple[tuple[float, float], ..
     for item in _items(raw, name, default):
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise ValueError(f"{name} must hold pairs of numbers, got {item!r}")
-        pairs.append(tuple(float(_number(name, v)) for v in item))
+        pairs.append(tuple(_number(name, v) for v in item))
     return tuple(pairs)
 
 
@@ -288,23 +290,21 @@ def canonical_id(ineq: str) -> str:
     return ID_ALIASES.get(ineq, ineq)
 
 
-def applicable_axes(ineq: str) -> frozenset[str]:
-    """Extra axes (beyond alpha, interval, fn) the inequality consumes."""
-    return INEQUALITIES[canonical_id(ineq)][0]
-
-
 def _axes(cfg: SweepConfig, ineq: str) -> tuple[tuple, tuple, tuple]:
-    """The s, (p, q) and x-fraction values ``ineq`` sweeps; ``None`` for an axis it does not use."""
-    axes = applicable_axes(ineq)
+    """The s, (p, q) and x-fraction values ``ineq`` sweeps; ``None`` for an axis it does not read.
+
+    An id that reads q sweeps the (p, q) pairs, whether or not it reads p.
+    """
+    reads = INEQUALITIES[canonical_id(ineq)].reads
     return (
-        cfg.s_values if "s" in axes else (None,),
-        cfg.pq_pairs if "pq" in axes else ((None, None),),
-        cfg.x_fractions if "x" in axes else (None,),
+        cfg.s_values if "s" in reads else (None,),
+        cfg.pq_pairs if "q" in reads else ((None, None),),
+        cfg.x_fractions if "x" in reads else (None,),
     )
 
 
 def expected_row_count(cfg: SweepConfig) -> int:
-    """Row count of :func:`run_sweep`: the product of applicable axes only."""
+    """Row count of :func:`run_sweep`: per id, the product of the axes it sweeps."""
     base = len(cfg.alphas) * len(cfg.intervals) * len(cfg.functions)
     return sum(base * math.prod(map(len, _axes(cfg, ineq))) for ineq in cfg.inequalities)
 
@@ -326,7 +326,7 @@ def evaluate_single(
     The evaluator builds a fresh row with an empty ``fn``; setting ``fn`` here is
     the one change made to a row after its build.
     """
-    rep = INEQUALITIES[canonical_id(ineq)][2](series, functional, a, b, x, s, p, q)
+    rep = INEQUALITIES[canonical_id(ineq)].evaluate(series, functional, a, b, x, s, p, q)
     rep.fn = fn
     return rep
 

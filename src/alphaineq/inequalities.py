@@ -9,11 +9,12 @@ the reported slacks and residuals constitute a consistency study of the
 term-wise calculus itself.
 
 :data:`INEQUALITIES` is the one registry of inequality ids: each id maps to
-the sweep axes it consumes, whether it reads p, and the evaluator that
-computes its row.  The harness, the sweep validation and the CLI read their
-ids from it.  The row is also the id's parameter contract, which every
-evaluator checks through :func:`_params`: a missing or bad parameter raises
-``ValueError`` naming the id, and an unread one is None in the report.
+an :class:`Ineq` record of the parameters it reads (of x, s, p and q) and
+the evaluator that computes its row.  The harness, the sweep validation and
+the CLI read their ids from it, and a sweep's axes follow ``reads``.  The
+record is also the id's parameter contract, which every evaluator checks
+through :func:`_params`: a missing or bad parameter raises ``ValueError``
+naming the id, and an unread one is None in the report.
 
 The three theorems share one signed left side (the second-derivative
 identity, which :func:`identity_residual` checks directly).  The
@@ -46,6 +47,7 @@ from .series import AlphaSeries, lf_derivative, lf_derivative_n, lf_integral
 __all__ = [
     "COROLLARY_VARIANTS",
     "INEQUALITIES",
+    "Ineq",
     "IneqReport",
     "OstrowskiConstants",
     "eval_corollary",
@@ -142,23 +144,22 @@ def _params(ineq: str, a: float, b: float, x: Optional[float] = None, s: Optiona
 
     A missing or bad one raises ``ValueError`` naming ``ineq``.
     """
-    axes, reads_p = INEQUALITIES[ineq][:2]
-    reads_s, reads_q, reads_x = "s" in axes, "pq" in axes, "x" in axes
-    if reads_s and s is None:
+    reads = INEQUALITIES[ineq].reads
+    if "s" in reads and s is None:
         raise ValueError(f"{ineq} needs the convexity order s")
-    if reads_p and (p is None or q is None):
+    if "p" in reads and (p is None or q is None):
         raise ValueError(f"{ineq} needs conjugate (p, q)")
-    if reads_x and x is None:
+    if "x" in reads and x is None:
         raise ValueError(f"{ineq} needs the evaluation point x")
     try:
         _check_interval(a, b)
-        if reads_s:
+        if "s" in reads:
             _check_s(s)
-        if reads_p:
+        if "p" in reads:
             _check_conjugate(p, q)
-        elif reads_q and not (q is not None and q >= 1.0):  # a NaN q fails too
+        elif "q" in reads and not (q is not None and q >= 1.0):  # a NaN q fails too
             raise ValueError(f"need q >= 1, got {q}")
-        if reads_x:
+        if "x" in reads:
             _check_point(x, a, b)
     except ValueError as exc:
         raise ValueError(f"{ineq}: {exc}") from None
@@ -167,9 +168,9 @@ def _params(ineq: str, a: float, b: float, x: Optional[float] = None, s: Optiona
 
 def _read(ineq: str, x: Optional[float], s: Optional[float], p: Optional[float], q: Optional[float]) -> tuple:
     """``(x, s, p, q)``, unchecked, with the ones ``ineq``'s registry row does not read set to None."""
-    axes, reads_p = INEQUALITIES[ineq][:2]
-    return (x if "x" in axes else None, s if "s" in axes else None,
-            p if reads_p else None, q if "pq" in axes else None)
+    reads = INEQUALITIES[ineq].reads
+    return (x if "x" in reads else None, s if "s" in reads else None,
+            p if "p" in reads else None, q if "q" in reads else None)
 
 
 def _grid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -598,49 +599,41 @@ def _identity_report(f: AlphaSeries, functional: MomentFunctional, a: float, b: 
 Evaluator = Callable[..., IneqReport]
 
 
+@dataclass(frozen=True, slots=True)
+class Ineq:
+    """One registry row: the parameters an id reads, of x, s, p and q, and its evaluator.
+
+    The evaluator is called as ``evaluate(series, functional, a, b, x, s, p, q)``
+    and returns a row with an empty ``fn``.
+    """
+
+    reads: frozenset[str]
+    evaluate: Evaluator
+
+
 def _corollary(variant: str) -> Evaluator:
     return lambda f, fl, a, b, x, s, p, q: eval_corollary(variant, f, a, b, s, p, q, x)
 
 
-#: Every inequality id, in report order: the axes it consumes beyond
-#: (alpha, interval, fn), whether it reads p (the thm3 family takes only q
-#: from its (p, q) axis), and its evaluator, called as
-#: ``evaluator(series, functional, a, b, x, s, p, q)``; the row it returns
-#: has an empty ``fn``.  A sweep is the product over exactly these axes.
+#: Every inequality id, in report order, and its :class:`Ineq` record, whose
+#: ``reads`` is spelled as the letters it holds.  A sweep is the product of
+#: (alpha, interval, fn) and the axes of what the id reads: s, x, and the
+#: (p, q) pairs for an id that reads q (the thm3 family reads q but not p).
 #: Evaluators look the ``eval_*`` functions up by module name when called,
 #: so whatever rebinds those names sees every call.
-INEQUALITIES: dict[str, tuple[frozenset[str], bool, Evaluator]] = {
-    "ghh": (frozenset(), False, lambda f, fl, a, b, x, s, p, q: eval_ghh(f, a, b)),
-    "shh": (frozenset({"s"}), False, lambda f, fl, a, b, x, s, p, q: eval_shh(f, s, a, b)),
-    "holder": (
-        frozenset({"pq"}), True,
-        lambda f, fl, a, b, x, s, p, q: eval_holder(f, f, p, q, a, b, fl),
-    ),
-    "ostrowski": (
-        frozenset({"x"}), False,
-        lambda f, fl, a, b, x, s, p, q: eval_ostrowski_classic(f, x, a, b),
-    ),
-    "identity": (
-        frozenset({"x"}), False,
-        lambda f, fl, a, b, x, s, p, q: _identity_report(f, fl, a, b, x),
-    ),
-    "thm1": (
-        frozenset({"s", "x"}), False,
-        lambda f, fl, a, b, x, s, p, q: eval_thm1(f, s, x, a, b),
-    ),
-    "thm2": (
-        frozenset({"s", "x", "pq"}), True,
-        lambda f, fl, a, b, x, s, p, q: eval_thm2(f, s, p, q, x, a, b),
-    ),
-    "thm3": (
-        frozenset({"s", "x", "pq"}), False,
-        lambda f, fl, a, b, x, s, p, q: eval_thm3(f, s, q, x, a, b),
-    ),
-    # every corollary takes s; the theta forms also x, the thm2/thm3 forms also (p, q)
+INEQUALITIES: dict[str, Ineq] = {
+    "ghh": Ineq(frozenset(), lambda f, fl, a, b, x, s, p, q: eval_ghh(f, a, b)),
+    "shh": Ineq(frozenset("s"), lambda f, fl, a, b, x, s, p, q: eval_shh(f, s, a, b)),
+    "holder": Ineq(frozenset("pq"), lambda f, fl, a, b, x, s, p, q: eval_holder(f, f, p, q, a, b, fl)),
+    "ostrowski": Ineq(frozenset("x"), lambda f, fl, a, b, x, s, p, q: eval_ostrowski_classic(f, x, a, b)),
+    "identity": Ineq(frozenset("x"), lambda f, fl, a, b, x, s, p, q: _identity_report(f, fl, a, b, x)),
+    "thm1": Ineq(frozenset("sx"), lambda f, fl, a, b, x, s, p, q: eval_thm1(f, s, x, a, b)),
+    "thm2": Ineq(frozenset("sxpq"), lambda f, fl, a, b, x, s, p, q: eval_thm2(f, s, p, q, x, a, b)),
+    "thm3": Ineq(frozenset("sxq"), lambda f, fl, a, b, x, s, p, q: eval_thm3(f, s, q, x, a, b)),
+    # every corollary reads s; the theta forms also x, and each reads what its theorem reads of p and q
     **{
-        f"{form}-thm{i}": (
-            frozenset({"s"} | ({"x"} if form == "theta" else set()) | ({"pq"} if i > 1 else set())),
-            i == 2,
+        f"{form}-thm{i}": Ineq(
+            frozenset("s" + ("x" if form == "theta" else "") + {1: "", 2: "pq", 3: "q"}[i]),
             _corollary(f"{form}-thm{i}"),
         )
         for i in (1, 2, 3)

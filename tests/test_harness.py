@@ -6,6 +6,7 @@ import random
 import re
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from alphaineq.harness import (
     SpecSyntaxError,
     SweepConfig,
     Tolerances,
-    applicable_axes,
     emit_report,
     evaluate_single,
     expected_row_count,
@@ -175,6 +175,7 @@ class TestSweepConfig:
             ({"tolerances": [1e-9]}, "tolerances"),
             ({"alphas": ["1"]}, "alphas"),
             ({"alphas": [True]}, "alphas"),
+            ({"alphas": [10**400]}, "alphas"),  # an int too large for a float
             ({"alphas": 1.0}, "alphas"),
             ({"functions": [2]}, "functions"),
             ({"inequalities": [["ghh"]]}, "inequalities"),
@@ -197,6 +198,16 @@ class TestSweepConfig:
     def test_integer_numbers_are_accepted(self):
         raw = {"alphas": [1], "functions": ["mono:2"], "inequalities": ["ghh"], "tolerances": {"fp_tol": 0}}
         assert SweepConfig.from_dict(raw).tolerances.fp_tol == 0
+        # every number is read as a float, so ints give the report of the same config written with floats
+        ints = {"alphas": [1], "functions": ["mono:3"], "inequalities": list(INEQUALITY_IDS),
+                "intervals": [[0, 2]], "x_fractions": [0, 1], "s_values": [1], "pq_pairs": [[2, 2]],
+                "tolerances": {"slack_tol": 1, "fp_tol": 0}}
+        floats = {**ints, "alphas": [1.0], "intervals": [[0.0, 2.0]], "x_fractions": [0.0, 1.0], "s_values": [1.0],
+                  "pq_pairs": [[2.0, 2.0]], "tolerances": {"slack_tol": 1.0, "fp_tol": 0.0}}
+        for format in ("csv", "json"):
+            got, want = (render_report(run_sweep(SweepConfig.from_dict(raw)), format) for raw in (ints, floats))
+            assert got == want
+        assert '"alpha": 1.0,' in got and '"s": 1.0,' in got
 
     def test_zero_fp_tol_is_accepted(self):
         assert Tolerances(fp_tol=0.0).fp_tol == 0.0
@@ -244,8 +255,8 @@ class TestRunSweep:
         rows = run_sweep(cfg)
         assert len(rows) == expected_row_count(cfg)
         # spot-check two entries of the documented table
-        assert applicable_axes("ghh") == frozenset()
-        assert applicable_axes("thm2") == frozenset({"s", "x", "pq"})
+        assert harness._axes(cfg, "ghh") == ((None,), ((None, None),), (None,))
+        assert harness._axes(cfg, "thm2") == (cfg.s_values, cfg.pq_pairs, cfg.x_fractions)
 
     def test_rows_are_sorted_and_deterministic(self):
         cfg = _cfg(
@@ -383,11 +394,11 @@ class TestWarmCache:
                 spec = parse_function_spec(text)
                 points = []
                 for ineq in INEQUALITY_IDS:
-                    axes = applicable_axes(ineq)
+                    reads = INEQUALITIES[ineq].reads
                     for a, b in self.INTERVALS:
-                        for s in s_values if "s" in axes else (None,):
-                            for p, q in pq_pairs if "pq" in axes else ((None, None),):
-                                for fr in fracs if "x" in axes else (None,):
+                        for s in s_values if "s" in reads else (None,):
+                            for p, q in pq_pairs if "q" in reads else ((None, None),):
+                                for fr in fracs if "x" in reads else (None,):
                                     x = None if fr is None else a + fr * (b - a)
                                     points.append((ineq, a, b, x, s, p, q))
                 warm = spec.realize(functional.ctx)
@@ -424,13 +435,13 @@ class TestTheoremRecord:
 
     @classmethod
     def points(cls, ineq, pq_pairs=PQ_PAIRS):
-        axes = applicable_axes(ineq)
+        reads = INEQUALITIES[ineq].reads
         return [
             (ineq, a, b, None if fr is None else a + fr * (b - a), s, p, q)
             for a, b in cls.INTERVALS
             for s in cls.S_VALUES
-            for p, q in (pq_pairs if "pq" in axes else ((None, None),))
-            for fr in (cls.FRACS if "x" in axes else (None,))
+            for p, q in (pq_pairs if "q" in reads else ((None, None),))
+            for fr in (cls.FRACS if "x" in reads else (None,))
         ]
 
     @classmethod
@@ -484,20 +495,50 @@ class TestRegistry:
         ctx = AlphaContext(0.5)
         series = parse_function_spec("mono:3").realize(ctx)
         rep = evaluate_single(ineq, series, MomentFunctional(ctx), 0.5, 1.5, 0.9, 0.5, 2.0, 2.0)
-        axes = INEQUALITIES[ineq][0]
+        reads = INEQUALITIES[ineq].reads
         assert rep.ineq == ineq
         assert (rep.a, rep.b) == (0.5, 1.5)
-        assert (rep.s is not None) == ("s" in axes)
-        assert (rep.x is not None) == ("x" in axes)
-        assert (rep.q is not None) == ("pq" in axes)
-        assert (rep.p is not None) == (ineq == "holder" or ineq.endswith("thm2"))
+        assert (rep.s is not None) == ("s" in reads)
+        assert (rep.x is not None) == ("x" in reads)
+        assert (rep.q is not None) == ("q" in reads)
+        assert (rep.p is not None) == ("p" in reads)
         assert math.isfinite(rep.slack)
+
+    @pytest.mark.parametrize("ineq", INEQUALITY_IDS)
+    def test_each_id_reads_what_the_paper_says(self, ineq):
+        assert INEQUALITIES[ineq].reads == frozenset(_reads(ineq))
 
     def test_ids_and_axes_come_from_the_registry(self):
         assert INEQUALITY_IDS == tuple(INEQUALITIES)
         assert len(INEQUALITY_IDS) == 17
+        cfg = _cfg()
         for ineq in INEQUALITY_IDS:
-            assert applicable_axes(ineq) == INEQUALITIES[ineq][0]
+            reads = INEQUALITIES[ineq].reads
+            s_values, pq_pairs, fracs = harness._axes(cfg, ineq)
+            assert (s_values == cfg.s_values) == ("s" in reads)
+            assert (pq_pairs == cfg.pq_pairs) == ("q" in reads)
+            assert (fracs == cfg.x_fractions) == ("x" in reads)
+
+    def test_readme_axes_table_matches_the_sweep(self):
+        """Each id of the README's "inequality | extra axes" table lists exactly the axes it sweeps."""
+        lines = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8").splitlines()
+        start = lines.index("| inequality | extra axes |") + 2  # past the header and its rule
+        table = {}
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            ids, axes = (re.findall(r"`([^`]+)`", cell) for cell in line.strip("|").split("|"))
+            for ineq in ids:
+                assert ineq not in table, ineq
+                table[ineq] = set(axes)
+        cfg = _cfg()
+        unswept = ((None,), ((None, None),), (None,))
+        swept = {
+            ineq: {name for name, values, none in zip(("s", "pq", "x"), harness._axes(cfg, ineq), unswept)
+                   if values != none}
+            for ineq in INEQUALITY_IDS
+        }
+        assert table == swept
 
     def test_unknown_id_raises(self):
         ctx = AlphaContext(1.0)
@@ -897,12 +938,13 @@ class TestEmission:
                 fn="series:(1.5,2);(4,0.25)", notes='say "hi",\nthen stop',
             ),
         ]
-        # a config with "s_values": [1] puts the int 1 in the s column
+        # a config with "s_values": [1] puts the float 1.0 in the s column, as [1.0] does;
+        # the int cells are those of the edge rows above
         raw = {"alphas": [0.5, 1], "functions": ["poly:1,0,0.5", "series:(1.5,2);(4,0.25)"],
                "inequalities": ["thm1", "identity", "midpoint-thm2"], "s_values": [1, 0.5],
                "x_fractions": [0, 0.5, 1]}
         swept = run_sweep(SweepConfig.from_dict(raw))
-        assert any(type(r.s) is int for r in swept)
+        assert {type(r.s) for r in swept} == {float, type(None)} and {type(r.alpha) for r in swept} == {float}
         rows = edge + swept
         text = render_report(rows, "csv")
         assert text == self.per_cell_csv(rows)

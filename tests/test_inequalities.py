@@ -204,7 +204,7 @@ def _report_bits(rep):
 
 def _holder_row(f, functional, a, b, p, q):
     """The registry's holder row of ``f`` at one point."""
-    return inequalities.INEQUALITIES["holder"][2](f, functional, a, b, None, None, p, q)
+    return inequalities.INEQUALITIES["holder"].evaluate(f, functional, a, b, None, None, p, q)
 
 
 class TestHolderSharing:
