@@ -8,14 +8,9 @@ consistency residuals of the term-wise fractional calculus itself.
 
 from .alphanum import (
     AlphaContext,
-    AlphaReal,
     GammaDomainError,
-    MittagLefflerError,
-    alpha_add,
-    alpha_mul,
     alpha_pow_signed,
     gamma,
-    mittag_leffler,
 )
 from .convexity import ConvexityVerdict, check_generalized_convex, check_s_convex_second
 from .harness import (
@@ -51,21 +46,15 @@ from .inequalities import (
 from .quadrature import (
     MomentFunctional,
     QuadratureError,
-    alpha_binomial_series,
     composed_moment,
     fractal_integral_numeric,
 )
 from .series import (
     AlphaSeries,
     GammaPoleError,
-    byparts_residual,
     lf_derivative,
     lf_derivative_n,
     lf_integral,
-    series_add,
-    series_eval,
-    series_mul,
-    series_scale,
 )
 
 __version__ = "0.1.0"

@@ -1,10 +1,12 @@
-"""Scalar arithmetic on the fractal line and the special functions it needs.
+"""The context of order ``alpha`` and the scalar functions the series need.
 
 The fractal line of order ``alpha`` consists of values ``a**alpha`` indexed
 by an ordinary real base ``a``.  Addition and multiplication act on bases
 (``a**alpha + b**alpha = (a+b)**alpha`` and likewise for products), which
-makes the base map a field isomorphism.  All arithmetic here is therefore
-done exactly on bases; raising to the power ``alpha`` happens only at the
+makes the base map a field isomorphism.  The scalars with those field
+operations, and the Mittag-Leffler sum, are reference code in
+``tests/reference.py``, where the tests check the field axioms; the program
+works on real bases and raises them to the power ``alpha`` only at the
 numeric embedding :func:`alpha_pow_signed`.
 """
 
@@ -17,26 +19,14 @@ from typing import Callable
 
 __all__ = [
     "AlphaContext",
-    "AlphaReal",
     "GammaDomainError",
-    "MittagLefflerError",
-    "alpha_add",
-    "alpha_mul",
     "alpha_pow_signed",
     "gamma",
-    "mittag_leffler",
 ]
-
-#: Hard cap on series terms accepted while summing the Mittag-Leffler series.
-ML_TERM_CAP = 10_000
 
 
 class GammaDomainError(ValueError):
     """Gamma evaluated at a nonpositive argument (a pole or off-domain)."""
-
-
-class MittagLefflerError(ArithmeticError):
-    """The Mittag-Leffler series failed to reach the truncation tolerance."""
 
 
 def memoized(tag: str) -> Callable[[Callable], Callable]:
@@ -93,41 +83,6 @@ class AlphaContext:
         return gamma(1.0 + k * self.alpha)
 
 
-@dataclass(frozen=True, order=True)
-class AlphaReal:
-    """An element of the fractal line, stored by its real base.
-
-    The value represented is ``base**alpha`` with the sign carried by the
-    base.  Ordering of two elements is the ordering of their bases, which
-    matches the order on the fractal line.
-    """
-
-    base: float
-
-    def __post_init__(self) -> None:
-        if math.isinf(self.base):
-            raise OverflowError("base overflowed the finite range")
-        if math.isnan(self.base):
-            raise ValueError("base must be a number")
-
-    def __neg__(self) -> "AlphaReal":
-        return AlphaReal(-self.base)
-
-    def value(self, ctx: AlphaContext) -> float:
-        """Numeric embedding of this element: ``sgn(base)*|base|**alpha``."""
-        return alpha_pow_signed(self.base, ctx)
-
-
-def alpha_add(x: AlphaReal, y: AlphaReal) -> AlphaReal:
-    """Fractal addition: bases add."""
-    return AlphaReal(x.base + y.base)
-
-
-def alpha_mul(x: AlphaReal, y: AlphaReal) -> AlphaReal:
-    """Fractal multiplication: bases multiply."""
-    return AlphaReal(x.base * y.base)
-
-
 def alpha_pow_signed(u: float, ctx: AlphaContext) -> float:
     """Signed power ``sgn(u) * |u|**alpha``, the numeric embedding of ``u**alpha``.
 
@@ -151,32 +106,3 @@ def gamma(x: float) -> float:
     if x <= 0.0:
         raise GammaDomainError(f"gamma requires a positive argument, got {x}")
     return math.gamma(x)
-
-
-def mittag_leffler(x: float, ctx: AlphaContext, tol: float = 1e-12) -> float:
-    """Sum the series ``sum_k x**(alpha*k) / Gamma(1 + k*alpha)``.
-
-    Terms are added until the first omitted term is below ``tol``; because
-    the terms are positive and eventually decay faster than geometrically,
-    the first omitted term bounds the tail up to a modest constant.  The
-    decay test is only applied once terms have started shrinking, so the
-    initial hump at ``x >= 1`` is summed in full.
-    """
-    if x < 0.0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if x == 0.0:
-        return 1.0
-    total = 0.0
-    prev = math.inf
-    for k in range(ML_TERM_CAP):
-        term = x ** (ctx.alpha * k) / math.gamma(1.0 + k * ctx.alpha)
-        if term < tol and term <= prev:
-            return total
-        total += term
-        prev = term
-    raise MittagLefflerError(
-        f"series did not reach tol={tol} within {ML_TERM_CAP} terms (x={x}, "
-        f"alpha={ctx.alpha})"
-    )

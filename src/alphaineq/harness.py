@@ -101,8 +101,14 @@ class FunctionSpec:
             return AlphaSeries(tuple((float(j), c) for j, c in enumerate(self.payload)), ctx)
         if self.kind == "series":
             return AlphaSeries(self.payload, ctx)
-        terms = tuple((float(k), 1.0 / gamma(1.0 + k * ctx.alpha)) for k in range(self.payload[0]))
-        return AlphaSeries(terms, ctx)
+        terms = []
+        for k in range(self.payload[0]):
+            try:
+                terms.append((float(k), 1.0 / gamma(1.0 + k * ctx.alpha)))
+            except OverflowError:
+                raise ValueError(f"{self.canonical()}: Gamma(1 + k*alpha) overflows a double at "
+                                 f"alpha={ctx.alpha}; at most {k} terms fit") from None
+        return AlphaSeries(tuple(terms), ctx)
 
 
 def _fmt(v: float) -> str:

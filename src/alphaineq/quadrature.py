@@ -48,7 +48,6 @@ from .series import AlphaSeries
 __all__ = [
     "MomentFunctional",
     "QuadratureError",
-    "alpha_binomial_series",
     "composed_moment",
     "fractal_integral_numeric",
 ]
@@ -267,23 +266,6 @@ def fractal_integral_numeric(
     :meth:`MomentFunctional.fit`, up to rounding.
     """
     return functional.integrate(_sample(g, functional.grid))
-
-
-def alpha_binomial_series(n: int, ctx: AlphaContext) -> AlphaSeries:
-    """The fractal-field expansion of ``(1 - x)**(n*alpha)`` for integer ``n``.
-
-    In the fractal field, ``(1-x)**(n*alpha)`` equals the alpha-binomial sum
-    ``sum_j (-1)**j * C(n,j)**alpha * x**(j*alpha)``; this returns that sum
-    as a series.  Note the series does *not* equal ``(1-x)**(n*alpha)``
-    pointwise under ordinary arithmetic unless alpha = 1 -- the gap between
-    the two is one of the consistency residuals the engine reports.
-    """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    terms = tuple(
-        (float(j), (-1.0) ** j * math.comb(n, j) ** ctx.alpha) for j in range(n + 1)
-    )
-    return AlphaSeries(terms, ctx)
 
 
 def _sign_constant(series: AlphaSeries) -> float | None:

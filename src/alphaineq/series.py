@@ -9,9 +9,9 @@ and integral are defined term by term through the monomial rules
 
 taken as the *definitions* on this algebra.  The limit-based forms of both
 operators diverge under ordinary arithmetic for alpha < 1, so the term-wise
-rules are the semantics that can actually be computed; the residual
-operators below measure how far classical identities (integration by parts
-in particular) remain true under them.
+rules are the semantics that can actually be computed.  How far integration
+by parts fails under them is measured by reference code in
+``tests/reference.py``, which also holds the series ring operations.
 """
 
 from __future__ import annotations
@@ -27,14 +27,9 @@ from .alphanum import AlphaContext, alpha_pow_signed, gamma, memoized
 __all__ = [
     "AlphaSeries",
     "GammaPoleError",
-    "byparts_residual",
     "lf_derivative",
     "lf_derivative_n",
     "lf_integral",
-    "series_add",
-    "series_eval",
-    "series_mul",
-    "series_scale",
 ]
 
 # Grades closer than this are considered the same term during normalization.
@@ -214,8 +209,9 @@ class AlphaSeries:
     def evaluate(self, x: np.ndarray | float) -> np.ndarray | float:
         """Vectorized evaluation at nonnegative points (not range-checked).
 
-        Negative-grade terms evaluate to inf at 0, silently; use
-        :func:`series_eval` for the range-checked scalar path.  A Python
+        Negative-grade terms evaluate to inf at 0, silently; the
+        range-checked scalar path, ``series_eval``, is reference code in
+        ``tests/reference.py``.  A Python
         float ``x >= 0`` takes a scalar path whose result is bit-identical
         to evaluating the one-element array ``[x]``, and is cached on the
         series per ``x``; ``-0.0`` and ``0.0`` share one entry, as they give
@@ -265,35 +261,6 @@ class AlphaSeries:
         return out
 
 
-def _require_same_ctx(f: AlphaSeries, g: AlphaSeries) -> None:
-    if f.ctx != g.ctx:
-        raise ValueError("series have different contexts")
-
-
-def series_add(f: AlphaSeries, g: AlphaSeries) -> AlphaSeries:
-    _require_same_ctx(f, g)
-    return AlphaSeries(f.terms + g.terms, f.ctx)
-
-
-def series_scale(f: AlphaSeries, c: float) -> AlphaSeries:
-    return AlphaSeries(tuple((k, c * coeff) for k, coeff in f.terms), f.ctx)
-
-
-def series_mul(f: AlphaSeries, g: AlphaSeries) -> AlphaSeries:
-    _require_same_ctx(f, g)
-    prod = [(kf + kg, cf * cg) for kf, cf in f.terms for kg, cg in g.terms]
-    return AlphaSeries(tuple(prod), f.ctx)
-
-
-def series_eval(f: AlphaSeries, x: float) -> float:
-    """Evaluate at a single point ``x >= 0``."""
-    if x < 0.0:
-        raise ValueError(f"series are defined on x >= 0, got x={x}")
-    if x == 0.0 and f.terms and f.terms[0][0] < 0.0:
-        raise ValueError("series with negative grades are singular at x = 0")
-    return float(f.evaluate(float(x)))
-
-
 @memoized("d1")
 def lf_derivative(f: AlphaSeries) -> AlphaSeries:
     """Term-wise derivative of order alpha; constants are annihilated.
@@ -338,19 +305,3 @@ def lf_integral(f: AlphaSeries, a: float, b: float) -> float:
     for (k, c), ratio in zip(f.terms, ratios):
         total += c * ratio * (pb ** (k + 1.0) - pa ** (k + 1.0))
     return total
-
-
-def byparts_residual(f: AlphaSeries, g: AlphaSeries, a: float, b: float) -> float:
-    """Absolute residual of the integration-by-parts identity on ``[a, b]``.
-
-    Returns ``| I(f * g') - [f g]_a^b + I(f' * g) |`` where ``I`` is
-    :func:`lf_integral` and primes are term-wise derivatives.  Zero means
-    the identity holds for this input; under term-wise semantics it fails
-    for generic inputs when alpha < 1, and the residual is the measurement
-    of that failure.
-    """
-    _require_same_ctx(f, g)
-    left = lf_integral(series_mul(f, lf_derivative(g)), a, b)
-    boundary = f.evaluate(b) * g.evaluate(b) - f.evaluate(a) * g.evaluate(a)
-    right = lf_integral(series_mul(lf_derivative(f), g), a, b)
-    return abs(left - boundary + right)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from alphaineq.alphanum import AlphaContext, mittag_leffler
+from alphaineq.alphanum import AlphaContext
 from alphaineq.convexity import (
     ConvexityVerdict,
     NegativeValuesWarning,
@@ -10,6 +10,7 @@ from alphaineq.convexity import (
     check_s_convex_second,
 )
 from alphaineq.harness import parse_function_spec
+from reference import mittag_leffler
 
 
 def test_verdict_invariant():

@@ -71,6 +71,16 @@ class TestFunctionSpec:
         k = 7
         assert f.terms[k][1] == pytest.approx(1.0 / math.gamma(1.0 + 0.5 * k), rel=1e-14)
 
+    @pytest.mark.parametrize("alpha, fits", [(1.0, 171), (0.5, 342), (0.3, 569)])
+    def test_mittag_leffler_family_too_long_for_doubles(self, alpha, fits):
+        # G(1 + k*alpha) overflows a double at k = fits; this once escaped as "math range error"
+        ctx = AlphaContext(alpha)
+        assert len(parse_function_spec(f"ml:{fits}").realize(ctx).terms) == fits
+        with pytest.raises(ValueError) as err:
+            parse_function_spec(f"ml:{fits + 1}").realize(ctx)
+        assert str(err.value).startswith(f"ml:{fits + 1}: ")
+        assert f"alpha={alpha}" in str(err.value) and str(err.value).endswith(f"at most {fits} terms fit")
+
     @pytest.mark.parametrize(
         "text",
         ["", "mono", "mono:x", "mono:-1", "poly:1,inf", "series:(1;2)", "series:1,2", "ml:0", "ml:2.5", "spline:3"],
@@ -1133,6 +1143,17 @@ class TestCli:
             assert main(["sweep", "--config", str(path)]) == 2
             out, err = capsys.readouterr()
             assert out == "" and err == f"error: {error}\n"
+
+    def test_ml_family_too_long_for_doubles_is_named(self, tmp_path, capsys):
+        # both once printed only "error: math range error"
+        path = tmp_path / "ml.json"
+        path.write_text(json.dumps({"alphas": [1.0], "functions": ["mono:2", "ml:200"], "inequalities": ["ghh"]}))
+        assert main(["sweep", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ml:200: ") and "at most 171 terms fit" in err
+        assert main(["eval", "--ineq", "ghh", "--alpha", "1", "--a", "0", "--b", "1", "--fn", "ml:172"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ml:172: ") and "at most 171 terms fit" in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_sweep_with_only_error_rows_is_exit_two(self, tmp_path, capsys):

