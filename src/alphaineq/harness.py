@@ -363,8 +363,12 @@ def run_sweep(cfg: SweepConfig) -> list[IneqReport]:
     message, with ``holds=False``; they never abort the sweep.  Output order
     is imposed by a deterministic sort, so the evaluation order is
     unobservable.  Each (alpha, function) pair is realized once, so the
-    values cached on its series are shared by all of its rows.  Each row is
-    built once, by its evaluator, and :func:`evaluate_single` sets the
+    values cached on its series are shared by all of its rows.  Before the
+    rows of an id whose registry record has a ``prepare`` step (only
+    ``identity``), that step runs once per interval with the rows' x values,
+    so the rows read values it computed together; if it raises, the rows
+    compute, or raise, on their own, as its values are only caches.  Each
+    row is built once, by its evaluator, and :func:`evaluate_single` sets the
     function's canonical spec as its ``fn``.  An overflow or an invalid
     value (``inf - inf``) shows in its row as inf or NaN, so numpy does not
     warn of it.
@@ -377,13 +381,21 @@ def run_sweep(cfg: SweepConfig) -> list[IneqReport]:
             fn_text = spec.canonical()
             series = spec.realize(ctx)
             for ineq in map(canonical_id, cfg.inequalities):
-                for (a, b), s, (p, q), frac in product(cfg.intervals, *_axes(cfg, ineq)):
-                    x = None if frac is None else a + frac * (b - a)
-                    try:
-                        rep = evaluate_single(ineq, series, functional, a, b, x, s, p, q, fn_text)
-                    except Exception as exc:  # per-point errors recorded, never raised
-                        rep = _error_report(ineq, alpha, exc, s, p, q, a, b, x, fn_text)
-                    rows.append(rep)
+                prepare = INEQUALITIES[ineq].prepare
+                s_axis, pq_axis, x_axis = _axes(cfg, ineq)
+                for a, b in cfg.intervals:
+                    xs = [None if frac is None else a + frac * (b - a) for frac in x_axis]
+                    if prepare is not None:
+                        try:
+                            prepare(series, functional, a, b, xs)
+                        except Exception:  # the rows compute, or raise, on their own
+                            pass
+                    for s, (p, q), x in product(s_axis, pq_axis, xs):
+                        try:
+                            rep = evaluate_single(ineq, series, functional, a, b, x, s, p, q, fn_text)
+                        except Exception as exc:  # per-point errors recorded, never raised
+                            rep = _error_report(ineq, alpha, exc, s, p, q, a, b, x, fn_text)
+                        rows.append(rep)
     rows.sort(key=_sort_key)
     return rows
 

@@ -9,8 +9,10 @@ the reported slacks and residuals constitute a consistency study of the
 term-wise calculus itself.
 
 :data:`INEQUALITIES` is the one registry of inequality ids: each id maps to
-an :class:`Ineq` record of the parameters it reads (of x, s, p and q) and
-the evaluator that computes its row.  The harness, the sweep validation and
+an :class:`Ineq` record of the parameters it reads (of x, s, p and q), the
+evaluator that computes its row and, for ``identity`` only, a ``prepare``
+step that a sweep runs once per x axis to fill the caches its rows read.
+The harness, the sweep validation and
 the CLI read their ids from it, and a sweep's axes follow ``reads``.  The
 record is also the id's parameter contract, which every evaluator checks
 through :func:`_params`: a missing or bad parameter raises ``ValueError``
@@ -41,7 +43,7 @@ import numpy as np
 
 from .alphanum import AlphaContext, alpha_pow_signed, gamma, memoized
 from .convexity import check_s_convex_second
-from .quadrature import MomentFunctional, _sample, composed_moment
+from .quadrature import MomentFunctional, _sample, composed_moments
 from .series import AlphaSeries, lf_derivative, lf_derivative_n, lf_integral
 
 __all__ = [
@@ -377,6 +379,10 @@ def identity_residual(
     The right side carries the two weighted moments of ``f^(2a)`` composed
     with the affine maps onto ``[a, x]`` and ``[x, b]``; the moments are the
     normalized integrals, so the prefactor is ``1/(G(1+2a) (b-a)**a)``.
+    Both moments come from one :func:`composed_moments` call, which samples
+    ``f^(2a)`` once for the two segments and caches each moment on it per
+    ``(x, e)``; a sweep fills that cache, and the caches of ``f`` and ``f'``
+    at ``x``, ahead of its rows (:func:`_prepare_identity`).
     Zero residual means the identity holds for this input; for alpha < 1 it
     generally does not, and the residual is the reported inconsistency.
     """
@@ -385,15 +391,43 @@ def identity_residual(
     al = ctx.alpha
     f2 = lf_derivative_n(f, 2)
     lhs = _ostrowski_signed(f, x, a, b)
-    # a side's moment only enters with a nonzero prefactor; skipping the
-    # degenerate side also avoids 0 * inf when f2 is singular at an endpoint
+    sides = _identity_sides(x, a, b)
+    moments = composed_moments(f2, 2.0, [(x, e) for _, e in sides], functional)
     rhs = 0.0
-    if x > a:
-        rhs += alpha_pow_signed(x - a, ctx) ** 3 * composed_moment(f2, 2.0, x, a, functional)
-    if x < b:
-        rhs += alpha_pow_signed(b - x, ctx) ** 3 * composed_moment(f2, 2.0, x, b, functional)
+    for (length, _), moment in zip(sides, moments):
+        rhs += alpha_pow_signed(length, ctx) ** 3 * moment
     rhs /= ctx.gamma_grade(2) * (b - a) ** al
     return abs(lhs - rhs)
+
+
+def _identity_sides(x: float, a: float, b: float) -> list[tuple[float, float]]:
+    """``(|x - e|, e)`` for each endpoint ``e`` whose side of the identity has nonzero length.
+
+    A side's moment only enters with a nonzero prefactor; skipping the
+    degenerate side also avoids 0 * inf when f2 is singular at an endpoint.
+    """
+    sides = []
+    if x > a:
+        sides.append((x - a, a))
+    if x < b:
+        sides.append((b - x, b))
+    return sides
+
+
+def _prepare_identity(f: AlphaSeries, functional: MomentFunctional, a: float, b: float, xs: list) -> None:
+    """Fill the caches that the identity rows at the points ``xs`` of ``[a, b]`` read.
+
+    The moments of every side come from one :func:`composed_moments` call,
+    so ``f^(2a)`` is sampled once for the whole x axis, and the values of
+    ``f`` and ``f'`` at all of ``xs`` from one ``np.power`` call each
+    (:meth:`AlphaSeries.cache_points`).  Each cached value is bit-identical
+    to the one the row would compute.  If this raises, the values it
+    cached stay valid and every row computes the rest, or raises, on its own.
+    """
+    f2 = lf_derivative_n(f, 2)
+    f.cache_points(xs)
+    lf_derivative(f).cache_points(xs)
+    composed_moments(f2, 2.0, [(x, e) for x in xs for _, e in _identity_sides(x, a, b)], functional)
 
 
 def _hypothesis_note(
@@ -604,11 +638,15 @@ class Ineq:
     """One registry row: the parameters an id reads, of x, s, p and q, and its evaluator.
 
     The evaluator is called as ``evaluate(series, functional, a, b, x, s, p, q)``
-    and returns a row with an empty ``fn``.
+    and returns a row with an empty ``fn``.  ``prepare``, when set, is
+    called as ``prepare(series, functional, a, b, xs)`` before the rows of
+    one (series, interval) with the x values ``xs`` of those rows; it only
+    fills caches the rows read, so a row's value does not depend on it.
     """
 
     reads: frozenset[str]
     evaluate: Evaluator
+    prepare: Optional[Callable[..., None]] = None
 
 
 def _corollary(variant: str) -> Evaluator:
@@ -626,7 +664,9 @@ INEQUALITIES: dict[str, Ineq] = {
     "shh": Ineq(frozenset("s"), lambda f, fl, a, b, x, s, p, q: eval_shh(f, s, a, b)),
     "holder": Ineq(frozenset("pq"), lambda f, fl, a, b, x, s, p, q: eval_holder(f, f, p, q, a, b, fl)),
     "ostrowski": Ineq(frozenset("x"), lambda f, fl, a, b, x, s, p, q: eval_ostrowski_classic(f, x, a, b)),
-    "identity": Ineq(frozenset("x"), lambda f, fl, a, b, x, s, p, q: _identity_report(f, fl, a, b, x)),
+    "identity": Ineq(
+        frozenset("x"), lambda f, fl, a, b, x, s, p, q: _identity_report(f, fl, a, b, x), _prepare_identity
+    ),
     "thm1": Ineq(frozenset("sx"), lambda f, fl, a, b, x, s, p, q: eval_thm1(f, s, x, a, b)),
     "thm2": Ineq(frozenset("sxpq"), lambda f, fl, a, b, x, s, p, q: eval_thm2(f, s, p, q, x, a, b)),
     "thm3": Ineq(frozenset("sxq"), lambda f, fl, a, b, x, s, p, q: eval_thm3(f, s, q, x, a, b)),

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,6 +49,7 @@ __all__ = [
     "MomentFunctional",
     "QuadratureError",
     "composed_moment",
+    "composed_moments",
     "fractal_integral_numeric",
 ]
 
@@ -150,12 +151,25 @@ class MomentFunctional:
         """
         y = self._samples(values)
         value = float(self.weights(weight_grade) @ y)
-        # a NaN or infinite sample always makes the sum non-finite (0 * inf is
-        # NaN), so the samples need scanning only when the sum is
         if not math.isfinite(value):
-            _check_finite(y)
-            raise QuadratureError(f"the integral of finite samples overflowed to {value}")
+            raise _integral_error(y, value)
         return value
+
+    def integrate_rows(self, values: np.ndarray, weight_grade: float = 0.0) -> list:
+        """:meth:`integrate` of each row of a (rows x nodes) array, in one call.
+
+        The matmul of the stacked (1 x nodes) rows by the weights reduces
+        each row by the same BLAS dot product as :meth:`integrate`'s matmul
+        of two vectors, so each value is bit-identical to integrating its
+        row alone.  A row that :meth:`integrate` raises on holds its
+        :class:`QuadratureError` in place of a value, so the caller can
+        keep the other rows.
+        """
+        y = np.asarray(values, dtype=float)
+        if y.ndim != 2 or y.shape[1] != self.nodes:
+            raise ValueError(f"expected rows of {self.nodes} samples, got {y.shape}")
+        sums = (y[:, None, :] @ self.weights(weight_grade))[:, 0].tolist()
+        return [v if math.isfinite(v) else _integral_error(y[i], v) for i, v in enumerate(sums)]
 
     def _samples(self, values: np.ndarray) -> np.ndarray:
         y = np.asarray(values, dtype=float)
@@ -232,9 +246,24 @@ def _orthonormal_jacobi(
     return p
 
 
+#: The message of the error that a non-finite sample raises.
+_NON_FINITE = "integrand produced non-finite values on the grid"
+
+
+def _integral_error(y: np.ndarray, value: float) -> QuadratureError:
+    """The error of the non-finite integral ``value`` of the samples ``y``.
+
+    A NaN or infinite sample always makes the sum non-finite (0 * inf is
+    NaN), so the samples need scanning only when the sum is.
+    """
+    if not np.all(np.isfinite(y)):
+        return QuadratureError(_NON_FINITE)
+    return QuadratureError(f"the integral of finite samples overflowed to {value}")
+
+
 def _check_finite(y: np.ndarray) -> None:
     if not np.all(np.isfinite(y)):
-        raise QuadratureError("integrand produced non-finite values on the grid")
+        raise QuadratureError(_NON_FINITE)
 
 
 def _sample(g: Callable[[np.ndarray], np.ndarray], t: np.ndarray) -> np.ndarray:
@@ -292,30 +321,114 @@ def composed_moment(
     which keeps the projected integrand smooth.  Three argument shapes admit
     exact evaluation and bypass the quadrature entirely: a constant argument
     (``x == e``), a pure scaling (``e == 0``), and a reflected scaling
-    (``x == 0``, via Beta moments of ``(1-t)`` powers).
+    (``x == 0``, via Beta moments of ``(1-t)`` powers).  This is
+    :func:`composed_moments` of the one segment ``(x, e)``, so the value is
+    cached on ``f2`` in the same way.
+    """
+    return composed_moments(f2, weight_grade, ((x, e),), functional, absolute)[0]
+
+
+def composed_moments(
+    f2: AlphaSeries,
+    weight_grade: float,
+    segments: Sequence[tuple[float, float]],
+    functional: MomentFunctional,
+    absolute: bool = False,
+) -> list[float]:
+    """:func:`composed_moment` of each segment ``(x, e)``, sampling ``f2`` once for all.
+
+    Each segment takes the exact shortcuts of :func:`composed_moment`
+    where one applies.  The others are sampled in one ``f2.evaluate`` call
+    on a (segments x nodes) array, whose elements are the points
+    ``e + grid * (x - e)`` of one segment at a time, and each row is
+    integrated on its own, so every value is bit-identical to the call with
+    that segment alone.  Values are cached on ``f2`` per moment functional,
+    by identity (so a lookup hashes no functional, and one functional's
+    values never serve another built from a different rule), and per
+    ``(weight_grade, x, e, absolute)``, so a segment is computed once for
+    the lifetime of ``f2``.
+
+    A bad argument raises ``ValueError`` before any segment is computed.
+    A sampled segment whose integral is not finite gets the
+    :class:`QuadratureError` that :meth:`MomentFunctional.integrate`
+    raises, and nothing is cached for it; the first such error is raised
+    once every other segment is cached.
     """
     if weight_grade < 0.0:
         raise ValueError(f"weight_grade must be nonnegative, got {weight_grade}")
-    if x < 0.0 or e < 0.0:
-        raise ValueError(f"segment endpoints must be nonnegative, got ({x}, {e})")
+    for x, e in segments:
+        if x < 0.0 or e < 0.0:
+            raise ValueError(f"segment endpoints must be nonnegative, got ({x}, {e})")
     if f2.is_zero:
-        return 0.0
-    a = f2.ctx.alpha
-
-    def phi(v: float) -> float:
-        return abs(v) if absolute else v
-
-    if x == e:
-        return phi(f2.evaluate(x)) * functional.moment(weight_grade)
-
+        return [0.0] * len(segments)
+    cache = _moment_cache(f2, functional)
+    values = [cache.get((weight_grade, x, e, absolute)) for x, e in segments]
+    if None not in values:
+        return values
     # a term-wise sum is exact unless |.| must act on a sum of mixed signs
     termwise = not absolute or _sign_constant(f2) is not None
+    sampled, xs, es = [], [], []  # the segments without an exact value
+    for i, (x, e) in enumerate(segments):
+        if values[i] is not None:
+            continue
+        if x == e or (termwise and (e == 0.0 or x == 0.0)):
+            values[i] = cache[weight_grade, x, e, absolute] = _exact_moment(
+                f2, weight_grade, x, e, functional, absolute
+            )
+        else:
+            sampled.append(i)
+            xs.append(x)
+            es.append(e)
+    if sampled:
+        x_col, e_col = np.array(xs)[:, None], np.array(es)[:, None]
+        y = f2.evaluate(e_col + functional.grid * (x_col - e_col))
+        error = None
+        for i, value in zip(sampled, functional.integrate_rows(np.abs(y) if absolute else y, weight_grade)):
+            if isinstance(value, QuadratureError):
+                error = error or value
+            else:
+                x, e = segments[i]
+                values[i] = cache[weight_grade, x, e, absolute] = value
+        if error is not None:
+            raise error
+    return values
+
+
+def _moment_cache(f2: AlphaSeries, functional: MomentFunctional) -> dict:
+    """The composed moments of ``f2`` on ``functional``, held in ``f2._memo``.
+
+    Keyed by the functional's ``id``; the entry holds the functional
+    itself, so the ``id`` cannot pass to another object while the entry
+    lives.
+    """
+    key = ("moments", id(functional))
+    entry = f2._memo.get(key)
+    if entry is None:
+        entry = f2._memo[key] = (functional, {})
+    return entry[1]
+
+
+def _exact_moment(
+    f2: AlphaSeries,
+    weight_grade: float,
+    x: float,
+    e: float,
+    functional: MomentFunctional,
+    absolute: bool,
+) -> float:
+    """The moment of the segment ``(x, e)`` by its exact shortcut.
+
+    The caller checks that one applies: ``x == e``, or ``e == 0`` or
+    ``x == 0`` with a term-wise sum that is exact.
+    """
+    if x == e:
+        value = f2.evaluate(x)
+        return (abs(value) if absolute else value) * functional.moment(weight_grade)
+    a = f2.ctx.alpha
     if e == 0.0:
         # argument t*x: each term is an exact real-grade moment
-        if termwise:
-            total = sum(c * x ** (k * a) * functional.moment(weight_grade + k) for k, c in f2.terms)
-            return phi(total)
-    if x == 0.0:
+        total = sum(c * x ** (k * a) * functional.moment(weight_grade + k) for k, c in f2.terms)
+    else:
         # argument e*(1-t): Beta moments of t**(w*a) * (1-t)**(k*a)
         ga = math.gamma(a)
 
@@ -324,9 +437,5 @@ def composed_moment(
             q = (k + 1.0) * a
             return math.gamma(p) * math.gamma(q) / math.gamma(p + q) / ga
 
-        if termwise:
-            total = sum(c * e ** (k * a) * beta_moment(k) for k, c in f2.terms)
-            return phi(total)
-
-    y = f2.evaluate(e + functional.grid * (x - e))
-    return functional.integrate(np.abs(y) if absolute else y, weight_grade)
+        total = sum(c * e ** (k * a) * beta_moment(k) for k, c in f2.terms)
+    return abs(total) if absolute else total

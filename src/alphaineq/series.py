@@ -235,6 +235,31 @@ class AlphaSeries:
             out = self._sum_terms(xs)
         return float(out) if xs.ndim == 0 else out
 
+    def cache_points(self, xs: Iterable[float]) -> None:
+        """Cache the scalar path's value at each Python float ``x >= 0`` of ``xs``.
+
+        The powers of all the points come from one ``np.power`` call on a
+        (points x terms) array, whose row for ``x`` holds the same
+        elementwise powers as the scalar path's call on ``x`` alone; the
+        rest of the scalar path then runs per point.  So a later
+        ``evaluate(x)`` returns, from the cache, the value it would have
+        computed.  A point already cached, and one the scalar path does not
+        take (a negative or non-float ``x``), is skipped.
+        """
+        memo = self._memo
+        points = [x for x in xs if type(x) is float and x >= 0.0 and ("ev", x) not in memo]
+        if not points:
+            return
+        plan = _plan_of(self)
+        base = np.array(points)[:, None]
+        if 0.0 in points and self.terms and self.terms[0][0] < 0.0:
+            with np.errstate(divide="ignore"):
+                rows = np.power(base, plan.exp_array).tolist()
+        else:
+            rows = np.power(base, plan.exp_array).tolist()
+        for x, powers in zip(points, rows):
+            memo["ev", x] = self._sum_powers(plan, x, powers)
+
     def _sum_terms(self, xs: np.ndarray) -> np.ndarray:
         out = np.zeros(xs.shape)
         for e, (_, c) in zip(_plan_of(self).exps, self.terms):
@@ -250,6 +275,10 @@ class AlphaSeries:
                 powers = np.power(x, plan.exp_array).tolist()
         else:
             powers = np.power(x, plan.exp_array).tolist()
+        return self._sum_powers(plan, x, powers)
+
+    def _sum_powers(self, plan: _GradePlan, x: float, powers: list) -> float:
+        """The scalar path's value at ``x`` from ``np.power(x, plan.exp_array)`` as a list."""
         for i in plan.squares:
             powers[i] = x * x
         for i in plan.roots:

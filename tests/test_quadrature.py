@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -186,6 +187,29 @@ class TestWeights:
         functional = MomentFunctional(AlphaContext(0.5))
         with np.errstate(over="ignore"), pytest.raises(QuadratureError, match="overflowed"):
             functional.integrate(np.full(functional.nodes, 1.7e308))
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("weight_grade", (0.0, 2.0))
+    def test_integrate_rows_is_integrate_of_each_row(self, alpha, weight_grade):
+        # bit for bit, and with integrate's error in place of a row that it raises on
+        functional = MomentFunctional(AlphaContext(alpha))
+        rng = np.random.default_rng(7)
+        rows = rng.standard_normal((60, functional.nodes)) * 10.0 ** rng.uniform(-8, 8, (60, 1))
+        rows[3, 5], rows[8, 0], rows[9, -1] = math.nan, math.inf, -math.inf
+        rows[12] = 1.7e308  # finite samples whose integral overflows
+        with np.errstate(over="ignore"):
+            got = functional.integrate_rows(rows, weight_grade)
+        assert len(got) == len(rows)
+        for row, value in zip(rows, got):
+            try:
+                with np.errstate(over="ignore"):
+                    want = functional.integrate(row, weight_grade)
+            except QuadratureError as exc:
+                assert isinstance(value, QuadratureError) and str(value) == str(exc)
+            else:
+                assert type(value) is float and struct.pack("<d", value) == struct.pack("<d", want)
+        with pytest.raises(ValueError, match="rows of"):
+            functional.integrate_rows(rows[0], weight_grade)
 
     def test_non_finite_weights_raise_when_built(self, monkeypatch):
         functional = MomentFunctional(AlphaContext(0.5))

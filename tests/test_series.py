@@ -157,6 +157,32 @@ def test_negative_zero_evaluates_like_zero(terms):
         assert _bits(values[0]) == _bits(AlphaSeries(terms, CTX_HALF).evaluate(np.array([-0.0]))[0])
 
 
+@settings(max_examples=200, deadline=None)
+@given(_series_and_point(), st.lists(st.one_of(st.floats(0.0, 50.0), st.sampled_from([0.0, -0.0, 1.0, 4.0, -1.0])),
+                                     max_size=6))
+@example((AlphaSeries(((-0.5, 3.0), (2.0, 1.0)), CTX_HALF), 0.0), [0.0, 0.25, 1.0])
+@example((AlphaSeries(((1.0, 1.5), (2.0, -2.0), (4.0, 0.25)), CTX_HALF), 2.0), [0.5, -0.0, 2.0, 2.0])
+def test_cached_points_hold_the_scalar_values(case, points):
+    # cache_points fills the scalar path's cache with the values it computes, bit for bit
+    f, x = case
+    points = [x, *points]
+    cached = AlphaSeries(f.terms, f.ctx)
+    with np.errstate(all="ignore"):
+        cached.cache_points(points)
+        taken = [p for p in points if type(p) is float and p >= 0.0]
+        assert all(("ev", p) in cached._memo for p in taken)
+        assert len([k for k in cached._memo if k[0] == "ev"]) == len(set(taken))
+        fresh = AlphaSeries(f.terms, f.ctx)
+        assert [_bits(cached.evaluate(p)) for p in taken] == [_bits(fresh.evaluate(p)) for p in taken]
+
+
+def test_cache_points_keeps_a_cached_value():
+    f = mono(1.0, CTX_HALF)
+    f._memo["ev", 4.0] = 7.0  # a planted value, to see that it is kept
+    f.cache_points([4.0, 9.0])
+    assert f.evaluate(4.0) == 7.0 and f.evaluate(9.0) == 3.0
+
+
 class TestDerivative:
     def test_monomial_rule(self):
         a = 0.5
