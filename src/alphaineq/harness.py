@@ -57,12 +57,6 @@ CSV_COLUMNS = ("ineq", "alpha", "s", "p", "q", "a", "b", "x", "fn", "lhs", "rhs"
 #: The report columns holding text; ``holds`` is a bool and every other column a float or None.
 _TEXT_COLUMNS = ("ineq", "fn", "notes")
 
-#: The cell types of the rows the program builds: each of the six parameter
-#: cells (s, p, q, a, b, x) between head and tail is a float or None.
-_ROW_HEAD = (str, float)
-_PARAM_TYPES = frozenset({float, type(None)})
-_ROW_TAIL = (str, float, float, float, bool, str)
-
 
 class SpecSyntaxError(ValueError):
     """A function spec failed to parse; carries the offending position."""
@@ -561,16 +555,6 @@ def _shrink(
     return pt, rep
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _fmt(value)
-    return str(value)
-
-
 def emit_report(rows: Sequence[IneqReport], format: str, path: str | Path) -> None:
     """Write reports as CSV (17 significant digits) or JSON."""
     text = render_report(rows, format)
@@ -578,15 +562,13 @@ def emit_report(rows: Sequence[IneqReport], format: str, path: str | Path) -> No
         fh.write(text)
 
 
-def _json_value(value):
-    # strict JSON has no NaN or Infinity: write a non-finite float as its CSV cell
-    if isinstance(value, float) and not math.isfinite(value):
-        return _fmt(value)
-    return value
+def _json_number(v) -> str:
+    """A number cell as its double in JSON.
 
-
-def _json_float(v: float) -> str:
-    """A float cell as ``json.dumps`` writes it after :func:`_json_value`."""
+    Strict JSON has no NaN or Infinity, so a non-finite value is written as
+    the string of its CSV cell.
+    """
+    v = float(v)
     return float.__repr__(v) if math.isfinite(v) else json.dumps(_fmt(v))
 
 
@@ -608,43 +590,31 @@ class _Cells(dict):
         return text
 
 
-class _PlainRows(dict):
-    """Whether a row's cells have exactly the types the program builds, decided once per type tuple."""
-
-    def __missing__(self, types: tuple) -> bool:
-        ok = self[types] = (
-            types[:2] == _ROW_HEAD and types[8:] == _ROW_TAIL and _PARAM_TYPES.issuperset(types[2:8])
-        )
-        return ok
-
-
 def render_report(rows: Sequence[IneqReport], format: str) -> str:
     """The report text in ``format``, ``csv`` or ``json``.
 
-    A row of the cell types the program builds is one formatted string of
-    cells rendered once per distinct value in this call: a CSV float by
-    ``format(v, ".17g")`` (``rhs`` and ``slack``, distinct on almost every
-    row, inline), a CSV text by ``csv`` quoting, a JSON float by
-    ``float.__repr__`` and a JSON text by ``json.dumps``.  Any other row, such
-    as one holding an int or a numpy scalar, goes cell by cell through
-    :func:`_csv_cell` and the writer, or as one record through ``json.dumps``.
-    Either way the text is that of the ``csv`` writer, or of
-    ``json.dumps(records, indent=2, allow_nan=False)`` with a newline.
+    Every row is one formatted string of its cells, whose types are those
+    :class:`IneqReport` declares.  A number cell holds ``None`` or any real
+    that converts to a double (a float, an int, a bool or a numpy scalar),
+    and is written as that double: in CSV by ``format(v, ".17g")``, ``None``
+    as an empty cell; in JSON by ``float.__repr__``, a non-finite value as
+    the string of its CSV cell and ``None`` as ``null``.  ``holds`` is
+    ``true`` or ``false`` by its truth value.  A text cell is quoted by the
+    ``csv`` module, or by ``json.dumps``.  Cells are rendered once per
+    distinct value in this call, except CSV ``rhs`` and ``slack``, distinct
+    on almost every row, which are rendered inline.  The text is that of
+    the ``csv`` writer, or of ``json.dumps(records, indent=2,
+    allow_nan=False)`` with a newline, for the rows with each number cell
+    converted to a float and ``holds`` to a bool.
     """
     _check_format(format)
     values = attrgetter(*CSV_COLUMNS)
-    plain = _PlainRows()
     if format == "json":
-        num, txt = _Cells(_json_float), _Cells(json.dumps)
+        num, txt = _Cells(_json_number), _Cells(json.dumps)
         num[None] = "null"
         out = []
         for r in rows:
-            v = values(r)
-            if not plain[tuple(map(type, v))]:
-                cells = {c: _json_value(x) for c, x in zip(CSV_COLUMNS, v)}
-                out.append(json.dumps([cells], indent=2, allow_nan=False)[2:-2])
-                continue
-            ineq, alpha, s, p, q, a, b, x, fn, lhs, rhs, slack, holds, notes = v
+            ineq, alpha, s, p, q, a, b, x, fn, lhs, rhs, slack, holds, notes = values(r)
             out.append(
                 f'  {{\n    "ineq": {txt[ineq]},\n    "alpha": {num[alpha]},\n    "s": {num[s]},\n'
                 f'    "p": {num[p]},\n    "q": {num[q]},\n    "a": {num[a]},\n    "b": {num[b]},\n'
@@ -654,8 +624,7 @@ def render_report(rows: Sequence[IneqReport], format: str) -> str:
             )
         return "[\n" + ",\n".join(out) + "\n]\n" if out else "[]\n"
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    buf.write(",".join(CSV_COLUMNS) + "\n")
 
     def quote(text: str) -> str:
         line = io.StringIO()
@@ -663,17 +632,15 @@ def render_report(rows: Sequence[IneqReport], format: str) -> str:
         csv.writer(line, lineterminator="\n").writerow(("", text))
         return line.getvalue()[1:-1]
 
-    num, txt = _Cells("{:.17g}".format), _Cells(quote)
-    num[None] = ""  # an empty parameter cell
+    num, txt = _Cells(_fmt), _Cells(quote)
+    num[None] = ""  # an empty number cell
     for r in rows:
-        v = values(r)
-        if not plain[tuple(map(type, v))]:
-            writer.writerow([_csv_cell(c) for c in v])
-            continue
-        ineq, alpha, s, p, q, a, b, x, fn, lhs, rhs, slack, holds, notes = v
+        ineq, alpha, s, p, q, a, b, x, fn, lhs, rhs, slack, holds, notes = values(r)
+        rhs = "" if rhs is None else _fmt(rhs)
+        slack = "" if slack is None else _fmt(slack)
         buf.write(
             f"{txt[ineq]},{num[alpha]},{num[s]},{num[p]},{num[q]},{num[a]},{num[b]},{num[x]},"
-            f"{txt[fn]},{num[lhs]},{rhs:.17g},{slack:.17g},{'true' if holds else 'false'},{txt[notes]}\n"
+            f"{txt[fn]},{num[lhs]},{rhs},{slack},{'true' if holds else 'false'},{txt[notes]}\n"
         )
     return buf.getvalue()
 

@@ -149,8 +149,10 @@ class MomentFunctional:
 
         Raises :class:`QuadratureError` instead of returning a non-finite value.
         """
-        y = self._samples(values)
-        value = float(self.weights(weight_grade) @ y)
+        y = np.asarray(values, dtype=float)
+        if y.shape != (self.nodes,):
+            raise ValueError(f"expected {self.nodes} samples, got {y.shape}")
+        value = float(self.weights(weight_grade).dot(y))
         if not math.isfinite(value):
             raise _integral_error(y, value)
         return value
@@ -159,7 +161,7 @@ class MomentFunctional:
         """:meth:`integrate` of each row of a (rows x nodes) array, in one call.
 
         The matmul of the stacked (1 x nodes) rows by the weights reduces
-        each row by the same BLAS dot product as :meth:`integrate`'s matmul
+        each row by the same BLAS dot product as :meth:`integrate`'s ``dot``
         of two vectors, so each value is bit-identical to integrating its
         row alone.  A row that :meth:`integrate` raises on holds its
         :class:`QuadratureError` in place of a value, so the caller can
@@ -171,12 +173,6 @@ class MomentFunctional:
         sums = (y[:, None, :] @ self.weights(weight_grade))[:, 0].tolist()
         return [v if math.isfinite(v) else _integral_error(y[i], v) for i, v in enumerate(sums)]
 
-    def _samples(self, values: np.ndarray) -> np.ndarray:
-        y = np.asarray(values, dtype=float)
-        if y.shape != self.grid.shape:
-            raise ValueError(f"expected {self.grid.shape[0]} samples, got {y.shape}")
-        return y
-
     def fit(self, values: np.ndarray) -> tuple[np.ndarray, float]:
         """Least-squares coefficients for samples on the grid, plus max residual.
 
@@ -184,7 +180,9 @@ class MomentFunctional:
         the integral that ``integrate(values, w)`` computes.
         """
         _, sqrt_w, design = self._rule()
-        y = self._samples(values)
+        y = np.asarray(values, dtype=float)
+        if y.shape != (self.nodes,):
+            raise ValueError(f"expected {self.nodes} samples, got {y.shape}")
         _check_finite(y)
         coeffs, *_ = np.linalg.lstsq(design * sqrt_w[:, None], y * sqrt_w, rcond=CUTOFF_REL)
         if not np.all(np.isfinite(coeffs)):

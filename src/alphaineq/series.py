@@ -194,14 +194,6 @@ class AlphaSeries:
     def monomial(cls, grade: float, ctx: AlphaContext, coeff: float = 1.0) -> "AlphaSeries":
         return cls(((grade, coeff),), ctx)
 
-    @classmethod
-    def constant(cls, value: float, ctx: AlphaContext) -> "AlphaSeries":
-        return cls(((0.0, value),), ctx)
-
-    @classmethod
-    def zero(cls, ctx: AlphaContext) -> "AlphaSeries":
-        return cls((), ctx)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms

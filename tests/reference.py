@@ -1,12 +1,14 @@
 """Reference code that the tests check and no program path runs.
 
 These are the fractal-field scalars with their field operations, the
-Mittag-Leffler sum, the series ring operations with the range-checked point
-evaluation, the integration-by-parts residual and the alpha-binomial
-expansion.  The tests hold them to the field axioms, to spot values and to
-the README's ``alpha < 1`` findings (the by-parts residual of ``x**alpha``
-and the binomial-expansion gap of the mixed moment).  The package never
-calls them, so they live beside the tests that do.
+Mittag-Leffler sum, the constant and zero series, the series ring
+operations with the range-checked point evaluation, the
+integration-by-parts residual, the alpha-binomial expansion and the
+cell-by-cell report renderings.  The tests hold them to the field axioms,
+to spot values, to the README's ``alpha < 1`` findings (the by-parts
+residual of ``x**alpha`` and the binomial-expansion gap of the mixed
+moment) and to the text of the report writer.  The package never calls
+them, so they live beside the tests that do.
 
 Import it as ``from reference import ...``: pytest puts this directory on
 ``sys.path`` for the test modules beside it.
@@ -28,11 +30,15 @@ __all__ = [
     "alpha_binomial_series",
     "alpha_mul",
     "byparts_residual",
+    "csv_cell",
+    "json_value",
     "mittag_leffler",
     "series_add",
+    "series_constant",
     "series_eval",
     "series_mul",
     "series_scale",
+    "series_zero",
 ]
 
 #: Hard cap on series terms accepted while summing the Mittag-Leffler series.
@@ -107,6 +113,14 @@ def mittag_leffler(x: float, ctx: AlphaContext, tol: float = 1e-12) -> float:
     )
 
 
+def series_constant(value: float, ctx: AlphaContext) -> AlphaSeries:
+    return AlphaSeries(((0.0, value),), ctx)
+
+
+def series_zero(ctx: AlphaContext) -> AlphaSeries:
+    return AlphaSeries((), ctx)
+
+
 def _require_same_ctx(f: AlphaSeries, g: AlphaSeries) -> None:
     if f.ctx != g.ctx:
         raise ValueError("series have different contexts")
@@ -167,3 +181,22 @@ def alpha_binomial_series(n: int, ctx: AlphaContext) -> AlphaSeries:
         (float(j), (-1.0) ** j * math.comb(n, j) ** ctx.alpha) for j in range(n + 1)
     )
     return AlphaSeries(terms, ctx)
+
+
+def csv_cell(value) -> str:
+    """One report cell as the ``csv`` writer's field: a float at 17 significant digits, None empty."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def json_value(value):
+    """One report cell as ``json.dumps`` takes it; a non-finite float as the string of its CSV cell."""
+    # strict JSON has no NaN or Infinity
+    if isinstance(value, float) and not math.isfinite(value):
+        return format(value, ".17g")
+    return value

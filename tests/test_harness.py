@@ -48,6 +48,7 @@ from alphaineq.inequalities import (
 )
 from alphaineq.quadrature import MomentFunctional
 from alphaineq.series import AlphaSeries, GammaPoleError
+from reference import csv_cell, json_value
 
 
 class TestFunctionSpec:
@@ -852,20 +853,26 @@ _PLAIN_ROWS = st.builds(
 )
 
 
-def _odd_rows(cells):
-    return st.builds(
-        IneqReport, _TEXTS, cells, cells, cells, cells, st.one_of(st.booleans(), cells),
-        *[cells] * 6, st.one_of(_TEXTS, st.none()), _TEXTS,
-    )
-
-
-# any other cell type: per-cell rendering, or one json.dumps per record;
-# json.dumps cannot write a numpy bool
-_JSON_ODD_CELLS = st.one_of(
-    st.none(), _FLOATS, st.sampled_from([10**17, 0, -3]), st.integers(), _FLOATS.map(np.float64),
+# any number cell: None or a real that converts to a double (ints bounded to the double range);
+# holds may be any of them, by its truth value
+_NUMBERS = st.one_of(
+    st.none(), _FLOATS, st.sampled_from([10**17, 0, -3]), st.integers(min_value=-(2**1023), max_value=2**1023),
+    st.booleans(), st.booleans().map(np.bool_), _FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
 )
-_ODD_ROWS = _odd_rows(st.one_of(_JSON_ODD_CELLS, st.booleans().map(np.bool_)))
-_JSON_ODD_ROWS = _odd_rows(_JSON_ODD_CELLS)
+_ODD_ROWS = st.builds(IneqReport, _TEXTS, *[_NUMBERS] * 11, _TEXTS, _TEXTS)
+
+
+def _coerced(rows):
+    """The rows with each number cell converted to a float and ``holds`` to a bool."""
+    def cell(column, value):
+        if column in ("ineq", "fn", "notes"):
+            return value
+        if column == "holds":
+            return bool(value)
+        return None if value is None else float(value)
+
+    return [IneqReport(**{c: cell(c, getattr(r, c)) for c in CSV_COLUMNS}) for r in rows]
 
 
 class TestEmission:
@@ -928,7 +935,7 @@ class TestEmission:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for r in rows:
-            writer.writerow([harness._csv_cell(getattr(r, c)) for c in CSV_COLUMNS])
+            writer.writerow([csv_cell(getattr(r, c)) for c in CSV_COLUMNS])
         return buf.getvalue()
 
     def test_csv_matches_per_cell_rendering_on_edge_rows(self):
@@ -939,8 +946,8 @@ class TestEmission:
             IneqReport("ghh", 1.0, -0.0, 0.0, 0.0, True, a=-0.0, b=0.0),
             IneqReport("ghh", 0.5, nan, inf, -inf, False, x=nan, s=inf),
             IneqReport("ghh", 0.5, -inf, nan, nan, False, x=-inf),
-            # a float and an int of one value that print differently, and a
-            # bool next to the equal float 1.0
+            # a float and an int of one value, both written as the double, and
+            # a bool next to the equal float 1.0
             IneqReport("ghh", 1.0, 1e17, 10**17, 1.0, True, s=1, p=1.0),
             IneqReport("thm1", 0.5, np.float64(0.25), 0.25, np.float64(-0.0), np.bool_(False)),
             IneqReport(
@@ -957,37 +964,55 @@ class TestEmission:
         assert {type(r.s) for r in swept} == {float, type(None)} and {type(r.alpha) for r in swept} == {float}
         rows = edge + swept
         text = render_report(rows, "csv")
-        assert text == self.per_cell_csv(rows)
+        assert text == self.per_cell_csv(_coerced(rows))
         table = list(csv.reader(io.StringIO(text)))
         assert table[1][CSV_COLUMNS.index("lhs")] == "0" and table[1][CSV_COLUMNS.index("rhs")] == "-0"
-        assert table[5][CSV_COLUMNS.index("lhs")] == "1e+17"
-        assert table[5][CSV_COLUMNS.index("rhs")] == "100000000000000000"
+        # the int cell is written as its double, which loads back as the float cell beside it
+        assert table[5][CSV_COLUMNS.index("lhs")] == table[5][CSV_COLUMNS.index("rhs")] == "1e+17"
         assert table[7][CSV_COLUMNS.index("notes")] == 'say "hi",\nthen stop'
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.one_of(_PLAIN_ROWS, _ODD_ROWS), max_size=8))
+    @given(st.lists(_PLAIN_ROWS, max_size=8))
     @example([
         IneqReport("ghh", 0.0, -0.0, 0.0, -0.0, True, a=-0.0, b=0.0),
         IneqReport("ghh", -0.0, 0.0, -0.0, 0.0, False, 0.0, -0.0),
-        IneqReport("thm1", 1e17, 10**17, 5e-324, -2.5e-310, np.bool_(True), np.float64(-0.0)),
-        IneqReport("thm1", 1.0, 1e17, 0.0, 0.0, True, s=10**17),
+        IneqReport("thm1", 1e17, 5e-324, -2.5e-310, -0.0, True),
         IneqReport(",", math.nan, math.inf, -math.inf, math.nan, False, fn='"', notes="\r\n"),
     ])
     def test_csv_matches_per_cell_rendering_on_generated_rows(self, rows):
         assert render_report(rows, "csv") == self.per_cell_csv(rows)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.one_of(_PLAIN_ROWS, _ODD_ROWS), max_size=8))
+    @example(rows=[
+        IneqReport("thm1", 1e17, 10**17, 5e-324, -2.5e-310, np.bool_(True), np.float64(-0.0)),
+        IneqReport("thm1", 1.0, 1e17, 0.0, 0.0, True, s=10**17),
+        IneqReport("ghh", 1.0, 1.0, 1.0, 0.0, 1),
+        IneqReport("ghh", np.float32(0.1), 0.1, None, None, np.bool_(False), np.int64(-3), True),
+    ])
+    def test_rows_render_as_their_coerced_rows(self, fmt, rows):
+        assert render_report(rows, fmt) == render_report(_coerced(rows), fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_numpy_and_int_cells_read_back_as_floats_and_bools(self, fmt, tmp_path):
+        rows = [
+            IneqReport("thm1", np.float32(0.1), np.int64(3), 10**17, np.float64(-0.5), np.bool_(True), s=1,
+                       p=np.float32(2.5), q=np.int64(2), a=0, b=True, x=np.float32(0.3), fn="mono:2"),
+            IneqReport("ghh", 0.5, np.float32(-0.0), None, None, np.bool_(False), notes="n"),
+            IneqReport("ghh", 1.0, np.float32("inf"), np.float32("-inf"), np.int64(0), 1),
+        ]
+        path = tmp_path / f"rows.{fmt}"
+        emit_report(rows, fmt, path)
+        back = load_report(path, fmt)
+        assert back == _coerced(rows)
+        assert [type(r.holds) for r in back] == [bool] * 3 and back[0].alpha == float(np.float32(0.1))
+
     @staticmethod
     def dumped_json(rows):
         """``json.dumps`` of all records at once, kept as the JSON reference."""
-        records = [{c: harness._json_value(getattr(r, c)) for c in CSV_COLUMNS} for r in rows]
+        records = [{c: json_value(getattr(r, c)) for c in CSV_COLUMNS} for r in rows]
         return json.dumps(records, indent=2, allow_nan=False) + "\n"
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.one_of(_PLAIN_ROWS, _JSON_ODD_ROWS), max_size=8))
-    @example([])
-    @example([IneqReport("thm2", 0.5, 0.1, 0.2, 0.1, True, s=1, fn=None), IneqReport("ghh", 1.0, 1.0, 1.0, 0.0, 1)])
-    def test_json_matches_json_dumps(self, rows):
-        assert render_report(rows, "json") == self.dumped_json(rows)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_PLAIN_ROWS, max_size=8))

@@ -27,7 +27,7 @@ from alphaineq.inequalities import (
 )
 from alphaineq.quadrature import MomentFunctional, QuadratureError, fractal_integral_numeric
 from alphaineq.series import AlphaSeries, lf_derivative, lf_derivative_n, lf_integral
-from reference import alpha_binomial_series, series_mul
+from reference import alpha_binomial_series, series_constant, series_mul, series_zero
 
 G = math.gamma
 CTX1 = AlphaContext(1.0)
@@ -97,7 +97,7 @@ class TestHermiteHadamard:
         assert abs(mid - 2.0 / 3.0) < 1e-12
 
     def test_constant_equality_at_alpha_one(self):
-        rep = eval_ghh(AlphaSeries.constant(3.3, CTX1), 0.0, 1.0)
+        rep = eval_ghh(series_constant(3.3, CTX1), 0.0, 1.0)
         assert rep.holds
         assert abs(rep.slack) <= 1e-12
 
@@ -154,7 +154,7 @@ class TestSHH:
         assert abs(rep.slack) <= 1e-9
 
     def test_zero_function(self):
-        rep = eval_shh(AlphaSeries.zero(CTX1), 0.5, 0.0, 1.0)
+        rep = eval_shh(series_zero(CTX1), 0.5, 0.0, 1.0)
         assert rep.holds
         assert rep.lhs == rep.rhs == 0.0
 
@@ -325,7 +325,7 @@ class TestOstrowskiClassic:
         assert rep.rhs == pytest.approx((b - a) * theta / 4.0, rel=1e-9)
 
     def test_constant_function(self):
-        rep = eval_ostrowski_classic(AlphaSeries.constant(2.0, CTX_HALF), 0.3, 0.0, 1.0)
+        rep = eval_ostrowski_classic(series_constant(2.0, CTX_HALF), 0.3, 0.0, 1.0)
         assert rep.lhs <= 1e-14
         assert rep.holds
 
@@ -348,7 +348,7 @@ class TestIdentityResidual:
 
     def test_constant_function(self):
         functional = MomentFunctional(CTX1)
-        f = AlphaSeries.constant(4.2, CTX1)
+        f = series_constant(4.2, CTX1)
         for x in (0.0, 0.3, 1.0):
             assert identity_residual(f, x, 0.0, 1.0, functional) <= 1e-12
 

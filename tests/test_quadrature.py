@@ -15,7 +15,7 @@ from alphaineq.quadrature import (
     fractal_integral_numeric,
 )
 from alphaineq.series import AlphaSeries
-from reference import alpha_binomial_series, series_mul
+from reference import alpha_binomial_series, series_constant, series_mul, series_zero
 
 ALPHAS = (0.3, 0.5, 0.8, 1.0)
 S_VALUES = (0.25, 0.5, 0.75)
@@ -187,6 +187,17 @@ class TestWeights:
         functional = MomentFunctional(AlphaContext(0.5))
         with np.errstate(over="ignore"), pytest.raises(QuadratureError, match="overflowed"):
             functional.integrate(np.full(functional.nodes, 1.7e308))
+
+    @pytest.mark.parametrize(
+        "values", [np.ones(39), np.ones(41), np.ones((1, 40)), 1.0], ids=["short", "long", "row", "scalar"]
+    )
+    def test_wrong_sample_count_raises(self, values):
+        functional = MomentFunctional(AlphaContext(0.5))
+        assert functional.nodes == 40
+        with pytest.raises(ValueError, match="expected 40 samples"):
+            functional.integrate(values)
+        with pytest.raises(ValueError, match="expected 40 samples"):
+            functional.fit(values)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("weight_grade", (0.0, 2.0))
@@ -418,14 +429,14 @@ class TestComposedMoment:
         ctx = AlphaContext(0.5)
         functional = MomentFunctional(ctx)
         c = 1.7
-        f2 = AlphaSeries.constant(c, ctx)
+        f2 = series_constant(c, ctx)
         got = composed_moment(f2, 2.0, 0.8, 0.2, functional, absolute=True)
         assert got == pytest.approx(c * moment_closed(2, 0.5), rel=1e-12)
 
     def test_zero_series(self):
         ctx = AlphaContext(0.5)
         functional = MomentFunctional(ctx)
-        assert composed_moment(AlphaSeries.zero(ctx), 2.0, 1.0, 0.0, functional) == 0.0
+        assert composed_moment(series_zero(ctx), 2.0, 1.0, 0.0, functional) == 0.0
 
     def test_classical_scaling_case(self):
         # integrand t^2 * 6 * (t/2): elementary integral 3/4

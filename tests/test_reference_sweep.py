@@ -17,9 +17,10 @@ import pytest
 
 from alphaineq import quadrature
 from alphaineq.cli import main
-from alphaineq.harness import CSV_COLUMNS, SweepConfig, _json_value, render_report, run_sweep
+from alphaineq.harness import CSV_COLUMNS, SweepConfig, render_report, run_sweep
 from alphaineq.quadrature import MomentFunctional, composed_moment
 from alphaineq.series import lf_derivative_n
+from reference import json_value
 
 CONFIG = Path(__file__).resolve().parents[1] / "bench" / "reference_sweep.json"
 
@@ -48,7 +49,7 @@ def test_reference_sweep_digest(fmt, tmp_path):
 def test_json_rows_match_json_dumps():
     # the per-row JSON writer against one json.dumps of every record, whatever the numpy version
     rows = run_sweep(SweepConfig.from_json(CONFIG))
-    records = [{c: _json_value(getattr(r, c)) for c in CSV_COLUMNS} for r in rows]
+    records = [{c: json_value(getattr(r, c)) for c in CSV_COLUMNS} for r in rows]
     assert render_report(rows, "json") == json.dumps(records, indent=2, allow_nan=False) + "\n"
 
 
