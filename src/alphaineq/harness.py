@@ -422,11 +422,16 @@ def falsify(
     coefficients carry nonnegative jitter; adversarial mode re-draws signs
     as well.  Only a violation with a finite slack is a witness.
 
-    Shrinking is slack-preserving: a step (halving coefficients toward
-    zero, moving x toward the midpoint, moving the interval length toward
-    one) is accepted only while the candidate still violates and the
-    violation has not weakened, so the returned witness, whose ``fn`` is
-    its series, is the simplest configuration with the original slack.
+    Shrinking (:func:`_shrink`) is slack-preserving and tries the simplest
+    point first: dropping a term, then setting x to the midpoint (only for
+    an id that reads x), then setting the interval length to one, each with
+    a halfway step after the outright one, and last halving a coefficient.
+    A step is accepted only while the candidate still violates and its
+    slack has weakened by at most ``fp_tol``, and a step that would not
+    change the point is never evaluated.  So the returned witness, whose
+    ``fn`` is its series, is the simplest configuration found with the
+    original slack: unless the shrink stopped at its 64-step cap, dropping
+    any one of its terms loses the violation.
 
     Points that share their terms share one series, so the values cached
     on it (f', f'', I(f), theta) are computed once: the canonical probes
@@ -514,7 +519,7 @@ def falsify(
 
     if found is None:
         return None
-    pt, rep = _shrink(evaluate, retain, *found, cfg.tolerances.fp_tol)
+    pt, rep = _shrink(evaluate, retain, *found, cfg.tolerances.fp_tol, INEQUALITIES[ineq].reads)
     return rep.with_fn(FunctionSpec("series", pt.terms).canonical())
 
 
@@ -524,24 +529,49 @@ def _shrink(
     pt: _Point,
     rep: IneqReport,
     fp_tol: float,
+    reads: frozenset[str],
 ) -> tuple[_Point, IneqReport]:
-    """Shrink a violating point; ``retain(cand)`` runs on each accepted step that changes the terms."""
+    """Shrink a violating point, simplest candidate first; at most 64 steps.
+
+    Each round tries, in order: dropping each term (while more than one is
+    left); the x fraction set to 0.5, then moved halfway there, if the id
+    reads x; b set to ``a + 1.0``, then moved halfway there; halving each
+    coefficient.  The first candidate that still violates, with a slack
+    weakened by at most ``fp_tol``, becomes the point of the next round; a
+    round that keeps none ends the shrink.  A candidate equal to the current
+    point is never evaluated.  ``retain(cand)`` runs on each accepted step
+    that changes the terms.
+    """
+    moves_x = "x" in reads
+
     def candidates(cur: _Point) -> Iterable[_Point]:
         # built positionally: ``dataclasses.replace`` costs about twice as much per point
         alpha, terms, a, b, frac, s, p = cur.alpha, cur.terms, cur.a, cur.b, cur.frac, cur.s, cur.p
+        if len(terms) > 1:
+            for i in range(len(terms)):
+                yield _Point(alpha, terms[:i] + terms[i + 1:], a, b, frac, s, p)
+        if moves_x:
+            yield _Point(alpha, terms, a, b, 0.5, s, p)
+            half = (frac + 0.5) / 2.0
+            if half != 0.5:  # else the same candidate twice
+                yield _Point(alpha, terms, a, b, half, s, p)
+        unit = a + 1.0
+        yield _Point(alpha, terms, a, unit, frac, s, p)
+        half = a + (b - a + 1.0) / 2.0
+        if half != unit:
+            yield _Point(alpha, terms, a, half, frac, s, p)
         for i in range(len(terms)):
             halved = tuple(
                 (k, c / 2.0 if j == i else c) for j, (k, c) in enumerate(terms)
             )
             yield _Point(alpha, halved, a, b, frac, s, p)
-        if frac != 0.5:
-            yield _Point(alpha, terms, a, b, (frac + 0.5) / 2.0, s, p)
-        length = b - a
-        if length != 1.0:
-            yield _Point(alpha, terms, a, a + (length + 1.0) / 2.0, frac, s, p)
 
     for _ in range(64):
         for cand in candidates(pt):
+            # a no-op step, such as b = a + 1.0 when b already is: b - a may
+            # then be 0.9999999999999998, so no test of the length catches it
+            if cand == pt:
+                continue
             cand_rep = evaluate(cand)
             if cand_rep is None or cand_rep.holds:
                 continue
