@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -358,10 +358,12 @@ def run_sweep(cfg: SweepConfig) -> list[IneqReport]:
     is imposed by a deterministic sort, so the evaluation order is
     unobservable.  Each (alpha, function) pair is realized once, so the
     values cached on its series are shared by all of its rows.  Before the
-    rows of an id whose registry record has a ``prepare`` step (only
-    ``identity``), that step runs once per interval with the rows' x values,
-    so the rows read values it computed together; if it raises, the rows
-    compute, or raise, on their own, as its values are only caches.  Each
+    rows of an id whose registry record has a ``prepare`` step (``identity``,
+    ``ostrowski`` and the six theta forms), that step runs once per
+    (alpha, function, id), with one block ``(series, a, b, xs)`` per
+    interval and the rows' x values ``xs``, so the rows read values it
+    computed together; if it raises, the rows compute, or raise, on their
+    own, as its values are only caches.  Each
     row is built once, by its evaluator, and :func:`evaluate_single` sets the
     function's canonical spec as its ``fn``.  An overflow or an invalid
     value (``inf - inf``) shows in its row as inf or NaN, so numpy does not
@@ -377,13 +379,13 @@ def run_sweep(cfg: SweepConfig) -> list[IneqReport]:
             for ineq in map(canonical_id, cfg.inequalities):
                 prepare = INEQUALITIES[ineq].prepare
                 s_axis, pq_axis, x_axis = _axes(cfg, ineq)
-                for a, b in cfg.intervals:
-                    xs = [None if frac is None else a + frac * (b - a) for frac in x_axis]
-                    if prepare is not None:
-                        try:
-                            prepare(series, functional, a, b, xs)
-                        except Exception:  # the rows compute, or raise, on their own
-                            pass
+                blocks = [
+                    (series, a, b, [None if frac is None else a + frac * (b - a) for frac in x_axis])
+                    for a, b in cfg.intervals
+                ]
+                if prepare is not None:
+                    _prepare(prepare, functional, blocks)
+                for _, a, b, xs in blocks:
                     for s, (p, q), x in product(s_axis, pq_axis, xs):
                         try:
                             rep = evaluate_single(ineq, series, functional, a, b, x, s, p, q, fn_text)
@@ -394,8 +396,20 @@ def run_sweep(cfg: SweepConfig) -> list[IneqReport]:
     return rows
 
 
-@dataclass(frozen=True)
-class _Point:
+def _prepare(prepare: Callable[[MomentFunctional, list], None], functional: MomentFunctional, blocks: list) -> None:
+    """Run an id's ``prepare`` step on ``blocks`` (see :class:`alphaineq.inequalities.Ineq`).
+
+    It only fills caches, so if it raises, the rows compute, or raise, on their own.
+    """
+    try:
+        prepare(functional, blocks)
+    except Exception:  # the rows compute, or raise, on their own
+        pass
+
+
+class _Point(NamedTuple):
+    """A point a ``falsify`` job evaluates; a tuple, which builds and hashes faster than a frozen dataclass."""
+
     alpha: float
     terms: tuple[tuple[float, float], ...]
     a: float
@@ -403,6 +417,14 @@ class _Point:
     frac: float
     s: float
     p: float  # q is its conjugate
+
+    @property
+    def x(self) -> float:
+        return self.a + self.frac * (self.b - self.a)
+
+
+#: The most random trials a ``falsify`` job draws, and prepares, ahead of evaluating them.
+_TRIAL_CHUNK = 16
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -427,8 +449,9 @@ def falsify(
     an id that reads x), then setting the interval length to one, each with
     a halfway step after the outright one, and last halving a coefficient.
     A step is accepted only while the candidate still violates and its
-    slack has weakened by at most ``fp_tol``, and a step that would not
-    change the point is never evaluated.  So the returned witness, whose
+    slack has weakened by at most ``fp_tol``; a step that would not change
+    the point is never evaluated, and no point is evaluated twice in one
+    shrink.  So the returned witness, whose
     ``fn`` is its series, is the simplest configuration found with the
     original slack: unless the shrink stopped at its 64-step cap, dropping
     any one of its terms loses the violation.
@@ -436,9 +459,17 @@ def falsify(
     Points that share their terms share one series, so the values cached
     on it (f', f'', I(f), theta) are computed once: the canonical probes
     use their family's series, and a shrink step that moves only x or b
-    re-uses the series of the current point and its candidates.  Only the
-    series of the latest random trial and of the current shrink
-    neighbourhood are kept, so the reuse stays bounded.
+    re-uses the series of the current point and its candidates.  The
+    random trials are drawn ahead, in chunks of 1, 2, 4, 8 and then 16
+    (``_TRIAL_CHUNK``) trials, which draws the same values in the same
+    order as drawing them one at a time; the id's ``prepare`` step, if it
+    has one, fills the caches of a whole chunk at once (for the theta forms
+    and ``ostrowski``, theta of every trial in one array kernel), and the
+    chunk's trials are then evaluated in order, each as before, so neither
+    the witness nor the number of evaluations depends on the step.  An id
+    without a prepare step draws one trial at a time.  Only the series of
+    the latest chunk and of the current shrink neighbourhood are kept, so
+    the reuse stays bounded.
 
     An evaluator error, such as the Gamma pole of a family without a second
     derivative, propagates as it does from :func:`evaluate_single`.  As in
@@ -466,9 +497,8 @@ def falsify(
             series = kept[key] = AlphaSeries(pt.terms, functional.ctx)
         if series.is_zero:
             return None
-        x = pt.a + pt.frac * (pt.b - pt.a)
         q = pt.p / (pt.p - 1.0)
-        return evaluate_single(ineq, series, functional, pt.a, pt.b, x, pt.s, pt.p, q)
+        return evaluate_single(ineq, series, functional, pt.a, pt.b, pt.x, pt.s, pt.p, q)
 
     def retain(pt: _Point) -> None:
         """Keep only the series of ``pt``, whose terms a shrink step just changed to."""
@@ -502,20 +532,43 @@ def falsify(
             lows = (0.0, 0.25, 0.0, 0.05, 1.2) + (jitter,) * len(base)
             highs = (2.0, 2.75, 1.0, 1.0, 4.0) + (2.0,) * len(base)
             bounds[alpha] = tuple((lo, hi - lo) for lo, hi in zip(lows, highs))
-        for _ in range(trials):
-            # the index draw of ``rng.choice(cfg.alphas)``, which draws nothing from one alpha
-            i = rng.integers(0, len(cfg.alphas), dtype=np.int64) if len(cfg.alphas) > 1 else 0
-            alpha = float(cfg.alphas[i])
-            draws = rng.random(len(bounds[alpha])).tolist()
-            # Python floats, so the witness's values and ``holds`` are not numpy scalars
-            a, length, frac, s, p, *scales = [lo + span * u for (lo, span), u in zip(bounds[alpha], draws)]
-            terms = tuple((k, c * sc) for (k, c), sc in zip(family_terms[alpha], scales))
-            pt = _Point(alpha, terms, a, a + length, frac, s, p)
+        def draw(n: int) -> list[_Point]:
+            pts = []
+            for _ in range(n):
+                # the index draw of ``rng.choice(cfg.alphas)``, which draws nothing from one alpha
+                i = rng.integers(0, len(cfg.alphas), dtype=np.int64) if len(cfg.alphas) > 1 else 0
+                alpha = float(cfg.alphas[i])
+                draws = rng.random(len(bounds[alpha])).tolist()
+                # Python floats, so the witness's values and ``holds`` are not numpy scalars
+                a, length, frac, s, p, *scales = [lo + span * u for (lo, span), u in zip(bounds[alpha], draws)]
+                terms = tuple((k, c * sc) for (k, c), sc in zip(family_terms[alpha], scales))
+                pts.append(_Point(alpha, terms, a, a + length, frac, s, p))
+            return pts
+
+        # the trials are drawn ahead, in chunks of 1, 2, 4, ... up to _TRIAL_CHUNK
+        # trials, which draws the same values in the same order, so that the
+        # id's prepare step fills what a whole chunk reads at once; an id
+        # without one has nothing to fill, and draws one trial at a time
+        prepare = INEQUALITIES[ineq].prepare
+        cap = 1 if prepare is None else _TRIAL_CHUNK
+        drawn, size = 0, 1
+        while found is None and drawn < trials:
+            chunk = draw(min(size, trials - drawn))
+            drawn, size = drawn + len(chunk), min(2 * size, cap)
             kept.clear()  # a random trial's terms never recur, unless a shrink starts from them
-            rep = evaluate(pt)
-            if violates(rep):
-                found = (pt, rep)
-                break
+            if prepare is not None:
+                for pt in chunk:
+                    kept[pt.alpha, pt.terms] = AlphaSeries(pt.terms, functionals[pt.alpha].ctx)
+                for alpha, functional in functionals.items():
+                    blocks = [(kept[alpha, pt.terms], pt.a, pt.b, [pt.x]) for pt in chunk if pt.alpha == alpha]
+                    if blocks:
+                        _prepare(prepare, functional, blocks)
+            for pt in chunk:
+                rep = evaluate(pt)
+                if violates(rep):
+                    found = (pt, rep)
+                    retain(pt)
+                    break
 
     if found is None:
         return None
@@ -539,14 +592,16 @@ def _shrink(
     coefficient.  The first candidate that still violates, with a slack
     weakened by at most ``fp_tol``, becomes the point of the next round; a
     round that keeps none ends the shrink.  A candidate equal to the current
-    point is never evaluated.  ``retain(cand)`` runs on each accepted step
-    that changes the terms.
+    point is never evaluated, and each other point at most once per shrink:
+    a point proposed again is judged on its first report, against the
+    current slack.  ``retain(cand)`` runs on each accepted step that
+    changes the terms.
     """
     moves_x = "x" in reads
 
     def candidates(cur: _Point) -> Iterable[_Point]:
-        # built positionally: ``dataclasses.replace`` costs about twice as much per point
-        alpha, terms, a, b, frac, s, p = cur.alpha, cur.terms, cur.a, cur.b, cur.frac, cur.s, cur.p
+        # built positionally: ``_replace`` costs about twice as much per point
+        alpha, terms, a, b, frac, s, p = cur
         if len(terms) > 1:
             for i in range(len(terms)):
                 yield _Point(alpha, terms[:i] + terms[i + 1:], a, b, frac, s, p)
@@ -566,13 +621,19 @@ def _shrink(
             )
             yield _Point(alpha, halved, a, b, frac, s, p)
 
+    # the report of each point evaluated: a rejected outright x or b step is
+    # proposed again once its halfway step is accepted
+    reports: dict[_Point, Optional[IneqReport]] = {}
     for _ in range(64):
         for cand in candidates(pt):
             # a no-op step, such as b = a + 1.0 when b already is: b - a may
             # then be 0.9999999999999998, so no test of the length catches it
             if cand == pt:
                 continue
-            cand_rep = evaluate(cand)
+            if cand in reports:
+                cand_rep = reports[cand]
+            else:
+                cand_rep = reports[cand] = evaluate(cand)
             if cand_rep is None or cand_rep.holds:
                 continue
             if cand_rep.slack <= rep.slack + fp_tol:  # violation not weakened

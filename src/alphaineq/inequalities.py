@@ -10,8 +10,9 @@ term-wise calculus itself.
 
 :data:`INEQUALITIES` is the one registry of inequality ids: each id maps to
 an :class:`Ineq` record of the parameters it reads (of x, s, p and q), the
-evaluator that computes its row and, for ``identity`` only, a ``prepare``
-step that a sweep runs once per x axis to fill the caches its rows read.
+evaluator that computes its row and, for ``identity``, ``ostrowski`` and
+the six theta forms, a ``prepare`` step that a sweep, or a ``falsify`` job,
+runs ahead of many rows at once to fill the caches they read.
 The harness, the sweep validation and
 the CLI read their ids from it, and a sweep's axes follow ``reads``.  The
 record is also the id's parameter contract, which every evaluator checks
@@ -44,7 +45,7 @@ import numpy as np
 from .alphanum import AlphaContext, alpha_pow_signed, gamma, memoized
 from .convexity import check_s_convex_second
 from .quadrature import MomentFunctional, _sample, composed_moments
-from .series import AlphaSeries, lf_derivative, lf_derivative_n, lf_integral
+from .series import AlphaSeries, GammaPoleError, _plan_of, _sum_terms, lf_derivative, lf_derivative_n, lf_integral
 
 __all__ = [
     "COROLLARY_VARIANTS",
@@ -175,27 +176,35 @@ def _read(ineq: str, x: Optional[float], s: Optional[float], p: Optional[float],
             p if "p" in reads else None, q if "q" in reads else None)
 
 
-def _grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """``np.linspace(lo, hi, n)`` bit for bit, without its per-call overhead.
+def _grid(lo: list, hi: list, n: int) -> np.ndarray:
+    """The rows ``np.linspace(lo[r], hi[r], n)`` as one array, bit for bit, without linspace's per-call overhead.
 
-    The same arithmetic as linspace: ``arange(n) * step + lo`` with the
-    last point set to ``hi``, and linspace's fallback for a step that
+    The same arithmetic as linspace, per row: ``arange(n) * step + lo`` with
+    the last point set to ``hi``, and linspace's fallback for a step that
     underflows to zero.
     """
-    xs = np.arange(n, dtype=float)
-    delta = hi - lo
-    step = delta / (n - 1)
-    if step == 0.0:
-        xs /= n - 1
-        xs *= delta
+    base = np.arange(n, dtype=float)
+    steps = [(h - l) / (n - 1) for l, h in zip(lo, hi)]
+    if len(steps) == 1:  # floats, with which numpy computes the same values faster than with (1, 1) columns
+        step, start = steps[0], lo[0]
     else:
-        xs *= step
-    xs += lo
-    xs[-1] = hi
+        step, start = np.array(steps)[:, None], np.array(lo)[:, None]
+    xs = base[None, :] * step
+    if 0.0 in steps:
+        for r, s in enumerate(steps):
+            if s == 0.0:
+                xs[r] = base / (n - 1) * (hi[r] - lo[r])
+    xs += start
+    for r, h in enumerate(hi):
+        xs[r, -1] = h
     return xs
 
 
-def sup_abs(f: AlphaSeries, a: float, b: float, grid: int = 1025) -> float:
+#: The points of :func:`sup_abs`'s first grid; the refinements use 33.
+_SUP_GRID = 1025
+
+
+def sup_abs(f: AlphaSeries, a: float, b: float, grid: int = _SUP_GRID) -> float:
     """Sup norm of ``|f|`` on ``[a, b]``: dense grid plus local refinement.
 
     After the grid scan, the cell around the maximizer is re-gridded three
@@ -203,28 +212,50 @@ def sup_abs(f: AlphaSeries, a: float, b: float, grid: int = 1025) -> float:
     are those of ``np.linspace``, built by :func:`_grid`.  A NaN sample
     (``inf - inf`` at a pole) makes the value NaN.  The value is cached on
     ``f`` per ``(a, b, grid)``, so a caller that keeps the series computes
-    it once per interval.
+    it once per interval.  This is the one-row call of :func:`_sup_abs`,
+    which the prepare step of the theta forms and of ``ostrowski``
+    (:func:`_prepare_theta`) calls on many rows at once; a value it
+    prefilled is a cache hit here.
     """
     if grid < 3:
         raise ValueError(f"grid must be >= 3, got {grid}")
-    return _sup_abs(f, a, b, grid)
+    value = f._memo.get(("sup", a, b, grid))
+    return _sup_abs([(f, a, b)], grid)[0] if value is None else value
 
 
-@memoized("sup")
-def _sup_abs(f: AlphaSeries, a: float, b: float, grid: int) -> float:
-    lo, hi = a, b
-    best = 0.0
+def _sup_abs(rows: list, grid: int) -> list:
+    """:func:`sup_abs` of each row ``(f, a, b)``, for series ``f`` that share a grade plan; each is cached on its ``f``.
+
+    The rows run the same four rounds together, on (rows x points) arrays:
+    each row's grid (:func:`_grid`); ``|f|`` on it, summed term by term as
+    ``f.evaluate`` sums it (:func:`alphaineq.series._sum_terms`); the first
+    argmax per row, which is the first NaN if there is one; and the cell
+    around it as the row's next interval.  So each row's value is, bit for
+    bit, the one it gets alone.  A row that has read a NaN stays NaN, and
+    its later rounds only cost time.
+    """
+    plan = _plan_of(rows[0][0])
+    coeffs = [[c for _, c in f.terms] for f, _, _ in rows]
+    # per term, the rows' coefficients as a (rows, 1) column, or for one row as floats, as in _grid
+    columns = coeffs[0] if len(rows) == 1 else list(np.array(coeffs).T[:, :, None])
+    lo, hi = [a for _, a, _ in rows], [b for _, _, b in rows]
+    best = [0.0] * len(rows)
+    n = grid
     for _ in range(4):
-        xs = _grid(lo, hi, grid)
-        vals = np.abs(f.evaluate(xs))
-        i = int(vals.argmax())  # the first NaN, if there is one
-        v = vals.item(i)
-        if v != v:  # NaN
-            return math.nan
-        if v > best:
-            best = v
-        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, grid - 1)]
-        grid = 33
+        xs = _grid(lo, hi, n)
+        vals = _sum_terms(plan, columns, xs)
+        np.abs(vals, out=vals)
+        item, last = xs.item, n - 1
+        lo, hi = [], []
+        for r, i in enumerate(vals.argmax(axis=1).tolist()):
+            v = vals.item(r, i)
+            if v > best[r] or v != v:  # NaN compares false, and is kept
+                best[r] = v
+            lo.append(item(r, i - 1 if i else 0))
+            hi.append(item(r, i + 1 if i < last else last))
+        n = 33
+    for (f, a, b), value in zip(rows, best):
+        f._memo["sup", a, b, grid] = value
     return best
 
 
@@ -414,20 +445,48 @@ def _identity_sides(x: float, a: float, b: float) -> list[tuple[float, float]]:
     return sides
 
 
-def _prepare_identity(f: AlphaSeries, functional: MomentFunctional, a: float, b: float, xs: list) -> None:
-    """Fill the caches that the identity rows at the points ``xs`` of ``[a, b]`` read.
+def _prepare_identity(functional: MomentFunctional, blocks: list) -> None:
+    """Fill the caches that the identity rows of each block ``(f, a, b, xs)`` read, at the points ``xs`` of ``[a, b]``.
 
-    The moments of every side come from one :func:`composed_moments` call,
-    so ``f^(2a)`` is sampled once for the whole x axis, and the values of
-    ``f`` and ``f'`` at all of ``xs`` from one ``np.power`` call each
-    (:meth:`AlphaSeries.cache_points`).  Each cached value is bit-identical
-    to the one the row would compute.  If this raises, the values it
-    cached stay valid and every row computes the rest, or raises, on its own.
+    Per block, the moments of every side come from one
+    :func:`composed_moments` call, so ``f^(2a)`` is sampled once for the
+    whole x axis, and the values of ``f`` and ``f'`` at all of ``xs`` from
+    one ``np.power`` call each (:meth:`AlphaSeries.cache_points`).  Each
+    cached value is bit-identical to the one the row would compute.  If
+    this raises, the values it cached stay valid and every row computes the
+    rest, or raises, on its own.
     """
-    f2 = lf_derivative_n(f, 2)
-    f.cache_points(xs)
-    lf_derivative(f).cache_points(xs)
-    composed_moments(f2, 2.0, [(x, e) for x in xs for _, e in _identity_sides(x, a, b)], functional)
+    for f, a, b, xs in blocks:
+        f2 = lf_derivative_n(f, 2)
+        f.cache_points(xs)
+        lf_derivative(f).cache_points(xs)
+        composed_moments(f2, 2.0, [(x, e) for x in xs for _, e in _identity_sides(x, a, b)], functional)
+
+
+def _prepare_theta(order: int) -> Callable[[MomentFunctional, list], None]:
+    """The prepare step of the ids that read theta, ``sup_abs`` of the ``order``-th derivative on ``[a, b]``.
+
+    It fills theta for every block ``(f, a, b, xs)`` whose derivative does
+    not hold it yet, with one :func:`_sup_abs` call per grade plan, so the
+    rows' :func:`sup_abs` calls are cache hits.  A block whose derivative
+    hits a Gamma pole is skipped: its rows raise on their own.  If this
+    raises, the values it cached stay valid and every row computes the
+    rest, or raises, on its own.
+    """
+
+    def prepare(functional: MomentFunctional, blocks: list) -> None:
+        groups: dict = {}
+        for f, a, b, _ in blocks:
+            try:
+                g = lf_derivative_n(f, order)
+            except GammaPoleError:
+                continue
+            if ("sup", a, b, _SUP_GRID) not in g._memo:
+                groups.setdefault(_plan_of(g), []).append((g, a, b))
+        for rows in groups.values():
+            _sup_abs(rows, _SUP_GRID)
+
+    return prepare
 
 
 def _hypothesis_note(
@@ -639,9 +698,13 @@ class Ineq:
 
     The evaluator is called as ``evaluate(series, functional, a, b, x, s, p, q)``
     and returns a row with an empty ``fn``.  ``prepare``, when set, is
-    called as ``prepare(series, functional, a, b, xs)`` before the rows of
-    one (series, interval) with the x values ``xs`` of those rows; it only
-    fills caches the rows read, so a row's value does not depend on it.
+    called as ``prepare(functional, blocks)`` before the rows it serves,
+    with one block ``(series, a, b, xs)`` per (series, interval) of those
+    rows, ``xs`` their x values, and the functional of the series' alpha.
+    It only fills caches the rows read, so a row's value does not depend on
+    it, and a caller ignores its errors.  ``identity`` prepares its moments
+    and point values (:func:`_prepare_identity`); the six theta forms
+    prepare theta of f'' and ``ostrowski`` theta of f' (:func:`_prepare_theta`).
     """
 
     reads: frozenset[str]
@@ -663,7 +726,9 @@ INEQUALITIES: dict[str, Ineq] = {
     "ghh": Ineq(frozenset(), lambda f, fl, a, b, x, s, p, q: eval_ghh(f, a, b)),
     "shh": Ineq(frozenset("s"), lambda f, fl, a, b, x, s, p, q: eval_shh(f, s, a, b)),
     "holder": Ineq(frozenset("pq"), lambda f, fl, a, b, x, s, p, q: eval_holder(f, f, p, q, a, b, fl)),
-    "ostrowski": Ineq(frozenset("x"), lambda f, fl, a, b, x, s, p, q: eval_ostrowski_classic(f, x, a, b)),
+    "ostrowski": Ineq(
+        frozenset("x"), lambda f, fl, a, b, x, s, p, q: eval_ostrowski_classic(f, x, a, b), _prepare_theta(1)
+    ),
     "identity": Ineq(
         frozenset("x"), lambda f, fl, a, b, x, s, p, q: _identity_report(f, fl, a, b, x), _prepare_identity
     ),
@@ -675,6 +740,7 @@ INEQUALITIES: dict[str, Ineq] = {
         f"{form}-thm{i}": Ineq(
             frozenset("s" + ("x" if form == "theta" else "") + {1: "", 2: "pq", 3: "q"}[i]),
             _corollary(f"{form}-thm{i}"),
+            _prepare_theta(2) if "theta" in form else None,
         )
         for i in (1, 2, 3)
         for form in ("midpoint", "theta", "midpoint-theta")

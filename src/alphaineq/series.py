@@ -163,6 +163,38 @@ def _plan_of(f: "AlphaSeries") -> _GradePlan:
     return plan
 
 
+def _sum_terms(plan: _GradePlan, coeffs: list, xs: np.ndarray) -> np.ndarray:
+    """``sum c * xs**e`` over the plan's exponents ``e`` and ``coeffs``, in term order from +0.0.
+
+    The array path of :meth:`AlphaSeries.evaluate` passes its coefficients
+    as floats.  :func:`alphaineq.inequalities.sup_abs` passes one (rows, 1)
+    column per term, for a (rows x points) array of series that share the
+    plan, so each row is summed as its series alone would be.  A leading
+    constant term fills the sum with its coefficient, which is that sum:
+    numpy computes ``xs ** 0.0`` as 1.0 at every point, NaN included, and
+    ``0.0 + c * 1.0`` is ``c`` for a nonzero ``c``.  Numpy's error state is
+    set only when a negative grade can divide by zero.
+    """
+    if plan.grades and plan.grades[0] < 0.0:
+        with np.errstate(divide="ignore"):
+            return _sum_in_term_order(plan.exps, coeffs, xs)
+    return _sum_in_term_order(plan.exps, coeffs, xs)
+
+
+def _sum_in_term_order(exps: list, coeffs: list, xs: np.ndarray) -> np.ndarray:
+    terms = zip(exps, coeffs)
+    if exps and exps[0] == 0.0:
+        out = np.empty(xs.shape)
+        out[...] = next(terms)[1]
+    else:
+        out = np.zeros(xs.shape)
+    for e, c in terms:
+        term = xs ** e
+        term *= c
+        out += term
+    return out
+
+
 @dataclass(frozen=True)
 class AlphaSeries:
     """A finite sum ``sum_k c_k * x**(k*alpha)`` over grades ``k > -1``.
@@ -220,11 +252,7 @@ class AlphaSeries:
                 value = self._memo[key] = self._evaluate_scalar(x)
             return value
         xs = np.asarray(x, dtype=float)
-        if self.terms and self.terms[0][0] < 0.0:
-            with np.errstate(divide="ignore"):
-                out = self._sum_terms(xs)
-        else:
-            out = self._sum_terms(xs)
+        out = _sum_terms(_plan_of(self), [c for _, c in self.terms], xs)
         return float(out) if xs.ndim == 0 else out
 
     def cache_points(self, xs: Iterable[float]) -> None:
@@ -251,14 +279,6 @@ class AlphaSeries:
             rows = np.power(base, plan.exp_array).tolist()
         for x, powers in zip(points, rows):
             memo["ev", x] = self._sum_powers(plan, x, powers)
-
-    def _sum_terms(self, xs: np.ndarray) -> np.ndarray:
-        out = np.zeros(xs.shape)
-        for e, (_, c) in zip(_plan_of(self).exps, self.terms):
-            term = xs ** e
-            term *= c
-            out += term
-        return out
 
     def _evaluate_scalar(self, x: float) -> float:
         plan = _plan_of(self)

@@ -3,8 +3,8 @@
 These are the fractal-field scalars with their field operations, the
 Mittag-Leffler sum, the constant and zero series, the series ring
 operations with the range-checked point evaluation, the
-integration-by-parts residual, the alpha-binomial expansion and the
-cell-by-cell report renderings.  The tests hold them to the field axioms,
+integration-by-parts residual, the alpha-binomial expansion, the
+cell-by-cell report renderings and the one-series loop of the sup norm.  The tests hold them to the field axioms,
 to spot values, to the README's ``alpha < 1`` findings (the by-parts
 residual of ``x**alpha`` and the binomial-expansion gap of the mixed
 moment) and to the text of the report writer.  The package never calls
@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from alphaineq.alphanum import AlphaContext, alpha_pow_signed
 from alphaineq.series import AlphaSeries, lf_derivative, lf_integral
@@ -39,6 +41,7 @@ __all__ = [
     "series_mul",
     "series_scale",
     "series_zero",
+    "sup_abs_loop",
 ]
 
 #: Hard cap on series terms accepted while summing the Mittag-Leffler series.
@@ -200,3 +203,36 @@ def json_value(value):
     if isinstance(value, float) and not math.isfinite(value):
         return format(value, ".17g")
     return value
+
+
+def sup_abs_loop(f: AlphaSeries, a: float, b: float, grid: int = 1025) -> float:
+    """The sup norm of ``|f|`` on ``[a, b]`` one series at a time, as ``sup_abs`` computed it before its row kernel.
+
+    Four rounds: ``np.linspace(lo, hi, grid)``, then 33 points on the cell
+    around the previous maximizer; ``f`` is summed term by term from +0.0,
+    ``c * x**(k*alpha)``, and the first argmax of ``|f|`` is taken, whose
+    NaN ends the loop with NaN.  Division by zero is ignored for a negative
+    grade, as ``AlphaSeries.evaluate`` does; the caller sets the rest of
+    numpy's error state.
+    """
+    exps = [k * f.ctx.alpha for k, _ in f.terms]
+    lo, hi = a, b
+    best = 0.0
+    for _ in range(4):
+        xs = np.linspace(lo, hi, grid)
+        vals = np.zeros(xs.shape)
+        with np.errstate(divide="ignore" if f.terms and f.terms[0][0] < 0.0 else "warn"):
+            for e, (_, c) in zip(exps, f.terms):
+                term = xs ** e
+                term *= c
+                vals += term
+        vals = np.abs(vals)
+        i = int(vals.argmax())  # the first NaN, if there is one
+        v = vals.item(i)
+        if v != v:  # NaN
+            return math.nan
+        if v > best:
+            best = v
+        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, grid - 1)]
+        grid = 33
+    return best

@@ -183,12 +183,31 @@ def test_shrink_never_evaluates_a_no_op_or_an_unread_x_move(reads, frac):
     assert len(rec.pairs) == (7 if moves_x else 4) and rec.steps == moves_x
 
 
+def test_shrink_evaluates_each_point_once():
+    # the outright x and b steps lose the violation and their halfway steps keep it, so
+    # each round after the first proposes the rejected outright steps again
+    start = harness._Point(1.0, ((0.0, 1.0), (1.0, 2.0)), 0.5, 3.5, 0.1, 0.5, 2.0)
+
+    def evaluate(pt):
+        kept = pt.terms == start.terms and pt.frac != 0.5 and pt.b != pt.a + 1.0
+        return IneqReport("thm1", 1.0, 1.0, 0.0, -1.0, not kept)
+
+    rec = Recorder(evaluate, start, evaluate(start), FP_TOL)
+    pt, _ = harness._shrink(rec, lambda cand: None, start, evaluate(start), FP_TOL, frozenset({"x"}))
+    evaluated = [cand for _, cand in rec.pairs]
+    assert len(evaluated) == len(set(evaluated))
+    # the halfway steps are taken as before: x first, then b until the 64-step cap
+    assert rec.steps == 64 and 0.49 < pt.frac < 0.5 and 1.0 < pt.b - pt.a < 1.01
+
+
 @pytest.mark.parametrize("job", WITNESS_JOBS, ids=_job_id)
 def test_shrink_of_a_job_makes_no_no_op_and_no_unread_x_move(job):
     _, rec = shrunk(job)
     assert all(cand != cur for cur, cand in rec.pairs)
     if "x" not in INEQUALITIES[job[0]].reads:
         assert all(cand.frac == cur.frac for cur, cand in rec.pairs)
+    evaluated = [cand for _, cand in rec.pairs]
+    assert len(evaluated) == len(set(evaluated))  # each point once per shrink
 
 
 @pytest.mark.parametrize("job", WITNESS_JOBS, ids=_job_id)

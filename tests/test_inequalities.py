@@ -692,14 +692,19 @@ def _bits(v):
     ],
 )
 def test_sup_grid_is_linspace_bit_for_bit(n, lo, hi):
-    assert (_bits(_grid(lo, hi, n)) == _bits(np.linspace(lo, hi, n))).all()
+    assert (_bits(_grid([lo], [hi], n)[0]) == _bits(np.linspace(lo, hi, n))).all()
 
 
 def test_sup_grid_matches_linspace_on_seeded_intervals():
+    # all 300 intervals as the rows of one grid, each row its own linspace
     rng = np.random.default_rng(8)
-    for lo, width in zip(rng.uniform(-3.0, 3.0, 300), 10.0 ** rng.uniform(-15.0, 2.0, 300)):
-        for n in (3, 33, 1025):
-            assert (_bits(_grid(lo, lo + width, n)) == _bits(np.linspace(lo, lo + width, n))).all()
+    los = rng.uniform(-3.0, 3.0, 300).tolist()
+    his = [lo + width for lo, width in zip(los, 10.0 ** rng.uniform(-15.0, 2.0, 300))]
+    los[7], his[7] = 0.0, 5e-324  # a row whose step underflows, among rows whose step does not
+    for n in (3, 33, 1025):
+        xs = _grid(los, his, n)
+        for row, lo, hi in zip(xs, los, his):
+            assert (_bits(row) == _bits(np.linspace(lo, hi, n))).all()
 
 
 class TestThetaOnlyWhereRead:
