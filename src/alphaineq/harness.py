@@ -408,7 +408,7 @@ def _prepare(prepare: Callable[[MomentFunctional, list], None], functional: Mome
 
 
 class _Point(NamedTuple):
-    """A point a ``falsify`` job evaluates; a tuple, which builds and hashes faster than a frozen dataclass."""
+    """A point a ``falsify`` job evaluates; a tuple, which builds faster than a frozen dataclass."""
 
     alpha: float
     terms: tuple[tuple[float, float], ...]
@@ -450,8 +450,7 @@ def falsify(
     a halfway step after the outright one, and last halving a coefficient.
     A step is accepted only while the candidate still violates and its
     slack has weakened by at most ``fp_tol``; a step that would not change
-    the point is never evaluated, and no point is evaluated twice in one
-    shrink.  So the returned witness, whose
+    the point is never evaluated.  So the returned witness, whose
     ``fn`` is its series, is the simplest configuration found with the
     original slack: unless the shrink stopped at its 64-step cap, dropping
     any one of its terms loses the violation.
@@ -462,14 +461,16 @@ def falsify(
     re-uses the series of the current point and its candidates.  The
     random trials are drawn ahead, in chunks of 1, 2, 4, 8 and then 16
     (``_TRIAL_CHUNK``) trials, which draws the same values in the same
-    order as drawing them one at a time; the id's ``prepare`` step, if it
-    has one, fills the caches of a whole chunk at once (for the theta forms
-    and ``ostrowski``, theta of every trial in one array kernel), and the
-    chunk's trials are then evaluated in order, each as before, so neither
-    the witness nor the number of evaluations depends on the step.  An id
-    without a prepare step draws one trial at a time.  Only the series of
-    the latest chunk and of the current shrink neighbourhood are kept, so
-    the reuse stays bounded.
+    order as drawing them one at a time; the id's ``prepare`` step fills
+    the caches of a whole chunk at once (theta of every trial in one array
+    kernel), and the chunk's trials are then evaluated in order, each as
+    before, so neither the witness nor the number of evaluations depends on
+    the step.  This is done for the ids whose step shares work across
+    blocks (``Ineq.across_blocks``: the theta forms and ``ostrowski``);
+    every other id, ``identity`` included, draws one trial at a time and is
+    not prepared, as a trial's one x gives its step nothing to share.  Only
+    the series of the latest chunk and of the current shrink neighbourhood
+    are kept, so the reuse stays bounded.
 
     An evaluator error, such as the Gamma pole of a family without a second
     derivative, propagates as it does from :func:`evaluate_single`.  As in
@@ -547,9 +548,11 @@ def falsify(
 
         # the trials are drawn ahead, in chunks of 1, 2, 4, ... up to _TRIAL_CHUNK
         # trials, which draws the same values in the same order, so that the
-        # id's prepare step fills what a whole chunk reads at once; an id
-        # without one has nothing to fill, and draws one trial at a time
-        prepare = INEQUALITIES[ineq].prepare
+        # id's prepare step fills what a whole chunk reads at once; for an id
+        # whose step does not share work across blocks, chunks would gain
+        # nothing, so it draws one trial at a time
+        rec = INEQUALITIES[ineq]
+        prepare = rec.prepare if rec.across_blocks else None
         cap = 1 if prepare is None else _TRIAL_CHUNK
         drawn, size = 0, 1
         while found is None and drawn < trials:
@@ -592,10 +595,9 @@ def _shrink(
     coefficient.  The first candidate that still violates, with a slack
     weakened by at most ``fp_tol``, becomes the point of the next round; a
     round that keeps none ends the shrink.  A candidate equal to the current
-    point is never evaluated, and each other point at most once per shrink:
-    a point proposed again is judged on its first report, against the
-    current slack.  ``retain(cand)`` runs on each accepted step that
-    changes the terms.
+    point is never evaluated; every other candidate is, so ``retain(cand)``,
+    which runs on each accepted step that changes the terms, always follows
+    the evaluation of ``cand``.
     """
     moves_x = "x" in reads
 
@@ -621,19 +623,13 @@ def _shrink(
             )
             yield _Point(alpha, halved, a, b, frac, s, p)
 
-    # the report of each point evaluated: a rejected outright x or b step is
-    # proposed again once its halfway step is accepted
-    reports: dict[_Point, Optional[IneqReport]] = {}
     for _ in range(64):
         for cand in candidates(pt):
             # a no-op step, such as b = a + 1.0 when b already is: b - a may
             # then be 0.9999999999999998, so no test of the length catches it
             if cand == pt:
                 continue
-            if cand in reports:
-                cand_rep = reports[cand]
-            else:
-                cand_rep = reports[cand] = evaluate(cand)
+            cand_rep = evaluate(cand)
             if cand_rep is None or cand_rep.holds:
                 continue
             if cand_rep.slack <= rep.slack + fp_tol:  # violation not weakened

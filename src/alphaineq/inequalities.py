@@ -11,8 +11,9 @@ term-wise calculus itself.
 :data:`INEQUALITIES` is the one registry of inequality ids: each id maps to
 an :class:`Ineq` record of the parameters it reads (of x, s, p and q), the
 evaluator that computes its row and, for ``identity``, ``ostrowski`` and
-the six theta forms, a ``prepare`` step that a sweep, or a ``falsify`` job,
-runs ahead of many rows at once to fill the caches they read.
+the six theta forms, a ``prepare`` step that a sweep (and, for the ids whose
+step shares work across blocks, a ``falsify`` job) runs ahead of many rows
+at once to fill the caches they read.
 The harness, the sweep validation and
 the CLI read their ids from it, and a sweep's axes follow ``reads``.  The
 record is also the id's parameter contract, which every evaluator checks
@@ -202,6 +203,10 @@ def _grid(lo: list, hi: list, n: int) -> np.ndarray:
 
 #: The points of :func:`sup_abs`'s first grid; the refinements use 33.
 _SUP_GRID = 1025
+
+#: The most rows a prepare step hands one :func:`_sup_abs` call: its
+#: temporaries are (rows x 1025) arrays, so this bounds their memory.
+_SUP_ROWS = 16
 
 
 def sup_abs(f: AlphaSeries, a: float, b: float, grid: int = _SUP_GRID) -> float:
@@ -467,9 +472,10 @@ def _prepare_theta(order: int) -> Callable[[MomentFunctional, list], None]:
     """The prepare step of the ids that read theta, ``sup_abs`` of the ``order``-th derivative on ``[a, b]``.
 
     It fills theta for every block ``(f, a, b, xs)`` whose derivative does
-    not hold it yet, with one :func:`_sup_abs` call per grade plan, so the
-    rows' :func:`sup_abs` calls are cache hits.  A block whose derivative
-    hits a Gamma pole is skipped: its rows raise on their own.  If this
+    not hold it yet, with one :func:`_sup_abs` call per grade plan and
+    ``_SUP_ROWS`` blocks, so the rows' :func:`sup_abs` calls are cache
+    hits.  A block whose derivative hits a Gamma pole is skipped: its rows
+    raise on their own.  If this
     raises, the values it cached stay valid and every row computes the
     rest, or raises, on its own.
     """
@@ -484,7 +490,8 @@ def _prepare_theta(order: int) -> Callable[[MomentFunctional, list], None]:
             if ("sup", a, b, _SUP_GRID) not in g._memo:
                 groups.setdefault(_plan_of(g), []).append((g, a, b))
         for rows in groups.values():
-            _sup_abs(rows, _SUP_GRID)
+            for i in range(0, len(rows), _SUP_ROWS):
+                _sup_abs(rows[i:i + _SUP_ROWS], _SUP_GRID)
 
     return prepare
 
@@ -705,11 +712,16 @@ class Ineq:
     it, and a caller ignores its errors.  ``identity`` prepares its moments
     and point values (:func:`_prepare_identity`); the six theta forms
     prepare theta of f'' and ``ostrowski`` theta of f' (:func:`_prepare_theta`).
+    ``across_blocks`` is set when the step shares work across blocks, as
+    theta's kernel does, and not only across the x values of one block, as
+    the identity's step does; ``falsify``, whose trials are blocks of one x
+    each, prepares its trials only for such an id.
     """
 
     reads: frozenset[str]
     evaluate: Evaluator
     prepare: Optional[Callable[..., None]] = None
+    across_blocks: bool = False
 
 
 def _corollary(variant: str) -> Evaluator:
@@ -727,7 +739,7 @@ INEQUALITIES: dict[str, Ineq] = {
     "shh": Ineq(frozenset("s"), lambda f, fl, a, b, x, s, p, q: eval_shh(f, s, a, b)),
     "holder": Ineq(frozenset("pq"), lambda f, fl, a, b, x, s, p, q: eval_holder(f, f, p, q, a, b, fl)),
     "ostrowski": Ineq(
-        frozenset("x"), lambda f, fl, a, b, x, s, p, q: eval_ostrowski_classic(f, x, a, b), _prepare_theta(1)
+        frozenset("x"), lambda f, fl, a, b, x, s, p, q: eval_ostrowski_classic(f, x, a, b), _prepare_theta(1), True
     ),
     "identity": Ineq(
         frozenset("x"), lambda f, fl, a, b, x, s, p, q: _identity_report(f, fl, a, b, x), _prepare_identity
@@ -741,6 +753,7 @@ INEQUALITIES: dict[str, Ineq] = {
             frozenset("s" + ("x" if form == "theta" else "") + {1: "", 2: "pq", 3: "q"}[i]),
             _corollary(f"{form}-thm{i}"),
             _prepare_theta(2) if "theta" in form else None,
+            "theta" in form,
         )
         for i in (1, 2, 3)
         for form in ("midpoint", "theta", "midpoint-theta")

@@ -183,21 +183,34 @@ def test_shrink_never_evaluates_a_no_op_or_an_unread_x_move(reads, frac):
     assert len(rec.pairs) == (7 if moves_x else 4) and rec.steps == moves_x
 
 
-def test_shrink_evaluates_each_point_once():
-    # the outright x and b steps lose the violation and their halfway steps keep it, so
-    # each round after the first proposes the rejected outright steps again
-    start = harness._Point(1.0, ((0.0, 1.0), (1.0, 2.0)), 0.5, 3.5, 0.1, 0.5, 2.0)
+def test_shrink_accepts_a_point_it_rejected_before_through_falsify(monkeypatch):
+    # ghh reads no x, and b = a + 1.0 is a no-op on [0, 1], so each round tries the drops, then the halvings.
+    # Round 1 rejects dropping the constant term (its slack weakens by more than fp_tol) and keeps halving
+    # it (weakened by less); round 2 proposes the same drop again, now within fp_tol of the halved point's
+    # slack, and keeps it.  falsify's own retain then reads the series that evaluation made.
+    terms = ((0.0, 1.0), (1.0, 2.0))
+    slack = {
+        terms: -1.0,
+        ((1.0, 2.0),): -1.0 + 1.5 * FP_TOL,
+        ((0.0, 1.0),): 1.0,
+        ((0.0, 0.5), (1.0, 2.0)): -1.0 + 0.9 * FP_TOL,
+        ((1.0, 1.0),): 1.0,
+    }
+    evaluated = []
 
-    def evaluate(pt):
-        kept = pt.terms == start.terms and pt.frac != 0.5 and pt.b != pt.a + 1.0
-        return IneqReport("thm1", 1.0, 1.0, 0.0, -1.0, not kept)
+    def scripted(ineq, series, functional, a, b, x, s, p, q, fn=""):
+        evaluated.append(series.terms)
+        value = slack[series.terms]
+        return IneqReport(ineq, functional.ctx.alpha, 0.0, value, value, value >= 0.0, a=a, b=b)
 
-    rec = Recorder(evaluate, start, evaluate(start), FP_TOL)
-    pt, _ = harness._shrink(rec, lambda cand: None, start, evaluate(start), FP_TOL, frozenset({"x"}))
-    evaluated = [cand for _, cand in rec.pairs]
-    assert len(evaluated) == len(set(evaluated))
-    # the halfway steps are taken as before: x first, then b until the 64-step cap
-    assert rec.steps == 64 and 0.49 < pt.frac < 0.5 and 1.0 < pt.b - pt.a < 1.01
+    monkeypatch.setattr(harness, "evaluate_single", scripted)
+    spec = harness.FunctionSpec("series", terms)
+    cfg = SweepConfig(alphas=(1.0,), functions=(spec,), inequalities=("ghh",))
+    w = falsify("ghh", spec, cfg, 1, 0)
+    assert (w.fn, w.slack) == (harness.FunctionSpec("series", ((1.0, 2.0),)).canonical(), -1.0 + 1.5 * FP_TOL)
+    # three canonical probes; drop, drop, halve; the drop again; the last term's halving
+    assert evaluated == [terms] * 3 + [((1.0, 2.0),), ((0.0, 1.0),), ((0.0, 0.5), (1.0, 2.0)), ((1.0, 2.0),),
+                                       ((1.0, 1.0),)]
 
 
 @pytest.mark.parametrize("job", WITNESS_JOBS, ids=_job_id)
@@ -206,8 +219,6 @@ def test_shrink_of_a_job_makes_no_no_op_and_no_unread_x_move(job):
     assert all(cand != cur for cur, cand in rec.pairs)
     if "x" not in INEQUALITIES[job[0]].reads:
         assert all(cand.frac == cur.frac for cur, cand in rec.pairs)
-    evaluated = [cand for _, cand in rec.pairs]
-    assert len(evaluated) == len(set(evaluated))  # each point once per shrink
 
 
 @pytest.mark.parametrize("job", WITNESS_JOBS, ids=_job_id)

@@ -4,9 +4,11 @@ An id's prepare step fills values its rows read: the identity's moments
 and point values, theta of f'' for the six theta forms and theta of f' for
 ``ostrowski``.  So a sweep's report, and a ``falsify`` job's witness and its
 number of ``evaluate_single`` calls, are the same when the step is removed
-and when it raises.  ``falsify`` prepares its random trials a chunk ahead,
-in chunks of 1, 2, 4, 8 and then 16 trials, and never holds more than 16
-prepared trial series at once.
+and when it raises.  For an id whose step shares work across blocks (the
+theta forms and ``ostrowski``), ``falsify`` prepares its random trials a
+chunk ahead, in chunks of 1, 2, 4, 8 and then 16 trials, and never holds
+more than 16 prepared trial series at once; it never prepares the trials of
+any other id.
 """
 
 import gc
@@ -26,8 +28,13 @@ PREPARED = [
 ]
 
 
+#: The ids whose prepare step shares work across blocks, which ``falsify`` prepares in chunks.
+CHUNKED = [i for i in PREPARED if i != "identity"]
+
+
 def test_prepared_ids():
     assert [i for i, rec in INEQUALITIES.items() if rec.prepare is not None] == PREPARED
+    assert [i for i, rec in INEQUALITIES.items() if rec.across_blocks] == CHUNKED
 
 
 def _broken(functional, blocks):
@@ -35,9 +42,17 @@ def _broken(functional, blocks):
 
 
 def _variants(ineq):
-    """The registry row of ``ineq`` with its prepare step, without one and with one that raises."""
+    """The registry row of ``ineq`` with its prepare step, without one and with one that raises.
+
+    The raising step shares work across blocks, so ``falsify`` draws the
+    trials of every id in chunks with it, and calls it on each.
+    """
     rec = INEQUALITIES[ineq]
-    return {"as is": rec, "removed": replace(rec, prepare=None), "raising": replace(rec, prepare=_broken)}
+    return {
+        "as is": rec,
+        "removed": replace(rec, prepare=None),
+        "raising": replace(rec, prepare=_broken, across_blocks=True),
+    }
 
 
 # mono:1.5's f'' is inf at 0 and (1.5, 1);(1.6, -1)'s NaN there (at alpha = 1); mono:0.5 has no f''
@@ -106,7 +121,7 @@ def _job(ineq, family, alphas, adversarial, seed, monkeypatch, tolerances=Tolera
 
 @pytest.mark.parametrize("ineq", list(INEQUALITIES))
 def test_falsify_does_not_depend_on_prepare(ineq, monkeypatch):
-    # an id without a prepare step gains one that raises, which falsify ignores
+    # every id gains a chunked prepare step that raises, which falsify ignores
     for job in JOBS:
         results = {}
         for name, rec in _variants(ineq).items():
@@ -117,7 +132,7 @@ def test_falsify_does_not_depend_on_prepare(ineq, monkeypatch):
 
 
 @pytest.mark.parametrize("alphas", [(1.0,), (0.5, 0.8, 1.0)], ids=["one-alpha", "three-alphas"])
-@pytest.mark.parametrize("ineq", PREPARED)
+@pytest.mark.parametrize("ineq", CHUNKED)
 def test_falsify_prepares_chunks_of_at_most_16_trials(ineq, alphas, monkeypatch):
     # a tolerance no slack reaches: every trial is drawn, prepared and evaluated
     real = INEQUALITIES[ineq].prepare
@@ -138,3 +153,17 @@ def test_falsify_prepares_chunks_of_at_most_16_trials(ineq, alphas, monkeypatch)
     assert all(live <= 16 for _, _, live in calls), calls
     if len(alphas) == 1:
         assert [n for _, n, _ in calls] == [1, 2, 4, 8, 16, 16, 13]
+
+
+def test_falsify_does_not_prepare_identity_trials(monkeypatch):
+    # the identity's step shares work only across the x values of one block; a trial has one x
+    calls = []
+    real = INEQUALITIES["identity"].prepare
+
+    def recorded(functional, blocks):
+        calls.append(len(blocks))
+        real(functional, blocks)
+
+    monkeypatch.setitem(INEQUALITIES, "identity", replace(INEQUALITIES["identity"], prepare=recorded))
+    result = _job("identity", "ml:6", (0.5, 1.0), False, 5, monkeypatch, Tolerances(slack_tol=1e300))
+    assert result == ("none\n", 6 + TRIALS) and calls == []

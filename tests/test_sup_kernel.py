@@ -17,6 +17,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alphaineq import inequalities
 from alphaineq.alphanum import AlphaContext
 from alphaineq.harness import parse_function_spec
 from alphaineq.inequalities import INEQUALITIES, _sup_abs, sup_abs
@@ -123,3 +124,22 @@ def test_prepare_fills_theta_of_every_block_as_sup_abs_computes_it():
     INEQUALITIES["ostrowski"].prepare(None, [(f, 0.25, 1.75, [0.5])])
     assert ("sup", 0.25, 1.75, 1025) in lf_derivative(f)._memo
     assert ("sup", 0.25, 1.75, 1025) not in lf_derivative_n(f, 2)._memo
+
+
+def test_prepare_hands_the_kernel_at_most_16_rows(monkeypatch):
+    # 40 intervals of one series: the kernel's (rows x 1025) temporaries stay at 16 rows, and every block is filled
+    sizes = []
+
+    def recorded(rows, grid):
+        sizes.append(len(rows))
+        return _sup_abs(rows, grid)
+
+    monkeypatch.setattr(inequalities, "_sup_abs", recorded)
+    ctx = AlphaContext(0.5)
+    f = parse_function_spec("ml:6").realize(ctx)
+    blocks = [(f, 0.05 * i, 0.05 * i + 1.0, [0.05 * i]) for i in range(40)]
+    INEQUALITIES["theta-thm1"].prepare(MomentFunctional(ctx), blocks)
+    assert sizes == [16, 16, 8]
+    g = lf_derivative_n(f, 2)
+    for _, a, b, _ in blocks:
+        assert g._memo["sup", a, b, 1025] == sup_abs_loop(AlphaSeries(g.terms, ctx), a, b)
