@@ -7,8 +7,10 @@ holds no per-inequality logic: ids, the parameters each reads (which fix
 the axes it sweeps) and their evaluators all come from the
 :data:`alphaineq.inequalities.INEQUALITIES` registry, and each evaluator
 checks the parameters its record says it reads, so :func:`evaluate_single`
-only dispatches.  Sweep points are independent; rows are sorted before
-emission, which makes the output independent of the evaluation order.
+only dispatches, and :func:`run_sweep` only hands the theorem family's
+blocks to their block evaluator.  Sweep points are independent; rows are
+sorted before emission, which makes the output independent of the
+evaluation order.
 """
 
 from __future__ import annotations
@@ -363,9 +365,13 @@ def run_sweep(cfg: SweepConfig) -> list[IneqReport]:
     (alpha, function, id), with one block ``(series, a, b, xs)`` per
     interval and the rows' x values ``xs``, so the rows read values it
     computed together; if it raises, the rows compute, or raise, on their
-    own, as its values are only caches.  Each
-    row is built once, by its evaluator, and :func:`evaluate_single` sets the
-    function's canonical spec as its ``fn``.  An overflow or an invalid
+    own, as its values are only caches.  An id whose record has a ``block``
+    evaluator (the theorem family) gets one ``block`` call per (alpha,
+    function, id, interval), which builds each row with the function's
+    canonical spec as its ``fn``.  Every other id's points, and those of a
+    block whose call raises, are evaluated one at a time by
+    :func:`evaluate_single`, which sets that ``fn``, or become error rows;
+    either way each row is built once.  An overflow or an invalid
     value (``inf - inf``) shows in its row as inf or NaN, so numpy does not
     warn of it.
     """
@@ -377,15 +383,21 @@ def run_sweep(cfg: SweepConfig) -> list[IneqReport]:
             fn_text = spec.canonical()
             series = spec.realize(ctx)
             for ineq in map(canonical_id, cfg.inequalities):
-                prepare = INEQUALITIES[ineq].prepare
+                rec = INEQUALITIES[ineq]
                 s_axis, pq_axis, x_axis = _axes(cfg, ineq)
                 blocks = [
                     (series, a, b, [None if frac is None else a + frac * (b - a) for frac in x_axis])
                     for a, b in cfg.intervals
                 ]
-                if prepare is not None:
-                    _prepare(prepare, functional, blocks)
+                if rec.prepare is not None:
+                    _prepare(rec.prepare, functional, blocks)
                 for _, a, b, xs in blocks:
+                    if rec.block is not None:
+                        try:
+                            rows += rec.block(series, a, b, xs, s_axis, pq_axis, fn_text)
+                            continue
+                        except Exception:  # some point raises: evaluate them one at a time, as below
+                            pass
                     for s, (p, q), x in product(s_axis, pq_axis, xs):
                         try:
                             rep = evaluate_single(ineq, series, functional, a, b, x, s, p, q, fn_text)

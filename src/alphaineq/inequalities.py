@@ -2,7 +2,8 @@
 
 Each evaluator computes the left side, the right side and the slack
 ``rhs - lhs`` of one displayed inequality and packages them into an
-:class:`IneqReport`; ``holds`` means ``slack >= -slack_tol``.  The
+:class:`IneqReport`; ``holds`` means ``slack >= -slack_tol``, which one
+function, :func:`_holds`, decides for every row.  The
 evaluators never assert: for alpha = 1 the framework collapses to classical
 calculus and everything here is an established theorem, while for alpha < 1
 the reported slacks and residuals constitute a consistency study of the
@@ -13,12 +14,15 @@ an :class:`Ineq` record of the parameters it reads (of x, s, p and q), the
 evaluator that computes its row and, for ``identity``, ``ostrowski`` and
 the six theta forms, a ``prepare`` step that a sweep (and, for the ids whose
 step shares work across blocks, a ``falsify`` job) runs ahead of many rows
-at once to fill the caches they read.
+at once to fill the caches they read, and, for the theorem family, the
+``block`` evaluator that a sweep calls for all the rows of an interval at
+once (:func:`_theorem_rows`).
 The harness, the sweep validation and
 the CLI read their ids from it, and a sweep's axes follow ``reads``.  The
 record is also the id's parameter contract, which every evaluator checks
-through :func:`_params`: a missing or bad parameter raises ``ValueError``
-naming the id, and an unread one is None in the report.
+through :func:`_params`, or for a block :func:`_check_axes`: a missing or
+bad parameter raises ``ValueError`` naming the id, and an unread one is
+None in the report.
 
 The three theorems share one signed left side (the second-derivative
 identity, which :func:`identity_residual` checks directly).  The
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -86,6 +90,8 @@ class IneqReport:
     A plain slotted record, so it is unhashable.  Its evaluator builds it
     once; the one field set afterwards is ``fn``, by
     :func:`alphaineq.harness.evaluate_single` on the row it was just handed.
+    A block evaluator (:func:`_theorem_rows`) builds its rows with their
+    ``fn``.
     """
 
     ineq: str
@@ -111,12 +117,17 @@ class IneqReport:
         )
 
 
+def _holds(slack: float, ctx: AlphaContext) -> bool:
+    """A row's verdict: ``slack >= -slack_tol``, which a NaN slack fails."""
+    return slack >= -ctx.slack_tol
+
+
 def _report(ineq: str, ctx: AlphaContext, lhs: float, rhs: float, notes: str = "", s: Optional[float] = None,
             p: Optional[float] = None, q: Optional[float] = None, a: Optional[float] = None,
             b: Optional[float] = None, x: Optional[float] = None) -> IneqReport:
-    """The row's report, built positionally with an empty ``fn``; ``holds`` is ``slack >= -slack_tol``."""
+    """The row's report, built positionally with an empty ``fn``; ``holds`` is :func:`_holds` of its slack."""
     slack = rhs - lhs
-    return IneqReport(ineq, ctx.alpha, lhs, rhs, slack, slack >= -ctx.slack_tol, s, p, q, a, b, x, "", notes)
+    return IneqReport(ineq, ctx.alpha, lhs, rhs, slack, _holds(slack, ctx), s, p, q, a, b, x, "", notes)
 
 
 def _check_interval(a: float, b: float) -> None:
@@ -146,28 +157,50 @@ def _params(ineq: str, a: float, b: float, x: Optional[float] = None, s: Optiona
             p: Optional[float] = None, q: Optional[float] = None) -> tuple:
     """:func:`_read` of ``(x, s, p, q)``, after checking ``[a, b]`` and each parameter ``ineq`` reads.
 
-    A missing or bad one raises ``ValueError`` naming ``ineq``.
+    A missing or bad one raises ``ValueError`` naming ``ineq``.  This is
+    the one-point case of :func:`_check_axes`.
+    """
+    _check_axes(ineq, a, b, (x,), (s,), ((p, q),))
+    return _read(ineq, x, s, p, q)
+
+
+def _check_axes(ineq: str, a: float, b: float, xs: Sequence, s_axis: Sequence, pq_axis: Sequence) -> None:
+    """Check ``[a, b]`` and each value of the axes ``ineq`` reads, each once, in the order of :func:`_params`.
+
+    First that no read value is missing, then the interval, s, (p, q) or q,
+    and x, so a one-point call raises the one error :func:`_params` raises.
     """
     reads = INEQUALITIES[ineq].reads
-    if "s" in reads and s is None:
-        raise ValueError(f"{ineq} needs the convexity order s")
-    if "p" in reads and (p is None or q is None):
-        raise ValueError(f"{ineq} needs conjugate (p, q)")
-    if "x" in reads and x is None:
-        raise ValueError(f"{ineq} needs the evaluation point x")
+    read_s, read_p, read_x = "s" in reads, "p" in reads, "x" in reads
+    if read_s:
+        for s in s_axis:
+            if s is None:
+                raise ValueError(f"{ineq} needs the convexity order s")
+    if read_p:
+        for p, q in pq_axis:
+            if p is None or q is None:
+                raise ValueError(f"{ineq} needs conjugate (p, q)")
+    if read_x:
+        for x in xs:
+            if x is None:
+                raise ValueError(f"{ineq} needs the evaluation point x")
     try:
         _check_interval(a, b)
-        if "s" in reads:
-            _check_s(s)
-        if "p" in reads:
-            _check_conjugate(p, q)
-        elif "q" in reads and not (q is not None and q >= 1.0):  # a NaN q fails too
-            raise ValueError(f"need q >= 1, got {q}")
-        if "x" in reads:
-            _check_point(x, a, b)
+        if read_s:
+            for s in s_axis:
+                _check_s(s)
+        if read_p:
+            for p, q in pq_axis:
+                _check_conjugate(p, q)
+        elif "q" in reads:
+            for _, q in pq_axis:
+                if not (q is not None and q >= 1.0):  # a NaN q fails too
+                    raise ValueError(f"need q >= 1, got {q}")
+        if read_x:
+            for x in xs:
+                _check_point(x, a, b)
     except ValueError as exc:
         raise ValueError(f"{ineq}: {exc}") from None
-    return _read(ineq, x, s, p, q)
 
 
 def _read(ineq: str, x: Optional[float], s: Optional[float], p: Optional[float], q: Optional[float]) -> tuple:
@@ -564,21 +597,93 @@ def _theorem(f: AlphaSeries, thm: str, s: float, p: Optional[float], q: Optional
     return f2, g2, front, side, 1.0, (M + N) ** (1.0 / q), div, mid
 
 
-def _theorem_report(thm: str, f: AlphaSeries, s: float, p: Optional[float], q: Optional[float],
-                    x: float, a: float, b: float, grid: int) -> IneqReport:
-    """The shared body of thm1-3: the theorem's record (:func:`_theorem`) at one point."""
+@memoized("at")
+def _theorem_at(f: AlphaSeries, x: float, a: float, b: float) -> tuple:
+    """What a thm1-3 row reads at ``x`` of ``[a, b]``, cached on ``f`` per ``(x, a, b)``.
+
+    That is ``(|f''(x)|, |f''(a)|, |f''(b)|, alpha_pow_signed(x-a)**3,
+    alpha_pow_signed(b-x)**3, G(1+2a) * (b-a)**alpha, lhs)``, the same at
+    every (s, p, q) of the three theorems.
+    """
     ctx = f.ctx
-    f2, g2, front, side = _theorem(f, thm, s, p, q)[:4]
-    dx, da, db = abs(f2.evaluate(x)), abs(f2.evaluate(a)), abs(f2.evaluate(b))
-    rhs = (
-        front
-        * (alpha_pow_signed(x - a, ctx) ** 3 * side(dx, da)
-           + alpha_pow_signed(b - x, ctx) ** 3 * side(dx, db))
-        / (g2 * (b - a) ** ctx.alpha)
+    f2 = lf_derivative_n(f, 2)
+    return (
+        abs(f2.evaluate(x)), abs(f2.evaluate(a)), abs(f2.evaluate(b)),
+        alpha_pow_signed(x - a, ctx) ** 3, alpha_pow_signed(b - x, ctx) ** 3,
+        ctx.gamma_grade(2) * (b - a) ** ctx.alpha, _ostrowski_lhs(f, x, a, b),
     )
-    notes = _hypothesis_note(f, s, a, b, grid, power=1.0 if q is None else q)
-    lhs = _ostrowski_lhs(f, x, a, b)
-    return _report(thm, ctx, lhs, rhs, notes, s=s, p=p, q=q, a=a, b=b, x=x)
+
+
+def _theorem_rows(ineq: str, f: AlphaSeries, a: float, b: float, xs: Sequence, s_axis: Sequence,
+                  pq_axis: Sequence, grid: int = 0, fn: str = "") -> list[IneqReport]:
+    """Every row of one block of a theorem-family id (thm1-3 or a corollary), in ``product(s_axis, pq_axis, xs)`` order.
+
+    A block is one series and interval and the product of its axes.  Each
+    axis value is checked once (:func:`_check_axes`), a value the id does
+    not read is None in its rows (as in :func:`_read`), the theorem's record
+    is read once per (s, p, q) and each value that depends on x alone once
+    per x (:func:`_theorem_at`, theta's bracket).  Each row is built once,
+    with ``fn``, by the floating-point operations of its point alone, so it
+    is bit for bit the row of its one-point block, which ``eval_thm1``-``3``
+    and :func:`eval_corollary` return.  The records come first, so a point
+    whose record raises (a Gamma pole, or Gamma overflowing at a large p)
+    raises that error.  The thm rows grid-check the s-convexity hypothesis
+    when ``grid > 0`` (:func:`_hypothesis_note`).
+    """
+    _check_axes(ineq, a, b, xs, s_axis, pq_axis)
+    reads = INEQUALITIES[ineq].reads
+    form, _, thm = ineq.rpartition("-")
+    ctx = f.ctx
+    al = ctx.alpha
+    if "x" not in reads:
+        xs = (None,) * len(xs)
+    read_p, read_q = "p" in reads, "q" in reads
+    records = []  # (s, p, q) as its rows report them, and the theorem's record
+    for s in s_axis:
+        for p, q in pq_axis:
+            p, q = p if read_p else None, q if read_q else None
+            records.append((s, p, q, _theorem(f, thm, s, p, q)))
+    rows = []
+    if not (records and xs):
+        return rows
+    f2, g2 = records[0][3][:2]  # the same in every record
+    if not form:  # thm1-3
+        at_x = []
+        for x in xs:
+            at_x.append((x, _theorem_at(f, x, a, b)))
+        for s, p, q, (_, _, front, side, _, _, _, _) in records:
+            note = _hypothesis_note(f, s, a, b, grid, 1.0 if q is None else q)
+            for x, (dx, da, db, wa, wb, den, left) in at_x:
+                right = front * (wa * side(dx, da) + wb * side(dx, db)) / den
+                slack = right - left
+                rows.append(IneqReport(ineq, al, left, right, slack, _holds(slack, ctx), s, p, q, a, b, x, fn, note))
+    elif form == "theta":
+        theta = sup_abs(f2, a, b)
+        at_x = []
+        for x in xs:
+            left = _ostrowski_lhs(f, x, a, b)
+            at_x.append((x, left, (b - a) ** (2.0 * al) / 12.0**al + alpha_pow_signed(x - (a + b) / 2.0, ctx) ** 2))
+        for s, p, q, (_, _, front, _, lead, sup, _, _) in records:
+            c = front * lead * 3.0**al * theta * sup / g2
+            for x, left, bracket in at_x:
+                right = c * bracket
+                slack = right - left
+                rows.append(IneqReport(ineq, al, left, right, slack, _holds(slack, ctx), s, p, q, a, b, x, fn, ""))
+    else:  # the midpoint forms, whose rows read no x
+        left = _midpoint_lhs(f, a, b)
+        if form == "midpoint":
+            da, db = abs(f2.evaluate(a)), abs(f2.evaluate(b))
+        else:
+            theta = sup_abs(f2, a, b)
+        for s, p, q, (_, _, front, _, lead, sup, div, mid) in records:
+            if form == "midpoint":
+                right = front * ((b - a) ** (2.0 * al) / g2) / div * mid * (da + db)
+            else:
+                right = front * lead * sup * (theta * (b - a) ** (2.0 * al) / (4.0**al * g2))
+            slack = right - left
+            for x in xs:
+                rows.append(IneqReport(ineq, al, left, right, slack, _holds(slack, ctx), s, p, q, a, b, x, fn, ""))
+    return rows
 
 
 def eval_thm1(
@@ -593,10 +698,10 @@ def eval_thm1(
 
     With ``hypothesis_grid > 0`` the s-convexity hypothesis is grid-checked
     and the outcome recorded in the notes; the bound is evaluated either
-    way, since a failed hypothesis is itself a reportable finding.
+    way, since a failed hypothesis is itself a reportable finding.  Like
+    thm2 and thm3, the row is the one-point block of :func:`_theorem_rows`.
     """
-    _params("thm1", a, b, x, s)
-    return _theorem_report("thm1", f, s, None, None, x, a, b, hypothesis_grid)
+    return _theorem_rows("thm1", f, a, b, (x,), (s,), ((None, None),), hypothesis_grid)[0]
 
 
 def eval_thm2(
@@ -610,8 +715,7 @@ def eval_thm2(
     hypothesis_grid: int = 0,
 ) -> IneqReport:
     """Hoelder-route Ostrowski-type bound for |f^(2a)|**q s-convex."""
-    _params("thm2", a, b, x, s, p, q)
-    return _theorem_report("thm2", f, s, p, q, x, a, b, hypothesis_grid)
+    return _theorem_rows("thm2", f, a, b, (x,), (s,), ((p, q),), hypothesis_grid)[0]
 
 
 def eval_thm3(
@@ -624,8 +728,7 @@ def eval_thm3(
     hypothesis_grid: int = 0,
 ) -> IneqReport:
     """Power-mean-route Ostrowski-type bound; collapses to thm1 at q = 1."""
-    _params("thm3", a, b, x, s, q=q)
-    return _theorem_report("thm3", f, s, None, q, x, a, b, hypothesis_grid)
+    return _theorem_rows("thm3", f, a, b, (x,), (s,), ((None, q),), hypothesis_grid)[0]
 
 
 @memoized("mid")
@@ -654,35 +757,15 @@ def eval_corollary(
     the combined form, for each of the three theorems.  Theta is the grid
     supremum of ``|f^(2a)|`` over ``[a, b]`` (:func:`sup_abs`); only the
     theta and midpoint-theta forms compute it, and only the midpoint forms
-    evaluate ``|f^(2a)|`` at the endpoints.  Of ``x``, ``p`` and ``q``,
-    :func:`_params` keeps those the variant's registry row reads.  All else a
-    row reads comes from the record of its theorem (:func:`_theorem`), which
-    the theorem's own rows share.
+    evaluate ``|f^(2a)|`` at the endpoints.  Of ``x``, ``p`` and ``q``, the
+    row keeps those the variant's registry row reads.  All else it reads
+    comes from the record of its theorem (:func:`_theorem`), which the
+    theorem's own rows share.  The row is the one-point block of
+    :func:`_theorem_rows`.
     """
     if variant not in COROLLARY_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose one of {COROLLARY_VARIANTS}")
-    # unread parameters are None in the record's key, so these rows share their theorem's record
-    x, s, p, q = _params(variant, a, b, x, s, p, q)
-    form, thm = variant.rsplit("-", 1)
-    ctx = f.ctx
-    al = ctx.alpha
-    f2, g2, front, _, lead, sup, div, mid = _theorem(f, thm, s, p, q)
-
-    # each form computes only what it reads: theta, or |f''| at the endpoints
-    if form == "theta":
-        lhs = _ostrowski_lhs(f, x, a, b)
-        theta = sup_abs(f2, a, b)
-        bracket = (b - a) ** (2.0 * al) / 12.0**al + alpha_pow_signed(x - (a + b) / 2.0, ctx) ** 2
-        rhs = front * lead * 3.0**al * theta * sup / g2 * bracket
-    else:
-        lhs = _midpoint_lhs(f, a, b)
-        if form == "midpoint":
-            da, db = abs(f2.evaluate(a)), abs(f2.evaluate(b))
-            rhs = front * ((b - a) ** (2.0 * al) / g2) / div * mid * (da + db)
-        else:  # midpoint-theta
-            theta = sup_abs(f2, a, b)
-            rhs = front * lead * sup * (theta * (b - a) ** (2.0 * al) / (4.0**al * g2))
-    return _report(variant, ctx, lhs, rhs, s=s, p=p, q=q, a=a, b=b, x=x)
+    return _theorem_rows(variant, f, a, b, (x,), (s,), ((p, q),))[0]
 
 
 def _identity_report(f: AlphaSeries, functional: MomentFunctional, a: float, b: float, x: float) -> IneqReport:
@@ -690,8 +773,9 @@ def _identity_report(f: AlphaSeries, functional: MomentFunctional, a: float, b: 
     # sign of a zero residual (0.0 - residual would not)
     residual = identity_residual(f, x, a, b, functional)
     ctx = f.ctx
+    slack = -residual
     return IneqReport(
-        "identity", ctx.alpha, residual, 0.0, -residual, residual <= ctx.slack_tol,
+        "identity", ctx.alpha, residual, 0.0, slack, _holds(slack, ctx),
         None, None, None, a, b, x, "", "identity-residual",
     )
 
@@ -701,10 +785,15 @@ Evaluator = Callable[..., IneqReport]
 
 @dataclass(frozen=True, slots=True)
 class Ineq:
-    """One registry row: the parameters an id reads, of x, s, p and q, and its evaluator.
+    """One registry row: the parameters an id reads, of x, s, p and q, and its evaluators.
 
     The evaluator is called as ``evaluate(series, functional, a, b, x, s, p, q)``
-    and returns a row with an empty ``fn``.  ``prepare``, when set, is
+    and returns a row with an empty ``fn``.  ``block``, set for the theorem
+    family, is called as ``block(series, a, b, xs, s_axis, pq_axis, fn)``
+    and returns the rows, each with ``fn``, of one interval's product of the
+    axes (:func:`_theorem_rows`), each the row ``evaluate`` gives at its
+    point; if it raises, a caller evaluates the points one at a time.
+    ``prepare``, when set, is
     called as ``prepare(functional, blocks)`` before the rows it serves,
     with one block ``(series, a, b, xs)`` per (series, interval) of those
     rows, ``xs`` their x values, and the functional of the series' alpha.
@@ -722,18 +811,28 @@ class Ineq:
     evaluate: Evaluator
     prepare: Optional[Callable[..., None]] = None
     across_blocks: bool = False
+    block: Optional[Callable[..., list[IneqReport]]] = None
 
 
 def _corollary(variant: str) -> Evaluator:
     return lambda f, fl, a, b, x, s, p, q: eval_corollary(variant, f, a, b, s, p, q, x)
 
 
+def _block(ineq: str) -> Callable[..., list[IneqReport]]:
+    return lambda f, a, b, xs, s_axis, pq_axis, fn: _theorem_rows(ineq, f, a, b, xs, s_axis, pq_axis, 0, fn)
+
+
 #: Every inequality id, in report order, and its :class:`Ineq` record, whose
 #: ``reads`` is spelled as the letters it holds.  A sweep is the product of
 #: (alpha, interval, fn) and the axes of what the id reads: s, x, and the
 #: (p, q) pairs for an id that reads q (the thm3 family reads q but not p).
-#: Evaluators look the ``eval_*`` functions up by module name when called,
-#: so whatever rebinds those names sees every call.
+#: The lambdas look the functions they call up by module name when called,
+#: so whatever rebinds a name sees each call made through it.  A sweep
+#: evaluates the theorem family's rows through ``block``, which calls
+#: :func:`_theorem_rows` once per block, and every other id's through
+#: ``evaluate``; only single points (``evaluate_single``, ``falsify``,
+#: ``alphaineq eval``, and the points of a block whose call raised) reach
+#: ``eval_thm1``-``3`` and :func:`eval_corollary`.
 INEQUALITIES: dict[str, Ineq] = {
     "ghh": Ineq(frozenset(), lambda f, fl, a, b, x, s, p, q: eval_ghh(f, a, b)),
     "shh": Ineq(frozenset("s"), lambda f, fl, a, b, x, s, p, q: eval_shh(f, s, a, b)),
@@ -744,9 +843,11 @@ INEQUALITIES: dict[str, Ineq] = {
     "identity": Ineq(
         frozenset("x"), lambda f, fl, a, b, x, s, p, q: _identity_report(f, fl, a, b, x), _prepare_identity
     ),
-    "thm1": Ineq(frozenset("sx"), lambda f, fl, a, b, x, s, p, q: eval_thm1(f, s, x, a, b)),
-    "thm2": Ineq(frozenset("sxpq"), lambda f, fl, a, b, x, s, p, q: eval_thm2(f, s, p, q, x, a, b)),
-    "thm3": Ineq(frozenset("sxq"), lambda f, fl, a, b, x, s, p, q: eval_thm3(f, s, q, x, a, b)),
+    "thm1": Ineq(frozenset("sx"), lambda f, fl, a, b, x, s, p, q: eval_thm1(f, s, x, a, b), block=_block("thm1")),
+    "thm2": Ineq(
+        frozenset("sxpq"), lambda f, fl, a, b, x, s, p, q: eval_thm2(f, s, p, q, x, a, b), block=_block("thm2")
+    ),
+    "thm3": Ineq(frozenset("sxq"), lambda f, fl, a, b, x, s, p, q: eval_thm3(f, s, q, x, a, b), block=_block("thm3")),
     # every corollary reads s; the theta forms also x, and each reads what its theorem reads of p and q
     **{
         f"{form}-thm{i}": Ineq(
@@ -754,6 +855,7 @@ INEQUALITIES: dict[str, Ineq] = {
             _corollary(f"{form}-thm{i}"),
             _prepare_theta(2) if "theta" in form else None,
             "theta" in form,
+            _block(f"{form}-thm{i}"),
         )
         for i in (1, 2, 3)
         for form in ("midpoint", "theta", "midpoint-theta")

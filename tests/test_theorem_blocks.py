@@ -1,0 +1,222 @@
+"""A sweep evaluates the theorem family block by block, and each row is the row of its point.
+
+thm1-3 and their nine corollaries have a block evaluator
+(``inequalities._theorem_rows``): ``run_sweep`` calls it once per (alpha,
+function, id, interval), for the product of that block's s, (p, q) and x
+axes, and evaluates a block one point at a time only when the call raises.
+These tests check, under any numpy version, that every sweep row equals,
+cell for cell as ``render_report`` writes it, the ``evaluate_single`` row
+of its point or that point's error row; that a sweep makes one block call
+per block and reads each theorem record once per (block, s, p, q); and
+that one function decides every row's ``holds``.
+"""
+
+import math
+import random
+from collections import Counter
+from itertools import product
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from alphaineq import harness, inequalities
+from alphaineq.alphanum import AlphaContext
+from alphaineq.harness import (
+    INEQUALITY_IDS,
+    SweepConfig,
+    _axes,
+    _error_report,
+    _sort_key,
+    canonical_id,
+    evaluate_single,
+    parse_function_spec,
+    render_report,
+    run_sweep,
+)
+from alphaineq.inequalities import INEQUALITIES, _holds
+from alphaineq.quadrature import MomentFunctional
+
+CONFIG = Path(__file__).resolve().parents[1] / "bench" / "reference_sweep.json"
+
+#: The ids a sweep evaluates block by block.
+FAMILY = tuple(i for i, rec in INEQUALITIES.items() if rec.block is not None)
+
+
+def test_the_family_is_the_theorems_and_their_corollaries():
+    assert FAMILY == tuple(i for i in INEQUALITY_IDS if "thm" in i)
+    assert len(FAMILY) == 12
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _pointwise(cfg):
+    """The rows of ``cfg`` one point at a time, sorted as ``run_sweep`` sorts them.
+
+    Each point's row is its ``evaluate_single`` row, or the error row of
+    what that raises, on one series per (alpha, function) with no prepare
+    step run, under the numpy error state of ``run_sweep``.
+    """
+    rows = []
+    for alpha in cfg.alphas:
+        functional = MomentFunctional(cfg.context(alpha))
+        for spec in cfg.functions:
+            series, fn = spec.realize(functional.ctx), spec.canonical()
+            for ineq in map(canonical_id, cfg.inequalities):
+                s_axis, pq_axis, x_axis = _axes(cfg, ineq)
+                for a, b in cfg.intervals:
+                    for s, (p, q), frac in product(s_axis, pq_axis, x_axis):
+                        x = None if frac is None else a + frac * (b - a)
+                        try:
+                            rep = evaluate_single(ineq, series, functional, a, b, x, s, p, q, fn)
+                        except Exception as exc:
+                            rep = _error_report(ineq, alpha, exc, s, p, q, a, b, x, fn)
+                        rows.append(rep)
+    return sorted(rows, key=_sort_key)
+
+
+def _assert_same_cells(got, want):
+    assert len(got) == len(want)
+    for fmt in ("csv", "json"):
+        got_lines = render_report(got, fmt).splitlines()
+        want_lines = render_report(want, fmt).splitlines()
+        diff = next((i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w), None)
+        assert diff is None, (fmt, got_lines[diff], want_lines[diff])
+        assert len(got_lines) == len(want_lines)
+
+
+def test_reference_sweep_rows_are_the_rows_of_their_points():
+    cfg = SweepConfig.from_json(CONFIG)
+    _assert_same_cells(run_sweep(cfg), _pointwise(cfg))
+
+
+def _mixed(seed):
+    """A seeded config whose blocks meet every way a row can fail or go non-finite.
+
+    One block holds a fine (p, q) pair beside p = 200, whose Hoelder factor
+    overflows Gamma at alpha 0.5 and 1 but not at 0.3, and beside q = 200,
+    whose power of |f''| overflows a double for mono:4 on [0.5, 2.5];
+    mono:0.5 has no second derivative; (1.5, 1);(1.6, -1) has a NaN theta
+    and NaN rows at x = 0; and the x axis holds both endpoints.
+    """
+    rng = random.Random(seed)
+    p = round(rng.uniform(1.2, 4.0), 6)
+    a = round(rng.uniform(0.05, 1.0), 4)
+    extra = rng.choice(("mono:2.5", "poly:1,0,0.5", "ml:6", "series:(1.5,2);(4,0.25)"))
+    return SweepConfig(
+        alphas=(0.3, 0.5, 1.0),
+        functions=tuple(parse_function_spec(t) for t in ("mono:0.5", "series:(1.5,1);(1.6,-1)", "mono:4", extra)),
+        inequalities=INEQUALITY_IDS,
+        intervals=((0.0, 1.0), (0.5, 2.5), (a, a + round(rng.uniform(0.5, 2.0), 4))),
+        x_fractions=(0.0, round(rng.uniform(0.05, 0.95), 6), 1.0),
+        s_values=(round(rng.uniform(0.05, 0.95), 6), 1.0),
+        pq_pairs=((p, p / (p - 1.0)), (200.0, 200.0 / 199.0), (200.0 / 199.0, 200.0)),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mixed_blocks_rows_are_the_rows_of_their_points(seed):
+    cfg = _mixed(seed)
+    got = run_sweep(cfg)
+    _assert_same_cells(got, _pointwise(cfg))
+    family = [r for r in got if r.ineq in FAMILY]
+    errors = Counter(r.notes.split(":")[1].strip() for r in family if r.notes.startswith("error:"))
+    assert errors["GammaPoleError"] and errors["OverflowError"], errors
+    messages = {r.notes for r in family if "OverflowError" in r.notes}
+    assert "error: OverflowError: math range error" in messages  # Gamma at p = 200
+    assert "error: OverflowError: (34, 'Numerical result out of range')" in messages  # |f''|**q at q = 200
+    assert any(math.isnan(r.slack) for r in family if not r.notes.startswith("error:"))
+    assert {r.x for r in family if r.ineq == "thm1" and r.a == 0.5} >= {0.5, 2.5}
+
+
+def _cfg(functions):
+    return SweepConfig(
+        alphas=(0.5, 1.0),
+        functions=tuple(parse_function_spec(t) for t in functions),
+        inequalities=INEQUALITY_IDS,
+        intervals=((0.0, 1.0), (0.5, 2.0)),
+        x_fractions=(0.0, 0.5, 1.0),
+        s_values=(0.5, 1.0),
+        pq_pairs=((2.0, 2.0), (3.0, 1.5)),
+    )
+
+
+def _count(monkeypatch):
+    """Count the block calls, the theorem record reads and the ``evaluate_single`` calls of a sweep."""
+    blocks, records, singles = Counter(), Counter(), Counter()
+    rows, theorem, single = inequalities._theorem_rows, inequalities._theorem, harness.evaluate_single
+
+    def counted_rows(ineq, f, a, b, xs, s_axis, pq_axis, *rest):
+        blocks[ineq, f.ctx.alpha, f.terms, a, b] += 1
+        return rows(ineq, f, a, b, xs, s_axis, pq_axis, *rest)
+
+    def counted_theorem(f, thm, s, p, q):
+        records[thm] += 1
+        return theorem(f, thm, s, p, q)
+
+    def counted_single(ineq, *args, **kwargs):
+        singles[ineq] += 1
+        return single(ineq, *args, **kwargs)
+
+    monkeypatch.setattr(inequalities, "_theorem_rows", counted_rows)
+    monkeypatch.setattr(inequalities, "_theorem", counted_theorem)
+    monkeypatch.setattr(harness, "evaluate_single", counted_single)
+    return blocks, records, singles
+
+
+def test_one_block_call_per_block_and_one_record_read_per_block_s_p_q(monkeypatch):
+    cfg = _cfg(("mono:3", "ml:4"))
+    blocks, records, singles = _count(monkeypatch)
+    rows = run_sweep(cfg)
+    assert not any(r.notes.startswith("error:") for r in rows)
+    n_s, n_pq = len(cfg.s_values), len(cfg.pq_pairs)
+    per_block = {i: n_s * (n_pq if "q" in INEQUALITIES[i].reads else 1) for i in FAMILY}
+    expected = Counter()
+    for alpha, spec, ineq, (a, b) in product(cfg.alphas, cfg.functions, FAMILY, cfg.intervals):
+        expected[ineq, alpha, spec.realize(AlphaContext(alpha)).terms, a, b] = 1
+    assert blocks == expected
+    n_blocks = len(cfg.alphas) * len(cfg.functions) * len(cfg.intervals)
+    assert sum(records.values()) == n_blocks * sum(per_block.values())
+    # the family's rows never pass through evaluate_single; every other id's row does
+    assert not set(singles) & set(FAMILY)
+    assert sum(singles.values()) == sum(1 for r in rows if r.ineq not in FAMILY)
+
+
+def test_a_raising_block_is_evaluated_one_point_at_a_time(monkeypatch):
+    # mono:0.5 has no second derivative, so each of its family blocks raises
+    cfg = _cfg(("mono:3", "mono:0.5"))
+    blocks, _, singles = _count(monkeypatch)
+    rows = run_sweep(cfg)
+    failed = [r for r in rows if r.ineq in FAMILY and r.notes.startswith("error:")]
+    assert {r.fn for r in failed} == {"mono:0.5"}
+    assert len(failed) == sum(1 for r in rows if r.ineq in FAMILY and r.fn == "mono:0.5")
+    # each point of a raising block is one evaluate_single call, and so one more one-point block
+    assert sum(n for i, n in singles.items() if i in FAMILY) == len(failed)
+    n_blocks = len(cfg.alphas) * len(cfg.functions) * len(FAMILY) * len(cfg.intervals)
+    assert sum(blocks.values()) == n_blocks + len(failed)
+
+
+def test_every_verdict_comes_from_one_helper(monkeypatch):
+    # the series has NaN rows at x = 0, which the helper decides as well
+    cfg = _cfg(("mono:3", "series:(1.5,1);(1.6,-1)"))
+    slacks = []
+
+    def recorded(slack, ctx):
+        slacks.append(slack)
+        return _holds(slack, ctx)
+
+    monkeypatch.setattr(inequalities, "_holds", recorded)
+    rows = run_sweep(cfg)
+    assert not any(r.notes.startswith("error:") for r in rows)
+    assert {r.ineq for r in rows} == set(INEQUALITY_IDS)
+    assert len(slacks) == len(rows)
+    assert any(math.isnan(s) for s in slacks)
+
+
+@pytest.mark.parametrize(
+    "residual",
+    [0.0, -0.0, 5e-324, 1e-9, math.nextafter(1e-9, math.inf), 1.0, -1.0, math.inf, -math.inf, math.nan],
+)
+def test_the_identity_verdict_is_the_slack_rule(residual):
+    # the identity row's slack is -residual, and its verdict was residual <= slack_tol
+    ctx = AlphaContext(0.5, 1e-9)
+    assert _holds(-residual, ctx) == (residual <= ctx.slack_tol)
