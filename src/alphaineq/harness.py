@@ -7,8 +7,9 @@ holds no per-inequality logic: ids, the parameters each reads (which fix
 the axes it sweeps) and their evaluators all come from the
 :data:`alphaineq.inequalities.INEQUALITIES` registry, and each evaluator
 checks the parameters its record says it reads, so :func:`evaluate_single`
-only dispatches, and :func:`run_sweep` only hands the theorem family's
-blocks to their block evaluator.  Sweep points are independent; rows are
+only dispatches, and :func:`run_sweep` only hands the blocks of
+``identity`` and the theorem family to their block evaluator.  Sweep
+points are independent; rows are
 sorted before emission, which makes the output independent of the
 evaluation order.
 """
@@ -359,21 +360,16 @@ def run_sweep(cfg: SweepConfig) -> list[IneqReport]:
     message, with ``holds=False``; they never abort the sweep.  Output order
     is imposed by a deterministic sort, so the evaluation order is
     unobservable.  Each (alpha, function) pair is realized once, so the
-    values cached on its series are shared by all of its rows.  Before the
-    rows of an id whose registry record has a ``prepare`` step (``identity``,
-    ``ostrowski`` and the six theta forms), that step runs once per
-    (alpha, function, id), with one block ``(series, a, b, xs)`` per
-    interval and the rows' x values ``xs``, so the rows read values it
-    computed together; if it raises, the rows compute, or raise, on their
-    own, as its values are only caches.  An id whose record has a ``block``
-    evaluator (the theorem family) gets one ``block`` call per (alpha,
-    function, id, interval), which builds each row with the function's
-    canonical spec as its ``fn``.  Every other id's points, and those of a
-    block whose call raises, are evaluated one at a time by
-    :func:`evaluate_single`, which sets that ``fn``, or become error rows;
-    either way each row is built once.  An overflow or an invalid
-    value (``inf - inf``) shows in its row as inf or NaN, so numpy does not
-    warn of it.
+    values cached on its series are shared by all of its rows.  An id whose
+    registry record has a ``block`` evaluator (``identity`` and the theorem
+    family) gets one ``block`` call per (alpha, function, id, interval),
+    which computes what the block's rows share once and builds each row
+    with the function's canonical spec as its ``fn``.  Every other id's
+    points, and those of a block whose call raises, are evaluated one at a
+    time by :func:`evaluate_single`, which sets that ``fn``, or become error
+    rows; either way each row is built once.  No ``prepare`` step runs
+    here.  An overflow or an invalid value (``inf - inf``) shows in its row
+    as inf or NaN, so numpy does not warn of it.
     """
     rows: list[IneqReport] = []
     for alpha in cfg.alphas:
@@ -383,18 +379,13 @@ def run_sweep(cfg: SweepConfig) -> list[IneqReport]:
             fn_text = spec.canonical()
             series = spec.realize(ctx)
             for ineq in map(canonical_id, cfg.inequalities):
-                rec = INEQUALITIES[ineq]
+                block = INEQUALITIES[ineq].block
                 s_axis, pq_axis, x_axis = _axes(cfg, ineq)
-                blocks = [
-                    (series, a, b, [None if frac is None else a + frac * (b - a) for frac in x_axis])
-                    for a, b in cfg.intervals
-                ]
-                if rec.prepare is not None:
-                    _prepare(rec.prepare, functional, blocks)
-                for _, a, b, xs in blocks:
-                    if rec.block is not None:
+                for a, b in cfg.intervals:
+                    xs = [None if frac is None else a + frac * (b - a) for frac in x_axis]
+                    if block is not None:
                         try:
-                            rows += rec.block(series, a, b, xs, s_axis, pq_axis, fn_text)
+                            rows += block(series, functional, a, b, xs, s_axis, pq_axis, fn_text)
                             continue
                         except Exception:  # some point raises: evaluate them one at a time, as below
                             pass
@@ -406,17 +397,6 @@ def run_sweep(cfg: SweepConfig) -> list[IneqReport]:
                         rows.append(rep)
     rows.sort(key=_sort_key)
     return rows
-
-
-def _prepare(prepare: Callable[[MomentFunctional, list], None], functional: MomentFunctional, blocks: list) -> None:
-    """Run an id's ``prepare`` step on ``blocks`` (see :class:`alphaineq.inequalities.Ineq`).
-
-    It only fills caches, so if it raises, the rows compute, or raise, on their own.
-    """
-    try:
-        prepare(functional, blocks)
-    except Exception:  # the rows compute, or raise, on their own
-        pass
 
 
 class _Point(NamedTuple):
@@ -469,20 +449,18 @@ def falsify(
 
     Points that share their terms share one series, so the values cached
     on it (f', f'', I(f), theta) are computed once: the canonical probes
-    use their family's series, and a shrink step that moves only x or b
-    re-uses the series of the current point and its candidates.  The
-    random trials are drawn ahead, in chunks of 1, 2, 4, 8 and then 16
+    use their family's series, and a shrink step that moves only x or b,
+    or returns to terms it tried before, re-uses the series of those terms.
+    The random trials are drawn ahead, in chunks of 1, 2, 4, 8 and then 16
     (``_TRIAL_CHUNK``) trials, which draws the same values in the same
-    order as drawing them one at a time; the id's ``prepare`` step fills
-    the caches of a whole chunk at once (theta of every trial in one array
-    kernel), and the chunk's trials are then evaluated in order, each as
-    before, so neither the witness nor the number of evaluations depends on
-    the step.  This is done for the ids whose step shares work across
-    blocks (``Ineq.across_blocks``: the theta forms and ``ostrowski``);
-    every other id, ``identity`` included, draws one trial at a time and is
-    not prepared, as a trial's one x gives its step nothing to share.  Only
-    the series of the latest chunk and of the current shrink neighbourhood
-    are kept, so the reuse stays bounded.
+    order as drawing them one at a time, when the id has a ``prepare``
+    step (the theta forms and ``ostrowski``).  That step fills theta of
+    every trial of a chunk in one array kernel, and the chunk's trials are
+    then evaluated in order, each as before, so neither the witness nor
+    the number of evaluations depends on the step.  Every other id draws
+    one trial at a time.  Only the series of the latest chunk are kept
+    while the search runs; the shrink keeps every series it makes, which
+    are freed when the job returns.
 
     An evaluator error, such as the Gamma pole of a family without a second
     derivative, propagates as it does from :func:`evaluate_single`.  As in
@@ -512,12 +490,6 @@ def falsify(
             return None
         q = pt.p / (pt.p - 1.0)
         return evaluate_single(ineq, series, functional, pt.a, pt.b, pt.x, pt.s, pt.p, q)
-
-    def retain(pt: _Point) -> None:
-        """Keep only the series of ``pt``, whose terms a shrink step just changed to."""
-        series = kept[pt.alpha, pt.terms]
-        kept.clear()
-        kept[pt.alpha, pt.terms] = series
 
     def violates(rep: Optional[IneqReport]) -> bool:
         return rep is not None and not rep.holds and math.isfinite(rep.slack)
@@ -560,11 +532,9 @@ def falsify(
 
         # the trials are drawn ahead, in chunks of 1, 2, 4, ... up to _TRIAL_CHUNK
         # trials, which draws the same values in the same order, so that the
-        # id's prepare step fills what a whole chunk reads at once; for an id
-        # whose step does not share work across blocks, chunks would gain
-        # nothing, so it draws one trial at a time
-        rec = INEQUALITIES[ineq]
-        prepare = rec.prepare if rec.across_blocks else None
+        # id's prepare step fills what a whole chunk reads at once; an id
+        # without one draws one trial at a time
+        prepare = INEQUALITIES[ineq].prepare
         cap = 1 if prepare is None else _TRIAL_CHUNK
         drawn, size = 0, 1
         while found is None and drawn < trials:
@@ -572,28 +542,28 @@ def falsify(
             drawn, size = drawn + len(chunk), min(2 * size, cap)
             kept.clear()  # a random trial's terms never recur, unless a shrink starts from them
             if prepare is not None:
+                rows = []
                 for pt in chunk:
-                    kept[pt.alpha, pt.terms] = AlphaSeries(pt.terms, functionals[pt.alpha].ctx)
-                for alpha, functional in functionals.items():
-                    blocks = [(kept[alpha, pt.terms], pt.a, pt.b, [pt.x]) for pt in chunk if pt.alpha == alpha]
-                    if blocks:
-                        _prepare(prepare, functional, blocks)
+                    series = kept[pt.alpha, pt.terms] = AlphaSeries(pt.terms, functionals[pt.alpha].ctx)
+                    rows.append((series, pt.a, pt.b))
+                try:
+                    prepare(rows)
+                except Exception:  # it only fills caches: the trials compute, or raise, on their own
+                    pass
             for pt in chunk:
                 rep = evaluate(pt)
                 if violates(rep):
                     found = (pt, rep)
-                    retain(pt)
                     break
 
     if found is None:
         return None
-    pt, rep = _shrink(evaluate, retain, *found, cfg.tolerances.fp_tol, INEQUALITIES[ineq].reads)
+    pt, rep = _shrink(evaluate, *found, cfg.tolerances.fp_tol, INEQUALITIES[ineq].reads)
     return rep.with_fn(FunctionSpec("series", pt.terms).canonical())
 
 
 def _shrink(
     evaluate: Callable[[_Point], Optional[IneqReport]],
-    retain: Callable[[_Point], None],
     pt: _Point,
     rep: IneqReport,
     fp_tol: float,
@@ -607,9 +577,7 @@ def _shrink(
     coefficient.  The first candidate that still violates, with a slack
     weakened by at most ``fp_tol``, becomes the point of the next round; a
     round that keeps none ends the shrink.  A candidate equal to the current
-    point is never evaluated; every other candidate is, so ``retain(cand)``,
-    which runs on each accepted step that changes the terms, always follows
-    the evaluation of ``cand``.
+    point is never evaluated; every other candidate is.
     """
     moves_x = "x" in reads
 
@@ -645,8 +613,6 @@ def _shrink(
             if cand_rep is None or cand_rep.holds:
                 continue
             if cand_rep.slack <= rep.slack + fp_tol:  # violation not weakened
-                if cand.terms != pt.terms:
-                    retain(cand)
                 pt, rep = cand, cand_rep
                 break
         else:  # no candidate kept the violation

@@ -11,12 +11,12 @@ term-wise calculus itself.
 
 :data:`INEQUALITIES` is the one registry of inequality ids: each id maps to
 an :class:`Ineq` record of the parameters it reads (of x, s, p and q), the
-evaluator that computes its row and, for ``identity``, ``ostrowski`` and
-the six theta forms, a ``prepare`` step that a sweep (and, for the ids whose
-step shares work across blocks, a ``falsify`` job) runs ahead of many rows
-at once to fill the caches they read, and, for the theorem family, the
-``block`` evaluator that a sweep calls for all the rows of an interval at
-once (:func:`_theorem_rows`).
+evaluator that computes its row at one point and, for ``identity`` and the
+theorem family, the ``block`` evaluator that a sweep calls for all the rows
+of an interval at once (:func:`_identity_rows`, :func:`_theorem_rows`).
+``ostrowski`` and the six theta forms have a ``prepare`` step, which a
+``falsify`` job runs ahead of a chunk of trials to fill theta for all of
+them in one array kernel (:func:`_prepare_theta`).
 The harness, the sweep validation and
 the CLI read their ids from it, and a sweep's axes follow ``reads``.  The
 record is also the id's parameter contract, which every evaluator checks
@@ -90,8 +90,8 @@ class IneqReport:
     A plain slotted record, so it is unhashable.  Its evaluator builds it
     once; the one field set afterwards is ``fn``, by
     :func:`alphaineq.harness.evaluate_single` on the row it was just handed.
-    A block evaluator (:func:`_theorem_rows`) builds its rows with their
-    ``fn``.
+    A block evaluator (:func:`_identity_rows`, :func:`_theorem_rows`)
+    builds its rows with their ``fn``.
     """
 
     ineq: str
@@ -450,8 +450,8 @@ def identity_residual(
     normalized integrals, so the prefactor is ``1/(G(1+2a) (b-a)**a)``.
     Both moments come from one :func:`composed_moments` call, which samples
     ``f^(2a)`` once for the two segments and caches each moment on it per
-    ``(x, e)``; a sweep fills that cache, and the caches of ``f`` and ``f'``
-    at ``x``, ahead of its rows (:func:`_prepare_identity`).
+    ``(x, e)``; a sweep's block fills that cache, and the caches of ``f``
+    and ``f'`` at ``x``, for its whole x axis at once (:func:`_identity_rows`).
     Zero residual means the identity holds for this input; for alpha < 1 it
     generally does not, and the residual is the reported inconsistency.
     """
@@ -483,48 +483,30 @@ def _identity_sides(x: float, a: float, b: float) -> list[tuple[float, float]]:
     return sides
 
 
-def _prepare_identity(functional: MomentFunctional, blocks: list) -> None:
-    """Fill the caches that the identity rows of each block ``(f, a, b, xs)`` read, at the points ``xs`` of ``[a, b]``.
-
-    Per block, the moments of every side come from one
-    :func:`composed_moments` call, so ``f^(2a)`` is sampled once for the
-    whole x axis, and the values of ``f`` and ``f'`` at all of ``xs`` from
-    one ``np.power`` call each (:meth:`AlphaSeries.cache_points`).  Each
-    cached value is bit-identical to the one the row would compute.  If
-    this raises, the values it cached stay valid and every row computes the
-    rest, or raises, on its own.
-    """
-    for f, a, b, xs in blocks:
-        f2 = lf_derivative_n(f, 2)
-        f.cache_points(xs)
-        lf_derivative(f).cache_points(xs)
-        composed_moments(f2, 2.0, [(x, e) for x in xs for _, e in _identity_sides(x, a, b)], functional)
-
-
-def _prepare_theta(order: int) -> Callable[[MomentFunctional, list], None]:
+def _prepare_theta(order: int) -> Callable[[list], None]:
     """The prepare step of the ids that read theta, ``sup_abs`` of the ``order``-th derivative on ``[a, b]``.
 
-    It fills theta for every block ``(f, a, b, xs)`` whose derivative does
-    not hold it yet, with one :func:`_sup_abs` call per grade plan and
-    ``_SUP_ROWS`` blocks, so the rows' :func:`sup_abs` calls are cache
-    hits.  A block whose derivative hits a Gamma pole is skipped: its rows
-    raise on their own.  If this
-    raises, the values it cached stay valid and every row computes the
-    rest, or raises, on its own.
+    It fills theta for every row ``(f, a, b)`` whose derivative does not
+    hold it yet, with one :func:`_sup_abs` call per grade plan, which
+    belongs to one alpha, and ``_SUP_ROWS`` rows, so the evaluators'
+    :func:`sup_abs` calls are cache hits.  A row whose derivative hits a
+    Gamma pole is skipped: its evaluation raises on its own.  If this
+    raises, the values it cached stay valid and every evaluation computes
+    the rest, or raises, on its own.
     """
 
-    def prepare(functional: MomentFunctional, blocks: list) -> None:
+    def prepare(rows: list) -> None:
         groups: dict = {}
-        for f, a, b, _ in blocks:
+        for f, a, b in rows:
             try:
                 g = lf_derivative_n(f, order)
             except GammaPoleError:
                 continue
             if ("sup", a, b, _SUP_GRID) not in g._memo:
                 groups.setdefault(_plan_of(g), []).append((g, a, b))
-        for rows in groups.values():
-            for i in range(0, len(rows), _SUP_ROWS):
-                _sup_abs(rows[i:i + _SUP_ROWS], _SUP_GRID)
+        for group in groups.values():
+            for i in range(0, len(group), _SUP_ROWS):
+                _sup_abs(group[i:i + _SUP_ROWS], _SUP_GRID)
 
     return prepare
 
@@ -628,7 +610,9 @@ def _theorem_rows(ineq: str, f: AlphaSeries, a: float, b: float, xs: Sequence, s
     and :func:`eval_corollary` return.  The records come first, so a point
     whose record raises (a Gamma pole, or Gamma overflowing at a large p)
     raises that error.  The thm rows grid-check the s-convexity hypothesis
-    when ``grid > 0`` (:func:`_hypothesis_note`).
+    when ``grid > 0`` (:func:`_hypothesis_note`), next to the record and
+    before any value at x, so a point whose note and x values both raise
+    raises the note's error.
     """
     _check_axes(ineq, a, b, xs, s_axis, pq_axis)
     reads = INEQUALITIES[ineq].reads
@@ -638,11 +622,13 @@ def _theorem_rows(ineq: str, f: AlphaSeries, a: float, b: float, xs: Sequence, s
     if "x" not in reads:
         xs = (None,) * len(xs)
     read_p, read_q = "p" in reads, "q" in reads
-    records = []  # (s, p, q) as its rows report them, and the theorem's record
+    records = []  # (s, p, q) as its rows report them, the theorem's record and a thm row's notes
     for s in s_axis:
         for p, q in pq_axis:
             p, q = p if read_p else None, q if read_q else None
-            records.append((s, p, q, _theorem(f, thm, s, p, q)))
+            record = _theorem(f, thm, s, p, q)
+            note = "" if form else _hypothesis_note(f, s, a, b, grid, 1.0 if q is None else q)
+            records.append((s, p, q, record, note))
     rows = []
     if not (records and xs):
         return rows
@@ -651,8 +637,7 @@ def _theorem_rows(ineq: str, f: AlphaSeries, a: float, b: float, xs: Sequence, s
         at_x = []
         for x in xs:
             at_x.append((x, _theorem_at(f, x, a, b)))
-        for s, p, q, (_, _, front, side, _, _, _, _) in records:
-            note = _hypothesis_note(f, s, a, b, grid, 1.0 if q is None else q)
+        for s, p, q, (_, _, front, side, _, _, _, _), note in records:
             for x, (dx, da, db, wa, wb, den, left) in at_x:
                 right = front * (wa * side(dx, da) + wb * side(dx, db)) / den
                 slack = right - left
@@ -663,7 +648,7 @@ def _theorem_rows(ineq: str, f: AlphaSeries, a: float, b: float, xs: Sequence, s
         for x in xs:
             left = _ostrowski_lhs(f, x, a, b)
             at_x.append((x, left, (b - a) ** (2.0 * al) / 12.0**al + alpha_pow_signed(x - (a + b) / 2.0, ctx) ** 2))
-        for s, p, q, (_, _, front, _, lead, sup, _, _) in records:
+        for s, p, q, (_, _, front, _, lead, sup, _, _), _ in records:
             c = front * lead * 3.0**al * theta * sup / g2
             for x, left, bracket in at_x:
                 right = c * bracket
@@ -675,7 +660,7 @@ def _theorem_rows(ineq: str, f: AlphaSeries, a: float, b: float, xs: Sequence, s
             da, db = abs(f2.evaluate(a)), abs(f2.evaluate(b))
         else:
             theta = sup_abs(f2, a, b)
-        for s, p, q, (_, _, front, _, lead, sup, div, mid) in records:
+        for s, p, q, (_, _, front, _, lead, sup, div, mid), _ in records:
             if form == "midpoint":
                 right = front * ((b - a) ** (2.0 * al) / g2) / div * mid * (da + db)
             else:
@@ -768,7 +753,8 @@ def eval_corollary(
     return _theorem_rows(variant, f, a, b, (x,), (s,), ((p, q),))[0]
 
 
-def _identity_report(f: AlphaSeries, functional: MomentFunctional, a: float, b: float, x: float) -> IneqReport:
+def _identity_report(f: AlphaSeries, functional: MomentFunctional, a: float, b: float, x: float,
+                     fn: str = "") -> IneqReport:
     # built here rather than by _report: slack is -residual, which keeps the
     # sign of a zero residual (0.0 - residual would not)
     residual = identity_residual(f, x, a, b, functional)
@@ -776,8 +762,28 @@ def _identity_report(f: AlphaSeries, functional: MomentFunctional, a: float, b: 
     slack = -residual
     return IneqReport(
         "identity", ctx.alpha, residual, 0.0, slack, _holds(slack, ctx),
-        None, None, None, a, b, x, "", "identity-residual",
+        None, None, None, a, b, x, fn, "identity-residual",
     )
+
+
+def _identity_rows(f: AlphaSeries, functional: MomentFunctional, a: float, b: float, xs: Sequence,
+                   fn: str) -> list[IneqReport]:
+    """The identity rows of one block, at the points ``xs`` of ``[a, b]``, each with ``fn``.
+
+    First the values every row reads are computed for the whole x axis at
+    once: the moments of both sides of every x from one
+    :func:`composed_moments` call, so ``f^(2a)`` is sampled once, and the
+    values of ``f`` and ``f'`` at all of ``xs`` from one ``np.power`` call
+    each (:meth:`AlphaSeries.cache_points`).  Each is cached, bit for bit
+    the value the row would compute, so each row is the one-point row of
+    :func:`_identity_report`.  If this raises, the values cached so far
+    stay valid for the points a caller then evaluates one at a time.
+    """
+    f2 = lf_derivative_n(f, 2)
+    f.cache_points(xs)
+    lf_derivative(f).cache_points(xs)
+    composed_moments(f2, 2.0, [(x, e) for x in xs for _, e in _identity_sides(x, a, b)], functional)
+    return [_identity_report(f, functional, a, b, x, fn) for x in xs]
 
 
 Evaluator = Callable[..., IneqReport]
@@ -788,29 +794,22 @@ class Ineq:
     """One registry row: the parameters an id reads, of x, s, p and q, and its evaluators.
 
     The evaluator is called as ``evaluate(series, functional, a, b, x, s, p, q)``
-    and returns a row with an empty ``fn``.  ``block``, set for the theorem
-    family, is called as ``block(series, a, b, xs, s_axis, pq_axis, fn)``
-    and returns the rows, each with ``fn``, of one interval's product of the
-    axes (:func:`_theorem_rows`), each the row ``evaluate`` gives at its
-    point; if it raises, a caller evaluates the points one at a time.
-    ``prepare``, when set, is
-    called as ``prepare(functional, blocks)`` before the rows it serves,
-    with one block ``(series, a, b, xs)`` per (series, interval) of those
-    rows, ``xs`` their x values, and the functional of the series' alpha.
-    It only fills caches the rows read, so a row's value does not depend on
-    it, and a caller ignores its errors.  ``identity`` prepares its moments
-    and point values (:func:`_prepare_identity`); the six theta forms
-    prepare theta of f'' and ``ostrowski`` theta of f' (:func:`_prepare_theta`).
-    ``across_blocks`` is set when the step shares work across blocks, as
-    theta's kernel does, and not only across the x values of one block, as
-    the identity's step does; ``falsify``, whose trials are blocks of one x
-    each, prepares its trials only for such an id.
+    and returns a row with an empty ``fn``.  ``block``, set for ``identity``
+    and the theorem family, is called as ``block(series, functional, a, b,
+    xs, s_axis, pq_axis, fn)`` and returns the rows, each with ``fn``, of
+    one interval's product of the axes (:func:`_identity_rows`,
+    :func:`_theorem_rows`), each the row ``evaluate`` gives at its point; if
+    it raises, a caller evaluates the points one at a time.  ``prepare``,
+    set for the six theta forms (theta of f'') and ``ostrowski`` (theta of
+    f'), is called as ``prepare(rows)`` with rows ``(series, a, b)`` ahead
+    of evaluating them (:func:`_prepare_theta`).  It only fills caches the
+    evaluations read, so a row's value does not depend on it, and a caller
+    ignores its errors.
     """
 
     reads: frozenset[str]
     evaluate: Evaluator
-    prepare: Optional[Callable[..., None]] = None
-    across_blocks: bool = False
+    prepare: Optional[Callable[[list], None]] = None
     block: Optional[Callable[..., list[IneqReport]]] = None
 
 
@@ -819,7 +818,7 @@ def _corollary(variant: str) -> Evaluator:
 
 
 def _block(ineq: str) -> Callable[..., list[IneqReport]]:
-    return lambda f, a, b, xs, s_axis, pq_axis, fn: _theorem_rows(ineq, f, a, b, xs, s_axis, pq_axis, 0, fn)
+    return lambda f, fl, a, b, xs, s_axis, pq_axis, fn: _theorem_rows(ineq, f, a, b, xs, s_axis, pq_axis, 0, fn)
 
 
 #: Every inequality id, in report order, and its :class:`Ineq` record, whose
@@ -828,20 +827,22 @@ def _block(ineq: str) -> Callable[..., list[IneqReport]]:
 #: (p, q) pairs for an id that reads q (the thm3 family reads q but not p).
 #: The lambdas look the functions they call up by module name when called,
 #: so whatever rebinds a name sees each call made through it.  A sweep
-#: evaluates the theorem family's rows through ``block``, which calls
-#: :func:`_theorem_rows` once per block, and every other id's through
-#: ``evaluate``; only single points (``evaluate_single``, ``falsify``,
-#: ``alphaineq eval``, and the points of a block whose call raised) reach
-#: ``eval_thm1``-``3`` and :func:`eval_corollary`.
+#: evaluates the rows of ``identity`` and the theorem family through
+#: ``block``, once per block, and every other id's through ``evaluate``;
+#: only single points (``evaluate_single``, ``falsify``, ``alphaineq eval``,
+#: and the points of a block whose call raised) reach ``eval_thm1``-``3``,
+#: :func:`eval_corollary` and the identity's one-point row.
 INEQUALITIES: dict[str, Ineq] = {
     "ghh": Ineq(frozenset(), lambda f, fl, a, b, x, s, p, q: eval_ghh(f, a, b)),
     "shh": Ineq(frozenset("s"), lambda f, fl, a, b, x, s, p, q: eval_shh(f, s, a, b)),
     "holder": Ineq(frozenset("pq"), lambda f, fl, a, b, x, s, p, q: eval_holder(f, f, p, q, a, b, fl)),
     "ostrowski": Ineq(
-        frozenset("x"), lambda f, fl, a, b, x, s, p, q: eval_ostrowski_classic(f, x, a, b), _prepare_theta(1), True
+        frozenset("x"), lambda f, fl, a, b, x, s, p, q: eval_ostrowski_classic(f, x, a, b), _prepare_theta(1)
     ),
     "identity": Ineq(
-        frozenset("x"), lambda f, fl, a, b, x, s, p, q: _identity_report(f, fl, a, b, x), _prepare_identity
+        frozenset("x"),
+        lambda f, fl, a, b, x, s, p, q: _identity_report(f, fl, a, b, x),
+        block=lambda f, fl, a, b, xs, s_axis, pq_axis, fn: _identity_rows(f, fl, a, b, xs, fn),
     ),
     "thm1": Ineq(frozenset("sx"), lambda f, fl, a, b, x, s, p, q: eval_thm1(f, s, x, a, b), block=_block("thm1")),
     "thm2": Ineq(
@@ -854,7 +855,6 @@ INEQUALITIES: dict[str, Ineq] = {
             frozenset("s" + ("x" if form == "theta" else "") + {1: "", 2: "pq", 3: "q"}[i]),
             _corollary(f"{form}-thm{i}"),
             _prepare_theta(2) if "theta" in form else None,
-            "theta" in form,
             _block(f"{form}-thm{i}"),
         )
         for i in (1, 2, 3)

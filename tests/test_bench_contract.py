@@ -1,11 +1,16 @@
-"""The benchmark's tracer must still find every function it wraps.
+"""The benchmark must still run against the program.
 
-``bench/spans.py`` rebinds program functions by module and attribute name;
-a rename in the program would otherwise surface only when the benchmark
-runs.  These tests import the tracer and check its targets without running
-any workload.
+``bench/spans.py`` rebinds program functions by module and attribute name,
+and ``bench/workloads.py`` reads program names and options (such as
+``AlphaContext.slack_tol``, the ``hypothesis_grid`` option of
+``eval_thm1``-``3``, and the module-level ``harness.evaluate_single``,
+which it rebinds to count a falsify job's evaluations).  A change in the
+program would otherwise surface only when the benchmark runs.  These tests
+check the tracer's targets, and run one untraced pass of each workload
+through its own checks.
 """
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -14,16 +19,51 @@ import pytest
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
-@pytest.fixture(scope="module")
-def spans():
+def _bench_module(name):
     sys.path.insert(0, str(BENCH_DIR))
     try:
-        import spans as module
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCH_DIR))
+
+
+@pytest.fixture(scope="module")
+def spans():
+    module = _bench_module("spans")
     import alphaineq.cli  # noqa: F401  (the tracer wraps cli.main too)
 
     return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _bench_module("workloads")
+
+
+WORKLOADS = ("sweep-reference", "sweep-quadrature", "certify-gated", "falsify-search")
+
+
+def test_every_workload_is_smoke_tested(workloads):
+    assert tuple(workloads.WORKLOADS) == WORKLOADS
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_one_pass_of_each_workload_passes_its_checks(name, workloads, tmp_path):
+    from alphaineq import harness
+
+    evaluate_single = harness.evaluate_single
+    wl = workloads.make(name, 1, tmp_path)
+    wl.generate()
+    wl.setup()
+    result = wl.run_pass(None)
+    assert harness.evaluate_single is evaluate_single  # falsify-search restores what it rebinds
+    verdict = wl.check(result.output)
+    assert verdict.problems == []
+    # a workload records a raising row (or job) instead of failing, so a call the program no
+    # longer accepts, such as eval_thm1(..., hypothesis_grid=24), shows only as an error count
+    assert verdict.errors == 0
+    # falsify-search counts the evaluate_single calls its jobs make through the rebound name
+    assert result.rows > 0 and verdict.rows > 0
 
 
 def test_every_target_resolves(spans):

@@ -139,9 +139,9 @@ def shrunk(job):
     recorders = []
     real = harness._shrink
 
-    def recorded(evaluate, retain, pt, rep, fp_tol, reads):
+    def recorded(evaluate, pt, rep, fp_tol, reads):
         recorders.append(Recorder(evaluate, pt, rep, fp_tol))
-        return real(recorders[-1], retain, pt, rep, fp_tol, reads)
+        return real(recorders[-1], pt, rep, fp_tol, reads)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "_shrink", recorded)
@@ -174,7 +174,7 @@ def test_shrink_never_evaluates_a_no_op_or_an_unread_x_move(reads, frac):
         return IneqReport("thm1", 1.0, 1.0, 0.0, -1.0, pt.terms != start.terms)
 
     rec = Recorder(evaluate, start, evaluate(start), FP_TOL)
-    pt, _ = harness._shrink(rec, lambda cand: None, start, evaluate(start), FP_TOL, reads)
+    pt, _ = harness._shrink(rec, start, evaluate(start), FP_TOL, reads)
     assert all(cand != cur for cur, cand in rec.pairs)
     moves_x = "x" in reads and frac != 0.5
     assert [cand.frac for cur, cand in rec.pairs if cand.frac != cur.frac] == ([0.5] if moves_x else [])
@@ -187,7 +187,7 @@ def test_shrink_accepts_a_point_it_rejected_before_through_falsify(monkeypatch):
     # ghh reads no x, and b = a + 1.0 is a no-op on [0, 1], so each round tries the drops, then the halvings.
     # Round 1 rejects dropping the constant term (its slack weakens by more than fp_tol) and keeps halving
     # it (weakened by less); round 2 proposes the same drop again, now within fp_tol of the halved point's
-    # slack, and keeps it.  falsify's own retain then reads the series that evaluation made.
+    # slack, and keeps it, evaluated on the series that falsify made for it in round 1.
     terms = ((0.0, 1.0), (1.0, 2.0))
     slack = {
         terms: -1.0,

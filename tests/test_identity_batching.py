@@ -1,12 +1,12 @@
 """Identity rows share one sampling of f'' per sweep x axis.
 
-Before its identity rows, a sweep calls the registry row's ``prepare`` once
-per (alpha, function), with one block per interval: for each block it
-caches f and f' at every x of the axis and the composed moments of f'' on
-both sides of every x, sampling f'' once.  These tests pin that every
-swept row is, bit for bit, the row that a single evaluation computes on a
-fresh series; that a failure stays with the rows it belongs to; and that
-the sampling is batched.
+A sweep evaluates the identity rows of each (alpha, function, interval)
+through the registry row's ``block`` evaluator: it caches f and f' at
+every x of the axis and the composed moments of f'' on both sides of
+every x, sampling f'' once, and then builds the rows.  These tests pin
+that every swept row is, bit for bit, the row that a single evaluation
+computes on a fresh series; that a failure stays with the rows it belongs
+to; and that the sampling is batched.
 """
 
 import math
@@ -215,25 +215,28 @@ def test_a_failing_segment_keeps_the_others_cached(monkeypatch):
     assert len(calls) == 1  # only the failed segment is sampled again
 
 
-def test_rows_do_not_depend_on_prepare(monkeypatch):
+def test_rows_do_not_depend_on_the_block(monkeypatch):
     # f' of mono:0.5 has the grade -0.5, which cannot be differentiated: its
-    # prepare raises, and its rows raise as they do without one
+    # block raises, and its rows raise one point at a time as they do alone
     cfg = SweepConfig(
         alphas=(0.5, 1.0),
         functions=(parse_function_spec("mono:0.5"), parse_function_spec("mono:3"), parse_function_spec("ml:4")),
         inequalities=("identity", "thm1"), intervals=((0.0, 1.0), (0.5, 2.0)), x_fractions=(0.0, 0.3, 1.0),
     )
-    prepared = render_report(run_sweep(cfg), "csv")
-    assert "error: GammaPoleError: cannot differentiate grade -0.5" in prepared
-    with monkeypatch.context() as patch:
-        patch.setitem(INEQUALITIES, "identity", replace(INEQUALITIES["identity"], prepare=None))
-        assert render_report(run_sweep(cfg), "csv") == prepared
+    blocked = render_report(run_sweep(cfg), "csv")
+    assert "error: GammaPoleError: cannot differentiate grade -0.5" in blocked
+
+    calls = []
 
     def broken(*args):
-        raise RuntimeError("prepare failed")
+        calls.append(args[2:4])
+        raise RuntimeError("block failed")
 
-    monkeypatch.setitem(INEQUALITIES, "identity", replace(INEQUALITIES["identity"], prepare=broken))
-    assert render_report(run_sweep(cfg), "csv") == prepared
+    for block in (None, broken):  # no block, and one that raises for every (alpha, function, interval)
+        with monkeypatch.context() as patch:
+            patch.setitem(INEQUALITIES, "identity", replace(INEQUALITIES["identity"], block=block))
+            assert render_report(run_sweep(cfg), "csv") == blocked
+    assert len(calls) == 2 * 3 * 2
 
 
 def _count_2d_evaluations(monkeypatch):

@@ -1,14 +1,13 @@
-"""Every registry ``prepare`` step is only a cache.
+"""Every registry ``prepare`` step is only a cache, and only ``falsify`` runs one.
 
-An id's prepare step fills values its rows read: the identity's moments
-and point values, theta of f'' for the six theta forms and theta of f' for
-``ostrowski``.  So a sweep's report, and a ``falsify`` job's witness and its
-number of ``evaluate_single`` calls, are the same when the step is removed
-and when it raises.  For an id whose step shares work across blocks (the
-theta forms and ``ostrowski``), ``falsify`` prepares its random trials a
-chunk ahead, in chunks of 1, 2, 4, 8 and then 16 trials, and never holds
-more than 16 prepared trial series at once; it never prepares the trials of
-any other id.
+An id's prepare step fills theta of f'' for the six theta forms and theta
+of f' for ``ostrowski``, for rows ``(series, a, b)``.  ``run_sweep`` never
+calls it: a sweep computes what its blocks share through the registry's
+``block`` evaluators.  ``falsify`` prepares its random trials a chunk
+ahead, in chunks of 1, 2, 4, 8 and then 16 trials, whatever alphas they
+have, and never holds more than 16 prepared trial series at once.  A job's
+witness and its number of ``evaluate_single`` calls are the same when the
+step is removed and when it raises.
 """
 
 import gc
@@ -23,36 +22,27 @@ from alphaineq.inequalities import INEQUALITIES
 
 #: The ids with a prepare step, in registry order.
 PREPARED = [
-    "ostrowski", "identity",
+    "ostrowski",
     "theta-thm1", "midpoint-theta-thm1", "theta-thm2", "midpoint-theta-thm2", "theta-thm3", "midpoint-theta-thm3",
 ]
 
 
-#: The ids whose prepare step shares work across blocks, which ``falsify`` prepares in chunks.
-CHUNKED = [i for i in PREPARED if i != "identity"]
-
-
 def test_prepared_ids():
     assert [i for i, rec in INEQUALITIES.items() if rec.prepare is not None] == PREPARED
-    assert [i for i, rec in INEQUALITIES.items() if rec.across_blocks] == CHUNKED
 
 
-def _broken(functional, blocks):
+def _broken(rows):
     raise RuntimeError("prepare failed")
 
 
 def _variants(ineq):
     """The registry row of ``ineq`` with its prepare step, without one and with one that raises.
 
-    The raising step shares work across blocks, so ``falsify`` draws the
-    trials of every id in chunks with it, and calls it on each.
+    With the raising step, ``falsify`` draws the trials of every id in
+    chunks, and calls the step on each.
     """
     rec = INEQUALITIES[ineq]
-    return {
-        "as is": rec,
-        "removed": replace(rec, prepare=None),
-        "raising": replace(rec, prepare=_broken, across_blocks=True),
-    }
+    return {"as is": rec, "removed": replace(rec, prepare=None), "raising": replace(rec, prepare=_broken)}
 
 
 # mono:1.5's f'' is inf at 0 and (1.5, 1);(1.6, -1)'s NaN there (at alpha = 1); mono:0.5 has no f''
@@ -69,24 +59,17 @@ SWEEP = dict(
 )
 
 
-@pytest.mark.parametrize("ineq", PREPARED)
-def test_sweep_report_does_not_depend_on_prepare(ineq, monkeypatch):
-    cfg = SweepConfig(inequalities=(ineq,), **SWEEP)
-    reports = {}
-    for name, rec in _variants(ineq).items():
-        monkeypatch.setitem(INEQUALITIES, ineq, rec)
-        reports[name] = render_report(run_sweep(cfg), "csv")
-    assert reports["removed"] == reports["as is"]
-    assert reports["raising"] == reports["as is"]
-
-
-def test_sweep_of_every_id_does_not_depend_on_prepare(monkeypatch):
-    # the theta forms share theta: one id's prepare fills what the others read
-    cfg = SweepConfig(inequalities=tuple(INEQUALITIES), **SWEEP)
-    prepared = render_report(run_sweep(cfg), "csv")
-    for ineq in PREPARED:
-        monkeypatch.setitem(INEQUALITIES, ineq, _variants(ineq)["raising"])
-    assert render_report(run_sweep(cfg), "csv") == prepared
+@pytest.mark.parametrize("ineqs", [(i,) for i in INEQUALITIES] + [tuple(INEQUALITIES)],
+                         ids=list(INEQUALITIES) + ["every-id"])
+def test_sweep_never_calls_prepare(ineqs, monkeypatch):
+    # every id gains a step that records its call; a sweep makes none, and its report is the same
+    cfg = SweepConfig(inequalities=ineqs, **SWEEP)
+    report = render_report(run_sweep(cfg), "csv")
+    calls = []
+    for ineq, rec in INEQUALITIES.items():
+        monkeypatch.setitem(INEQUALITIES, ineq, replace(rec, prepare=lambda rows, ineq=ineq: calls.append(ineq)))
+    assert render_report(run_sweep(cfg), "csv") == report
+    assert calls == []
 
 
 TRIALS = 60
@@ -132,38 +115,22 @@ def test_falsify_does_not_depend_on_prepare(ineq, monkeypatch):
 
 
 @pytest.mark.parametrize("alphas", [(1.0,), (0.5, 0.8, 1.0)], ids=["one-alpha", "three-alphas"])
-@pytest.mark.parametrize("ineq", CHUNKED)
+@pytest.mark.parametrize("ineq", PREPARED)
 def test_falsify_prepares_chunks_of_at_most_16_trials(ineq, alphas, monkeypatch):
     # a tolerance no slack reaches: every trial is drawn, prepared and evaluated
     real = INEQUALITIES[ineq].prepare
     held = []  # a weak reference to each prepared series
     calls = []
 
-    def recorded(functional, blocks):
+    def recorded(rows):
         gc.collect()
-        held.extend(weakref.ref(f) for f, _, _, _ in blocks)
-        calls.append((functional.ctx.alpha, len(blocks), sum(ref() is not None for ref in held)))
-        assert all(f.ctx is functional.ctx for f, _, _, _ in blocks)
-        real(functional, blocks)
+        held.extend(weakref.ref(f) for f, _, _ in rows)
+        calls.append((len(rows), sum(ref() is not None for ref in held)))
+        real(rows)
 
     monkeypatch.setitem(INEQUALITIES, ineq, replace(INEQUALITIES[ineq], prepare=recorded))
     result = _job(ineq, "ml:6", alphas, False, 5, monkeypatch, Tolerances(slack_tol=1e300))
     assert result == ("none\n", 3 * len(alphas) + TRIALS)  # three canonical probes per alpha, then every trial
-    assert sum(n for _, n, _ in calls) == TRIALS
-    assert all(live <= 16 for _, _, live in calls), calls
-    if len(alphas) == 1:
-        assert [n for _, n, _ in calls] == [1, 2, 4, 8, 16, 16, 13]
-
-
-def test_falsify_does_not_prepare_identity_trials(monkeypatch):
-    # the identity's step shares work only across the x values of one block; a trial has one x
-    calls = []
-    real = INEQUALITIES["identity"].prepare
-
-    def recorded(functional, blocks):
-        calls.append(len(blocks))
-        real(functional, blocks)
-
-    monkeypatch.setitem(INEQUALITIES, "identity", replace(INEQUALITIES["identity"], prepare=recorded))
-    result = _job("identity", "ml:6", (0.5, 1.0), False, 5, monkeypatch, Tolerances(slack_tol=1e300))
-    assert result == ("none\n", 6 + TRIALS) and calls == []
+    # one call per chunk, whatever alphas its trials have
+    assert [n for n, _ in calls] == [1, 2, 4, 8, 16, 16, 13]
+    assert all(live <= 16 for _, live in calls), calls

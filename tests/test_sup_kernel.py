@@ -21,7 +21,6 @@ from alphaineq import inequalities
 from alphaineq.alphanum import AlphaContext
 from alphaineq.harness import parse_function_spec
 from alphaineq.inequalities import INEQUALITIES, _sup_abs, sup_abs
-from alphaineq.quadrature import MomentFunctional
 from alphaineq.series import AlphaSeries, _plan_of, lf_derivative, lf_derivative_n
 from reference import sup_abs_loop
 
@@ -101,45 +100,47 @@ def test_kernel_rows_are_the_loop_bit_for_bit(batch, grid):
 FUNCTIONS = ("ml:6", "poly:1,0.5,0.25,0.1", "mono:2.5", "mono:1.5", "series:(1.5,1);(1.6,-1)", "mono:3", "mono:0.5")
 
 
-def test_prepare_fills_theta_of_every_block_as_sup_abs_computes_it():
-    # one prepare call over blocks of many plans: f'' of mono:1.5 is inf at 0 and f'' of
-    # (1.5, 1);(1.6, -1) NaN at 0 (at alpha = 1); mono:0.5 has no f'', so its blocks are skipped
+def test_prepare_fills_theta_of_every_row_as_sup_abs_computes_it():
+    # one prepare call over rows of many plans and both alphas: f'' of mono:1.5 is inf at 0 and f'' of
+    # (1.5, 1);(1.6, -1) NaN at 0 (at alpha = 1); mono:0.5 has no f'', so its rows are skipped
     intervals = [(0.0, 1.0), (0.5, 2.0), (0.0, 5e-324), (0.25, 0.75)]
     for ineq, order in (("theta-thm1", 2), ("midpoint-theta-thm2", 2), ("ostrowski", 1)):
-        for alpha in (0.5, 1.0):
-            ctx = AlphaContext(alpha)
-            series = [parse_function_spec(spec).realize(ctx) for spec in FUNCTIONS]
-            blocks = [(f, a, b, [a, b]) for f in series for a, b in intervals]
-            with np.errstate(over="ignore", invalid="ignore"):
-                INEQUALITIES[ineq].prepare(MomentFunctional(ctx), blocks)
-                for f, a, b, _ in blocks:
-                    try:
-                        g = lf_derivative_n(f, order)
-                    except ArithmeticError:
-                        continue
-                    want = sup_abs_loop(AlphaSeries(g.terms, ctx), a, b)
-                    assert _same(g._memo["sup", a, b, 1025], want), (ineq, alpha, f.terms, a, b)
+        rows = [
+            (parse_function_spec(spec).realize(CTX[alpha]), a, b)
+            for alpha in (0.5, 1.0)
+            for spec in FUNCTIONS
+            for a, b in intervals
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            INEQUALITIES[ineq].prepare(rows)
+            for f, a, b in rows:
+                try:
+                    g = lf_derivative_n(f, order)
+                except ArithmeticError:
+                    continue
+                want = sup_abs_loop(AlphaSeries(g.terms, f.ctx), a, b)
+                assert _same(g._memo["sup", a, b, 1025], want), (ineq, f.ctx.alpha, f.terms, a, b)
     # theta of f' for ostrowski, of f'' for the theta forms
     f = parse_function_spec("ml:6").realize(AlphaContext(0.5))
-    INEQUALITIES["ostrowski"].prepare(None, [(f, 0.25, 1.75, [0.5])])
+    INEQUALITIES["ostrowski"].prepare([(f, 0.25, 1.75)])
     assert ("sup", 0.25, 1.75, 1025) in lf_derivative(f)._memo
     assert ("sup", 0.25, 1.75, 1025) not in lf_derivative_n(f, 2)._memo
 
 
-def test_prepare_hands_the_kernel_at_most_16_rows(monkeypatch):
-    # 40 intervals of one series: the kernel's (rows x 1025) temporaries stay at 16 rows, and every block is filled
+def test_prepare_hands_the_kernel_at_most_16_rows_of_one_plan(monkeypatch):
+    # 40 intervals of one series at each of two alphas: the kernel's (rows x 1025) temporaries
+    # stay at 16 rows of one plan, and so of one alpha, and every row is filled
     sizes = []
 
     def recorded(rows, grid):
-        sizes.append(len(rows))
+        sizes.append((len(rows), {f.ctx.alpha for f, _, _ in rows}))
         return _sup_abs(rows, grid)
 
     monkeypatch.setattr(inequalities, "_sup_abs", recorded)
-    ctx = AlphaContext(0.5)
-    f = parse_function_spec("ml:6").realize(ctx)
-    blocks = [(f, 0.05 * i, 0.05 * i + 1.0, [0.05 * i]) for i in range(40)]
-    INEQUALITIES["theta-thm1"].prepare(MomentFunctional(ctx), blocks)
-    assert sizes == [16, 16, 8]
-    g = lf_derivative_n(f, 2)
-    for _, a, b, _ in blocks:
-        assert g._memo["sup", a, b, 1025] == sup_abs_loop(AlphaSeries(g.terms, ctx), a, b)
+    series = [parse_function_spec("ml:6").realize(CTX[alpha]) for alpha in (0.5, 1.0)]
+    rows = [(f, 0.05 * i, 0.05 * i + 1.0) for i in range(40) for f in series]
+    INEQUALITIES["theta-thm1"].prepare(rows)
+    assert sizes == [(16, {0.5}), (16, {0.5}), (8, {0.5}), (16, {1.0}), (16, {1.0}), (8, {1.0})]
+    for f, a, b in rows:
+        g = lf_derivative_n(f, 2)
+        assert g._memo["sup", a, b, 1025] == sup_abs_loop(AlphaSeries(g.terms, f.ctx), a, b)

@@ -1,14 +1,16 @@
-"""A sweep evaluates the theorem family block by block, and each row is the row of its point.
+"""A sweep evaluates ``identity`` and the theorem family block by block, and each row is the row of its point.
 
 thm1-3 and their nine corollaries have a block evaluator
-(``inequalities._theorem_rows``): ``run_sweep`` calls it once per (alpha,
+(``inequalities._theorem_rows``), and so has ``identity``
+(``inequalities._identity_rows``): ``run_sweep`` calls it once per (alpha,
 function, id, interval), for the product of that block's s, (p, q) and x
 axes, and evaluates a block one point at a time only when the call raises.
 These tests check, under any numpy version, that every sweep row equals,
 cell for cell as ``render_report`` writes it, the ``evaluate_single`` row
 of its point or that point's error row; that a sweep makes one block call
-per block and reads each theorem record once per (block, s, p, q); and
-that one function decides every row's ``holds``.
+per block and reads each theorem record once per (block, s, p, q); that
+one function decides every row's ``holds``; and that a thm1-3 point whose
+hypothesis check and left side both raise raises the check's error.
 """
 
 import math
@@ -34,18 +36,21 @@ from alphaineq.harness import (
     render_report,
     run_sweep,
 )
-from alphaineq.inequalities import INEQUALITIES, _holds
+from alphaineq.inequalities import INEQUALITIES, _holds, eval_thm1
 from alphaineq.quadrature import MomentFunctional
 
 CONFIG = Path(__file__).resolve().parents[1] / "bench" / "reference_sweep.json"
 
+#: The theorem family: thm1-3 and their corollaries.
+FAMILY = tuple(i for i in INEQUALITY_IDS if "thm" in i)
+
 #: The ids a sweep evaluates block by block.
-FAMILY = tuple(i for i, rec in INEQUALITIES.items() if rec.block is not None)
+BLOCKED = tuple(i for i, rec in INEQUALITIES.items() if rec.block is not None)
 
 
-def test_the_family_is_the_theorems_and_their_corollaries():
-    assert FAMILY == tuple(i for i in INEQUALITY_IDS if "thm" in i)
+def test_the_blocked_ids_are_the_identity_and_the_theorem_family():
     assert len(FAMILY) == 12
+    assert BLOCKED == ("identity",) + FAMILY
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -53,8 +58,8 @@ def _pointwise(cfg):
     """The rows of ``cfg`` one point at a time, sorted as ``run_sweep`` sorts them.
 
     Each point's row is its ``evaluate_single`` row, or the error row of
-    what that raises, on one series per (alpha, function) with no prepare
-    step run, under the numpy error state of ``run_sweep``.
+    what that raises, on one series per (alpha, function), under the numpy
+    error state of ``run_sweep``.
     """
     rows = []
     for alpha in cfg.alphas:
@@ -143,11 +148,16 @@ def _cfg(functions):
 def _count(monkeypatch):
     """Count the block calls, the theorem record reads and the ``evaluate_single`` calls of a sweep."""
     blocks, records, singles = Counter(), Counter(), Counter()
-    rows, theorem, single = inequalities._theorem_rows, inequalities._theorem, harness.evaluate_single
+    rows, identity, theorem = inequalities._theorem_rows, inequalities._identity_rows, inequalities._theorem
+    single = harness.evaluate_single
 
     def counted_rows(ineq, f, a, b, xs, s_axis, pq_axis, *rest):
         blocks[ineq, f.ctx.alpha, f.terms, a, b] += 1
         return rows(ineq, f, a, b, xs, s_axis, pq_axis, *rest)
+
+    def counted_identity(f, functional, a, b, xs, fn):
+        blocks["identity", f.ctx.alpha, f.terms, a, b] += 1
+        return identity(f, functional, a, b, xs, fn)
 
     def counted_theorem(f, thm, s, p, q):
         records[thm] += 1
@@ -158,6 +168,7 @@ def _count(monkeypatch):
         return single(ineq, *args, **kwargs)
 
     monkeypatch.setattr(inequalities, "_theorem_rows", counted_rows)
+    monkeypatch.setattr(inequalities, "_identity_rows", counted_identity)
     monkeypatch.setattr(inequalities, "_theorem", counted_theorem)
     monkeypatch.setattr(harness, "evaluate_single", counted_single)
     return blocks, records, singles
@@ -171,28 +182,30 @@ def test_one_block_call_per_block_and_one_record_read_per_block_s_p_q(monkeypatc
     n_s, n_pq = len(cfg.s_values), len(cfg.pq_pairs)
     per_block = {i: n_s * (n_pq if "q" in INEQUALITIES[i].reads else 1) for i in FAMILY}
     expected = Counter()
-    for alpha, spec, ineq, (a, b) in product(cfg.alphas, cfg.functions, FAMILY, cfg.intervals):
+    for alpha, spec, ineq, (a, b) in product(cfg.alphas, cfg.functions, BLOCKED, cfg.intervals):
         expected[ineq, alpha, spec.realize(AlphaContext(alpha)).terms, a, b] = 1
     assert blocks == expected
     n_blocks = len(cfg.alphas) * len(cfg.functions) * len(cfg.intervals)
     assert sum(records.values()) == n_blocks * sum(per_block.values())
-    # the family's rows never pass through evaluate_single; every other id's row does
-    assert not set(singles) & set(FAMILY)
-    assert sum(singles.values()) == sum(1 for r in rows if r.ineq not in FAMILY)
+    # the blocked ids' rows never pass through evaluate_single; every other id's row does
+    assert not set(singles) & set(BLOCKED)
+    assert sum(singles.values()) == sum(1 for r in rows if r.ineq not in BLOCKED)
 
 
 def test_a_raising_block_is_evaluated_one_point_at_a_time(monkeypatch):
-    # mono:0.5 has no second derivative, so each of its family blocks raises
+    # mono:0.5 has no second derivative, so each of its blocks raises
     cfg = _cfg(("mono:3", "mono:0.5"))
     blocks, _, singles = _count(monkeypatch)
     rows = run_sweep(cfg)
-    failed = [r for r in rows if r.ineq in FAMILY and r.notes.startswith("error:")]
+    failed = [r for r in rows if r.ineq in BLOCKED and r.notes.startswith("error:")]
     assert {r.fn for r in failed} == {"mono:0.5"}
-    assert len(failed) == sum(1 for r in rows if r.ineq in FAMILY and r.fn == "mono:0.5")
-    # each point of a raising block is one evaluate_single call, and so one more one-point block
-    assert sum(n for i, n in singles.items() if i in FAMILY) == len(failed)
-    n_blocks = len(cfg.alphas) * len(cfg.functions) * len(FAMILY) * len(cfg.intervals)
-    assert sum(blocks.values()) == n_blocks + len(failed)
+    assert {r.ineq for r in failed} == set(BLOCKED)
+    assert len(failed) == sum(1 for r in rows if r.ineq in BLOCKED and r.fn == "mono:0.5")
+    # each point of a raising block is one evaluate_single call; for the theorem
+    # family that is one more one-point block, for the identity its one-point row
+    assert sum(n for i, n in singles.items() if i in BLOCKED) == len(failed)
+    n_blocks = len(cfg.alphas) * len(cfg.functions) * len(BLOCKED) * len(cfg.intervals)
+    assert sum(blocks.values()) == n_blocks + sum(1 for r in failed if r.ineq in FAMILY)
 
 
 def test_every_verdict_comes_from_one_helper(monkeypatch):
@@ -220,3 +233,13 @@ def test_the_identity_verdict_is_the_slack_rule(residual):
     # the identity row's slack is -residual, and its verdict was residual <= slack_tol
     ctx = AlphaContext(0.5, 1e-9)
     assert _holds(-residual, ctx) == (residual <= ctx.slack_tol)
+
+
+def test_a_raising_hypothesis_check_comes_before_the_values_at_x():
+    # on [0, 1e50] at x = 1e50 the left side's integral overflows; a hypothesis grid of 2 is rejected first
+    f = parse_function_spec("ml:7").realize(AlphaContext(1.0))
+    with pytest.raises(OverflowError):
+        eval_thm1(f, 0.5, 1e50, 0.0, 1e50)
+    f = parse_function_spec("ml:7").realize(AlphaContext(1.0))
+    with pytest.raises(ValueError, match="grid must be >= 3, got 2"):
+        eval_thm1(f, 0.5, 1e50, 0.0, 1e50, hypothesis_grid=2)
