@@ -8,8 +8,8 @@ the axes it sweeps) and their evaluators all come from the
 :data:`alphaineq.inequalities.INEQUALITIES` registry, and each evaluator
 checks the parameters its record says it reads, so :func:`evaluate_single`
 only dispatches, and :func:`run_sweep` only hands the blocks of
-``identity`` and the theorem family to their block evaluator.  Sweep
-points are independent; rows are
+``holder``, ``identity`` and the theorem family to their block evaluator.
+Sweep points are independent; rows are
 sorted before emission, which makes the output independent of the
 evaluation order.
 """
@@ -361,11 +361,11 @@ def run_sweep(cfg: SweepConfig) -> list[IneqReport]:
     is imposed by a deterministic sort, so the evaluation order is
     unobservable.  Each (alpha, function) pair is realized once, so the
     values cached on its series are shared by all of its rows.  An id whose
-    registry record has a ``block`` evaluator (``identity`` and the theorem
-    family) gets one ``block`` call per (alpha, function, id, interval),
-    which computes what the block's rows share once and builds each row
-    with the function's canonical spec as its ``fn``.  Every other id's
-    points, and those of a block whose call raises, are evaluated one at a
+    registry record has a ``block`` evaluator (``holder``, ``identity`` and
+    the theorem family) gets one ``block`` call per (alpha, function, id,
+    interval), which computes what the block's rows share once and builds
+    each row with the function's canonical spec as its ``fn``.  Every other
+    id's points, and those of a block whose call raises, are evaluated one at a
     time by :func:`evaluate_single`, which sets that ``fn``, or become error
     rows; either way each row is built once.  No ``prepare`` step runs
     here.  An overflow or an invalid value (``inf - inf``) shows in its row

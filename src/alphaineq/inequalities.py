@@ -11,9 +11,12 @@ term-wise calculus itself.
 
 :data:`INEQUALITIES` is the one registry of inequality ids: each id maps to
 an :class:`Ineq` record of the parameters it reads (of x, s, p and q), the
-evaluator that computes its row at one point and, for ``identity`` and the
-theorem family, the ``block`` evaluator that a sweep calls for all the rows
-of an interval at once (:func:`_identity_rows`, :func:`_theorem_rows`).
+evaluator that computes its row at one point and, for ``holder``,
+``identity`` and the theorem family, the ``block`` evaluator that a sweep
+calls for all the rows of an interval at once (:func:`_holder_rows`,
+:func:`_identity_rows`, :func:`_theorem_rows`).  Each computes what its rows
+share once, in arrays where it can, and builds every row from those values;
+the id's one-point row is its one-point block.
 ``ostrowski`` and the six theta forms have a ``prepare`` step, which a
 ``falsify`` job runs ahead of a chunk of trials to fill theta for all of
 them in one array kernel (:func:`_prepare_theta`).
@@ -49,7 +52,7 @@ import numpy as np
 
 from .alphanum import AlphaContext, alpha_pow_signed, gamma, memoized
 from .convexity import check_s_convex_second
-from .quadrature import MomentFunctional, _sample, composed_moments
+from .quadrature import MomentFunctional, QuadratureError, _sample, composed_moments
 from .series import AlphaSeries, GammaPoleError, _plan_of, _sum_terms, lf_derivative, lf_derivative_n, lf_integral
 
 __all__ = [
@@ -90,8 +93,8 @@ class IneqReport:
     A plain slotted record, so it is unhashable.  Its evaluator builds it
     once; the one field set afterwards is ``fn``, by
     :func:`alphaineq.harness.evaluate_single` on the row it was just handed.
-    A block evaluator (:func:`_identity_rows`, :func:`_theorem_rows`)
-    builds its rows with their ``fn``.
+    A block evaluator (:func:`_holder_rows`, :func:`_identity_rows`,
+    :func:`_theorem_rows`) builds its rows with their ``fn``.
     """
 
     ineq: str
@@ -367,24 +370,20 @@ def eval_holder(
     array of the same shape) and the three integrands are built from those
     samples, which the functional integrates directly.  ``f`` and ``g`` may
     also be one series, passed as both, as the registry's ``holder`` row
-    does: its samples and ``J[|f|*|f|]`` do not depend on ``(p, q)``, so
-    they are read from :func:`_holder_samples`, cached on the series per
-    ``(functional, a, b)``, and each row computes only ``|f|**p``,
-    ``|f|**q`` and their integrals.  Either way every value is computed in
-    the same order, so both give the same row bit for bit.
+    does: the row is then the one-point block of :func:`_holder_rows`,
+    which computes the same values in the same order, so both give the
+    same row bit for bit.
     """
+    if f is g and isinstance(f, AlphaSeries):
+        return _holder_rows(f, functional, a, b, ((p, q),))[0]
     _params("holder", a, b, p=p, q=q)
     ctx = functional.ctx
     al = ctx.alpha
     scale = (b - a) ** al
-    if f is g and isinstance(f, AlphaSeries):
-        abs_f, prod = _holder_samples(f, functional, a, b)
-        abs_g = abs_f
-    else:
-        u = a + functional.grid * (b - a)
-        abs_f = np.abs(_sample(f, u))
-        abs_g = np.abs(_sample(g, u))
-        prod = functional.integrate(abs_f * abs_g)
+    u = a + functional.grid * (b - a)
+    abs_f = np.abs(_sample(f, u))
+    abs_g = np.abs(_sample(g, u))
+    prod = functional.integrate(abs_f * abs_g)
     lhs = scale * prod
     intf = scale * functional.integrate(abs_f**p)
     intg = scale * functional.integrate(abs_g**q)
@@ -404,6 +403,50 @@ def _holder_samples(f: AlphaSeries, functional: MomentFunctional, a: float, b: f
     prod = functional.integrate(abs_f * abs_f)
     abs_f.flags.writeable = False
     return abs_f, prod
+
+
+def _holder_rows(f: AlphaSeries, functional: MomentFunctional, a: float, b: float, pq_axis: Sequence,
+                 fn: str = "") -> list[IneqReport]:
+    """The holder rows of one block, one per pair of ``pq_axis``, each with ``fn``.
+
+    The axis is checked once (:func:`_check_axes`), and ``|f|`` and
+    ``J[|f|*|f|]`` are read once from :func:`_holder_samples`.  ``|f|`` is
+    raised to every distinct exponent of the axis in one ``np.power`` call,
+    and the powers are integrated in one
+    :meth:`MomentFunctional.integrate_rows` call.  Each power is the
+    ``|f|**e`` that the two-callable :func:`eval_holder` computes, except at
+    ``e = 2.0``: numpy computes ``|f|**2.0`` as the square ``|f|*|f|``, not
+    by ``pow``, so its integral is ``J[|f|*|f|]``.  Each row then runs
+    :func:`eval_holder`'s arithmetic in its order, so it is that row bit for
+    bit.  A non-finite integral raises its :class:`QuadratureError`, the
+    first exponent's in axis order, so a one-point block raises the error of
+    ``|f|**p`` before that of ``|f|**q``, as :func:`eval_holder` does.
+    """
+    _check_axes("holder", a, b, (), (), pq_axis)
+    ctx = functional.ctx
+    al = ctx.alpha
+    scale = (b - a) ** al
+    abs_f, prod = _holder_samples(f, functional, a, b)
+    integrals = {2.0: prod}
+    exps = []  # the distinct exponents, in axis order, other than 2.0
+    for pair in pq_axis:
+        for e in pair:
+            if e != 2.0 and e not in exps:
+                exps.append(e)
+    if exps:
+        for e, value in zip(exps, functional.integrate_rows(np.power(abs_f, np.array(exps)[:, None]))):
+            if isinstance(value, QuadratureError):
+                raise value
+            integrals[e] = value
+    lhs = scale * prod
+    rows = []
+    for p, q in pq_axis:
+        intf = scale * integrals[p]
+        intg = scale * integrals[q]
+        rhs = max(intf, 0.0) ** (1.0 / p) * max(intg, 0.0) ** (1.0 / q)
+        slack = rhs - lhs
+        rows.append(IneqReport("holder", al, lhs, rhs, slack, _holds(slack, ctx), None, p, q, a, b, None, fn, ""))
+    return rows
 
 
 def eval_ostrowski_classic(f: AlphaSeries, x: float, a: float, b: float) -> IneqReport:
@@ -448,25 +491,47 @@ def identity_residual(
     The right side carries the two weighted moments of ``f^(2a)`` composed
     with the affine maps onto ``[a, x]`` and ``[x, b]``; the moments are the
     normalized integrals, so the prefactor is ``1/(G(1+2a) (b-a)**a)``.
-    Both moments come from one :func:`composed_moments` call, which samples
-    ``f^(2a)`` once for the two segments and caches each moment on it per
-    ``(x, e)``; a sweep's block fills that cache, and the caches of ``f``
-    and ``f'`` at ``x``, for its whole x axis at once (:func:`_identity_rows`).
     Zero residual means the identity holds for this input; for alpha < 1 it
     generally does not, and the residual is the reported inconsistency.
+    The residual is that of the one-point block (:func:`_identity_residuals`),
+    so it samples ``f^(2a)`` once for the two sides.
     """
-    _params("identity", a, b, x=x)
+    return _identity_residuals(f, functional, a, b, (x,))[0]
+
+
+def _identity_residuals(f: AlphaSeries, functional: MomentFunctional, a: float, b: float,
+                        xs: Sequence) -> list[float]:
+    """:func:`identity_residual` at each point of ``xs``, from values computed for the whole axis at once.
+
+    The axis is checked once (:func:`_check_axes`).  The values of ``f``
+    and ``f'`` at every x come from one ``np.power`` call each
+    (:meth:`AlphaSeries.cache_points`; a single x reads them on the scalar
+    path, which gives the same values), and the moments of ``f^(2a)`` on
+    both sides of every x from one :func:`composed_moments` call, which
+    samples ``f^(2a)`` once and caches each moment on it per ``(x, e)``.
+    Each residual is then computed from its point's values by the
+    floating-point operations of that point alone.  Every left side is
+    computed before any moment, so a one-point call whose left side and
+    moment both raise raises the left side's error.
+    """
+    _check_axes("identity", a, b, xs, (), ())
     ctx = f.ctx
-    al = ctx.alpha
     f2 = lf_derivative_n(f, 2)
-    lhs = _ostrowski_signed(f, x, a, b)
-    sides = _identity_sides(x, a, b)
-    moments = composed_moments(f2, 2.0, [(x, e) for _, e in sides], functional)
-    rhs = 0.0
-    for (length, _), moment in zip(sides, moments):
-        rhs += alpha_pow_signed(length, ctx) ** 3 * moment
-    rhs /= ctx.gamma_grade(2) * (b - a) ** al
-    return abs(lhs - rhs)
+    if len(xs) > 1:
+        f.cache_points(xs)
+        lf_derivative(f).cache_points(xs)
+    lhs = [_ostrowski_signed(f, x, a, b) for x in xs]
+    sides = [_identity_sides(x, a, b) for x in xs]
+    moments = iter(composed_moments(f2, 2.0, [(x, e) for x, x_sides in zip(xs, sides) for _, e in x_sides], functional))
+    den = ctx.gamma_grade(2) * (b - a) ** ctx.alpha
+    residuals = []
+    for left, x_sides in zip(lhs, sides):
+        rhs = 0.0
+        for length, _ in x_sides:
+            rhs += alpha_pow_signed(length, ctx) ** 3 * next(moments)
+        rhs /= den
+        residuals.append(abs(left - rhs))
+    return residuals
 
 
 def _identity_sides(x: float, a: float, b: float) -> list[tuple[float, float]]:
@@ -753,12 +818,10 @@ def eval_corollary(
     return _theorem_rows(variant, f, a, b, (x,), (s,), ((p, q),))[0]
 
 
-def _identity_report(f: AlphaSeries, functional: MomentFunctional, a: float, b: float, x: float,
-                     fn: str = "") -> IneqReport:
+def _identity_report(ctx: AlphaContext, residual: float, a: float, b: float, x: float, fn: str = "") -> IneqReport:
+    """The identity row of ``residual`` at ``x``: lhs is the residual, rhs 0 and the note ``identity-residual``."""
     # built here rather than by _report: slack is -residual, which keeps the
     # sign of a zero residual (0.0 - residual would not)
-    residual = identity_residual(f, x, a, b, functional)
-    ctx = f.ctx
     slack = -residual
     return IneqReport(
         "identity", ctx.alpha, residual, 0.0, slack, _holds(slack, ctx),
@@ -770,20 +833,16 @@ def _identity_rows(f: AlphaSeries, functional: MomentFunctional, a: float, b: fl
                    fn: str) -> list[IneqReport]:
     """The identity rows of one block, at the points ``xs`` of ``[a, b]``, each with ``fn``.
 
-    First the values every row reads are computed for the whole x axis at
-    once: the moments of both sides of every x from one
-    :func:`composed_moments` call, so ``f^(2a)`` is sampled once, and the
-    values of ``f`` and ``f'`` at all of ``xs`` from one ``np.power`` call
-    each (:meth:`AlphaSeries.cache_points`).  Each is cached, bit for bit
-    the value the row would compute, so each row is the one-point row of
-    :func:`_identity_report`.  If this raises, the values cached so far
-    stay valid for the points a caller then evaluates one at a time.
+    Each row is built from its residual of one :func:`_identity_residuals`
+    call for the whole x axis, which samples ``f^(2a)`` once; no row makes a
+    call of its own.  The registry's one-point row is built by
+    :func:`_identity_report` from :func:`identity_residual`, the residual of
+    the one-point block, so each row here is that row bit for bit.  If this
+    raises, the values cached so far stay valid for the points a caller then
+    evaluates one at a time.
     """
-    f2 = lf_derivative_n(f, 2)
-    f.cache_points(xs)
-    lf_derivative(f).cache_points(xs)
-    composed_moments(f2, 2.0, [(x, e) for x in xs for _, e in _identity_sides(x, a, b)], functional)
-    return [_identity_report(f, functional, a, b, x, fn) for x in xs]
+    ctx = f.ctx
+    return [_identity_report(ctx, r, a, b, x, fn) for x, r in zip(xs, _identity_residuals(f, functional, a, b, xs))]
 
 
 Evaluator = Callable[..., IneqReport]
@@ -794,12 +853,13 @@ class Ineq:
     """One registry row: the parameters an id reads, of x, s, p and q, and its evaluators.
 
     The evaluator is called as ``evaluate(series, functional, a, b, x, s, p, q)``
-    and returns a row with an empty ``fn``.  ``block``, set for ``identity``
-    and the theorem family, is called as ``block(series, functional, a, b,
-    xs, s_axis, pq_axis, fn)`` and returns the rows, each with ``fn``, of
-    one interval's product of the axes (:func:`_identity_rows`,
-    :func:`_theorem_rows`), each the row ``evaluate`` gives at its point; if
-    it raises, a caller evaluates the points one at a time.  ``prepare``,
+    and returns a row with an empty ``fn``.  ``block``, set for ``holder``,
+    ``identity`` and the theorem family, is called as ``block(series,
+    functional, a, b, xs, s_axis, pq_axis, fn)`` and returns the rows, each
+    with ``fn``, of one interval's product of the axes
+    (:func:`_holder_rows`, :func:`_identity_rows`, :func:`_theorem_rows`),
+    each the row ``evaluate`` gives at its point; if it raises, a caller
+    evaluates the points one at a time.  ``prepare``,
     set for the six theta forms (theta of f'') and ``ostrowski`` (theta of
     f'), is called as ``prepare(rows)`` with rows ``(series, a, b)`` ahead
     of evaluating them (:func:`_prepare_theta`).  It only fills caches the
@@ -827,21 +887,26 @@ def _block(ineq: str) -> Callable[..., list[IneqReport]]:
 #: (p, q) pairs for an id that reads q (the thm3 family reads q but not p).
 #: The lambdas look the functions they call up by module name when called,
 #: so whatever rebinds a name sees each call made through it.  A sweep
-#: evaluates the rows of ``identity`` and the theorem family through
-#: ``block``, once per block, and every other id's through ``evaluate``;
-#: only single points (``evaluate_single``, ``falsify``, ``alphaineq eval``,
-#: and the points of a block whose call raised) reach ``eval_thm1``-``3``,
-#: :func:`eval_corollary` and the identity's one-point row.
+#: evaluates the rows of ``holder``, ``identity`` and the theorem family
+#: through ``block``, once per block, and every other id's through
+#: ``evaluate``; only single points (``evaluate_single``, ``falsify``,
+#: ``alphaineq eval``, and the points of a block whose call raised) reach
+#: :func:`eval_holder`, :func:`identity_residual`, ``eval_thm1``-``3`` and
+#: :func:`eval_corollary`, each of which runs its id's one-point block.
 INEQUALITIES: dict[str, Ineq] = {
     "ghh": Ineq(frozenset(), lambda f, fl, a, b, x, s, p, q: eval_ghh(f, a, b)),
     "shh": Ineq(frozenset("s"), lambda f, fl, a, b, x, s, p, q: eval_shh(f, s, a, b)),
-    "holder": Ineq(frozenset("pq"), lambda f, fl, a, b, x, s, p, q: eval_holder(f, f, p, q, a, b, fl)),
+    "holder": Ineq(
+        frozenset("pq"),
+        lambda f, fl, a, b, x, s, p, q: eval_holder(f, f, p, q, a, b, fl),
+        block=lambda f, fl, a, b, xs, s_axis, pq_axis, fn: _holder_rows(f, fl, a, b, pq_axis, fn),
+    ),
     "ostrowski": Ineq(
         frozenset("x"), lambda f, fl, a, b, x, s, p, q: eval_ostrowski_classic(f, x, a, b), _prepare_theta(1)
     ),
     "identity": Ineq(
         frozenset("x"),
-        lambda f, fl, a, b, x, s, p, q: _identity_report(f, fl, a, b, x),
+        lambda f, fl, a, b, x, s, p, q: _identity_report(f.ctx, identity_residual(f, x, a, b, fl), a, b, x),
         block=lambda f, fl, a, b, xs, s_axis, pq_axis, fn: _identity_rows(f, fl, a, b, xs, fn),
     ),
     "thm1": Ineq(frozenset("sx"), lambda f, fl, a, b, x, s, p, q: eval_thm1(f, s, x, a, b), block=_block("thm1")),

@@ -3,10 +3,11 @@
 A sweep evaluates the identity rows of each (alpha, function, interval)
 through the registry row's ``block`` evaluator: it caches f and f' at
 every x of the axis and the composed moments of f'' on both sides of
-every x, sampling f'' once, and then builds the rows.  These tests pin
-that every swept row is, bit for bit, the row that a single evaluation
-computes on a fresh series; that a failure stays with the rows it belongs
-to; and that the sampling is batched.
+every x, sampling f'' once, and then builds each row from those values.
+These tests pin that every swept row is, bit for bit, the row that a
+single evaluation computes on a fresh series; that a failure stays with
+the rows it belongs to; and that the sampling is batched, with one
+``composed_moments`` call per block and no one-point call per row.
 """
 
 import math
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alphaineq import inequalities
 from alphaineq.alphanum import AlphaContext
 from alphaineq.harness import (
     CSV_COLUMNS,
@@ -273,3 +275,41 @@ def test_one_f2_sampling_per_axis_and_per_single_call(monkeypatch):
     assert calls == [lf_derivative_n(f, 2)]
     identity_residual(f, 0.9, 0.25, 1.5, functional)
     assert len(calls) == 1  # both moments are cached on f''
+
+
+def test_one_composed_moments_call_per_block_and_no_one_point_residual(monkeypatch):
+    cfg = SweepConfig(
+        alphas=(0.5, 1.0),
+        functions=tuple(parse_function_spec(t) for t in ("mono:3", "ml:5", "series:(1.5,2);(4,0.25)")),
+        inequalities=("identity",),
+        intervals=((0.25, 1.5), (0.5, 2.0)),
+        x_fractions=(0.0, 0.125, 0.5, 0.8, 1.0),
+    )
+    want = [_row_bits(r) for r in run_sweep(cfg)]
+    moments, residuals = [], []
+    composed, residual = inequalities.composed_moments, inequalities.identity_residual
+
+    def counted_moments(f2, weight_grade, segments, *rest):
+        moments.append(len(segments))
+        return composed(f2, weight_grade, segments, *rest)
+
+    def counted_residual(*args):
+        residuals.append(args)
+        return residual(*args)
+
+    monkeypatch.setattr(inequalities, "composed_moments", counted_moments)
+    monkeypatch.setattr(inequalities, "identity_residual", counted_residual)
+    assert [_row_bits(r) for r in run_sweep(cfg)] == want
+    # per block, both sides of the three inner points and one side of each endpoint
+    assert moments == [2 * 3 + 2] * (2 * 3 * 2)
+    assert residuals == []
+    # a one-point row is built from identity_residual, which makes one call for both sides
+    moments.clear()
+    ctx = AlphaContext(0.5)
+    f = parse_function_spec("ml:5").realize(ctx)
+    functional = MomentFunctional(ctx)
+    calls = _count_2d_evaluations(monkeypatch)
+    rep = evaluate_single("identity", f, functional, 0.25, 1.5, 0.9, None, None, None)
+    assert len(residuals) == 1 and moments == [2]
+    assert calls == [lf_derivative_n(f, 2)]  # f'' sampled once
+    assert rep.lhs == -rep.slack == residual(parse_function_spec("ml:5").realize(ctx), 0.9, 0.25, 1.5, functional)

@@ -1,7 +1,8 @@
-"""A sweep evaluates ``identity`` and the theorem family block by block, and each row is the row of its point.
+"""A sweep evaluates ``holder``, ``identity`` and the theorem family block by block, and each row is the row of its point.
 
 thm1-3 and their nine corollaries have a block evaluator
-(``inequalities._theorem_rows``), and so has ``identity``
+(``inequalities._theorem_rows``), and so have ``holder``
+(``inequalities._holder_rows``) and ``identity``
 (``inequalities._identity_rows``): ``run_sweep`` calls it once per (alpha,
 function, id, interval), for the product of that block's s, (p, q) and x
 axes, and evaluates a block one point at a time only when the call raises.
@@ -48,9 +49,9 @@ FAMILY = tuple(i for i in INEQUALITY_IDS if "thm" in i)
 BLOCKED = tuple(i for i, rec in INEQUALITIES.items() if rec.block is not None)
 
 
-def test_the_blocked_ids_are_the_identity_and_the_theorem_family():
+def test_the_blocked_ids_are_the_quadrature_ids_and_the_theorem_family():
     assert len(FAMILY) == 12
-    assert BLOCKED == ("identity",) + FAMILY
+    assert BLOCKED == ("holder", "identity") + FAMILY
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -149,11 +150,15 @@ def _count(monkeypatch):
     """Count the block calls, the theorem record reads and the ``evaluate_single`` calls of a sweep."""
     blocks, records, singles = Counter(), Counter(), Counter()
     rows, identity, theorem = inequalities._theorem_rows, inequalities._identity_rows, inequalities._theorem
-    single = harness.evaluate_single
+    holder, single = inequalities._holder_rows, harness.evaluate_single
 
     def counted_rows(ineq, f, a, b, xs, s_axis, pq_axis, *rest):
         blocks[ineq, f.ctx.alpha, f.terms, a, b] += 1
         return rows(ineq, f, a, b, xs, s_axis, pq_axis, *rest)
+
+    def counted_holder(f, functional, a, b, pq_axis, *rest):
+        blocks["holder", f.ctx.alpha, f.terms, a, b] += 1
+        return holder(f, functional, a, b, pq_axis, *rest)
 
     def counted_identity(f, functional, a, b, xs, fn):
         blocks["identity", f.ctx.alpha, f.terms, a, b] += 1
@@ -168,6 +173,7 @@ def _count(monkeypatch):
         return single(ineq, *args, **kwargs)
 
     monkeypatch.setattr(inequalities, "_theorem_rows", counted_rows)
+    monkeypatch.setattr(inequalities, "_holder_rows", counted_holder)
     monkeypatch.setattr(inequalities, "_identity_rows", counted_identity)
     monkeypatch.setattr(inequalities, "_theorem", counted_theorem)
     monkeypatch.setattr(harness, "evaluate_single", counted_single)
@@ -193,19 +199,23 @@ def test_one_block_call_per_block_and_one_record_read_per_block_s_p_q(monkeypatc
 
 
 def test_a_raising_block_is_evaluated_one_point_at_a_time(monkeypatch):
-    # mono:0.5 has no second derivative, so each of its blocks raises
-    cfg = _cfg(("mono:3", "mono:0.5"))
+    # mono:0.5 has no second derivative, so each of its blocks raises but
+    # holder's, which reads none; |f|*|f| of the constant 1e200 overflows, so
+    # only its holder blocks raise
+    cfg = _cfg(("mono:3", "mono:0.5", "poly:1e200"))
+    big = parse_function_spec("poly:1e200").canonical()
     blocks, _, singles = _count(monkeypatch)
     rows = run_sweep(cfg)
+    raising = {(i, "mono:0.5") for i in BLOCKED if i != "holder"} | {("holder", big)}
     failed = [r for r in rows if r.ineq in BLOCKED and r.notes.startswith("error:")]
-    assert {r.fn for r in failed} == {"mono:0.5"}
-    assert {r.ineq for r in failed} == set(BLOCKED)
-    assert len(failed) == sum(1 for r in rows if r.ineq in BLOCKED and r.fn == "mono:0.5")
-    # each point of a raising block is one evaluate_single call; for the theorem
-    # family that is one more one-point block, for the identity its one-point row
+    assert {(r.ineq, r.fn) for r in failed} == raising
+    assert len(failed) == sum(1 for r in rows if (r.ineq, r.fn) in raising)
+    # each point of a raising block is one evaluate_single call; for holder and
+    # the theorem family that is one more one-point block, for the identity its
+    # one-point row
     assert sum(n for i, n in singles.items() if i in BLOCKED) == len(failed)
     n_blocks = len(cfg.alphas) * len(cfg.functions) * len(BLOCKED) * len(cfg.intervals)
-    assert sum(blocks.values()) == n_blocks + sum(1 for r in failed if r.ineq in FAMILY)
+    assert sum(blocks.values()) == n_blocks + sum(1 for r in failed if r.ineq != "identity")
 
 
 def test_every_verdict_comes_from_one_helper(monkeypatch):
