@@ -7,8 +7,9 @@ holds no per-inequality logic: ids, the parameters each reads (which fix
 the axes it sweeps) and their evaluators all come from the
 :data:`alphaineq.inequalities.INEQUALITIES` registry, and each evaluator
 checks the parameters its record says it reads, so :func:`evaluate_single`
-only dispatches, and :func:`run_sweep` only hands the blocks of
-``holder``, ``identity`` and the theorem family to their block evaluator.
+only dispatches, and :func:`run_sweep` only hands each block, of every id,
+to its block evaluator and the values it returns to the one builder that
+makes and decides every row, error rows included.
 Sweep points are independent; rows are
 sorted before emission, which makes the output independent of the
 evaluation order.
@@ -29,7 +30,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .alphanum import AlphaContext, gamma
-from .inequalities import INEQUALITIES, IneqReport, _check_conjugate, _check_interval, _check_s, _read
+from .inequalities import INEQUALITIES, IneqReport, _build, _check_conjugate, _check_interval, _check_s
 from .quadrature import MomentFunctional
 from .series import AlphaSeries
 
@@ -326,8 +327,8 @@ def evaluate_single(
 ) -> IneqReport:
     """Evaluate one registered inequality at one point, which its evaluator checks.
 
-    The evaluator builds a fresh row with an empty ``fn``; setting ``fn`` here is
-    the one change made to a row after its build.
+    The evaluator builds a fresh row with an empty ``fn``; setting ``fn`` here,
+    and on ``falsify``'s witness, are the only changes made to a row after its build.
     """
     rep = INEQUALITIES[canonical_id(ineq)].evaluate(series, functional, a, b, x, s, p, q)
     rep.fn = fn
@@ -335,14 +336,12 @@ def evaluate_single(
 
 
 def _error_report(
-    ineq: str, alpha: float, exc: Exception, s: Optional[float], p: Optional[float], q: Optional[float],
+    ineq: str, ctx: AlphaContext, exc: Exception, s: Optional[float], p: Optional[float], q: Optional[float],
     a: float, b: float, x: Optional[float], fn: str,
 ) -> IneqReport:
-    """An error row with the parameters that a successful row of ``ineq`` reports, naming the exception."""
-    x, s, p, q = _read(ineq, x, s, p, q)
+    """The row of NaN values at the point, made by the builder, whose note names the exception."""
     nan = float("nan")
-    notes = f"error: {type(exc).__name__}: {exc}"
-    return IneqReport(ineq, alpha, nan, nan, nan, False, s, p, q, a, b, x, fn, notes)
+    return _build(ineq, ctx, a, b, (x,), (s,), ((p, q),), [(nan, nan, f"error: {type(exc).__name__}: {exc}")], fn)[0]
 
 
 def _sort_key(r: IneqReport):
@@ -360,12 +359,11 @@ def run_sweep(cfg: SweepConfig) -> list[IneqReport]:
     message, with ``holds=False``; they never abort the sweep.  Output order
     is imposed by a deterministic sort, so the evaluation order is
     unobservable.  Each (alpha, function) pair is realized once, so the
-    values cached on its series are shared by all of its rows.  An id whose
-    registry record has a ``block`` evaluator (``holder``, ``identity`` and
-    the theorem family) gets one ``block`` call per (alpha, function, id,
-    interval), which computes what the block's rows share once and builds
-    each row with the function's canonical spec as its ``fn``.  Every other
-    id's points, and those of a block whose call raises, are evaluated one at a
+    values cached on its series are shared by all of its rows.  Every id
+    gets one ``block`` call per (alpha, function, id, interval), which
+    computes what the block's points share once, and the builder makes each
+    row from its point's values, with the function's canonical spec as its
+    ``fn``.  The points of a block whose call raises are evaluated one at a
     time by :func:`evaluate_single`, which sets that ``fn``, or become error
     rows; either way each row is built once.  No ``prepare`` step runs
     here.  An overflow or an invalid value (``inf - inf``) shows in its row
@@ -383,18 +381,17 @@ def run_sweep(cfg: SweepConfig) -> list[IneqReport]:
                 s_axis, pq_axis, x_axis = _axes(cfg, ineq)
                 for a, b in cfg.intervals:
                     xs = [None if frac is None else a + frac * (b - a) for frac in x_axis]
-                    if block is not None:
-                        try:
-                            rows += block(series, functional, a, b, xs, s_axis, pq_axis, fn_text)
-                            continue
-                        except Exception:  # some point raises: evaluate them one at a time, as below
-                            pass
-                    for s, (p, q), x in product(s_axis, pq_axis, xs):
-                        try:
-                            rep = evaluate_single(ineq, series, functional, a, b, x, s, p, q, fn_text)
-                        except Exception as exc:  # per-point errors recorded, never raised
-                            rep = _error_report(ineq, alpha, exc, s, p, q, a, b, x, fn_text)
-                        rows.append(rep)
+                    try:
+                        values = block(series, functional, a, b, xs, s_axis, pq_axis)
+                    except Exception:  # some point raises: evaluate them one at a time
+                        for s, (p, q), x in product(s_axis, pq_axis, xs):
+                            try:
+                                rep = evaluate_single(ineq, series, functional, a, b, x, s, p, q, fn_text)
+                            except Exception as exc:  # per-point errors recorded, never raised
+                                rep = _error_report(ineq, ctx, exc, s, p, q, a, b, x, fn_text)
+                            rows.append(rep)
+                    else:
+                        rows += _build(ineq, ctx, a, b, xs, s_axis, pq_axis, values, fn_text)
     rows.sort(key=_sort_key)
     return rows
 
@@ -559,7 +556,8 @@ def falsify(
     if found is None:
         return None
     pt, rep = _shrink(evaluate, *found, cfg.tolerances.fp_tol, INEQUALITIES[ineq].reads)
-    return rep.with_fn(FunctionSpec("series", pt.terms).canonical())
+    rep.fn = FunctionSpec("series", pt.terms).canonical()
+    return rep
 
 
 def _shrink(

@@ -1,31 +1,31 @@
 """Evaluators for every inequality and identity the engine verifies.
 
-Each evaluator computes the left side, the right side and the slack
-``rhs - lhs`` of one displayed inequality and packages them into an
-:class:`IneqReport`; ``holds`` means ``slack >= -slack_tol``, which one
-function, :func:`_holds`, decides for every row.  The
-evaluators never assert: for alpha = 1 the framework collapses to classical
-calculus and everything here is an established theorem, while for alpha < 1
-the reported slacks and residuals constitute a consistency study of the
-term-wise calculus itself.
+Each id's evaluator is a *block*: it computes the left side, the right side
+and the note of one displayed inequality at every point of a product of
+parameter axes, and returns those values only.  One builder,
+:func:`_build`, makes every row from them: it fills the parameters the id
+reads, computes the slack ``rhs - lhs`` and decides ``holds``, which means
+``slack >= -slack_tol`` (:func:`_holds`); error rows are made by it too.
+The evaluators never assert: for alpha = 1 the framework collapses to
+classical calculus and everything here is an established theorem, while for
+alpha < 1 the reported slacks and residuals constitute a consistency study
+of the term-wise calculus itself.
 
 :data:`INEQUALITIES` is the one registry of inequality ids: each id maps to
 an :class:`Ineq` record of the parameters it reads (of x, s, p and q), the
-evaluator that computes its row at one point and, for ``holder``,
-``identity`` and the theorem family, the ``block`` evaluator that a sweep
-calls for all the rows of an interval at once (:func:`_holder_rows`,
-:func:`_identity_rows`, :func:`_theorem_rows`).  Each computes what its rows
-share once, in arrays where it can, and builds every row from those values;
-the id's one-point row is its one-point block.
+evaluator that computes its row at one point, and its ``block``, which a
+sweep calls for all the rows of an interval at once.  Each block computes
+what its points share once, in arrays where it can, and each public
+evaluator is its id's one-point block and the builder, so a point's row is
+the same whichever way it is computed.
 ``ostrowski`` and the six theta forms have a ``prepare`` step, which a
 ``falsify`` job runs ahead of a chunk of trials to fill theta for all of
 them in one array kernel (:func:`_prepare_theta`).
 The harness, the sweep validation and
 the CLI read their ids from it, and a sweep's axes follow ``reads``.  The
-record is also the id's parameter contract, which every evaluator checks
-through :func:`_params`, or for a block :func:`_check_axes`: a missing or
-bad parameter raises ``ValueError`` naming the id, and an unread one is
-None in the report.
+record is also the id's parameter contract, which every block checks
+through :func:`_check_axes`: a missing or bad parameter raises
+``ValueError`` naming the id, and an unread one is None in the report.
 
 The three theorems share one signed left side (the second-derivative
 identity, which :func:`identity_residual` checks directly).  The
@@ -52,7 +52,7 @@ import numpy as np
 
 from .alphanum import AlphaContext, alpha_pow_signed, gamma, memoized
 from .convexity import check_s_convex_second
-from .quadrature import MomentFunctional, QuadratureError, _sample, composed_moments
+from .quadrature import MomentFunctional, QuadratureError, composed_moments
 from .series import AlphaSeries, GammaPoleError, _plan_of, _sum_terms, lf_derivative, lf_derivative_n, lf_integral
 
 __all__ = [
@@ -90,11 +90,10 @@ class OstrowskiConstants:
 class IneqReport:
     """One verification record: an inequality, its parameters, and the slack.
 
-    A plain slotted record, so it is unhashable.  Its evaluator builds it
-    once; the one field set afterwards is ``fn``, by
-    :func:`alphaineq.harness.evaluate_single` on the row it was just handed.
-    A block evaluator (:func:`_holder_rows`, :func:`_identity_rows`,
-    :func:`_theorem_rows`) builds its rows with their ``fn``.
+    A plain slotted record, so it is unhashable.  :func:`_build` makes
+    every row once; the one field set afterwards is ``fn``, by
+    :func:`alphaineq.harness.evaluate_single` on the row it was just handed
+    and by ``falsify`` on its witness.
     """
 
     ineq: str
@@ -113,7 +112,10 @@ class IneqReport:
     notes: str = ""
 
     def with_fn(self, fn: str) -> "IneqReport":
-        """This record with ``fn`` set: ``replace(self, fn=fn)``, built positionally, which costs less."""
+        """This record with ``fn`` set: ``replace(self, fn=fn)``, built positionally, which costs less.
+
+        Its one caller is the certify-gated workload of ``bench/workloads.py``.
+        """
         return IneqReport(
             self.ineq, self.alpha, self.lhs, self.rhs, self.slack, self.holds,
             self.s, self.p, self.q, self.a, self.b, self.x, fn, self.notes,
@@ -125,12 +127,34 @@ def _holds(slack: float, ctx: AlphaContext) -> bool:
     return slack >= -ctx.slack_tol
 
 
-def _report(ineq: str, ctx: AlphaContext, lhs: float, rhs: float, notes: str = "", s: Optional[float] = None,
-            p: Optional[float] = None, q: Optional[float] = None, a: Optional[float] = None,
-            b: Optional[float] = None, x: Optional[float] = None) -> IneqReport:
-    """The row's report, built positionally with an empty ``fn``; ``holds`` is :func:`_holds` of its slack."""
-    slack = rhs - lhs
-    return IneqReport(ineq, ctx.alpha, lhs, rhs, slack, _holds(slack, ctx), s, p, q, a, b, x, "", notes)
+def _build(ineq: str, ctx: AlphaContext, a: float, b: float, xs: Sequence, s_axis: Sequence, pq_axis: Sequence,
+           values: Sequence, fn: str = "") -> list[IneqReport]:
+    """The rows of ``ineq`` at the points ``product(s_axis, pq_axis, xs)``, from each point's ``(lhs, rhs, note)``.
+
+    This is the one place that makes and decides a row.  A parameter the id
+    does not read (its :class:`Ineq` ``reads``) is None in its rows.  The
+    slack is ``rhs - lhs``, except for ``identity``, whose slack is minus
+    its residual ``lhs``, which keeps the sign of a zero residual (``0.0 -
+    lhs`` would not); ``holds`` is :func:`_holds` of it.  An error row is
+    the row of NaN values with the error as its note.
+    """
+    reads = INEQUALITIES[ineq].reads
+    read_p, read_q = "p" in reads, "q" in reads
+    if "s" not in reads:
+        s_axis = (None,) * len(s_axis)
+    if "x" not in reads:
+        xs = (None,) * len(xs)
+    alpha, identity = ctx.alpha, ineq == "identity"
+    rows, value = [], iter(values)
+    # nested loops, the order of ``product``, cost less than ``product`` itself on a one-point block
+    for s in s_axis:
+        for p, q in pq_axis:
+            p, q = p if read_p else None, q if read_q else None
+            for x in xs:
+                lhs, rhs, note = next(value)
+                slack = -lhs if identity else rhs - lhs
+                rows.append(IneqReport(ineq, alpha, lhs, rhs, slack, _holds(slack, ctx), s, p, q, a, b, x, fn, note))
+    return rows
 
 
 def _check_interval(a: float, b: float) -> None:
@@ -156,22 +180,12 @@ def _check_conjugate(p: float, q: float, tol: float = 1e-12) -> None:
         raise ValueError(f"(p, q) = ({p}, {q}) are not conjugate")
 
 
-def _params(ineq: str, a: float, b: float, x: Optional[float] = None, s: Optional[float] = None,
-            p: Optional[float] = None, q: Optional[float] = None) -> tuple:
-    """:func:`_read` of ``(x, s, p, q)``, after checking ``[a, b]`` and each parameter ``ineq`` reads.
-
-    A missing or bad one raises ``ValueError`` naming ``ineq``.  This is
-    the one-point case of :func:`_check_axes`.
-    """
-    _check_axes(ineq, a, b, (x,), (s,), ((p, q),))
-    return _read(ineq, x, s, p, q)
-
-
 def _check_axes(ineq: str, a: float, b: float, xs: Sequence, s_axis: Sequence, pq_axis: Sequence) -> None:
-    """Check ``[a, b]`` and each value of the axes ``ineq`` reads, each once, in the order of :func:`_params`.
+    """Check ``[a, b]`` and each value of the axes ``ineq`` reads, each once.
 
-    First that no read value is missing, then the interval, s, (p, q) or q,
-    and x, so a one-point call raises the one error :func:`_params` raises.
+    A missing or bad value raises ``ValueError`` naming ``ineq``.  First
+    comes the check that no read value is missing, then the interval, s,
+    (p, q) or q, and x.
     """
     reads = INEQUALITIES[ineq].reads
     read_s, read_p, read_x = "s" in reads, "p" in reads, "x" in reads
@@ -204,13 +218,6 @@ def _check_axes(ineq: str, a: float, b: float, xs: Sequence, s_axis: Sequence, p
                 _check_point(x, a, b)
     except ValueError as exc:
         raise ValueError(f"{ineq}: {exc}") from None
-
-
-def _read(ineq: str, x: Optional[float], s: Optional[float], p: Optional[float], q: Optional[float]) -> tuple:
-    """``(x, s, p, q)``, unchecked, with the ones ``ineq``'s registry row does not read set to None."""
-    reads = INEQUALITIES[ineq].reads
-    return (x if "x" in reads else None, s if "s" in reads else None,
-            p if "p" in reads else None, q if "q" in reads else None)
 
 
 def _grid(lo: list, hi: list, n: int) -> np.ndarray:
@@ -320,28 +327,47 @@ def eval_ghh(f: AlphaSeries, a: float, b: float) -> IneqReport:
     ``f(mid) <= normalized mean <= endpoint average``; the full chain is
     recorded in the notes.
     """
-    _params("ghh", a, b)
+    xs, s_axis, pq_axis = (None,), (None,), ((None, None),)
+    return _build("ghh", f.ctx, a, b, xs, s_axis, pq_axis, _ghh_block(f, None, a, b, xs, s_axis, pq_axis))[0]
+
+
+def _ghh_block(f: AlphaSeries, functional: Optional[MomentFunctional], a: float, b: float, xs: Sequence,
+               s_axis: Sequence, pq_axis: Sequence) -> list[tuple]:
+    """The ghh values of one block: every point has the one value of ``[a, b]``, since ghh reads no parameter."""
+    _check_axes("ghh", a, b, xs, s_axis, pq_axis)
     ctx = f.ctx
     al = ctx.alpha
     left = f.evaluate((a + b) / 2.0)
     mid = ctx.gamma_grade(1) * lf_integral(f, a, b) / (b - a) ** al
     right = (f.evaluate(a) + f.evaluate(b)) / 2.0**al
-    return _binding_report("ghh", ctx, left, mid, right, a=a, b=b)
+    return [_binding(left, mid, right)] * (len(s_axis) * len(pq_axis) * len(xs))
 
 
 def eval_shh(f: AlphaSeries, s: float, a: float, b: float) -> IneqReport:
     """Two-sided s-convex Hermite-Hadamard check."""
-    _params("shh", a, b, s=s)
+    xs, s_axis, pq_axis = (None,), (s,), ((None, None),)
+    return _build("shh", f.ctx, a, b, xs, s_axis, pq_axis, _shh_block(f, None, a, b, xs, s_axis, pq_axis))[0]
+
+
+def _shh_block(f: AlphaSeries, functional: Optional[MomentFunctional], a: float, b: float, xs: Sequence,
+               s_axis: Sequence, pq_axis: Sequence) -> list[tuple]:
+    """The shh values of one block: f at the midpoint and the endpoints, and the mean, are read once for every s."""
+    _check_axes("shh", a, b, xs, s_axis, pq_axis)
     ctx = f.ctx
     al = ctx.alpha
-    left = 2.0 ** ((s - 1.0) * al) / ctx.gamma_grade(1) * f.evaluate((a + b) / 2.0)
+    at_mid = f.evaluate((a + b) / 2.0)
     mid = lf_integral(f, a, b) / (b - a) ** al
-    right = gamma(1.0 + s * al) / gamma(1.0 + (s + 1.0) * al) * (f.evaluate(a) + f.evaluate(b))
-    return _binding_report("shh", ctx, left, mid, right, s=s, a=a, b=b)
+    ends = f.evaluate(a) + f.evaluate(b)
+    values = []
+    for s in s_axis:
+        left = 2.0 ** ((s - 1.0) * al) / ctx.gamma_grade(1) * at_mid
+        right = gamma(1.0 + s * al) / gamma(1.0 + (s + 1.0) * al) * ends
+        values += [_binding(left, mid, right)] * (len(pq_axis) * len(xs))
+    return values
 
 
-def _binding_report(ineq: str, ctx: AlphaContext, left: float, mid: float, right: float,
-                    s: Optional[float] = None, a: Optional[float] = None, b: Optional[float] = None) -> IneqReport:
+def _binding(left: float, mid: float, right: float) -> tuple:
+    """``(lhs, rhs, note)`` of the chain ``left <= mid <= right``: its binding side, and the full chain as the note."""
     slack_left = mid - left
     slack_right = right - mid
     # the smaller slack binds, and a NaN one always does, so ``holds`` covers both sides
@@ -349,46 +375,19 @@ def _binding_report(ineq: str, ctx: AlphaContext, left: float, mid: float, right
         lhs, rhs, binding = left, mid, "left"
     else:
         lhs, rhs, binding = mid, right, "right"
-    notes = f"left={left:.17g} mid={mid:.17g} right={right:.17g} binding={binding}"
-    return _report(ineq, ctx, lhs, rhs, notes, s=s, a=a, b=b)
+    return lhs, rhs, f"left={left:.17g} mid={mid:.17g} right={right:.17g} binding={binding}"
 
 
-def eval_holder(
-    f: Callable | AlphaSeries,
-    g: Callable | AlphaSeries,
-    p: float,
-    q: float,
-    a: float,
-    b: float,
-    functional: MomentFunctional,
-) -> IneqReport:
-    """Generalized Hoelder inequality via the numeric moment functional.
+def eval_holder(f: AlphaSeries, p: float, q: float, a: float, b: float, functional: MomentFunctional) -> IneqReport:
+    """Generalized Hoelder inequality of ``|f|`` with itself, via the numeric moment functional.
 
     Integrals over ``[a, b]`` are pulled back to ``[0, 1]`` through the
-    affine map with the factor ``(b-a)**alpha``.  ``|f|`` and ``|g|`` are
-    sampled once on the pulled-back grid (each must map an array to an
-    array of the same shape) and the three integrands are built from those
-    samples, which the functional integrates directly.  ``f`` and ``g`` may
-    also be one series, passed as both, as the registry's ``holder`` row
-    does: the row is then the one-point block of :func:`_holder_rows`,
-    which computes the same values in the same order, so both give the
-    same row bit for bit.
+    affine map with the factor ``(b-a)**alpha``; the row is the one-point
+    block of :func:`_holder_block`.
     """
-    if f is g and isinstance(f, AlphaSeries):
-        return _holder_rows(f, functional, a, b, ((p, q),))[0]
-    _params("holder", a, b, p=p, q=q)
-    ctx = functional.ctx
-    al = ctx.alpha
-    scale = (b - a) ** al
-    u = a + functional.grid * (b - a)
-    abs_f = np.abs(_sample(f, u))
-    abs_g = np.abs(_sample(g, u))
-    prod = functional.integrate(abs_f * abs_g)
-    lhs = scale * prod
-    intf = scale * functional.integrate(abs_f**p)
-    intg = scale * functional.integrate(abs_g**q)
-    rhs = max(intf, 0.0) ** (1.0 / p) * max(intg, 0.0) ** (1.0 / q)
-    return _report("holder", ctx, lhs, rhs, p=p, q=q, a=a, b=b)
+    xs, s_axis, pq_axis = (None,), (None,), ((p, q),)
+    return _build("holder", functional.ctx, a, b, xs, s_axis, pq_axis,
+                  _holder_block(f, functional, a, b, xs, s_axis, pq_axis))[0]
 
 
 @memoized("holder")
@@ -405,27 +404,24 @@ def _holder_samples(f: AlphaSeries, functional: MomentFunctional, a: float, b: f
     return abs_f, prod
 
 
-def _holder_rows(f: AlphaSeries, functional: MomentFunctional, a: float, b: float, pq_axis: Sequence,
-                 fn: str = "") -> list[IneqReport]:
-    """The holder rows of one block, one per pair of ``pq_axis``, each with ``fn``.
+def _holder_block(f: AlphaSeries, functional: MomentFunctional, a: float, b: float, xs: Sequence,
+                  s_axis: Sequence, pq_axis: Sequence) -> list[tuple]:
+    """The holder values of one block, one per pair of ``pq_axis``.
 
-    The axis is checked once (:func:`_check_axes`), and ``|f|`` and
-    ``J[|f|*|f|]`` are read once from :func:`_holder_samples`.  ``|f|`` is
-    raised to every distinct exponent of the axis in one ``np.power`` call,
-    and the powers are integrated in one
-    :meth:`MomentFunctional.integrate_rows` call.  Each power is the
-    ``|f|**e`` that the two-callable :func:`eval_holder` computes, except at
-    ``e = 2.0``: numpy computes ``|f|**2.0`` as the square ``|f|*|f|``, not
-    by ``pow``, so its integral is ``J[|f|*|f|]``.  Each row then runs
-    :func:`eval_holder`'s arithmetic in its order, so it is that row bit for
+    ``|f|`` and ``J[|f|*|f|]`` are read once from :func:`_holder_samples`.
+    ``|f|`` is raised to every distinct exponent of the axis in one
+    ``np.power`` call, and the powers are integrated in one
+    :meth:`MomentFunctional.integrate_rows` call.  Each power is, bit for
+    bit, ``|f|**e`` computed alone, except at ``e = 2.0``: numpy computes
+    ``|f|**2.0`` as the square ``|f|*|f|``, not by ``pow``, so its integral
+    is ``J[|f|*|f|]``.  Each value is then computed by its pair's
+    arithmetic alone, so it is the value of its one-point block bit for
     bit.  A non-finite integral raises its :class:`QuadratureError`, the
-    first exponent's in axis order, so a one-point block raises the error of
-    ``|f|**p`` before that of ``|f|**q``, as :func:`eval_holder` does.
+    first exponent's in axis order, so a one-point block raises the error
+    of ``|f|**p`` before that of ``|f|**q``.
     """
-    _check_axes("holder", a, b, (), (), pq_axis)
-    ctx = functional.ctx
-    al = ctx.alpha
-    scale = (b - a) ** al
+    _check_axes("holder", a, b, xs, s_axis, pq_axis)
+    scale = (b - a) ** functional.ctx.alpha
     abs_f, prod = _holder_samples(f, functional, a, b)
     integrals = {2.0: prod}
     exps = []  # the distinct exponents, in axis order, other than 2.0
@@ -439,28 +435,43 @@ def _holder_rows(f: AlphaSeries, functional: MomentFunctional, a: float, b: floa
                 raise value
             integrals[e] = value
     lhs = scale * prod
-    rows = []
+    values = []
     for p, q in pq_axis:
         intf = scale * integrals[p]
         intg = scale * integrals[q]
         rhs = max(intf, 0.0) ** (1.0 / p) * max(intg, 0.0) ** (1.0 / q)
-        slack = rhs - lhs
-        rows.append(IneqReport("holder", al, lhs, rhs, slack, _holds(slack, ctx), None, p, q, a, b, None, fn, ""))
-    return rows
+        values += [(lhs, rhs, "")] * len(xs)
+    return values * len(s_axis)
 
 
 def eval_ostrowski_classic(f: AlphaSeries, x: float, a: float, b: float) -> IneqReport:
     """The first-derivative Ostrowski bound with a grid sup norm."""
-    _params("ostrowski", a, b, x=x)
+    xs, s_axis, pq_axis = (x,), (None,), ((None, None),)
+    return _build("ostrowski", f.ctx, a, b, xs, s_axis, pq_axis,
+                  _ostrowski_block(f, None, a, b, xs, s_axis, pq_axis))[0]
+
+
+def _ostrowski_block(f: AlphaSeries, functional: Optional[MomentFunctional], a: float, b: float, xs: Sequence,
+                     s_axis: Sequence, pq_axis: Sequence) -> list[tuple]:
+    """The ostrowski values of one block: the mean, theta of f' and the constant factor are read once for every x.
+
+    Every left side is computed before theta, so a one-point block computes
+    its values in the order of the formula.
+    """
+    _check_axes("ostrowski", a, b, xs, s_axis, pq_axis)
     ctx = f.ctx
     al = ctx.alpha
     g1 = ctx.gamma_grade(1)
-    mean = g1 * lf_integral(f, a, b) / (b - a) ** al
-    lhs = abs(f.evaluate(x) - mean)
+    scale = (b - a) ** al
+    mean = g1 * lf_integral(f, a, b) / scale
+    lhs = [abs(f.evaluate(x) - mean) for x in xs]
     theta1 = sup_abs(lf_derivative(f), a, b)
-    bracket = 1.0 / 4.0**al + (alpha_pow_signed(x - (a + b) / 2.0, ctx) / (b - a) ** al) ** 2
-    rhs = 2.0**al * g1 / ctx.gamma_grade(2) * bracket * (b - a) ** al * theta1
-    return _report("ostrowski", ctx, lhs, rhs, a=a, b=b, x=x)
+    c = 2.0**al * g1 / ctx.gamma_grade(2)
+    values = []
+    for x, left in zip(xs, lhs):
+        bracket = 1.0 / 4.0**al + (alpha_pow_signed(x - (a + b) / 2.0, ctx) / scale) ** 2
+        values.append((left, c * bracket * scale * theta1, ""))
+    return values * (len(s_axis) * len(pq_axis))
 
 
 @memoized("lhs")
@@ -493,28 +504,29 @@ def identity_residual(
     normalized integrals, so the prefactor is ``1/(G(1+2a) (b-a)**a)``.
     Zero residual means the identity holds for this input; for alpha < 1 it
     generally does not, and the residual is the reported inconsistency.
-    The residual is that of the one-point block (:func:`_identity_residuals`),
+    The residual is that of the one-point block (:func:`_identity_block`),
     so it samples ``f^(2a)`` once for the two sides.
     """
-    return _identity_residuals(f, functional, a, b, (x,))[0]
+    return _identity_block(f, functional, a, b, (x,), (None,), ((None, None),))[0][0]
 
 
-def _identity_residuals(f: AlphaSeries, functional: MomentFunctional, a: float, b: float,
-                        xs: Sequence) -> list[float]:
-    """:func:`identity_residual` at each point of ``xs``, from values computed for the whole axis at once.
+def _identity_block(f: AlphaSeries, functional: MomentFunctional, a: float, b: float, xs: Sequence,
+                    s_axis: Sequence, pq_axis: Sequence) -> list[tuple]:
+    """The identity values of one block: at each x, its residual as lhs, 0 as rhs and the note ``identity-residual``.
 
-    The axis is checked once (:func:`_check_axes`).  The values of ``f``
-    and ``f'`` at every x come from one ``np.power`` call each
-    (:meth:`AlphaSeries.cache_points`; a single x reads them on the scalar
-    path, which gives the same values), and the moments of ``f^(2a)`` on
-    both sides of every x from one :func:`composed_moments` call, which
-    samples ``f^(2a)`` once and caches each moment on it per ``(x, e)``.
-    Each residual is then computed from its point's values by the
-    floating-point operations of that point alone.  Every left side is
-    computed before any moment, so a one-point call whose left side and
-    moment both raise raises the left side's error.
+    The values of ``f`` and ``f'`` at every x come from one ``np.power``
+    call each (:meth:`AlphaSeries.cache_points`; a single x reads them on
+    the scalar path, which gives the same values), and the moments of
+    ``f^(2a)`` on both sides of every x from one :func:`composed_moments`
+    call, which samples ``f^(2a)`` once and caches each moment on it per
+    ``(x, e)``.  Each residual is then computed from its point's values by
+    the floating-point operations of that point alone.  Every left side is
+    computed before any moment, so a one-point block whose left side and
+    moment both raise raises the left side's error.  If this raises, the
+    values cached so far stay valid for the points a caller then evaluates
+    one at a time.
     """
-    _check_axes("identity", a, b, xs, (), ())
+    _check_axes("identity", a, b, xs, s_axis, pq_axis)
     ctx = f.ctx
     f2 = lf_derivative_n(f, 2)
     if len(xs) > 1:
@@ -524,14 +536,14 @@ def _identity_residuals(f: AlphaSeries, functional: MomentFunctional, a: float, 
     sides = [_identity_sides(x, a, b) for x in xs]
     moments = iter(composed_moments(f2, 2.0, [(x, e) for x, x_sides in zip(xs, sides) for _, e in x_sides], functional))
     den = ctx.gamma_grade(2) * (b - a) ** ctx.alpha
-    residuals = []
+    values = []
     for left, x_sides in zip(lhs, sides):
         rhs = 0.0
         for length, _ in x_sides:
             rhs += alpha_pow_signed(length, ctx) ** 3 * next(moments)
         rhs /= den
-        residuals.append(abs(left - rhs))
-    return residuals
+        values.append((abs(left - rhs), 0.0, "identity-residual"))
+    return values * (len(s_axis) * len(pq_axis))
 
 
 def _identity_sides(x: float, a: float, b: float) -> list[tuple[float, float]]:
@@ -661,79 +673,68 @@ def _theorem_at(f: AlphaSeries, x: float, a: float, b: float) -> tuple:
     )
 
 
-def _theorem_rows(ineq: str, f: AlphaSeries, a: float, b: float, xs: Sequence, s_axis: Sequence,
-                  pq_axis: Sequence, grid: int = 0, fn: str = "") -> list[IneqReport]:
-    """Every row of one block of a theorem-family id (thm1-3 or a corollary), in ``product(s_axis, pq_axis, xs)`` order.
+def _theorem_block(ineq: str, f: AlphaSeries, a: float, b: float, xs: Sequence, s_axis: Sequence,
+                   pq_axis: Sequence, grid: int = 0) -> list[tuple]:
+    """The values of one block of a theorem-family id (thm1-3 or a corollary), in the order of the points.
 
     A block is one series and interval and the product of its axes.  Each
-    axis value is checked once (:func:`_check_axes`), a value the id does
-    not read is None in its rows (as in :func:`_read`), the theorem's record
+    axis value is checked once (:func:`_check_axes`), the theorem's record
     is read once per (s, p, q) and each value that depends on x alone once
-    per x (:func:`_theorem_at`, theta's bracket).  Each row is built once,
-    with ``fn``, by the floating-point operations of its point alone, so it
-    is bit for bit the row of its one-point block, which ``eval_thm1``-``3``
-    and :func:`eval_corollary` return.  The records come first, so a point
-    whose record raises (a Gamma pole, or Gamma overflowing at a large p)
-    raises that error.  The thm rows grid-check the s-convexity hypothesis
-    when ``grid > 0`` (:func:`_hypothesis_note`), next to the record and
-    before any value at x, so a point whose note and x values both raise
-    raises the note's error.
+    per x (:func:`_theorem_at`, theta's bracket).  Each value is computed
+    by the floating-point operations of its point alone, so it is bit for
+    bit the value of its one-point block, which ``eval_thm1``-``3`` and
+    :func:`eval_corollary` read.  The records come first, so a point whose
+    record raises (a Gamma pole, or Gamma overflowing at a large p) raises
+    that error.  The thm values carry the s-convexity hypothesis, grid-checked
+    when ``grid > 0`` (:func:`_hypothesis_note`), as their note; the check
+    runs next to the record and before any value at x, so a point whose
+    note and x values both raise raises the note's error.
     """
     _check_axes(ineq, a, b, xs, s_axis, pq_axis)
     reads = INEQUALITIES[ineq].reads
     form, _, thm = ineq.rpartition("-")
     ctx = f.ctx
     al = ctx.alpha
-    if "x" not in reads:
-        xs = (None,) * len(xs)
     read_p, read_q = "p" in reads, "q" in reads
-    records = []  # (s, p, q) as its rows report them, the theorem's record and a thm row's notes
+    records = []  # per (s, p, q), the theorem's record and a thm value's note
     for s in s_axis:
         for p, q in pq_axis:
+            # a parameter the theorem ignores is None, so rows that differ only in it share a record
             p, q = p if read_p else None, q if read_q else None
             record = _theorem(f, thm, s, p, q)
-            note = "" if form else _hypothesis_note(f, s, a, b, grid, 1.0 if q is None else q)
-            records.append((s, p, q, record, note))
-    rows = []
+            records.append((record, "" if form else _hypothesis_note(f, s, a, b, grid, 1.0 if q is None else q)))
+    values = []
     if not (records and xs):
-        return rows
-    f2, g2 = records[0][3][:2]  # the same in every record
+        return values
+    f2, g2 = records[0][0][:2]  # the same in every record
     if not form:  # thm1-3
-        at_x = []
-        for x in xs:
-            at_x.append((x, _theorem_at(f, x, a, b)))
-        for s, p, q, (_, _, front, side, _, _, _, _), note in records:
-            for x, (dx, da, db, wa, wb, den, left) in at_x:
-                right = front * (wa * side(dx, da) + wb * side(dx, db)) / den
-                slack = right - left
-                rows.append(IneqReport(ineq, al, left, right, slack, _holds(slack, ctx), s, p, q, a, b, x, fn, note))
+        at_x = [_theorem_at(f, x, a, b) for x in xs]
+        for (_, _, front, side, _, _, _, _), note in records:
+            for dx, da, db, wa, wb, den, left in at_x:
+                values.append((left, front * (wa * side(dx, da) + wb * side(dx, db)) / den, note))
     elif form == "theta":
         theta = sup_abs(f2, a, b)
         at_x = []
         for x in xs:
             left = _ostrowski_lhs(f, x, a, b)
-            at_x.append((x, left, (b - a) ** (2.0 * al) / 12.0**al + alpha_pow_signed(x - (a + b) / 2.0, ctx) ** 2))
-        for s, p, q, (_, _, front, _, lead, sup, _, _), _ in records:
+            at_x.append((left, (b - a) ** (2.0 * al) / 12.0**al + alpha_pow_signed(x - (a + b) / 2.0, ctx) ** 2))
+        for (_, _, front, _, lead, sup, _, _), _ in records:
             c = front * lead * 3.0**al * theta * sup / g2
-            for x, left, bracket in at_x:
-                right = c * bracket
-                slack = right - left
-                rows.append(IneqReport(ineq, al, left, right, slack, _holds(slack, ctx), s, p, q, a, b, x, fn, ""))
-    else:  # the midpoint forms, whose rows read no x
+            for left, bracket in at_x:
+                values.append((left, c * bracket, ""))
+    else:  # the midpoint forms, whose values do not depend on x
         left = _midpoint_lhs(f, a, b)
         if form == "midpoint":
             da, db = abs(f2.evaluate(a)), abs(f2.evaluate(b))
         else:
             theta = sup_abs(f2, a, b)
-        for s, p, q, (_, _, front, _, lead, sup, div, mid), _ in records:
+        for (_, _, front, _, lead, sup, div, mid), _ in records:
             if form == "midpoint":
                 right = front * ((b - a) ** (2.0 * al) / g2) / div * mid * (da + db)
             else:
                 right = front * lead * sup * (theta * (b - a) ** (2.0 * al) / (4.0**al * g2))
-            slack = right - left
-            for x in xs:
-                rows.append(IneqReport(ineq, al, left, right, slack, _holds(slack, ctx), s, p, q, a, b, x, fn, ""))
-    return rows
+            values += [(left, right, "")] * len(xs)
+    return values
 
 
 def eval_thm1(
@@ -749,9 +750,11 @@ def eval_thm1(
     With ``hypothesis_grid > 0`` the s-convexity hypothesis is grid-checked
     and the outcome recorded in the notes; the bound is evaluated either
     way, since a failed hypothesis is itself a reportable finding.  Like
-    thm2 and thm3, the row is the one-point block of :func:`_theorem_rows`.
+    thm2 and thm3, the row is that of the one-point block of :func:`_theorem_block`.
     """
-    return _theorem_rows("thm1", f, a, b, (x,), (s,), ((None, None),), hypothesis_grid)[0]
+    xs, s_axis, pq_axis = (x,), (s,), ((None, None),)
+    return _build("thm1", f.ctx, a, b, xs, s_axis, pq_axis,
+                  _theorem_block("thm1", f, a, b, xs, s_axis, pq_axis, hypothesis_grid))[0]
 
 
 def eval_thm2(
@@ -765,7 +768,9 @@ def eval_thm2(
     hypothesis_grid: int = 0,
 ) -> IneqReport:
     """Hoelder-route Ostrowski-type bound for |f^(2a)|**q s-convex."""
-    return _theorem_rows("thm2", f, a, b, (x,), (s,), ((p, q),), hypothesis_grid)[0]
+    xs, s_axis, pq_axis = (x,), (s,), ((p, q),)
+    return _build("thm2", f.ctx, a, b, xs, s_axis, pq_axis,
+                  _theorem_block("thm2", f, a, b, xs, s_axis, pq_axis, hypothesis_grid))[0]
 
 
 def eval_thm3(
@@ -778,7 +783,9 @@ def eval_thm3(
     hypothesis_grid: int = 0,
 ) -> IneqReport:
     """Power-mean-route Ostrowski-type bound; collapses to thm1 at q = 1."""
-    return _theorem_rows("thm3", f, a, b, (x,), (s,), ((None, q),), hypothesis_grid)[0]
+    xs, s_axis, pq_axis = (x,), (s,), ((None, q),)
+    return _build("thm3", f.ctx, a, b, xs, s_axis, pq_axis,
+                  _theorem_block("thm3", f, a, b, xs, s_axis, pq_axis, hypothesis_grid))[0]
 
 
 @memoized("mid")
@@ -810,39 +817,13 @@ def eval_corollary(
     evaluate ``|f^(2a)|`` at the endpoints.  Of ``x``, ``p`` and ``q``, the
     row keeps those the variant's registry row reads.  All else it reads
     comes from the record of its theorem (:func:`_theorem`), which the
-    theorem's own rows share.  The row is the one-point block of
-    :func:`_theorem_rows`.
+    theorem's own rows share.  The row is that of the one-point block of
+    :func:`_theorem_block`.
     """
     if variant not in COROLLARY_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose one of {COROLLARY_VARIANTS}")
-    return _theorem_rows(variant, f, a, b, (x,), (s,), ((p, q),))[0]
-
-
-def _identity_report(ctx: AlphaContext, residual: float, a: float, b: float, x: float, fn: str = "") -> IneqReport:
-    """The identity row of ``residual`` at ``x``: lhs is the residual, rhs 0 and the note ``identity-residual``."""
-    # built here rather than by _report: slack is -residual, which keeps the
-    # sign of a zero residual (0.0 - residual would not)
-    slack = -residual
-    return IneqReport(
-        "identity", ctx.alpha, residual, 0.0, slack, _holds(slack, ctx),
-        None, None, None, a, b, x, fn, "identity-residual",
-    )
-
-
-def _identity_rows(f: AlphaSeries, functional: MomentFunctional, a: float, b: float, xs: Sequence,
-                   fn: str) -> list[IneqReport]:
-    """The identity rows of one block, at the points ``xs`` of ``[a, b]``, each with ``fn``.
-
-    Each row is built from its residual of one :func:`_identity_residuals`
-    call for the whole x axis, which samples ``f^(2a)`` once; no row makes a
-    call of its own.  The registry's one-point row is built by
-    :func:`_identity_report` from :func:`identity_residual`, the residual of
-    the one-point block, so each row here is that row bit for bit.  If this
-    raises, the values cached so far stay valid for the points a caller then
-    evaluates one at a time.
-    """
-    ctx = f.ctx
-    return [_identity_report(ctx, r, a, b, x, fn) for x, r in zip(xs, _identity_residuals(f, functional, a, b, xs))]
+    xs, s_axis, pq_axis = (x,), (s,), ((p, q),)
+    return _build(variant, f.ctx, a, b, xs, s_axis, pq_axis, _theorem_block(variant, f, a, b, xs, s_axis, pq_axis))[0]
 
 
 Evaluator = Callable[..., IneqReport]
@@ -852,33 +833,34 @@ Evaluator = Callable[..., IneqReport]
 class Ineq:
     """One registry row: the parameters an id reads, of x, s, p and q, and its evaluators.
 
-    The evaluator is called as ``evaluate(series, functional, a, b, x, s, p, q)``
-    and returns a row with an empty ``fn``.  ``block``, set for ``holder``,
-    ``identity`` and the theorem family, is called as ``block(series,
-    functional, a, b, xs, s_axis, pq_axis, fn)`` and returns the rows, each
-    with ``fn``, of one interval's product of the axes
-    (:func:`_holder_rows`, :func:`_identity_rows`, :func:`_theorem_rows`),
-    each the row ``evaluate`` gives at its point; if it raises, a caller
-    evaluates the points one at a time.  ``prepare``,
-    set for the six theta forms (theta of f'') and ``ostrowski`` (theta of
-    f'), is called as ``prepare(rows)`` with rows ``(series, a, b)`` ahead
-    of evaluating them (:func:`_prepare_theta`).  It only fills caches the
-    evaluations read, so a row's value does not depend on it, and a caller
-    ignores its errors.
+    Every id is a block.  ``block``, called as ``block(series, functional,
+    a, b, xs, s_axis, pq_axis)``, returns the ``(lhs, rhs, note)`` of every
+    point of one interval's product of the axes, in
+    ``product(s_axis, pq_axis, xs)`` order, and :func:`_build` makes and
+    decides their rows.  ``evaluate``, called as ``evaluate(series,
+    functional, a, b, x, s, p, q)``, returns the row of one point with an
+    empty ``fn``: it calls the id's public evaluator, which is the
+    one-point block and the builder, so it is the row ``block`` gives at
+    that point.  ``prepare``, set for the six theta forms (theta of f'')
+    and ``ostrowski`` (theta of f'), is called as ``prepare(rows)`` with
+    rows ``(series, a, b)`` ahead of evaluating them
+    (:func:`_prepare_theta`).  It only fills caches the evaluations read,
+    so a row's value does not depend on it, and a caller ignores its
+    errors.
     """
 
     reads: frozenset[str]
     evaluate: Evaluator
+    block: Callable[..., list[tuple]]
     prepare: Optional[Callable[[list], None]] = None
-    block: Optional[Callable[..., list[IneqReport]]] = None
 
 
 def _corollary(variant: str) -> Evaluator:
     return lambda f, fl, a, b, x, s, p, q: eval_corollary(variant, f, a, b, s, p, q, x)
 
 
-def _block(ineq: str) -> Callable[..., list[IneqReport]]:
-    return lambda f, fl, a, b, xs, s_axis, pq_axis, fn: _theorem_rows(ineq, f, a, b, xs, s_axis, pq_axis, 0, fn)
+def _block(ineq: str) -> Callable[..., list[tuple]]:
+    return lambda f, fl, a, b, xs, s_axis, pq_axis: _theorem_block(ineq, f, a, b, xs, s_axis, pq_axis)
 
 
 #: Every inequality id, in report order, and its :class:`Ineq` record, whose
@@ -887,40 +869,41 @@ def _block(ineq: str) -> Callable[..., list[IneqReport]]:
 #: (p, q) pairs for an id that reads q (the thm3 family reads q but not p).
 #: The lambdas look the functions they call up by module name when called,
 #: so whatever rebinds a name sees each call made through it.  A sweep
-#: evaluates the rows of ``holder``, ``identity`` and the theorem family
-#: through ``block``, once per block, and every other id's through
-#: ``evaluate``; only single points (``evaluate_single``, ``falsify``,
-#: ``alphaineq eval``, and the points of a block whose call raised) reach
-#: :func:`eval_holder`, :func:`identity_residual`, ``eval_thm1``-``3`` and
-#: :func:`eval_corollary`, each of which runs its id's one-point block.
+#: evaluates every id through ``block``, once per block; only single points
+#: (``evaluate_single``, ``falsify``, ``alphaineq eval``, and the points of
+#: a block whose call raised) go through ``evaluate``.
 INEQUALITIES: dict[str, Ineq] = {
-    "ghh": Ineq(frozenset(), lambda f, fl, a, b, x, s, p, q: eval_ghh(f, a, b)),
-    "shh": Ineq(frozenset("s"), lambda f, fl, a, b, x, s, p, q: eval_shh(f, s, a, b)),
+    "ghh": Ineq(frozenset(), lambda f, fl, a, b, x, s, p, q: eval_ghh(f, a, b), lambda *args: _ghh_block(*args)),
+    "shh": Ineq(frozenset("s"), lambda f, fl, a, b, x, s, p, q: eval_shh(f, s, a, b), lambda *args: _shh_block(*args)),
     "holder": Ineq(
         frozenset("pq"),
-        lambda f, fl, a, b, x, s, p, q: eval_holder(f, f, p, q, a, b, fl),
-        block=lambda f, fl, a, b, xs, s_axis, pq_axis, fn: _holder_rows(f, fl, a, b, pq_axis, fn),
+        lambda f, fl, a, b, x, s, p, q: eval_holder(f, p, q, a, b, fl),
+        lambda *args: _holder_block(*args),
     ),
     "ostrowski": Ineq(
-        frozenset("x"), lambda f, fl, a, b, x, s, p, q: eval_ostrowski_classic(f, x, a, b), _prepare_theta(1)
+        frozenset("x"),
+        lambda f, fl, a, b, x, s, p, q: eval_ostrowski_classic(f, x, a, b),
+        lambda *args: _ostrowski_block(*args),
+        _prepare_theta(1),
     ),
     "identity": Ineq(
         frozenset("x"),
-        lambda f, fl, a, b, x, s, p, q: _identity_report(f.ctx, identity_residual(f, x, a, b, fl), a, b, x),
-        block=lambda f, fl, a, b, xs, s_axis, pq_axis, fn: _identity_rows(f, fl, a, b, xs, fn),
+        lambda f, fl, a, b, x, s, p, q: _build(
+            "identity", f.ctx, a, b, (x,), (s,), ((p, q),),
+            [(identity_residual(f, x, a, b, fl), 0.0, "identity-residual")],
+        )[0],
+        lambda *args: _identity_block(*args),
     ),
-    "thm1": Ineq(frozenset("sx"), lambda f, fl, a, b, x, s, p, q: eval_thm1(f, s, x, a, b), block=_block("thm1")),
-    "thm2": Ineq(
-        frozenset("sxpq"), lambda f, fl, a, b, x, s, p, q: eval_thm2(f, s, p, q, x, a, b), block=_block("thm2")
-    ),
-    "thm3": Ineq(frozenset("sxq"), lambda f, fl, a, b, x, s, p, q: eval_thm3(f, s, q, x, a, b), block=_block("thm3")),
+    "thm1": Ineq(frozenset("sx"), lambda f, fl, a, b, x, s, p, q: eval_thm1(f, s, x, a, b), _block("thm1")),
+    "thm2": Ineq(frozenset("sxpq"), lambda f, fl, a, b, x, s, p, q: eval_thm2(f, s, p, q, x, a, b), _block("thm2")),
+    "thm3": Ineq(frozenset("sxq"), lambda f, fl, a, b, x, s, p, q: eval_thm3(f, s, q, x, a, b), _block("thm3")),
     # every corollary reads s; the theta forms also x, and each reads what its theorem reads of p and q
     **{
         f"{form}-thm{i}": Ineq(
             frozenset("s" + ("x" if form == "theta" else "") + {1: "", 2: "pq", 3: "q"}[i]),
             _corollary(f"{form}-thm{i}"),
-            _prepare_theta(2) if "theta" in form else None,
             _block(f"{form}-thm{i}"),
+            _prepare_theta(2) if "theta" in form else None,
         )
         for i in (1, 2, 3)
         for form in ("midpoint", "theta", "midpoint-theta")

@@ -4,7 +4,8 @@ These are the fractal-field scalars with their field operations, the
 Mittag-Leffler sum, the constant and zero series, the series ring
 operations with the range-checked point evaluation, the
 integration-by-parts residual, the alpha-binomial expansion, the
-cell-by-cell report renderings and the one-series loop of the sup norm.  The tests hold them to the field axioms,
+cell-by-cell report renderings, the one-series loop of the sup norm and
+the Hoelder row of two callables.  The tests hold them to the field axioms,
 to spot values, to the README's ``alpha < 1`` findings (the by-parts
 residual of ``x**alpha`` and the binomial-expansion gap of the mixed
 moment) and to the text of the report writer.  The package never calls
@@ -18,10 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from alphaineq.alphanum import AlphaContext, alpha_pow_signed
+from alphaineq.inequalities import IneqReport, _build, _check_axes
+from alphaineq.quadrature import MomentFunctional, _sample
 from alphaineq.series import AlphaSeries, lf_derivative, lf_integral
 
 __all__ = [
@@ -33,6 +37,7 @@ __all__ = [
     "alpha_mul",
     "byparts_residual",
     "csv_cell",
+    "eval_holder_callables",
     "json_value",
     "mittag_leffler",
     "series_add",
@@ -236,3 +241,38 @@ def sup_abs_loop(f: AlphaSeries, a: float, b: float, grid: int = 1025) -> float:
         lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, grid - 1)]
         grid = 33
     return best
+
+
+def eval_holder_callables(
+    f: Callable,
+    g: Callable,
+    p: float,
+    q: float,
+    a: float,
+    b: float,
+    functional: MomentFunctional,
+) -> IneqReport:
+    """Generalized Hoelder inequality of two callables via the numeric moment functional.
+
+    Integrals over ``[a, b]`` are pulled back to ``[0, 1]`` through the
+    affine map with the factor ``(b-a)**alpha``.  ``|f|`` and ``|g|`` are
+    sampled once on the pulled-back grid (each must map an array to an
+    array of the same shape) and the three integrands are built from those
+    samples, which the functional integrates directly.  With ``f`` and
+    ``g`` both ``series.evaluate`` this is, bit for bit, the row of the
+    program's ``eval_holder(series, ...)``, whose block reads cached
+    samples and integrates every power of one (p, q) axis in one call.
+    """
+    _check_axes("holder", a, b, (), (), ((p, q),))
+    ctx = functional.ctx
+    al = ctx.alpha
+    scale = (b - a) ** al
+    u = a + functional.grid * (b - a)
+    abs_f = np.abs(_sample(f, u))
+    abs_g = np.abs(_sample(g, u))
+    prod = functional.integrate(abs_f * abs_g)
+    lhs = scale * prod
+    intf = scale * functional.integrate(abs_f**p)
+    intg = scale * functional.integrate(abs_g**q)
+    rhs = max(intf, 0.0) ** (1.0 / p) * max(intg, 0.0) ** (1.0 / q)
+    return _build("holder", ctx, a, b, (None,), (None,), ((p, q),), [(lhs, rhs, "")])[0]

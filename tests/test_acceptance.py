@@ -175,7 +175,7 @@ def test_criterion_5_classical_soundness_suite():
                     assert rep.holds and rep.slack >= -1e-9, rep
                     checked += 1
                 for (p, q) in pq_pairs:
-                    rep = eval_holder(f.evaluate, f.evaluate, p, q, a, b, functional)
+                    rep = eval_holder(f, p, q, a, b, functional)
                     assert rep.holds and rep.slack >= -1e-9, rep
                     checked += 1
                 for x in xs:

@@ -585,7 +585,7 @@ def _reads(ineq):
 PUBLIC = {
     "ghh": lambda f, fl, a, b, x, s, p, q: eval_ghh(f, a, b),
     "shh": lambda f, fl, a, b, x, s, p, q: eval_shh(f, s, a, b),
-    "holder": lambda f, fl, a, b, x, s, p, q: eval_holder(f.evaluate, f.evaluate, p, q, a, b, fl),
+    "holder": lambda f, fl, a, b, x, s, p, q: eval_holder(f, p, q, a, b, fl),
     "ostrowski": lambda f, fl, a, b, x, s, p, q: eval_ostrowski_classic(f, x, a, b),
     "identity": lambda f, fl, a, b, x, s, p, q: identity_residual(f, x, a, b, fl),
     "thm1": lambda f, fl, a, b, x, s, p, q: eval_thm1(f, s, x, a, b),

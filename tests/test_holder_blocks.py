@@ -1,14 +1,14 @@
 """A sweep evaluates the holder rows of a block from arrays it builds once.
 
-``inequalities._holder_rows`` is the ``holder`` block: per (alpha,
+``inequalities._holder_block`` is the ``holder`` block: per (alpha,
 function, interval) it reads ``|f|`` and ``J[|f|*|f|]`` once, raises ``|f|``
 to every distinct exponent of the (p, q) axis in one ``np.power`` call and
 integrates the powers in one ``MomentFunctional.integrate_rows`` call.
 These tests pin that every swept row is, bit for bit, the row of the
-two-callable ``eval_holder``, which samples ``f`` and ``g`` itself and
-integrates each power on its own; that the integrals take one call per
-block; and that a pair whose power overflows fails only its own rows, with
-the error its one-point row raises.
+two-callable reference ``eval_holder_callables``, which samples ``f`` and
+``g`` itself and integrates each power on its own; that the integrals take
+one call per block; and that a pair whose power overflows fails only its
+own rows, with the error its one-point row raises.
 """
 
 import struct
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from alphaineq.harness import CSV_COLUMNS, SweepConfig, parse_function_spec, run_sweep
 from alphaineq.inequalities import eval_holder
 from alphaineq.quadrature import MomentFunctional, QuadratureError
+from reference import eval_holder_callables
 
 
 def _bits(v):
@@ -34,7 +35,7 @@ def _row_bits(rep):
 
 @np.errstate(over="ignore", invalid="ignore")  # as in a sweep
 def _callable_rows(cfg):
-    """The sweep's holder rows, each from the two-callable ``eval_holder`` on a fresh series; a raising one is left out."""
+    """The sweep's holder rows, each from the two-callable reference on a fresh series; a raising one is left out."""
     rows = {}
     for alpha in cfg.alphas:
         functional = MomentFunctional(cfg.context(alpha))
@@ -43,7 +44,7 @@ def _callable_rows(cfg):
                 for p, q in cfg.pq_pairs:
                     f = spec.realize(functional.ctx)
                     try:
-                        rep = eval_holder(f.evaluate, f.evaluate, p, q, a, b, functional)
+                        rep = eval_holder_callables(f.evaluate, f.evaluate, p, q, a, b, functional)
                     except QuadratureError:
                         continue
                     rep.fn = spec.canonical()
@@ -151,6 +152,7 @@ def test_an_overflowing_power_fails_only_its_own_pairs():
     f = spec.realize(functional.ctx)
     with np.errstate(over="ignore"):
         for p, q in ((4.0, 4.0 / 3.0), (4.0 / 3.0, 4.0)):
-            for g in (f, f.evaluate):
-                with pytest.raises(QuadratureError, match="non-finite values on the grid"):
-                    eval_holder(g, g, p, q, 0.5, 2.0, functional)
+            with pytest.raises(QuadratureError, match="non-finite values on the grid"):
+                eval_holder(f, p, q, 0.5, 2.0, functional)
+            with pytest.raises(QuadratureError, match="non-finite values on the grid"):
+                eval_holder_callables(f.evaluate, f.evaluate, p, q, 0.5, 2.0, functional)

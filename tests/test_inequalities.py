@@ -19,7 +19,8 @@ from alphaineq.inequalities import (
     eval_thm1,
     eval_thm2,
     eval_thm3,
-    _binding_report,
+    _binding,
+    _build,
     _hypothesis_note,
     identity_residual,
     ostrowski_constants,
@@ -27,7 +28,7 @@ from alphaineq.inequalities import (
 )
 from alphaineq.quadrature import MomentFunctional, QuadratureError, fractal_integral_numeric
 from alphaineq.series import AlphaSeries, lf_derivative, lf_derivative_n, lf_integral
-from reference import alpha_binomial_series, series_constant, series_mul, series_zero
+from reference import alpha_binomial_series, eval_holder_callables, series_constant, series_mul, series_zero
 
 G = math.gamma
 CTX1 = AlphaContext(1.0)
@@ -36,6 +37,11 @@ CTX_HALF = AlphaContext(0.5)
 
 def mono(k, ctx, c=1.0):
     return AlphaSeries.monomial(k, ctx, c)
+
+
+def _binding_row(left, mid, right):
+    """The ghh row of the chain ``left <= mid <= right``, made by the builder."""
+    return _build("ghh", CTX1, 0.0, 1.0, (None,), (None,), ((None, None),), [_binding(left, mid, right)])[0]
 
 
 class TestConstants:
@@ -122,7 +128,7 @@ class TestHermiteHadamard:
         ],
     )
     def test_nan_slack_binds(self, left, mid, right):
-        rep = _binding_report("ghh", CTX1, left, mid, right)
+        rep = _binding_row(left, mid, right)
         assert math.isnan(rep.slack)
         assert not rep.holds
 
@@ -130,7 +136,7 @@ class TestHermiteHadamard:
         "left, mid, right", [(0.0, 1.0, 3.0), (0.0, 2.0, 3.0), (0.0, 2.0, 1.0), (1.0, 0.0, 3.0)]
     )
     def test_binding_side_has_the_smaller_slack(self, left, mid, right):
-        rep = _binding_report("ghh", CTX1, left, mid, right)
+        rep = _binding_row(left, mid, right)
         assert rep.slack == min(mid - left, right - mid)
         assert rep.holds == (rep.slack >= -CTX1.slack_tol)
 
@@ -163,8 +169,7 @@ class TestHoelder:
     def test_equality_for_constants(self):
         ctx = AlphaContext(0.5)
         functional = MomentFunctional(ctx)
-        one = lambda t: np.ones_like(np.asarray(t, dtype=float))
-        rep = eval_holder(one, one, 2.0, 2.0, 0.0, 1.75, functional)
+        rep = eval_holder(series_constant(1.0, ctx), 2.0, 2.0, 0.0, 1.75, functional)
         expected = 1.75**0.5 / G(1.5)
         assert rep.lhs == pytest.approx(expected, rel=1e-10)
         assert rep.rhs == pytest.approx(expected, rel=1e-10)
@@ -172,7 +177,7 @@ class TestHoelder:
 
     def test_classical_linear_case(self):
         functional = MomentFunctional(CTX1)
-        rep = eval_holder(
+        rep = eval_holder_callables(
             lambda t: np.asarray(t, dtype=float),
             lambda t: np.ones_like(np.asarray(t, dtype=float)),
             2.0,
@@ -189,14 +194,13 @@ class TestHoelder:
         ctx = AlphaContext(0.5)
         functional = MomentFunctional(ctx)
         f = mono(1.0, ctx)
-        rep = eval_holder(f.evaluate, f.evaluate, 2.0, 2.0, 0.0, 1.0, functional)
+        rep = eval_holder(f, 2.0, 2.0, 0.0, 1.0, functional)
         assert abs(rep.slack) <= 1e-8
 
     def test_conjugacy_enforced(self):
         functional = MomentFunctional(CTX1)
-        f = lambda t: np.asarray(t, dtype=float)
-        with pytest.raises(ValueError):
-            eval_holder(f, f, 2.0, 3.0, 0.0, 1.0, functional)
+        with pytest.raises(ValueError, match="not conjugate"):
+            eval_holder(mono(1.0, CTX1), 2.0, 3.0, 0.0, 1.0, functional)
 
 
 def _report_bits(rep):
@@ -230,7 +234,7 @@ class TestHolderSharing:
                             p = float(p)
                             q = p / (p - 1.0)
                             fresh = parse_function_spec(spec).realize(ctx)
-                            want = eval_holder(fresh.evaluate, fresh.evaluate, p, q, lo, hi, functional)
+                            want = eval_holder_callables(fresh.evaluate, fresh.evaluate, p, q, lo, hi, functional)
                             got = _holder_row(f, functional, lo, hi, p, q)
                             assert _report_bits(got) == _report_bits(want), (alpha, spec, functional.nodes, lo, hi, p)
                             assert got == want
@@ -277,7 +281,7 @@ class TestHolderSharing:
         functional = MomentFunctional(ctx)
         f = mono(2.0, ctx)
         first = inequalities._holder_samples(f, functional, 0.5, 2.0)
-        eval_holder(f, f, 3.0, 1.5, 0.5, 2.0, functional)
+        eval_holder(f, 3.0, 1.5, 0.5, 2.0, functional)
         assert inequalities._holder_samples(f, functional, 0.5, 2.0) is first
         assert not first[0].flags.writeable
 
@@ -294,19 +298,20 @@ class TestHolderSharing:
             return sample
 
         cf, cg = counting("f", f.evaluate), counting("g", f.evaluate)
-        reps = [eval_holder(cf, cg, p, p / (p - 1.0), 0.5, 2.0, functional) for p in (2.0, 3.0)]
+        reps = [eval_holder_callables(cf, cg, p, p / (p - 1.0), 0.5, 2.0, functional) for p in (2.0, 3.0)]
         assert seen == {"f": 2, "g": 2}
         assert not [key for key in f._memo if key[0] == "holder"]
         for rep, p in zip(reps, (2.0, 3.0)):
-            assert _report_bits(rep) == _report_bits(eval_holder(f, f, p, p / (p - 1.0), 0.5, 2.0, functional))
+            assert _report_bits(rep) == _report_bits(eval_holder(f, p, p / (p - 1.0), 0.5, 2.0, functional))
 
     def test_a_series_with_another_argument_is_rejected(self):
+        # the two-callable reference takes callables only: a series is not one
         ctx = AlphaContext(0.5)
         functional = MomentFunctional(ctx)
         f = mono(2.0, ctx)
         for g in (f.evaluate, mono(2.0, ctx)):
             with pytest.raises(ValueError, match="an array"):
-                eval_holder(f, g, 2.0, 2.0, 0.5, 2.0, functional)
+                eval_holder_callables(f, g, 2.0, 2.0, 0.5, 2.0, functional)
 
 
 class TestOstrowskiClassic:
@@ -628,7 +633,7 @@ def test_report_integrity_across_evaluators():
     reports = [
         eval_ghh(f, 0.25, 1.5),
         eval_shh(f, 0.5, 0.25, 1.5),
-        eval_holder(f.evaluate, f.evaluate, 3.0, 1.5, 0.25, 1.5, functional),
+        eval_holder(f, 3.0, 1.5, 0.25, 1.5, functional),
         eval_ostrowski_classic(f, 0.8, 0.25, 1.5),
         eval_thm1(f, 0.5, 0.8, 0.25, 1.5),
         eval_thm2(f, 0.5, 2.0, 2.0, 0.8, 0.25, 1.5),

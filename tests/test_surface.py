@@ -119,3 +119,30 @@ def test_every_public_method_of_an_export_has_a_caller():
         f"public methods never called outside the tests: {sorted(unused)}; move them to tests/reference.py "
         f"or add each to ALLOWED_METHODS with the reason it stays"
     )
+
+
+def _call_sites(name: str) -> list[tuple[str, str]]:
+    """``(module, function)`` of each call of ``name`` in the package; the function is the innermost enclosing one."""
+    sites = []
+
+    def visit(node: ast.AST, module: str, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                sites.append((module, function))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            visit(child, module, inner)
+
+    for path in _modules():
+        visit(_tree(path), path.stem, "")
+    return sites
+
+
+def test_one_site_makes_every_row():
+    # so a new column is one edit: load_report only reads rows back, and with_fn copies one
+    builds = [site for site in _call_sites("IneqReport") if site[1] not in ("load_report", "with_fn")]
+    assert builds == [("inequalities", "_build")], builds
+
+
+def test_one_site_decides_every_row():
+    # so a new verdict rule is one edit
+    assert _call_sites("_holds") == [("inequalities", "_build")]

@@ -1,21 +1,24 @@
-"""A sweep evaluates ``holder``, ``identity`` and the theorem family block by block, and each row is the row of its point.
+"""A sweep evaluates every id block by block, and each row is the row of its point.
 
-thm1-3 and their nine corollaries have a block evaluator
-(``inequalities._theorem_rows``), and so have ``holder``
-(``inequalities._holder_rows``) and ``identity``
-(``inequalities._identity_rows``): ``run_sweep`` calls it once per (alpha,
-function, id, interval), for the product of that block's s, (p, q) and x
-axes, and evaluates a block one point at a time only when the call raises.
-These tests check, under any numpy version, that every sweep row equals,
-cell for cell as ``render_report`` writes it, the ``evaluate_single`` row
-of its point or that point's error row; that a sweep makes one block call
-per block and reads each theorem record once per (block, s, p, q); that
-one function decides every row's ``holds``; and that a thm1-3 point whose
+Every id has a block evaluator (``inequalities._theorem_block`` for thm1-3
+and their nine corollaries, ``_ghh_block``, ``_shh_block``,
+``_holder_block``, ``_ostrowski_block`` and ``_identity_block``), which
+returns the values of every point of a product of s, (p, q) and x axes;
+one builder (``inequalities._build``) makes the rows from them.
+``run_sweep`` calls a block once per (alpha, function, id, interval) and
+evaluates it one point at a time only when the call raises.  These tests
+check, under any numpy version, that every sweep row equals, cell for cell
+as ``render_report`` writes it, the ``evaluate_single`` row of its point or
+that point's error row; that every block's value at a point is, bit for
+bit, that of its one-point block; that a sweep makes one block call per
+block and reads each theorem record once per (block, s, p, q); that one
+function decides every row's ``holds``; and that a thm1-3 point whose
 hypothesis check and left side both raise raises the check's error.
 """
 
 import math
 import random
+import struct
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -48,10 +51,20 @@ FAMILY = tuple(i for i in INEQUALITY_IDS if "thm" in i)
 #: The ids a sweep evaluates block by block.
 BLOCKED = tuple(i for i, rec in INEQUALITIES.items() if rec.block is not None)
 
+#: The block evaluator of each id that is not in the theorem family, by its name in ``inequalities``.
+OTHER_BLOCKS = {
+    "ghh": "_ghh_block",
+    "shh": "_shh_block",
+    "holder": "_holder_block",
+    "ostrowski": "_ostrowski_block",
+    "identity": "_identity_block",
+}
 
-def test_the_blocked_ids_are_the_quadrature_ids_and_the_theorem_family():
+
+def test_every_id_is_a_block():
     assert len(FAMILY) == 12
-    assert BLOCKED == ("holder", "identity") + FAMILY
+    assert BLOCKED == INEQUALITY_IDS
+    assert set(OTHER_BLOCKS) == set(INEQUALITY_IDS) - set(FAMILY)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -75,7 +88,7 @@ def _pointwise(cfg):
                         try:
                             rep = evaluate_single(ineq, series, functional, a, b, x, s, p, q, fn)
                         except Exception as exc:
-                            rep = _error_report(ineq, alpha, exc, s, p, q, a, b, x, fn)
+                            rep = _error_report(ineq, functional.ctx, exc, s, p, q, a, b, x, fn)
                         rows.append(rep)
     return sorted(rows, key=_sort_key)
 
@@ -147,22 +160,20 @@ def _cfg(functions):
 
 
 def _count(monkeypatch):
-    """Count the block calls, the theorem record reads and the ``evaluate_single`` calls of a sweep."""
+    """Count the block calls of every id, one-point ones included, the theorem record reads and the
+    ``evaluate_single`` calls of a sweep."""
     blocks, records, singles = Counter(), Counter(), Counter()
-    rows, identity, theorem = inequalities._theorem_rows, inequalities._identity_rows, inequalities._theorem
-    holder, single = inequalities._holder_rows, harness.evaluate_single
+    theorem_block, theorem, single = inequalities._theorem_block, inequalities._theorem, harness.evaluate_single
 
-    def counted_rows(ineq, f, a, b, xs, s_axis, pq_axis, *rest):
+    def counted_theorem_block(ineq, f, a, b, *rest):
         blocks[ineq, f.ctx.alpha, f.terms, a, b] += 1
-        return rows(ineq, f, a, b, xs, s_axis, pq_axis, *rest)
+        return theorem_block(ineq, f, a, b, *rest)
 
-    def counted_holder(f, functional, a, b, pq_axis, *rest):
-        blocks["holder", f.ctx.alpha, f.terms, a, b] += 1
-        return holder(f, functional, a, b, pq_axis, *rest)
-
-    def counted_identity(f, functional, a, b, xs, fn):
-        blocks["identity", f.ctx.alpha, f.terms, a, b] += 1
-        return identity(f, functional, a, b, xs, fn)
+    def counted_block(ineq, block):
+        def counted(f, functional, a, b, *axes):
+            blocks[ineq, f.ctx.alpha, f.terms, a, b] += 1
+            return block(f, functional, a, b, *axes)
+        return counted
 
     def counted_theorem(f, thm, s, p, q):
         records[thm] += 1
@@ -172,9 +183,9 @@ def _count(monkeypatch):
         singles[ineq] += 1
         return single(ineq, *args, **kwargs)
 
-    monkeypatch.setattr(inequalities, "_theorem_rows", counted_rows)
-    monkeypatch.setattr(inequalities, "_holder_rows", counted_holder)
-    monkeypatch.setattr(inequalities, "_identity_rows", counted_identity)
+    monkeypatch.setattr(inequalities, "_theorem_block", counted_theorem_block)
+    for ineq, name in OTHER_BLOCKS.items():
+        monkeypatch.setattr(inequalities, name, counted_block(ineq, getattr(inequalities, name)))
     monkeypatch.setattr(inequalities, "_theorem", counted_theorem)
     monkeypatch.setattr(harness, "evaluate_single", counted_single)
     return blocks, records, singles
@@ -193,29 +204,52 @@ def test_one_block_call_per_block_and_one_record_read_per_block_s_p_q(monkeypatc
     assert blocks == expected
     n_blocks = len(cfg.alphas) * len(cfg.functions) * len(cfg.intervals)
     assert sum(records.values()) == n_blocks * sum(per_block.values())
-    # the blocked ids' rows never pass through evaluate_single; every other id's row does
-    assert not set(singles) & set(BLOCKED)
-    assert sum(singles.values()) == sum(1 for r in rows if r.ineq not in BLOCKED)
+    # no block raised, so no row passed through evaluate_single
+    assert not singles
 
 
 def test_a_raising_block_is_evaluated_one_point_at_a_time(monkeypatch):
-    # mono:0.5 has no second derivative, so each of its blocks raises but
-    # holder's, which reads none; |f|*|f| of the constant 1e200 overflows, so
-    # only its holder blocks raise
+    # mono:0.5 has no second derivative, so each of its blocks that reads one
+    # raises; |f|*|f| of the constant 1e200 overflows, so only its holder
+    # blocks raise
     cfg = _cfg(("mono:3", "mono:0.5", "poly:1e200"))
     big = parse_function_spec("poly:1e200").canonical()
     blocks, _, singles = _count(monkeypatch)
     rows = run_sweep(cfg)
-    raising = {(i, "mono:0.5") for i in BLOCKED if i != "holder"} | {("holder", big)}
-    failed = [r for r in rows if r.ineq in BLOCKED and r.notes.startswith("error:")]
+    raising = {(i, "mono:0.5") for i in ("identity",) + FAMILY} | {("holder", big)}
+    failed = [r for r in rows if r.notes.startswith("error:")]
     assert {(r.ineq, r.fn) for r in failed} == raising
     assert len(failed) == sum(1 for r in rows if (r.ineq, r.fn) in raising)
-    # each point of a raising block is one evaluate_single call; for holder and
-    # the theorem family that is one more one-point block, for the identity its
-    # one-point row
-    assert sum(n for i, n in singles.items() if i in BLOCKED) == len(failed)
+    # only the points of a raising block pass through evaluate_single, one call
+    # each, and each of those runs its one-point block
+    assert set(singles) == {i for i, _ in raising}
+    assert sum(singles.values()) == len(failed)
     n_blocks = len(cfg.alphas) * len(cfg.functions) * len(BLOCKED) * len(cfg.intervals)
-    assert sum(blocks.values()) == n_blocks + sum(1 for r in failed if r.ineq != "identity")
+    assert sum(blocks.values()) == n_blocks + len(failed)
+
+
+def _value_bits(value):
+    lhs, rhs, note = value
+    return struct.pack("<dd", lhs, rhs), note
+
+
+@pytest.mark.parametrize("spec", ["mono:3", "ml:5", "series:(1.5,1);(1.6,-1)"])
+@pytest.mark.parametrize("ineq", INEQUALITY_IDS)
+@np.errstate(over="ignore", invalid="ignore")
+def test_each_value_of_a_block_is_that_of_its_one_point_block(ineq, spec):
+    # axes of two values each, read by the id or not, so ghh's and holder's blocks have several points too
+    ctx = AlphaContext(0.5)
+    functional = MomentFunctional(ctx)
+    a, b = 0.25, 1.75
+    xs, s_axis, pq_axis = (0.25, 1.0), (0.5, 1.0), ((2.0, 2.0), (3.0, 1.5))
+    block = INEQUALITIES[ineq].block
+    values = block(parse_function_spec(spec).realize(ctx), functional, a, b, xs, s_axis, pq_axis)
+    points = list(product(s_axis, pq_axis, xs))
+    assert len(values) == len(points)
+    for value, (s, pq, x) in zip(values, points):
+        fresh = parse_function_spec(spec).realize(ctx)
+        (want,) = block(fresh, functional, a, b, (x,), (s,), (pq,))
+        assert _value_bits(value) == _value_bits(want), (s, pq, x)
 
 
 def test_every_verdict_comes_from_one_helper(monkeypatch):
