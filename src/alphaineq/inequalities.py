@@ -253,17 +253,19 @@ _SUP_ROWS = 16
 
 
 def sup_abs(f: AlphaSeries, a: float, b: float, grid: int = _SUP_GRID) -> float:
-    """Sup norm of ``|f|`` on ``[a, b]``: dense grid plus local refinement.
+    """Sup norm of ``|f|`` on ``[a, b]``: the end value where ``|f|`` is monotone by sign, else a dense grid plus local refinement.
 
-    After the grid scan, the cell around the maximizer is re-gridded three
-    times, which is enough for the smooth series handled here.  The grids
-    are those of ``np.linspace``, built by :func:`_grid`.  A NaN sample
-    (``inf - inf`` at a pole) makes the value NaN.  The value is cached on
-    ``f`` per ``(a, b, grid)``, so a caller that keeps the series computes
-    it once per interval.  This is the one-row call of :func:`_sup_abs`,
-    which the prepare step of the theta forms and of ``ostrowski``
-    (:func:`_prepare_theta`) calls on many rows at once; a value it
-    prefilled is a cache hit here.
+    Where the coefficients share a sign and so do the exponents, ``|f|`` is
+    monotone, and the value is ``|f|`` at the end it rises to, bit for bit
+    what the grid scan finds.  After the scan, the cell around the
+    maximizer is re-gridded three times, which is enough for the smooth
+    series handled here.  The grids are those of ``np.linspace``, built by
+    :func:`_grid`.  A NaN sample (``inf - inf`` at a pole) makes the value
+    NaN.  The value is cached on ``f`` per ``(a, b, grid)``, so a caller
+    that keeps the series computes it once per interval.  This is the
+    one-row call of :func:`_sup_abs`, which the prepare step of the theta
+    forms and of ``ostrowski`` (:func:`_prepare_theta`) calls on many rows
+    at once; a value it prefilled is a cache hit here.
     """
     if grid < 3:
         raise ValueError(f"grid must be >= 3, got {grid}")
@@ -274,20 +276,41 @@ def sup_abs(f: AlphaSeries, a: float, b: float, grid: int = _SUP_GRID) -> float:
 def _sup_abs(rows: list, grid: int) -> list:
     """:func:`sup_abs` of each row ``(f, a, b)``, for series ``f`` that share a grade plan; each is cached on its ``f``.
 
-    The rows run the same four rounds together, on (rows x points) arrays:
-    each row's grid (:func:`_grid`); ``|f|`` on it, summed term by term as
-    ``f.evaluate`` sums it (:func:`alphaineq.series._sum_terms`); the first
-    argmax per row, which is the first NaN if there is one; and the cell
-    around it as the row's next interval.  So each row's value is, bit for
-    bit, the one it gets alone.  A row that has read a NaN stays NaN, and
-    its later rounds only cost time.
+    A row with ``0 <= a <= b < inf`` and coefficients of one sign takes
+    ``|f(b)|`` if every exponent is ``>= 0``, and ``|f(a)|`` if every one is
+    ``<= 0`` and ``a > 0``: each computed term is then monotone in x, and so
+    is their rounded sum, so the scan's first argmax lands on that end,
+    which the grid holds exactly.  The other rows run the same four rounds
+    together, on (rows x points) arrays: each row's grid (:func:`_grid`);
+    ``|f|`` on it, summed term by term as ``f.evaluate`` sums it
+    (:func:`alphaineq.series._sum_terms`); the first argmax per row, which
+    is the first NaN if there is one; and the cell around it as the row's
+    next interval.  So each row's value is, bit for bit, the one it gets
+    alone.  A row that has read a NaN stays NaN, and its later rounds only
+    cost time.
     """
     plan = _plan_of(rows[0][0])
-    coeffs = [[c for _, c in f.terms] for f, _, _ in rows]
+    exps = plan.exps  # sorted, as the grades are and alpha > 0
+    rises, falls = not exps or exps[0] >= 0.0, not exps or exps[-1] <= 0.0
+    values, scan, coeffs = [], [], []
+    for f, a, b in rows:
+        cs = [c for _, c in f.terms]
+        end = None
+        if 0.0 <= a <= b < math.inf and (not cs or min(cs) > 0.0 or max(cs) < 0.0):
+            end = b if rises else a if falls and a > 0.0 else None
+        if end is None:
+            scan.append((f, a, b))
+            coeffs.append(cs)
+            values.append(None)
+        else:
+            values.append(abs(f.evaluate(float(end))))
+            f._memo["sup", a, b, grid] = values[-1]
+    if not scan:
+        return values
     # per term, the rows' coefficients as a (rows, 1) column, or for one row as floats, as in _grid
-    columns = coeffs[0] if len(rows) == 1 else list(np.array(coeffs).T[:, :, None])
-    lo, hi = [a for _, a, _ in rows], [b for _, _, b in rows]
-    best = [0.0] * len(rows)
+    columns = coeffs[0] if len(scan) == 1 else list(np.array(coeffs).T[:, :, None])
+    lo, hi = [a for _, a, _ in scan], [b for _, _, b in scan]
+    best = [0.0] * len(scan)
     n = grid
     for _ in range(4):
         xs = _grid(lo, hi, n)
@@ -302,9 +325,10 @@ def _sup_abs(rows: list, grid: int) -> list:
             lo.append(item(r, i - 1 if i else 0))
             hi.append(item(r, i + 1 if i < last else last))
         n = 33
-    for (f, a, b), value in zip(rows, best):
+    for (f, a, b), value in zip(scan, best):
         f._memo["sup", a, b, grid] = value
-    return best
+    scanned = iter(best)
+    return [next(scanned) if v is None else v for v in values]
 
 
 def ostrowski_constants(s: float, ctx: AlphaContext) -> OstrowskiConstants:

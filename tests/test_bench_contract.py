@@ -66,6 +66,27 @@ def test_one_pass_of_each_workload_passes_its_checks(name, workloads, tmp_path):
     assert result.rows > 0 and verdict.rows > 0
 
 
+@pytest.mark.parametrize("name", ("sweep-reference", "sweep-quadrature"))
+def test_a_bench_sweep_evaluates_no_point_on_its_own(name, workloads, tmp_path, monkeypatch):
+    # run_sweep evaluates a block's points one at a time only when the block raises, and the rows
+    # are the same either way: a block broken for every input would show in no output, only here
+    from alphaineq import harness
+
+    wl = workloads.make(name, 1, tmp_path)
+    wl.generate()
+    wl.setup()
+    calls = []
+    single = harness.evaluate_single
+
+    def counted(ineq, *args, **kwargs):
+        calls.append(ineq)
+        return single(ineq, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "evaluate_single", counted)
+    assert len(harness.run_sweep(wl.cfg)) == wl.expected_rows
+    assert calls == []
+
+
 def test_every_target_resolves(spans):
     import alphaineq
 
