@@ -5,7 +5,7 @@ and the note of one displayed inequality at every point of a product of
 parameter axes, and returns those values only.  One builder,
 :func:`_build`, makes every row from them: it fills the parameters the id
 reads, computes the slack ``rhs - lhs`` and decides ``holds``, which means
-``slack >= -slack_tol`` (:func:`_holds`); error rows are made by it too.
+``slack >= -slack_tol`` (:func:`decide`); error rows are made by it too.
 The evaluators never assert: for alpha = 1 the framework collapses to
 classical calculus and everything here is an established theorem, while for
 alpha < 1 the reported slacks and residuals constitute a consistency study
@@ -61,6 +61,7 @@ __all__ = [
     "Ineq",
     "IneqReport",
     "OstrowskiConstants",
+    "decide",
     "eval_corollary",
     "eval_ghh",
     "eval_holder",
@@ -122,9 +123,9 @@ class IneqReport:
         )
 
 
-def _holds(slack: float, ctx: AlphaContext) -> bool:
+def decide(slack: float, slack_tol: float) -> bool:
     """A row's verdict: ``slack >= -slack_tol``, which a NaN slack fails."""
-    return slack >= -ctx.slack_tol
+    return slack >= -slack_tol
 
 
 def _build(ineq: str, ctx: AlphaContext, a: float, b: float, xs: Sequence, s_axis: Sequence, pq_axis: Sequence,
@@ -135,8 +136,8 @@ def _build(ineq: str, ctx: AlphaContext, a: float, b: float, xs: Sequence, s_axi
     does not read (its :class:`Ineq` ``reads``) is None in its rows.  The
     slack is ``rhs - lhs``, except for ``identity``, whose slack is minus
     its residual ``lhs``, which keeps the sign of a zero residual (``0.0 -
-    lhs`` would not); ``holds`` is :func:`_holds` of it.  An error row is
-    the row of NaN values with the error as its note.
+    lhs`` would not); ``holds`` is :func:`decide` of it and ``slack_tol``.
+    An error row is the row of NaN values with the error as its note.
     """
     reads = INEQUALITIES[ineq].reads
     read_p, read_q = "p" in reads, "q" in reads
@@ -144,7 +145,7 @@ def _build(ineq: str, ctx: AlphaContext, a: float, b: float, xs: Sequence, s_axi
         s_axis = (None,) * len(s_axis)
     if "x" not in reads:
         xs = (None,) * len(xs)
-    alpha, identity = ctx.alpha, ineq == "identity"
+    alpha, tol, identity = ctx.alpha, ctx.slack_tol, ineq == "identity"
     rows, value = [], iter(values)
     # nested loops, the order of ``product``, cost less than ``product`` itself on a one-point block
     for s in s_axis:
@@ -153,7 +154,7 @@ def _build(ineq: str, ctx: AlphaContext, a: float, b: float, xs: Sequence, s_axi
             for x in xs:
                 lhs, rhs, note = next(value)
                 slack = -lhs if identity else rhs - lhs
-                rows.append(IneqReport(ineq, alpha, lhs, rhs, slack, _holds(slack, ctx), s, p, q, a, b, x, fn, note))
+                rows.append(IneqReport(ineq, alpha, lhs, rhs, slack, decide(slack, tol), s, p, q, a, b, x, fn, note))
     return rows
 
 
@@ -414,27 +415,15 @@ def eval_holder(f: AlphaSeries, p: float, q: float, a: float, b: float, function
                   _holder_block(f, functional, a, b, xs, s_axis, pq_axis))[0]
 
 
-@memoized("holder")
-def _holder_samples(f: AlphaSeries, functional: MomentFunctional, a: float, b: float) -> tuple:
-    """``(|f|, J[|f|*|f|])`` on ``functional``'s grid pulled back to ``[a, b]``, cached on ``f``.
-
-    The samples are read-only, since every holder row of the key shares
-    them.  A non-finite sample makes the integral raise
-    :class:`QuadratureError`, so nothing is cached and every row raises.
-    """
-    abs_f = np.abs(f.evaluate(a + functional.grid * (b - a)))
-    prod = functional.integrate(abs_f * abs_f)
-    abs_f.flags.writeable = False
-    return abs_f, prod
-
-
 def _holder_block(f: AlphaSeries, functional: MomentFunctional, a: float, b: float, xs: Sequence,
                   s_axis: Sequence, pq_axis: Sequence) -> list[tuple]:
     """The holder values of one block, one per pair of ``pq_axis``.
 
-    ``|f|`` and ``J[|f|*|f|]`` are read once from :func:`_holder_samples`.
-    ``|f|`` is raised to every distinct exponent of the axis in one
-    ``np.power`` call, and the powers are integrated in one
+    ``|f|`` is sampled once, on ``functional``'s grid pulled back to
+    ``[a, b]``, and ``J[|f|*|f|]`` is integrated once; a non-finite sample
+    makes that integral raise :class:`QuadratureError`.  ``|f|`` is raised
+    to every distinct exponent of the axis in one ``np.power`` call, and
+    the powers are integrated in one
     :meth:`MomentFunctional.integrate_rows` call.  Each power is, bit for
     bit, ``|f|**e`` computed alone, except at ``e = 2.0``: numpy computes
     ``|f|**2.0`` as the square ``|f|*|f|``, not by ``pow``, so its integral
@@ -446,7 +435,8 @@ def _holder_block(f: AlphaSeries, functional: MomentFunctional, a: float, b: flo
     """
     _check_axes("holder", a, b, xs, s_axis, pq_axis)
     scale = (b - a) ** functional.ctx.alpha
-    abs_f, prod = _holder_samples(f, functional, a, b)
+    abs_f = np.abs(f.evaluate(a + functional.grid * (b - a)))
+    prod = functional.integrate(abs_f * abs_f)
     integrals = {2.0: prod}
     exps = []  # the distinct exponents, in axis order, other than 2.0
     for pair in pq_axis:
@@ -542,13 +532,11 @@ def _identity_block(f: AlphaSeries, functional: MomentFunctional, a: float, b: f
     call each (:meth:`AlphaSeries.cache_points`; a single x reads them on
     the scalar path, which gives the same values), and the moments of
     ``f^(2a)`` on both sides of every x from one :func:`composed_moments`
-    call, which samples ``f^(2a)`` once and caches each moment on it per
-    ``(x, e)``.  Each residual is then computed from its point's values by
-    the floating-point operations of that point alone.  Every left side is
-    computed before any moment, so a one-point block whose left side and
-    moment both raise raises the left side's error.  If this raises, the
-    values cached so far stay valid for the points a caller then evaluates
-    one at a time.
+    call, which samples ``f^(2a)`` once.  Each residual is then computed
+    from its point's values by the floating-point operations of that point
+    alone.  Every left side is computed before any moment, so a one-point
+    block whose left side and moment both raise raises the left side's
+    error.
     """
     _check_axes("identity", a, b, xs, s_axis, pq_axis)
     ctx = f.ctx

@@ -320,8 +320,7 @@ def composed_moment(
     exact evaluation and bypass the quadrature entirely: a constant argument
     (``x == e``), a pure scaling (``e == 0``), and a reflected scaling
     (``x == 0``, via Beta moments of ``(1-t)`` powers).  This is
-    :func:`composed_moments` of the one segment ``(x, e)``, so the value is
-    cached on ``f2`` in the same way.
+    :func:`composed_moments` of the one segment ``(x, e)``.
     """
     return composed_moments(f2, weight_grade, ((x, e),), functional, absolute)[0]
 
@@ -340,17 +339,12 @@ def composed_moments(
     on a (segments x nodes) array, whose elements are the points
     ``e + grid * (x - e)`` of one segment at a time, and each row is
     integrated on its own, so every value is bit-identical to the call with
-    that segment alone.  Values are cached on ``f2`` per moment functional,
-    by identity (so a lookup hashes no functional, and one functional's
-    values never serve another built from a different rule), and per
-    ``(weight_grade, x, e, absolute)``, so a segment is computed once for
-    the lifetime of ``f2``.
+    that segment alone.
 
     A bad argument raises ``ValueError`` before any segment is computed.
-    A sampled segment whose integral is not finite gets the
+    A sampled segment whose integral is not finite raises the
     :class:`QuadratureError` that :meth:`MomentFunctional.integrate`
-    raises, and nothing is cached for it; the first such error is raised
-    once every other segment is cached.
+    raises; of several, the first in segment order.
     """
     if weight_grade < 0.0:
         raise ValueError(f"weight_grade must be nonnegative, got {weight_grade}")
@@ -359,51 +353,26 @@ def composed_moments(
             raise ValueError(f"segment endpoints must be nonnegative, got ({x}, {e})")
     if f2.is_zero:
         return [0.0] * len(segments)
-    cache = _moment_cache(f2, functional)
-    values = [cache.get((weight_grade, x, e, absolute)) for x, e in segments]
-    if None not in values:
-        return values
     # a term-wise sum is exact unless |.| must act on a sum of mixed signs
     termwise = not absolute or _sign_constant(f2) is not None
+    values = []
     sampled, xs, es = [], [], []  # the segments without an exact value
     for i, (x, e) in enumerate(segments):
-        if values[i] is not None:
-            continue
         if x == e or (termwise and (e == 0.0 or x == 0.0)):
-            values[i] = cache[weight_grade, x, e, absolute] = _exact_moment(
-                f2, weight_grade, x, e, functional, absolute
-            )
+            values.append(_exact_moment(f2, weight_grade, x, e, functional, absolute))
         else:
+            values.append(None)
             sampled.append(i)
             xs.append(x)
             es.append(e)
     if sampled:
         x_col, e_col = np.array(xs)[:, None], np.array(es)[:, None]
         y = f2.evaluate(e_col + functional.grid * (x_col - e_col))
-        error = None
         for i, value in zip(sampled, functional.integrate_rows(np.abs(y) if absolute else y, weight_grade)):
             if isinstance(value, QuadratureError):
-                error = error or value
-            else:
-                x, e = segments[i]
-                values[i] = cache[weight_grade, x, e, absolute] = value
-        if error is not None:
-            raise error
+                raise value
+            values[i] = value
     return values
-
-
-def _moment_cache(f2: AlphaSeries, functional: MomentFunctional) -> dict:
-    """The composed moments of ``f2`` on ``functional``, held in ``f2._memo``.
-
-    Keyed by the functional's ``id``; the entry holds the functional
-    itself, so the ``id`` cannot pass to another object while the entry
-    lives.
-    """
-    key = ("moments", id(functional))
-    entry = f2._memo.get(key)
-    if entry is None:
-        entry = f2._memo[key] = (functional, {})
-    return entry[1]
 
 
 def _exact_moment(

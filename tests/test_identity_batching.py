@@ -2,12 +2,14 @@
 
 A sweep evaluates the identity rows of each (alpha, function, interval)
 through the registry row's ``block`` evaluator: it caches f and f' at
-every x of the axis and the composed moments of f'' on both sides of
-every x, sampling f'' once, and then builds each row from those values.
-These tests pin that every swept row is, bit for bit, the row that a
-single evaluation computes on a fresh series; that a failure stays with
-the rows it belongs to; and that the sampling is batched, with one
-``composed_moments`` call per block and no one-point call per row.
+every x of the axis, computes the composed moments of f'' on both sides
+of every x from one sampling of f'', and then builds each row from those
+values.  These tests pin that every swept row is, bit for bit, the row
+that a single evaluation computes on a fresh series; that a failure stays
+with the rows it belongs to; that the sampling is batched, with one
+``composed_moments`` call per block and no one-point call per row; and
+that neither the composed moments nor the holder samples are kept on a
+series.
 """
 
 import math
@@ -28,6 +30,7 @@ from alphaineq.harness import (
     _error_report,
     _sort_key,
     evaluate_single,
+    falsify,
     parse_function_spec,
     render_report,
     run_sweep,
@@ -147,7 +150,7 @@ _ENDPOINT = st.one_of(st.sampled_from([0.0, 0.3, 1.0]), st.floats(0.0, 3.0))
 @example(0.5, [(-0.5, 1.0), (2.0, -1.0)], 2.0, [(0.3, 0.3), (1.0, 0.0), (0.0, 1.0), (0.3, 1.0), (2.0, 0.3)])
 def test_composed_moments_equal_one_segment_calls(alpha, terms, weight_grade, segments):
     functional = MomentFunctional(AlphaContext(alpha))
-    shared = AlphaSeries(terms, functional.ctx)  # its cache holds every combination below
+    shared = AlphaSeries(terms, functional.ctx)  # one series for every combination below
     for absolute in (False, True):
         for w in (weight_grade, weight_grade + 1.0):
             with np.errstate(all="ignore"):
@@ -201,7 +204,7 @@ def test_non_finite_samples_fail_only_their_own_x(monkeypatch):
         identity_residual(parse_function_spec("ml:5").realize(ctx), bad_x, a, b, MomentFunctional(ctx))
 
 
-def test_a_failing_segment_keeps_the_others_cached(monkeypatch):
+def test_a_failing_segment_raises_and_leaves_the_series_as_fresh(monkeypatch):
     ctx = AlphaContext(0.5)
     functional = MomentFunctional(ctx)
     f2 = AlphaSeries(((0.5, 1.0), (2.0, -0.4)), ctx)
@@ -211,10 +214,8 @@ def test_a_failing_segment_keeps_the_others_cached(monkeypatch):
     with pytest.raises(QuadratureError, match="non-finite values on the grid"):
         composed_moments(f2, 2.0, segments, functional)
     monkeypatch.undo()
-    calls = _count_2d_evaluations(monkeypatch)
     got = [composed_moment(f2, 2.0, x, e, functional) for x, e in segments]
     assert [_bits(v) for v in got] == [_bits(v) for v in want]
-    assert len(calls) == 1  # only the failed segment is sampled again
 
 
 def test_rows_do_not_depend_on_the_block(monkeypatch):
@@ -273,7 +274,7 @@ def test_one_f2_sampling_per_axis_and_per_single_call(monkeypatch):
     identity_residual(f, 0.9, 0.25, 1.5, functional)
     assert calls == [lf_derivative_n(f, 2)]
     identity_residual(f, 0.9, 0.25, 1.5, functional)
-    assert len(calls) == 1  # both moments are cached on f''
+    assert len(calls) == 2  # each call samples f'' once for both moments
 
 
 def test_one_composed_moments_call_per_block_and_no_one_point_residual(monkeypatch):
@@ -312,3 +313,28 @@ def test_one_composed_moments_call_per_block_and_no_one_point_residual(monkeypat
     assert len(residuals) == 1 and moments == [2]
     assert calls == [lf_derivative_n(f, 2)]  # f'' sampled once
     assert rep.lhs == -rep.slack == residual(parse_function_spec("ml:5").realize(ctx), 0.9, 0.25, 1.5, functional)
+
+
+def test_no_series_keeps_composed_moments_or_holder_samples(monkeypatch):
+    series = []
+    evaluate = AlphaSeries.evaluate
+
+    def recorded(self, x):
+        series.append(self)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(AlphaSeries, "evaluate", recorded)
+    cfg = SweepConfig(
+        alphas=(0.5, 1.0),
+        functions=tuple(parse_function_spec(t) for t in ("mono:3", "ml:5", "series:(1.5,2);(4,0.25)")),
+        inequalities=("identity", "holder"),
+        intervals=((0.25, 1.5), (0.0, 2.0)),
+        x_fractions=(0.0, 0.5, 1.0),
+    )
+    assert not any(r.notes.startswith("error:") for r in run_sweep(cfg))
+    spec = parse_function_spec("poly:1,0.5,0.25,0.1")
+    for ineq in ("identity", "holder"):
+        falsify(ineq, spec, replace(cfg, functions=(spec,), inequalities=(ineq,)), 8, 7)
+    # the sweep samples f'' of each identity block and |f| of each holder block
+    assert {f.ctx.alpha for f in series} == {0.5, 1.0}
+    assert not [key for f in series for key in f._memo if key[0] in ("moments", "holder")]

@@ -145,4 +145,41 @@ def test_one_site_makes_every_row():
 
 def test_one_site_decides_every_row():
     # so a new verdict rule is one edit
-    assert _call_sites("_holds") == [("inequalities", "_build")]
+    assert _call_sites("decide") == [("inequalities", "_build")]
+
+
+def _memoized_tags() -> list[str]:
+    """The tag of each ``memoized("...")`` call in the package, one entry per call."""
+    return [
+        node.args[0].value
+        for path in _modules() for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "memoized"
+        and node.args and isinstance(node.args[0], ast.Constant)
+    ]
+
+
+def _inline_memo_tags() -> set[str]:
+    """The string heads of the tuple keys, such as ``("sup", a, b, grid)``, of the functions that read ``_memo``."""
+    tags = set()
+    for path in _modules():
+        for func in ast.walk(_tree(path)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            nodes = list(ast.walk(func))
+            if not any(isinstance(n, ast.Attribute) and n.attr == "_memo" for n in nodes):
+                continue
+            tags.update(
+                n.elts[0].value for n in nodes
+                if isinstance(n, ast.Tuple) and n.elts and isinstance(n.elts[0], ast.Constant)
+                and isinstance(n.elts[0].value, str)
+            )
+    return tags
+
+
+def test_no_two_caches_share_a_tag():
+    # two caches on one object under one tag would hand each other's values back without an error
+    tags = _memoized_tags()
+    assert tags and len(tags) == len(set(tags)), sorted(tags)
+    inline = _inline_memo_tags()
+    assert {"ev", "sup"} <= inline, inline
+    assert not set(tags) & inline, set(tags) & inline

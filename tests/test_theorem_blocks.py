@@ -12,14 +12,18 @@ as ``render_report`` writes it, the ``evaluate_single`` row of its point or
 that point's error row; that every block's value at a point is, bit for
 bit, that of its one-point block; that a sweep makes one block call per
 block and reads each theorem record once per (block, s, p, q); that one
-function decides every row's ``holds``; and that a thm1-3 point whose
-hypothesis check and left side both raise raises the check's error.
+function decides every row's ``holds``; that a field added to the row
+record reaches every row a caller gets, since the builder alone makes them;
+and that a thm1-3 point whose hypothesis check and left side both raise
+raises the check's error.
 """
 
 import math
 import random
 import struct
+import sys
 from collections import Counter
+from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
 
@@ -36,11 +40,24 @@ from alphaineq.harness import (
     _sort_key,
     canonical_id,
     evaluate_single,
+    falsify,
     parse_function_spec,
     render_report,
     run_sweep,
 )
-from alphaineq.inequalities import INEQUALITIES, _holds, eval_thm1
+from alphaineq.inequalities import (
+    COROLLARY_VARIANTS,
+    INEQUALITIES,
+    decide,
+    eval_corollary,
+    eval_ghh,
+    eval_holder,
+    eval_ostrowski_classic,
+    eval_shh,
+    eval_thm1,
+    eval_thm2,
+    eval_thm3,
+)
 from alphaineq.quadrature import MomentFunctional
 
 CONFIG = Path(__file__).resolve().parents[1] / "bench" / "reference_sweep.json"
@@ -257,16 +274,58 @@ def test_every_verdict_comes_from_one_helper(monkeypatch):
     cfg = _cfg(("mono:3", "series:(1.5,1);(1.6,-1)"))
     slacks = []
 
-    def recorded(slack, ctx):
+    def recorded(slack, slack_tol):
         slacks.append(slack)
-        return _holds(slack, ctx)
+        return decide(slack, slack_tol)
 
-    monkeypatch.setattr(inequalities, "_holds", recorded)
+    monkeypatch.setattr(inequalities, "decide", recorded)
     rows = run_sweep(cfg)
     assert not any(r.notes.startswith("error:") for r in rows)
     assert {r.ineq for r in rows} == set(INEQUALITY_IDS)
     assert len(slacks) == len(rows)
     assert any(math.isnan(s) for s in slacks)
+
+
+def test_a_throwaway_column_reaches_every_row_through_the_builder_alone(monkeypatch):
+    # a new column is one defaulted field on the record: every row a caller gets is made by _build
+    makers = []
+
+    @dataclass(slots=True)
+    class Widened(inequalities.IneqReport):
+        extra: str = "throwaway"
+
+        def __post_init__(self):
+            makers.append(sys._getframe(2).f_code.co_name)  # the caller of the generated __init__
+
+    monkeypatch.setattr(inequalities, "IneqReport", Widened)
+    # rows from blocks; mono:0.5 has no f'', so its rows that read one are error rows
+    cfg = _cfg(("mono:3", "mono:0.5"))
+    rows = run_sweep(cfg)
+    assert any(r.notes.startswith("error:") for r in rows)
+
+    def broken(*args):
+        raise RuntimeError("block failed")
+
+    with monkeypatch.context() as patch:  # the one-point rows, and error rows, of a raising block
+        patch.setitem(INEQUALITIES, "identity", replace(INEQUALITIES["identity"], block=broken))
+        rows += run_sweep(replace(cfg, inequalities=("identity",)))
+    ctx = AlphaContext(0.5)
+    functional = MomentFunctional(ctx)
+    f = parse_function_spec("ml:5").realize(ctx)
+    a, b, x, s, p, q = 0.25, 1.75, 1.0, 0.5, 3.0, 1.5
+    rows += [evaluate_single(ineq, f, functional, a, b, x, s, p, q) for ineq in INEQUALITY_IDS]
+    rows += [
+        eval_ghh(f, a, b), eval_shh(f, s, a, b), eval_holder(f, p, q, a, b, functional),
+        eval_ostrowski_classic(f, x, a, b), eval_thm1(f, s, x, a, b, hypothesis_grid=24),
+        eval_thm2(f, s, p, q, x, a, b, hypothesis_grid=24), eval_thm3(f, s, q, x, a, b, hypothesis_grid=24),
+    ]
+    rows += [eval_corollary(variant, f, a, b, s, p, q, x) for variant in COROLLARY_VARIANTS]
+    family = parse_function_spec("poly:1,0.5,0.25,0.1")
+    witness = falsify("thm1", family, SweepConfig(alphas=(0.5,), functions=(family,), inequalities=("thm1",)), 1, 1)
+    assert witness is not None
+    rows.append(witness)
+    assert all(type(r) is Widened and r.extra == "throwaway" for r in rows)
+    assert set(makers) == {"_build"}
 
 
 @pytest.mark.parametrize(
@@ -276,7 +335,7 @@ def test_every_verdict_comes_from_one_helper(monkeypatch):
 def test_the_identity_verdict_is_the_slack_rule(residual):
     # the identity row's slack is -residual, and its verdict was residual <= slack_tol
     ctx = AlphaContext(0.5, 1e-9)
-    assert _holds(-residual, ctx) == (residual <= ctx.slack_tol)
+    assert decide(-residual, ctx.slack_tol) == (residual <= ctx.slack_tol)
 
 
 def test_a_raising_hypothesis_check_comes_before_the_values_at_x():
