@@ -429,7 +429,8 @@ def falsify(
 
     The search first evaluates a deterministic set of canonical probes (the
     family as given, on the unit interval, with endpoint and midpoint
-    evaluation points), then ``trials`` seeded random points whose
+    evaluation points, or for an id that reads no x the first of them
+    alone, which gives the same row), then ``trials`` seeded random points whose
     coefficients carry nonnegative jitter; adversarial mode re-draws signs
     as well.  Only a violation with a finite slack is a witness.
 
@@ -495,7 +496,7 @@ def falsify(
     # which makes the witness for fixed families deterministic
     found: Optional[tuple[_Point, IneqReport]] = None
     for alpha in cfg.alphas:
-        for frac in (0.0, 0.5, 1.0):
+        for frac in (0.0, 0.5, 1.0) if INEQUALITIES[ineq].read_x else (0.0,):
             pt = _Point(alpha, family_terms[alpha], 0.0, 1.0, frac, 0.5, 2.0)
             rep = evaluate(pt)
             if violates(rep) and (found is None or rep.slack < found[1].slack):

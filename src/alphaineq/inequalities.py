@@ -45,7 +45,7 @@ used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -133,28 +133,32 @@ def _build(ineq: str, ctx: AlphaContext, a: float, b: float, xs: Sequence, s_axi
     """The rows of ``ineq`` at the points ``product(s_axis, pq_axis, xs)``, from each point's ``(lhs, rhs, note)``.
 
     This is the one place that makes and decides a row.  A parameter the id
-    does not read (its :class:`Ineq` ``reads``) is None in its rows.  The
-    slack is ``rhs - lhs``, except for ``identity``, whose slack is minus
-    its residual ``lhs``, which keeps the sign of a zero residual (``0.0 -
-    lhs`` would not); ``holds`` is :func:`decide` of it and ``slack_tol``.
-    An error row is the row of NaN values with the error as its note.
+    does not read (its :class:`Ineq` read flags) is None in its rows; the
+    nested loops, in the order of ``product``, apply the flags per value.
+    The slack is ``rhs - lhs``, except for ``identity``, whose slack is
+    minus its residual ``lhs``, which keeps the sign of a zero residual
+    (``0.0 - lhs`` would not); ``holds`` is :func:`decide` of it and
+    ``slack_tol``.  An error row is the row of NaN values with the error as
+    its note.
     """
-    reads = INEQUALITIES[ineq].reads
-    read_p, read_q = "p" in reads, "q" in reads
-    if "s" not in reads:
-        s_axis = (None,) * len(s_axis)
-    if "x" not in reads:
-        xs = (None,) * len(xs)
+    rec = INEQUALITIES[ineq]
+    read_s, read_p, read_q, read_x = rec.read_s, rec.read_p, rec.read_q, rec.read_x
     alpha, tol, identity = ctx.alpha, ctx.slack_tol, ineq == "identity"
-    rows, value = [], iter(values)
-    # nested loops, the order of ``product``, cost less than ``product`` itself on a one-point block
+    rows, k = [], 0
     for s in s_axis:
+        if not read_s:
+            s = None
         for p, q in pq_axis:
-            p, q = p if read_p else None, q if read_q else None
+            if not read_p:
+                p = None
+            if not read_q:
+                q = None
             for x in xs:
-                lhs, rhs, note = next(value)
+                lhs, rhs, note = values[k]
+                k += 1
                 slack = -lhs if identity else rhs - lhs
-                rows.append(IneqReport(ineq, alpha, lhs, rhs, slack, decide(slack, tol), s, p, q, a, b, x, fn, note))
+                rows.append(IneqReport(ineq, alpha, lhs, rhs, slack, decide(slack, tol), s, p, q, a, b,
+                                       x if read_x else None, fn, note))
     return rows
 
 
@@ -173,52 +177,79 @@ def _check_s(s: float) -> None:
         raise ValueError(f"s must lie in (0, 1], got {s}")
 
 
-def _check_conjugate(p: float, q: float, tol: float = 1e-12) -> None:
+#: How far ``1/p + 1/q`` may lie from 1 for ``(p, q)`` to count as conjugate.
+_CONJUGATE_TOL = 1e-12
+
+
+def _check_conjugate(p: float, q: float) -> None:
+    """Raise ``ValueError`` unless ``p, q > 1`` are finite and ``1/p + 1/q = 1`` within ``_CONJUGATE_TOL``.
+
+    An infinite exponent is rejected even in a pair that is conjugate
+    within the tolerance, such as ``(1.0000000000001, inf)``: the paper's
+    exponents are finite, and ``v ** (1/inf)`` is 1 for every ``v > 0``,
+    so the bounds no longer follow from the theorems.
+    """
     # written so that a NaN fails each test
     if not (p > 1.0 and q > 1.0):
         raise ValueError(f"need p, q > 1, got ({p}, {q})")
-    if not abs(1.0 / p + 1.0 / q - 1.0) <= tol:
+    if not (p < math.inf and q < math.inf):
+        raise ValueError(f"need finite p and q, got ({p}, {q})")
+    if not abs(1.0 / p + 1.0 / q - 1.0) <= _CONJUGATE_TOL:
         raise ValueError(f"(p, q) = ({p}, {q}) are not conjugate")
 
 
-def _check_axes(ineq: str, a: float, b: float, xs: Sequence, s_axis: Sequence, pq_axis: Sequence) -> None:
-    """Check ``[a, b]`` and each value of the axes ``ineq`` reads, each once.
+def _check_q(q: Optional[float]) -> None:
+    """Raise ``ValueError`` unless ``1 <= q < inf``, the exponent of the power-mean route (thm3 and its corollaries)."""
+    if not (q is not None and q >= 1.0):  # a NaN q fails too
+        raise ValueError(f"need q >= 1, got {q}")
+    if not q < math.inf:
+        raise ValueError(f"need a finite q, got {q}")
+
+
+def _check_axes(ineq: str, a: float, b: float, xs: Sequence, s_axis: Sequence, pq_axis: Sequence) -> Ineq:
+    """Check ``[a, b]`` and each value of the axes ``ineq`` reads, each once, and return the id's :class:`Ineq`.
 
     A missing or bad value raises ``ValueError`` naming ``ineq``.  First
-    comes the check that no read value is missing, then the interval, s,
-    (p, q) or q, and x.
+    comes the check that no read value is missing (s, then (p, q) for an id
+    that reads p, then x), then the interval, s, (p, q) or q, and x.  The
+    read flags come from the id's record, and each value is tested inline;
+    the helper that raises (:func:`_check_interval`, :func:`_check_s`,
+    :func:`_check_conjugate`, :func:`_check_q`, :func:`_check_point`) is
+    called only on a value that fails, so a good point pays for no call.
     """
-    reads = INEQUALITIES[ineq].reads
-    read_s, read_p, read_x = "s" in reads, "p" in reads, "x" in reads
-    if read_s:
-        for s in s_axis:
-            if s is None:
-                raise ValueError(f"{ineq} needs the convexity order s")
+    rec = INEQUALITIES[ineq]
+    read_s, read_p, read_q, read_x = rec.read_s, rec.read_p, rec.read_q, rec.read_x
+    if read_s and None in s_axis:
+        raise ValueError(f"{ineq} needs the convexity order s")
     if read_p:
         for p, q in pq_axis:
             if p is None or q is None:
                 raise ValueError(f"{ineq} needs conjugate (p, q)")
-    if read_x:
-        for x in xs:
-            if x is None:
-                raise ValueError(f"{ineq} needs the evaluation point x")
+    if read_x and None in xs:
+        raise ValueError(f"{ineq} needs the evaluation point x")
     try:
-        _check_interval(a, b)
+        # each test is written so that a NaN fails it
+        if not (0.0 <= a < b < math.inf):
+            _check_interval(a, b)
         if read_s:
             for s in s_axis:
-                _check_s(s)
+                if not (0.0 < s <= 1.0):
+                    _check_s(s)
         if read_p:
             for p, q in pq_axis:
-                _check_conjugate(p, q)
-        elif "q" in reads:
+                if not (1.0 < p < math.inf and 1.0 < q < math.inf and abs(1.0 / p + 1.0 / q - 1.0) <= _CONJUGATE_TOL):
+                    _check_conjugate(p, q)
+        elif read_q:
             for _, q in pq_axis:
-                if not (q is not None and q >= 1.0):  # a NaN q fails too
-                    raise ValueError(f"need q >= 1, got {q}")
+                if not (q is not None and 1.0 <= q < math.inf):
+                    _check_q(q)
         if read_x:
             for x in xs:
-                _check_point(x, a, b)
+                if not (a <= x <= b):
+                    _check_point(x, a, b)
     except ValueError as exc:
         raise ValueError(f"{ineq}: {exc}") from None
+    return rec
 
 
 def _grid(lo: list, hi: list, n: int) -> np.ndarray:
@@ -702,29 +733,33 @@ def _theorem_block(ineq: str, f: AlphaSeries, a: float, b: float, xs: Sequence, 
     runs next to the record and before any value at x, so a point whose
     note and x values both raise raises the note's error.
     """
-    _check_axes(ineq, a, b, xs, s_axis, pq_axis)
-    reads = INEQUALITIES[ineq].reads
-    form, _, thm = ineq.rpartition("-")
+    rec = _check_axes(ineq, a, b, xs, s_axis, pq_axis)
+    form, thm, read_p, read_q = rec.form, rec.thm, rec.read_p, rec.read_q
     ctx = f.ctx
     al = ctx.alpha
-    read_p, read_q = "p" in reads, "q" in reads
     records = []  # per (s, p, q), the theorem's record and a thm value's note
     for s in s_axis:
         for p, q in pq_axis:
             # a parameter the theorem ignores is None, so rows that differ only in it share a record
-            p, q = p if read_p else None, q if read_q else None
+            if not read_p:
+                p = None
+            if not read_q:
+                q = None
             record = _theorem(f, thm, s, p, q)
             records.append((record, "" if form else _hypothesis_note(f, s, a, b, grid, 1.0 if q is None else q)))
     values = []
     if not (records and xs):
         return values
-    f2, g2 = records[0][0][:2]  # the same in every record
     if not form:  # thm1-3
-        at_x = [_theorem_at(f, x, a, b) for x in xs]
+        at_x = []
+        for x in xs:
+            at_x.append(_theorem_at(f, x, a, b))
         for (_, _, front, side, _, _, _, _), note in records:
             for dx, da, db, wa, wb, den, left in at_x:
                 values.append((left, front * (wa * side(dx, da) + wb * side(dx, db)) / den, note))
-    elif form == "theta":
+        return values
+    f2, g2 = records[0][0][:2]  # the same in every record
+    if form == "theta":
         theta = sup_abs(f2, a, b)
         at_x = []
         for x in xs:
@@ -858,21 +893,44 @@ class Ineq:
     rows ``(series, a, b)`` ahead of evaluating them
     (:func:`_prepare_theta`).  It only fills caches the evaluations read,
     so a row's value does not depend on it, and a caller ignores its
-    errors.
+    errors.  A theorem-family id (thm1-3 and the nine corollaries) has its
+    theorem ``thm`` and its corollary ``form``, empty for the theorem
+    itself; every other id has both empty.
+
+    The read flags ``read_s``, ``read_p``, ``read_q`` and ``read_x`` are
+    derived from ``reads`` when the record is made, so the registry is the
+    one place an id's contract lives, and :func:`_check_axes` and
+    :func:`_build` read a flag instead of testing the set on every call.
     """
 
     reads: frozenset[str]
     evaluate: Evaluator
     block: Callable[..., list[tuple]]
     prepare: Optional[Callable[[list], None]] = None
+    form: str = ""
+    thm: str = ""
+    read_s: bool = field(init=False)
+    read_p: bool = field(init=False)
+    read_q: bool = field(init=False)
+    read_x: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        for name in "spqx":
+            object.__setattr__(self, f"read_{name}", name in self.reads)
 
 
 def _corollary(variant: str) -> Evaluator:
     return lambda f, fl, a, b, x, s, p, q: eval_corollary(variant, f, a, b, s, p, q, x)
 
 
-def _block(ineq: str) -> Callable[..., list[tuple]]:
-    return lambda f, fl, a, b, xs, s_axis, pq_axis: _theorem_block(ineq, f, a, b, xs, s_axis, pq_axis)
+def _theorem_ineq(ineq: str, reads: str, evaluate: Evaluator) -> Ineq:
+    """A theorem-family record: its block is :func:`_theorem_block`, and its form and thm split ``ineq``."""
+    form, _, thm = ineq.rpartition("-")
+    return Ineq(
+        frozenset(reads), evaluate,
+        lambda f, fl, a, b, xs, s_axis, pq_axis: _theorem_block(ineq, f, a, b, xs, s_axis, pq_axis),
+        _prepare_theta(2) if "theta" in form else None, form, thm,
+    )
 
 
 #: Every inequality id, in report order, and its :class:`Ineq` record, whose
@@ -906,16 +964,14 @@ INEQUALITIES: dict[str, Ineq] = {
         )[0],
         lambda *args: _identity_block(*args),
     ),
-    "thm1": Ineq(frozenset("sx"), lambda f, fl, a, b, x, s, p, q: eval_thm1(f, s, x, a, b), _block("thm1")),
-    "thm2": Ineq(frozenset("sxpq"), lambda f, fl, a, b, x, s, p, q: eval_thm2(f, s, p, q, x, a, b), _block("thm2")),
-    "thm3": Ineq(frozenset("sxq"), lambda f, fl, a, b, x, s, p, q: eval_thm3(f, s, q, x, a, b), _block("thm3")),
+    "thm1": _theorem_ineq("thm1", "sx", lambda f, fl, a, b, x, s, p, q: eval_thm1(f, s, x, a, b)),
+    "thm2": _theorem_ineq("thm2", "sxpq", lambda f, fl, a, b, x, s, p, q: eval_thm2(f, s, p, q, x, a, b)),
+    "thm3": _theorem_ineq("thm3", "sxq", lambda f, fl, a, b, x, s, p, q: eval_thm3(f, s, q, x, a, b)),
     # every corollary reads s; the theta forms also x, and each reads what its theorem reads of p and q
     **{
-        f"{form}-thm{i}": Ineq(
-            frozenset("s" + ("x" if form == "theta" else "") + {1: "", 2: "pq", 3: "q"}[i]),
+        f"{form}-thm{i}": _theorem_ineq(
+            f"{form}-thm{i}", "s" + ("x" if form == "theta" else "") + {1: "", 2: "pq", 3: "q"}[i],
             _corollary(f"{form}-thm{i}"),
-            _block(f"{form}-thm{i}"),
-            _prepare_theta(2) if "theta" in form else None,
         )
         for i in (1, 2, 3)
         for form in ("midpoint", "theta", "midpoint-theta")

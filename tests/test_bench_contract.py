@@ -6,14 +6,16 @@ and ``bench/workloads.py`` reads program names and options (such as
 ``eval_thm1``-``3``, and the module-level ``harness.evaluate_single``,
 which it rebinds to count a falsify job's evaluations).  A change in the
 program would otherwise surface only when the benchmark runs.  These tests
-check the tracer's targets, and run one untraced pass of each workload
-through its own checks.
+check the tracer's targets, run one untraced pass of each workload
+through its own checks, and pin the digest of the seed-1 certify-gated
+pass.
 """
 
 import importlib
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
@@ -42,6 +44,12 @@ def workloads():
 
 WORKLOADS = ("sweep-reference", "sweep-quadrature", "certify-gated", "falsify-search")
 
+#: The numpy version the certify-gated digest was recorded with.
+RECORDED_WITH = "2.4.6"
+
+#: SHA-256 of one rendered seed-1 certify-gated pass and its row count; the digest is the one in bench/digests.json.
+CERTIFY_GATED_SEED_1 = ("e5c0492710c87f62ca88052cc709dd4bdcb3a4140cd82e93b4a75bed1c1be980", 2520)
+
 
 def test_every_workload_is_smoke_tested(workloads):
     assert tuple(workloads.WORKLOADS) == WORKLOADS
@@ -64,6 +72,20 @@ def test_one_pass_of_each_workload_passes_its_checks(name, workloads, tmp_path):
     assert verdict.errors == 0
     # falsify-search counts the evaluate_single calls its jobs make through the rebound name
     assert result.rows > 0 and verdict.rows > 0
+
+
+def test_the_certify_gated_pass_is_pinned(workloads, tmp_path):
+    # the claimed workload's output, bit for bit: every thm1-3 row with its hypothesis note
+    if numpy.__version__ != RECORDED_WITH:
+        pytest.skip(
+            f"the certify-gated digest is tied to its numpy version: numpy {numpy.__version__} "
+            f"(digest recorded with {RECORDED_WITH})"
+        )
+    wl = workloads.make("certify-gated", 1, tmp_path)
+    wl.generate()
+    wl.setup()
+    result = wl.run_pass(None)
+    assert (result.digest, result.rows) == CERTIFY_GATED_SEED_1
 
 
 @pytest.mark.parametrize("name", ("sweep-reference", "sweep-quadrature"))

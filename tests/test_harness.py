@@ -159,6 +159,13 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("pair", [(1.0000000000001, math.inf), (math.inf, 1.0000000000001), (math.inf, math.inf)])
+    def test_an_infinite_p_or_q_is_rejected(self, pair):
+        # the first two pairs are conjugate within the 1e-12 tolerance
+        with pytest.raises(ValueError, match=re.escape(f"need finite p and q, got {pair}")):
+            SweepConfig(alphas=(1.0,), functions=(parse_function_spec("mono:3"),),
+                        inequalities=("thm2", "thm3", "holder"), pq_pairs=(pair,))
+
     @pytest.mark.parametrize(
         "tolerances",
         [
@@ -826,7 +833,8 @@ def _scalar_draw_trials(family, alphas, trials, seed, adversarial):
 @pytest.mark.parametrize("alphas", [(1.0,), (0.5, 1.0), (0.5, 0.8, 1.0), (0.3, 0.5, 0.7, 0.9, 1.0)])
 @pytest.mark.parametrize("adversarial", [False, True])
 def test_random_trials_draw_the_scalar_stream(monkeypatch, alphas, adversarial):
-    # holder finds no counterexample here, so every point past the probes is a trial
+    # holder finds no counterexample here, so every point past the probes, one per alpha since holder reads
+    # no x, is a trial
     family = parse_function_spec("ml:6")
     points = []
     real = harness.evaluate_single
@@ -838,7 +846,7 @@ def test_random_trials_draw_the_scalar_stream(monkeypatch, alphas, adversarial):
     monkeypatch.setattr(harness, "evaluate_single", recorded)
     cfg = _cfg(alphas=alphas, inequalities=("holder",))
     assert falsify("holder", family, cfg, trials=40, seed=17, adversarial=adversarial) is None
-    trials = points[3 * len(alphas):]
+    trials = points[len(alphas):]
     assert trials == list(_scalar_draw_trials(family, alphas, 40, 17, adversarial))
 
 
@@ -1091,6 +1099,24 @@ class TestCli:
                      "--a", "0", "--b", "1", "--x", "0.5", "--fn", "mono:3"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "ineq, p, q, message",
+        [("thm3", None, "inf", "thm3: need a finite q, got inf"),
+         ("midpoint-theta-thm3", None, "inf", "midpoint-theta-thm3: need a finite q, got inf"),
+         # conjugate within the 1e-12 tolerance
+         ("thm2", "1.0000000000001", "inf", "thm2: need finite p and q, got (1.0000000000001, inf)"),
+         ("holder", "1.0000000000001", "inf", "holder: need finite p and q, got (1.0000000000001, inf)"),
+         ("theta-thm2", "inf", "1.0000000000001", "theta-thm2: need finite p and q, got (inf, 1.0000000000001)")],
+        ids=["thm3", "midpoint-theta-thm3", "thm2", "holder", "theta-thm2"],
+    )
+    def test_eval_rejects_an_infinite_p_or_q(self, ineq, p, q, message, capsys):
+        # an infinite q used to pass the check, and thm3 on mono:3 then read violated (slack -0.0833)
+        pq = ["--q", q] if p is None else ["--p", p, "--q", q]
+        code = main(["eval", "--ineq", ineq, "--alpha", "1", "--s", "1", *pq,
+                     "--a", "0", "--b", "1", "--x", "0.5", "--fn", "mono:3"])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_sweep_roundtrip(self, tmp_path, capsys):
         cfg = {

@@ -130,7 +130,8 @@ def test_falsify_prepares_chunks_of_at_most_16_trials(ineq, alphas, monkeypatch)
 
     monkeypatch.setitem(INEQUALITIES, ineq, replace(INEQUALITIES[ineq], prepare=recorded))
     result = _job(ineq, "ml:6", alphas, False, 5, monkeypatch, Tolerances(slack_tol=1e300))
-    assert result == ("none\n", 3 * len(alphas) + TRIALS)  # three canonical probes per alpha, then every trial
+    # the canonical probes, three per alpha for an id that reads x and else one, then every trial
+    assert result == ("none\n", (3 if "x" in INEQUALITIES[ineq].reads else 1) * len(alphas) + TRIALS)
     # one call per chunk, whatever alphas its trials have
     assert [n for n, _ in calls] == [1, 2, 4, 8, 16, 16, 13]
     assert all(live <= 16 for _, live in calls), calls
