@@ -412,7 +412,7 @@ class _Point(NamedTuple):
         return self.a + self.frac * (self.b - self.a)
 
 
-#: The most random trials a ``falsify`` job draws, and prepares, ahead of evaluating them.
+#: The most random trials a ``falsify`` job draws, and prepares where its id has a step, ahead of evaluating them.
 _TRIAL_CHUNK = 16
 
 
@@ -449,16 +449,20 @@ def falsify(
     on it (f', f'', I(f), theta) are computed once: the canonical probes
     use their family's series, and a shrink step that moves only x or b,
     or returns to terms it tried before, re-uses the series of those terms.
-    The random trials are drawn ahead, in chunks of 1, 2, 4, 8 and then 16
-    (``_TRIAL_CHUNK``) trials, which draws the same values in the same
-    order as drawing them one at a time, when the id has a ``prepare``
-    step (the theta forms and ``ostrowski``).  That step fills theta of
-    every trial of a chunk in one array kernel, and the chunk's trials are
-    then evaluated in order, each as before, so neither the witness nor
-    the number of evaluations depends on the step.  Every other id draws
-    one trial at a time.  Only the series of the latest chunk are kept
-    while the search runs; the shrink keeps every series it makes, which
-    are freed when the job returns.
+    The random trials of every id are drawn ahead, in chunks of 1, 2, 4, 8
+    and then 16 (``_TRIAL_CHUNK``) trials, which draws the same values in
+    the same order as drawing them one at a time: with one alpha, a
+    chunk's uniforms come from one array call, and with several, each
+    trial's alpha index is drawn before its uniforms, trial by trial.
+    Either way a chunk's points come from one array map of the uniforms
+    and one product with the family's coefficients per alpha.  Where the
+    id has a ``prepare`` step (the theta forms and ``ostrowski``), the step
+    fills theta of every trial of a chunk in one array kernel.  The
+    chunk's trials are then evaluated in order, each as before, so neither
+    the witness nor the number of evaluations depends on the chunk size or
+    the step.  Only the series of the latest chunk are kept while the
+    search runs; the shrink keeps every series it makes, which are freed
+    when the job returns.
 
     An evaluator error, such as the Gamma pole of a family without a second
     derivative, propagates as it does from :func:`evaluate_single`.  As in
@@ -506,38 +510,51 @@ def falsify(
         # A trial draws a, the length of [a, b], the x fraction, s, p and one
         # scale per coefficient from [low, high): nonnegative coefficient
         # jitter keeps the candidates convexity friendly; adversarial mode
-        # re-draws signs as well.  One ``random(n)`` call and the map
-        # ``low + (high - low) * u`` give the values of separate
-        # ``uniform(low, high)`` calls bit for bit, without their overhead.
+        # re-draws signs as well.  The map ``low + (high - low) * u`` of
+        # ``random`` draws gives the values of separate ``uniform(low, high)``
+        # calls bit for bit, without their overhead, and numpy's elementwise
+        # arithmetic gives the bits of the same arithmetic on Python floats.
         jitter = -2.0 if adversarial else 0.0
-        bounds = {}
+        maps = {}  # per alpha: the lows and spans of a trial's draws, the family's coefficients and grades
         for alpha, base in family_terms.items():
-            lows = (0.0, 0.25, 0.0, 0.05, 1.2) + (jitter,) * len(base)
-            highs = (2.0, 2.75, 1.0, 1.0, 4.0) + (2.0,) * len(base)
-            bounds[alpha] = tuple((lo, hi - lo) for lo, hi in zip(lows, highs))
+            lows = np.array((0.0, 0.25, 0.0, 0.05, 1.2) + (jitter,) * len(base))
+            spans = np.array((2.0, 2.75, 1.0, 1.0, 4.0) + (2.0,) * len(base)) - lows
+            maps[alpha] = (lows, spans, np.array([c for _, c in base]), [k for k, _ in base])
+        alphas = cfg.alphas
+
         def draw(n: int) -> list[_Point]:
-            pts = []
-            for _ in range(n):
-                # the index draw of ``rng.choice(cfg.alphas)``, which draws nothing from one alpha
-                i = rng.integers(0, len(cfg.alphas), dtype=np.int64) if len(cfg.alphas) > 1 else 0
-                alpha = float(cfg.alphas[i])
-                draws = rng.random(len(bounds[alpha])).tolist()
+            if len(alphas) == 1:
+                # one ``random((n, width))`` call draws the stream of n ``random(width)`` calls
+                alpha = float(alphas[0])
+                order, uniforms = [alpha] * n, {alpha: rng.random((n, len(maps[alpha][0])))}
+            else:
+                # each trial's alpha is drawn before its uniforms, so they are drawn trial by trial
+                order, uniforms = [], {}
+                for _ in range(n):
+                    # the index draw of ``rng.choice(alphas)``
+                    alpha = float(alphas[rng.integers(0, len(alphas), dtype=np.int64)])
+                    order.append(alpha)
+                    uniforms.setdefault(alpha, []).append(rng.random(len(maps[alpha][0])))
+            pts = {}
+            for alpha, u in uniforms.items():
+                lows, spans, coeffs, grades = maps[alpha]
+                v = lows + spans * np.asarray(u)
                 # Python floats, so the witness's values and ``holds`` are not numpy scalars
-                a, length, frac, s, p, *scales = [lo + span * u for (lo, span), u in zip(bounds[alpha], draws)]
-                terms = tuple((k, c * sc) for (k, c), sc in zip(family_terms[alpha], scales))
-                pts.append(_Point(alpha, terms, a, a + length, frac, s, p))
-            return pts
+                pts[alpha] = iter([
+                    _Point(alpha, tuple(zip(grades, scaled)), a, a + length, frac, s, p)
+                    for (a, length, frac, s, p), scaled in zip(v[:, :5].tolist(), (v[:, 5:] * coeffs).tolist())
+                ])
+            return [next(pts[alpha]) for alpha in order]
 
         # the trials are drawn ahead, in chunks of 1, 2, 4, ... up to _TRIAL_CHUNK
-        # trials, which draws the same values in the same order, so that the
-        # id's prepare step fills what a whole chunk reads at once; an id
-        # without one draws one trial at a time
+        # trials, which draws the same values in the same order, so that a
+        # chunk is drawn by a few array calls and an id's prepare step fills
+        # what a whole chunk reads at once
         prepare = INEQUALITIES[ineq].prepare
-        cap = 1 if prepare is None else _TRIAL_CHUNK
         drawn, size = 0, 1
         while found is None and drawn < trials:
             chunk = draw(min(size, trials - drawn))
-            drawn, size = drawn + len(chunk), min(2 * size, cap)
+            drawn, size = drawn + len(chunk), min(2 * size, _TRIAL_CHUNK)
             kept.clear()  # a random trial's terms never recur, unless a shrink starts from them
             if prepare is not None:
                 rows = []

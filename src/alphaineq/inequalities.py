@@ -731,22 +731,27 @@ def _theorem_block(ineq: str, f: AlphaSeries, a: float, b: float, xs: Sequence, 
     that error.  The thm values carry the s-convexity hypothesis, grid-checked
     when ``grid > 0`` (:func:`_hypothesis_note`), as their note; the check
     runs next to the record and before any value at x, so a point whose
-    note and x values both raise raises the note's error.
+    note and x values both raise raises the note's error.  An overflow of
+    the record, its note or a thm value's power mean is raised again as an
+    ``OverflowError`` that names the id and the p and q it reads.
     """
     rec = _check_axes(ineq, a, b, xs, s_axis, pq_axis)
     form, thm, read_p, read_q = rec.form, rec.thm, rec.read_p, rec.read_q
     ctx = f.ctx
     al = ctx.alpha
     records = []  # per (s, p, q), the theorem's record and a thm value's note
-    for s in s_axis:
-        for p, q in pq_axis:
-            # a parameter the theorem ignores is None, so rows that differ only in it share a record
-            if not read_p:
-                p = None
-            if not read_q:
-                q = None
-            record = _theorem(f, thm, s, p, q)
-            records.append((record, "" if form else _hypothesis_note(f, s, a, b, grid, 1.0 if q is None else q)))
+    try:
+        for s in s_axis:
+            for p, q in pq_axis:
+                # a parameter the theorem ignores is None, so rows that differ only in it share a record
+                if not read_p:
+                    p = None
+                if not read_q:
+                    q = None
+                record = _theorem(f, thm, s, p, q)
+                records.append((record, "" if form else _hypothesis_note(f, s, a, b, grid, 1.0 if q is None else q)))
+    except OverflowError as exc:  # Gamma(1 + 2p alpha) at a large p
+        raise _exponent_overflow(ineq, p, q, exc) from exc
     values = []
     if not (records and xs):
         return values
@@ -754,9 +759,14 @@ def _theorem_block(ineq: str, f: AlphaSeries, a: float, b: float, xs: Sequence, 
         at_x = []
         for x in xs:
             at_x.append(_theorem_at(f, x, a, b))
-        for (_, _, front, side, _, _, _, _), note in records:
-            for dx, da, db, wa, wb, den, left in at_x:
-                values.append((left, front * (wa * side(dx, da) + wb * side(dx, db)) / den, note))
+        try:
+            for (_, _, front, side, _, _, _, _), note in records:
+                for dx, da, db, wa, wb, den, left in at_x:
+                    values.append((left, front * (wa * side(dx, da) + wb * side(dx, db)) / den, note))
+        except OverflowError as exc:  # |f''|**q at a large q
+            # each record adds len(xs) values, and the records follow product(s_axis, pq_axis)
+            p, q = pq_axis[len(values) // len(xs) % len(pq_axis)]
+            raise _exponent_overflow(ineq, p if read_p else None, q if read_q else None, exc) from exc
         return values
     f2, g2 = records[0][0][:2]  # the same in every record
     if form == "theta":
@@ -782,6 +792,12 @@ def _theorem_block(ineq: str, f: AlphaSeries, a: float, b: float, xs: Sequence, 
                 right = front * lead * sup * (theta * (b - a) ** (2.0 * al) / (4.0**al * g2))
             values += [(left, right, "")] * len(xs)
     return values
+
+
+def _exponent_overflow(ineq: str, p: Optional[float], q: Optional[float], exc: OverflowError) -> OverflowError:
+    """The ``OverflowError`` of a theorem-family point at exponents p and q, naming both, or q alone where p is None."""
+    at = ", ".join(f"{name}={value!r}" for name, value in (("p", p), ("q", q)) if value is not None)
+    return OverflowError(f"{ineq} overflows at {at}: {exc}")
 
 
 def eval_thm1(

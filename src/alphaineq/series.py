@@ -94,11 +94,12 @@ class _GradePlan:
     array); ``squares`` and ``roots`` index the exponents 2.0 and 0.5, which
     numpy computes by square and sqrt, not pow, so the scalar path must do
     the same.  The derivative's Gamma pairs ``(G(1+k a), G(1+(k-1) a))`` per
-    differentiated term, or the message of the pole it hits, and the
-    integral's ratios ``G(1+k a)/G(1+(k+1) a)`` are computed on first use.
+    differentiated term, or the message of the pole it hits, the
+    integral's ratios ``G(1+k a)/G(1+(k+1) a)`` and the plan of the
+    derivative's grades are computed on first use.
     """
 
-    __slots__ = ("grades", "alpha", "exps", "exp_array", "squares", "roots", "_pairs", "_ratios")
+    __slots__ = ("grades", "alpha", "exps", "exp_array", "squares", "roots", "_pairs", "_ratios", "_derived")
 
     def __init__(self, grades: tuple, alpha: float) -> None:
         self.grades, self.alpha = grades, alpha
@@ -108,6 +109,7 @@ class _GradePlan:
         self.roots = [i for i, e in enumerate(self.exps) if e == 0.5]
         self._pairs: Optional[tuple | str] = None
         self._ratios: Optional[list] = None
+        self._derived: Optional[_GradePlan] = None
 
     def derivative_pairs(self) -> tuple[int, list]:
         """``(skip, pairs)``: the number of leading constant terms and the Gamma pairs of the rest.
@@ -146,6 +148,18 @@ class _GradePlan:
             a = self.alpha
             ratios = self._ratios = [gamma(1.0 + k * a) / gamma(1.0 + (k + 1.0) * a) for k in self.grades]
         return ratios
+
+    def derivative_plan(self, ctx: AlphaContext) -> "_GradePlan":
+        """The plan of the derivative's grades ``k - 1``, looked up once through :func:`_grade_plan`.
+
+        ``ctx`` is the context this plan belongs to.  Only a derivative whose
+        terms are these grades, in this order, may hold the result.
+        """
+        plan = self._derived
+        if plan is None:
+            skip, _ = self.derivative_pairs()
+            plan = self._derived = _grade_plan(ctx, tuple([k - 1.0 for k in self.grades[skip:]]))
+        return plan
 
 
 @memoized("plan")
@@ -311,11 +325,18 @@ def lf_derivative(f: AlphaSeries) -> AlphaSeries:
     would hit the Gamma pole at 0), so constants simply map to the zero
     series.  The Gamma pairs come from the grade plan, so series that share
     their grades share them; the result is cached on ``f``, and a pole is
-    raised on every call.
+    raised on every call.  The result inherits the plan of its grades from
+    ``f``'s plan (:meth:`_GradePlan.derivative_plan`) when normalization
+    keeps its terms as computed; otherwise, say when a coefficient
+    underflows to zero, it looks its plan up from its own grades.
     """
-    skip, pairs = _plan_of(f).derivative_pairs()
+    plan = _plan_of(f)
+    skip, pairs = plan.derivative_pairs()
     out = tuple([(k - 1.0, c * hi / lo) for (k, c), (hi, lo) in zip(f.terms[skip:], pairs)])
-    return AlphaSeries(out, f.ctx)
+    g = AlphaSeries(out, f.ctx)
+    if g.terms is out:
+        object.__setattr__(g, "_plan", plan.derivative_plan(f.ctx))
+    return g
 
 
 def lf_derivative_n(f: AlphaSeries, n: int) -> AlphaSeries:

@@ -7,8 +7,8 @@ and ``bench/workloads.py`` reads program names and options (such as
 which it rebinds to count a falsify job's evaluations).  A change in the
 program would otherwise surface only when the benchmark runs.  These tests
 check the tracer's targets, run one untraced pass of each workload
-through its own checks, and pin the digest of the seed-1 certify-gated
-pass.
+through its own checks, and pin the digests of the seed-1 certify-gated
+and falsify-search passes.
 """
 
 import importlib
@@ -44,11 +44,15 @@ def workloads():
 
 WORKLOADS = ("sweep-reference", "sweep-quadrature", "certify-gated", "falsify-search")
 
-#: The numpy version the certify-gated digest was recorded with.
+#: The numpy version the pinned digests were recorded with.
 RECORDED_WITH = "2.4.6"
 
 #: SHA-256 of one rendered seed-1 certify-gated pass and its row count; the digest is the one in bench/digests.json.
 CERTIFY_GATED_SEED_1 = ("e5c0492710c87f62ca88052cc709dd4bdcb3a4140cd82e93b4a75bed1c1be980", 2520)
+
+#: SHA-256 of the rendered witnesses of one seed-1 falsify-search pass and its number of
+#: ``evaluate_single`` calls.  bench/digests.json holds an older digest for this workload.
+FALSIFY_SEARCH_SEED_1 = ("4e7da364d01caea8c1d30b775892fb1e4ec7c9ba40ac6ee5b28ee50ff8502deb", 20903)
 
 
 def test_every_workload_is_smoke_tested(workloads):
@@ -74,18 +78,28 @@ def test_one_pass_of_each_workload_passes_its_checks(name, workloads, tmp_path):
     assert result.rows > 0 and verdict.rows > 0
 
 
-def test_the_certify_gated_pass_is_pinned(workloads, tmp_path):
-    # the claimed workload's output, bit for bit: every thm1-3 row with its hypothesis note
+def _seed_1_pass(workloads, name, tmp_path):
+    """The digest and row count of one seed-1 pass of ``name``, skipped under another numpy than the pin's."""
     if numpy.__version__ != RECORDED_WITH:
         pytest.skip(
-            f"the certify-gated digest is tied to its numpy version: numpy {numpy.__version__} "
+            f"the {name} digest is tied to its numpy version: numpy {numpy.__version__} "
             f"(digest recorded with {RECORDED_WITH})"
         )
-    wl = workloads.make("certify-gated", 1, tmp_path)
+    wl = workloads.make(name, 1, tmp_path)
     wl.generate()
     wl.setup()
     result = wl.run_pass(None)
-    assert (result.digest, result.rows) == CERTIFY_GATED_SEED_1
+    return result.digest, result.rows
+
+
+def test_the_certify_gated_pass_is_pinned(workloads, tmp_path):
+    # the claimed workload's output, bit for bit: every thm1-3 row with its hypothesis note
+    assert _seed_1_pass(workloads, "certify-gated", tmp_path) == CERTIFY_GATED_SEED_1
+
+
+def test_the_falsify_search_pass_is_pinned(workloads, tmp_path):
+    # every witness of the 204 jobs, bit for bit, and the number of points the jobs evaluate
+    assert _seed_1_pass(workloads, "falsify-search", tmp_path) == FALSIFY_SEARCH_SEED_1
 
 
 @pytest.mark.parametrize("name", ("sweep-reference", "sweep-quadrature"))

@@ -1118,6 +1118,35 @@ class TestCli:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    #: Points of mono:3 on [0, 1] at x = 0.5 whose theorem family overflows: |f''|**q at q = 1e3
+    #: (6**1000), and Gamma(1 + 2p alpha) at p = 200, alpha = 0.5.
+    OVERFLOWS = [
+        ("thm3", "1", None, "1e3", "thm3 overflows at q=1000.0: (34, 'Numerical result out of range')"),
+        ("thm2", "1", "1.001001001001001", "1e3",
+         "thm2 overflows at p=1.001001001001001, q=1000.0: (34, 'Numerical result out of range')"),
+        ("thm2", "0.5", "200", "1.0050251256281406",
+         "thm2 overflows at p=200.0, q=1.0050251256281406: math range error"),
+        ("midpoint-thm2", "0.5", "200", "1.0050251256281406",
+         "midpoint-thm2 overflows at p=200.0, q=1.0050251256281406: math range error"),
+    ]
+
+    @pytest.mark.parametrize("ineq, alpha, p, q, message", OVERFLOWS, ids=[o[0] + "-" + o[3] for o in OVERFLOWS])
+    def test_a_theorem_overflow_names_its_id_and_exponents(self, ineq, alpha, p, q, message, capsys):
+        # the error used to read only "(34, 'Numerical result out of range')" or "math range error"
+        pq = ["--q", q] if p is None else ["--p", p, "--q", q]
+        code = main(["eval", "--ineq", ineq, "--alpha", alpha, "--s", "1", *pq,
+                     "--a", "0", "--b", "1", "--x", "0.5", "--fn", "mono:3"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        # a sweep of the same point makes it an error row whose note names the id and the exponents
+        pair = (float(p), float(q)) if p is not None else (1.0 / (1.0 - 1.0 / float(q)), float(q))
+        (row,) = run_sweep(SweepConfig(
+            alphas=(float(alpha),), functions=(parse_function_spec("mono:3"),), inequalities=(ineq,),
+            intervals=((0.0, 1.0),), x_fractions=(0.5,), s_values=(1.0,), pq_pairs=(pair,),
+        ))
+        assert row.notes == f"error: OverflowError: {message}"
+        assert not row.holds and math.isnan(row.slack)
+
     def test_sweep_roundtrip(self, tmp_path, capsys):
         cfg = {
             "alphas": [1.0],

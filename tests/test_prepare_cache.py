@@ -3,11 +3,13 @@
 An id's prepare step fills theta of f'' for the six theta forms and theta
 of f' for ``ostrowski``, for rows ``(series, a, b)``.  ``run_sweep`` never
 calls it: a sweep computes what its blocks share through the registry's
-``block`` evaluators.  ``falsify`` prepares its random trials a chunk
-ahead, in chunks of 1, 2, 4, 8 and then 16 trials, whatever alphas they
-have, and never holds more than 16 prepared trial series at once.  A job's
-witness and its number of ``evaluate_single`` calls are the same when the
-step is removed and when it raises.
+``block`` evaluators.  ``falsify`` draws the random trials of every id a
+chunk ahead, in chunks of 1, 2, 4, 8 and then 16 trials, whatever alphas
+they have, prepares each chunk where the id has a step, and never holds
+more than 16 prepared trial series at once.  A job's witness and its
+number of ``evaluate_single`` calls are the same when the step is removed
+and when it raises, and a job draws and evaluates the same points when its
+trials are drawn one at a time.
 """
 
 import gc
@@ -38,8 +40,8 @@ def _broken(rows):
 def _variants(ineq):
     """The registry row of ``ineq`` with its prepare step, without one and with one that raises.
 
-    With the raising step, ``falsify`` draws the trials of every id in
-    chunks, and calls the step on each.
+    With the raising step, ``falsify`` calls the step on every chunk of
+    trials, of every id.
     """
     rec = INEQUALITIES[ineq]
     return {"as is": rec, "removed": replace(rec, prepare=None), "raising": replace(rec, prepare=_broken)}
@@ -135,3 +137,51 @@ def test_falsify_prepares_chunks_of_at_most_16_trials(ineq, alphas, monkeypatch)
     # one call per chunk, whatever alphas its trials have
     assert [n for n, _ in calls] == [1, 2, 4, 8, 16, 16, 13]
     assert all(live <= 16 for _, live in calls), calls
+
+
+def _drawn(ineq, job, chunk, monkeypatch, tolerances=Tolerances()):
+    """``_job`` with trials drawn in chunks of at most ``chunk``, the points it builds and those it evaluates."""
+    built, evaluated = [], []
+    point, single = harness._Point, harness.evaluate_single
+
+    def building(*args):
+        built.append(point(*args))
+        return built[-1]
+
+    def evaluating(*args):
+        series = args[1]
+        evaluated.append((series.ctx.alpha, series.terms, *args[3:]))
+        return single(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_TRIAL_CHUNK", chunk)
+        patch.setattr(harness, "_Point", building)
+        patch.setattr(harness, "evaluate_single", evaluating)
+        result = _job(ineq, *job, monkeypatch, tolerances)
+    return result, evaluated, built
+
+
+@pytest.mark.parametrize("alphas", [(0.5,), (0.5, 0.8, 1.0)], ids=["one-alpha", "three-alphas"])
+@pytest.mark.parametrize("ineq", list(INEQUALITIES))
+def test_falsify_draws_the_same_trials_in_chunks_as_one_at_a_time(ineq, alphas, monkeypatch):
+    # a chunk's uniforms come from one array call with one alpha, and trial by trial with several
+    chunk = harness._TRIAL_CHUNK
+    for family, seed in (("ml:6", 3), ("poly:1,0.5,0.25,0.1", 8)):
+        for adversarial in (False, True):
+            job = (family, alphas, adversarial, seed)
+            one, evaluated_one, _ = _drawn(ineq, job, 1, monkeypatch)
+            chunked, evaluated_chunked, _ = _drawn(ineq, job, chunk, monkeypatch)
+            # the witness (or error) and the evaluate_single count, then every evaluated point in order
+            assert one == chunked, job
+            assert evaluated_one == evaluated_chunked, job
+    # with a tolerance no slack reaches, every trial is drawn and evaluated, in order, and no point
+    # is shrunk: the drawn points are equal, bit for bit (a chunk with several alphas builds its
+    # points one alpha at a time), and their values are Python floats
+    never = Tolerances(slack_tol=1e300)
+    one = _drawn(ineq, ("ml:6", alphas, True, 5), 1, monkeypatch, never)
+    chunked = _drawn(ineq, ("ml:6", alphas, True, 5), chunk, monkeypatch, never)
+    assert one[0] == ("none\n", len(one[1]))
+    assert one[:2] == chunked[:2]
+    assert sorted(one[2]) == sorted(chunked[2])
+    assert {type(v) for pt in chunked[2] for v in (pt.alpha, pt.a, pt.b, pt.frac, pt.s, pt.p)} == {float}
+    assert {type(v) for pt in chunked[2] for term in pt.terms for v in term} == {float}

@@ -524,6 +524,36 @@ class TestGradePlan:
         assert d.terms[0][0] == -0.5
         assert _term_bits(d) == _term_bits(_parent_derivative(f))
 
+    def test_a_derivative_inherits_the_plan_of_its_grades(self):
+        ctx = AlphaContext(0.5)
+        f = AlphaSeries(((0.0, 2.0), (1.0, 1.0), (2.5, -2.0), (4.0, 0.5)), ctx)
+        d = lf_derivative(f)
+        assert d._plan is not None  # set by lf_derivative, before anything reads it
+        assert series._plan_of(d) is series._grade_plan(ctx, tuple(k for k, _ in d.terms))
+        assert series._plan_of(d).grades == (0.0, 1.5, 3.0)
+        assert lf_derivative(d)._plan is series._grade_plan(ctx, (0.5, 2.0))
+        # series that share their grades share their derivatives' plan
+        other = AlphaSeries(((1.0, 3.0), (2.5, 0.25), (4.0, -1.0)), ctx)
+        assert series._plan_of(lf_derivative(other)) is series._plan_of(d)
+
+    def test_a_derivative_whose_terms_normalize_looks_its_own_plan_up(self):
+        # the underflowing coefficient is dropped, so the grades are not those of f's plan minus one
+        f = AlphaSeries(((0.25, 5e-324), (2.0, 1.0)), CTX_ONE)
+        d = lf_derivative(f)
+        assert d.terms == ((1.0, 2.0),) and d._plan is None
+        assert series._plan_of(d) is series._grade_plan(CTX_ONE, (1.0,))
+        assert _term_bits(lf_derivative(d)) == _term_bits(_parent_derivative(d))
+
+    def test_a_derivative_grade_at_the_floor_raises_as_before(self):
+        # 2e-33 - 1.0 rounds to -1.0, the floor: the derivative raises on every call, and no plan is made for it
+        ctx = AlphaContext(0.25)
+        f = AlphaSeries(((2e-33, 1.0),), ctx)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="grades must stay above -1.0, got -1.0"):
+                lf_derivative(f)
+        assert ("plan", (-1.0,)) not in ctx._memo
+        assert f._memo == {}
+
     def test_plans_belong_to_their_context(self):
         # the same grades at different alphas need their own Gamma factors
         for alpha in (0.5, 1.0, 0.3):

@@ -158,10 +158,24 @@ def test_mixed_blocks_rows_are_the_rows_of_their_points(seed):
     errors = Counter(r.notes.split(":")[1].strip() for r in family if r.notes.startswith("error:"))
     assert errors["GammaPoleError"] and errors["OverflowError"], errors
     messages = {r.notes for r in family if "OverflowError" in r.notes}
-    assert "error: OverflowError: math range error" in messages  # Gamma at p = 200
-    assert "error: OverflowError: (34, 'Numerical result out of range')" in messages  # |f''|**q at q = 200
+    # Gamma at p = 200, and |f''|**q at q = 200, each named with its id and exponents
+    assert f"error: OverflowError: thm2 overflows at p=200.0, q={200.0 / 199.0!r}: math range error" in messages
+    assert "error: OverflowError: thm3 overflows at q=200.0: (34, 'Numerical result out of range')" in messages
     assert any(math.isnan(r.slack) for r in family if not r.notes.startswith("error:"))
     assert {r.x for r in family if r.ineq == "thm1" and r.a == 0.5} >= {0.5, 2.5}
+
+
+@pytest.mark.parametrize("ineq, named", [("thm2", f"p={1000.0 / 999.0!r}, q=1000.0"), ("thm3", "q=1000.0")])
+@pytest.mark.parametrize("pq_axis", [((2.0, 2.0), (1000.0 / 999.0, 1000.0)), ((1000.0 / 999.0, 1000.0), (3.0, 1.5))],
+                         ids=["second-pair", "first-pair"])
+def test_a_block_names_the_exponents_of_the_point_that_overflows(ineq, named, pq_axis):
+    # |f''|**q overflows only at q = 1000: 6**1000 at b = 1 for mono:3, whichever (s, p, q) comes first
+    f = parse_function_spec("mono:3").realize(AlphaContext(1.0))
+    message = f"{ineq} overflows at {named}: (34, 'Numerical result out of range')"
+    with pytest.raises(OverflowError) as raised:
+        inequalities._theorem_block(ineq, f, 0.0, 1.0, (0.0, 0.5, 1.0), (0.5, 1.0), pq_axis)
+    assert str(raised.value) == message
+    assert isinstance(raised.value.__cause__, OverflowError)
 
 
 def _cfg(functions):
