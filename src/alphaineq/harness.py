@@ -456,13 +456,18 @@ def falsify(
     trial's alpha index is drawn before its uniforms, trial by trial.
     Either way a chunk's points come from one array map of the uniforms
     and one product with the family's coefficients per alpha.  Where the
-    id has a ``prepare`` step (the theta forms and ``ostrowski``), the step
-    fills theta of every trial of a chunk in one array kernel.  The
-    chunk's trials are then evaluated in order, each as before, so neither
-    the witness nor the number of evaluations depends on the chunk size or
-    the step.  Only the series of the latest chunk are kept while the
-    search runs; the shrink keeps every series it makes, which are freed
-    when the job returns.
+    id has a ``prepare`` step (the theta forms, ``ostrowski``, ``holder``
+    and ``identity``), the step runs on the rows ``(series, functional,
+    a, b, x, p, q)`` of the chunk's trials and fills what they read
+    (theta, the Hoelder integrals, the moments of f'') for all of them in
+    one array kernel per grade plan; each trial's x and q = p/(p - 1) are
+    computed once, for its row and its evaluation.  The chunk's trials
+    are then evaluated in order, each as before, so neither the witness
+    nor the number of evaluations depends on the chunk size or the step.
+    The trials of a chunk that come after its witness are drawn, and
+    prepared, but never evaluated.  Only the series of the latest chunk
+    are kept while the search runs; the shrink keeps every series it
+    makes, which are freed when the job returns.
 
     An evaluator error, such as the Gamma pole of a family without a second
     derivative, propagates as it does from :func:`evaluate_single`.  As in
@@ -482,16 +487,21 @@ def falsify(
     # the series of the points the search may evaluate again, keyed by (alpha, terms)
     kept = {(alpha, f.terms): f for alpha, f in families.items()}
 
-    def evaluate(pt: _Point) -> Optional[IneqReport]:
-        functional = functionals[pt.alpha]
-        key = (pt.alpha, pt.terms)
-        series = kept.get(key)
-        if series is None:
-            series = kept[key] = AlphaSeries(pt.terms, functional.ctx)
+    def evaluate(pt: _Point, prepared: Optional[tuple] = None) -> Optional[IneqReport]:
+        """The row of ``pt``, whose series, functional, a, b, x, p and q are those of its prepare row, if it has one."""
+        if prepared is None:
+            functional = functionals[pt.alpha]
+            key = (pt.alpha, pt.terms)
+            series = kept.get(key)
+            if series is None:
+                series = kept[key] = AlphaSeries(pt.terms, functional.ctx)
+            a, b, x, p = pt.a, pt.b, pt.x, pt.p
+            q = p / (p - 1.0)
+        else:
+            series, functional, a, b, x, p, q = prepared
         if series.is_zero:
             return None
-        q = pt.p / (pt.p - 1.0)
-        return evaluate_single(ineq, series, functional, pt.a, pt.b, pt.x, pt.s, pt.p, q)
+        return evaluate_single(ineq, series, functional, a, b, x, pt.s, p, q)
 
     def violates(rep: Optional[IneqReport]) -> bool:
         return rep is not None and not rep.holds and math.isfinite(rep.slack)
@@ -556,17 +566,18 @@ def falsify(
             chunk = draw(min(size, trials - drawn))
             drawn, size = drawn + len(chunk), min(2 * size, _TRIAL_CHUNK)
             kept.clear()  # a random trial's terms never recur, unless a shrink starts from them
+            rows = []  # the prepare rows, whose x and q each trial's evaluation reads too
             if prepare is not None:
-                rows = []
                 for pt in chunk:
-                    series = kept[pt.alpha, pt.terms] = AlphaSeries(pt.terms, functionals[pt.alpha].ctx)
-                    rows.append((series, pt.a, pt.b))
+                    functional = functionals[pt.alpha]
+                    series = kept[pt.alpha, pt.terms] = AlphaSeries(pt.terms, functional.ctx)
+                    rows.append((series, functional, pt.a, pt.b, pt.x, pt.p, pt.p / (pt.p - 1.0)))
                 try:
                     prepare(rows)
                 except Exception:  # it only fills caches: the trials compute, or raise, on their own
                     pass
-            for pt in chunk:
-                rep = evaluate(pt)
+            for i, pt in enumerate(chunk):  # indexed, so no name holds a trial's series past its chunk
+                rep = evaluate(pt, rows[i] if rows else None)
                 if violates(rep):
                     found = (pt, rep)
                     break

@@ -18,9 +18,11 @@ sweep calls for all the rows of an interval at once.  Each block computes
 what its points share once, in arrays where it can, and each public
 evaluator is its id's one-point block and the builder, so a point's row is
 the same whichever way it is computed.
-``ostrowski`` and the six theta forms have a ``prepare`` step, which a
-``falsify`` job runs ahead of a chunk of trials to fill theta for all of
-them in one array kernel (:func:`_prepare_theta`).
+``ostrowski``, the six theta forms, ``holder`` and ``identity`` have a
+``prepare`` step, which a ``falsify`` job runs ahead of a chunk of trials
+to fill what they read for all of them in one array kernel: theta
+(:func:`_prepare_theta`), the Hoelder integrals (:func:`_prepare_holder`)
+or the composed moments of f'' (:func:`_prepare_identity`).
 The harness, the sweep validation and
 the CLI read their ids from it, and a sweep's axes follow ``reads``.  The
 record is also the id's parameter contract, which every block checks
@@ -52,7 +54,7 @@ import numpy as np
 
 from .alphanum import AlphaContext, alpha_pow_signed, gamma, memoized
 from .convexity import check_s_convex_second
-from .quadrature import MomentFunctional, QuadratureError, composed_moments
+from .quadrature import MomentFunctional, QuadratureError, _prepare_moments, composed_moments
 from .series import AlphaSeries, GammaPoleError, _plan_of, _sum_terms, lf_derivative, lf_derivative_n, lf_integral
 
 __all__ = [
@@ -367,12 +369,11 @@ def ostrowski_constants(s: float, ctx: AlphaContext) -> OstrowskiConstants:
     """The moment constants of the s-convex Ostrowski bounds."""
     _check_s(s)
     a = ctx.alpha
-    M = gamma(1.0 + (s + 2.0) * a) / gamma(1.0 + (s + 3.0) * a)
-    N = (
-        gamma(1.0 + s * a) / gamma(1.0 + (s + 1.0) * a)
-        - 2.0**a * gamma(1.0 + (s + 1.0) * a) / gamma(1.0 + (s + 2.0) * a)
-        + M
-    )
+    # each Gamma value once: G(1+(s+1)a) and G(1+(s+2)a) appear in both constants
+    g0, g1 = gamma(1.0 + s * a), gamma(1.0 + (s + 1.0) * a)
+    g2, g3 = gamma(1.0 + (s + 2.0) * a), gamma(1.0 + (s + 3.0) * a)
+    M = g2 / g3
+    N = g0 / g1 - 2.0**a * g1 / g2 + M
     return OstrowskiConstants(M=M, N=N)
 
 
@@ -394,7 +395,10 @@ def _ghh_block(f: AlphaSeries, functional: Optional[MomentFunctional], a: float,
     ctx = f.ctx
     al = ctx.alpha
     left = f.evaluate((a + b) / 2.0)
-    mid = ctx.gamma_grade(1) * lf_integral(f, a, b) / (b - a) ** al
+    try:
+        mid = ctx.gamma_grade(1) * lf_integral(f, a, b) / (b - a) ** al
+    except OverflowError as exc:
+        raise _interval_overflow("ghh", a, b, exc) from exc
     right = (f.evaluate(a) + f.evaluate(b)) / 2.0**al
     return [_binding(left, mid, right)] * (len(s_axis) * len(pq_axis) * len(xs))
 
@@ -412,7 +416,10 @@ def _shh_block(f: AlphaSeries, functional: Optional[MomentFunctional], a: float,
     ctx = f.ctx
     al = ctx.alpha
     at_mid = f.evaluate((a + b) / 2.0)
-    mid = lf_integral(f, a, b) / (b - a) ** al
+    try:
+        mid = lf_integral(f, a, b) / (b - a) ** al
+    except OverflowError as exc:
+        raise _interval_overflow("shh", a, b, exc) from exc
     ends = f.evaluate(a) + f.evaluate(b)
     values = []
     for s in s_axis:
@@ -450,36 +457,28 @@ def _holder_block(f: AlphaSeries, functional: MomentFunctional, a: float, b: flo
                   s_axis: Sequence, pq_axis: Sequence) -> list[tuple]:
     """The holder values of one block, one per pair of ``pq_axis``.
 
-    ``|f|`` is sampled once, on ``functional``'s grid pulled back to
-    ``[a, b]``, and ``J[|f|*|f|]`` is integrated once; a non-finite sample
-    makes that integral raise :class:`QuadratureError`.  ``|f|`` is raised
-    to every distinct exponent of the axis in one ``np.power`` call, and
-    the powers are integrated in one
-    :meth:`MomentFunctional.integrate_rows` call.  Each power is, bit for
-    bit, ``|f|**e`` computed alone, except at ``e = 2.0``: numpy computes
-    ``|f|**2.0`` as the square ``|f|*|f|``, not by ``pow``, so its integral
-    is ``J[|f|*|f|]``.  Each value is then computed by its pair's
-    arithmetic alone, so it is the value of its one-point block bit for
-    bit.  A non-finite integral raises its :class:`QuadratureError`, the
-    first exponent's in axis order, so a one-point block raises the error
-    of ``|f|**p`` before that of ``|f|**q``.
+    The integrals ``J[|f|**e]`` on ``[a, b]``, of ``J[|f|*|f|]`` and of every
+    distinct exponent of the axis, are read from what the prepare step
+    (:func:`_prepare_holder`) cached on ``f`` for this same ``functional``
+    object, or else come from the one-row call of :func:`_holder_integrals`,
+    which samples ``|f|`` once and caches nothing.  A non-finite integral
+    raises its :class:`QuadratureError`: that of ``J[|f|*|f|]`` first, then the first
+    exponent's in axis order, so a one-point block raises the error of
+    ``|f|**p`` before that of ``|f|**q``.  Each value is then computed by
+    its pair's arithmetic alone, so it is the value of its one-point block
+    bit for bit.
     """
     _check_axes("holder", a, b, xs, s_axis, pq_axis)
     scale = (b - a) ** functional.ctx.alpha
-    abs_f = np.abs(f.evaluate(a + functional.grid * (b - a)))
-    prod = functional.integrate(abs_f * abs_f)
-    integrals = {2.0: prod}
-    exps = []  # the distinct exponents, in axis order, other than 2.0
-    for pair in pq_axis:
-        for e in pair:
-            if e != 2.0 and e not in exps:
-                exps.append(e)
-    if exps:
-        for e, value in zip(exps, functional.integrate_rows(np.power(abs_f, np.array(exps)[:, None]))):
-            if isinstance(value, QuadratureError):
-                raise value
-            integrals[e] = value
-    lhs = scale * prod
+    exps = _exponents(pq_axis)
+    held = f._memo.get(("holder", a, b))  # (functional, integrals), as the prepare step holds them
+    if held is not None and held[0] is functional and all(map(held[1].__contains__, exps)):
+        integrals = held[1]
+    else:
+        integrals = _holder_integrals([(f, a, b, exps)], functional)[0]
+        if isinstance(integrals, QuadratureError):
+            raise integrals
+    lhs = scale * integrals[2.0]
     values = []
     for p, q in pq_axis:
         intf = scale * integrals[p]
@@ -487,6 +486,74 @@ def _holder_block(f: AlphaSeries, functional: MomentFunctional, a: float, b: flo
         rhs = max(intf, 0.0) ** (1.0 / p) * max(intg, 0.0) ** (1.0 / q)
         values += [(lhs, rhs, "")] * len(xs)
     return values * len(s_axis)
+
+
+def _exponents(pq_axis: Sequence) -> list:
+    """The distinct exponents of the (p, q) pairs, in axis order, other than 2.0, whose integral is ``J[|f|*|f|]``."""
+    exps = []
+    for pair in pq_axis:
+        for e in pair:
+            if e != 2.0 and e not in exps:
+                exps.append(e)
+    return exps
+
+
+def _holder_integrals(rows: list, functional: MomentFunctional) -> list:
+    """The Hoelder integrals of each row ``(f, a, b, exps)``, for series ``f`` that share a grade plan.
+
+    A row's integrals are ``J[|f|**e]`` over ``[a, b]`` pulled back to
+    ``[0, 1]``: a dict from 2.0 and each exponent of ``exps`` (distinct,
+    none 2.0) to its integral, or, if one is not finite, the
+    :class:`QuadratureError` of the first, 2.0's before the others in the
+    order of ``exps``.  ``|f|`` is sampled on ``functional``'s grid mapped
+    to each row's interval, one (rows x nodes) array for all rows, with
+    each row summed as ``f.evaluate`` sums it
+    (:func:`alphaineq.series._sum_terms`), and ``J[|f|*|f|]`` of all rows
+    is integrated by one :meth:`MomentFunctional.integrate_rows` call.  The
+    square is integrated as is, since numpy computes ``|f|**2.0`` as that
+    square, not by ``pow``.  The other powers of every row come from one
+    ``np.power`` call and are integrated by one ``integrate_rows`` call.
+    Each power and each integral is, bit for bit, the one the row computes
+    alone.  One row, the block's call, is sampled by ``f.evaluate``, its
+    square integrated by :meth:`MomentFunctional.integrate` and its dict
+    filled as its powers are read, which give the same values at less
+    cost per call.
+    """
+    f = rows[0][0]
+    if len(rows) == 1:
+        _, a, b, exps = rows[0]
+        abs_f = np.abs(f.evaluate(a + functional.grid * (b - a)))
+        try:
+            integrals = {2.0: functional.integrate(abs_f * abs_f)}
+        except QuadratureError as exc:
+            return [exc]
+        if exps:
+            for e, value in zip(exps, functional.integrate_rows(np.power(abs_f, np.array(exps)[:, None]))):
+                if type(value) is not float:
+                    return [value]
+                integrals[e] = value
+        return [integrals]
+    start = np.array([a for _, a, _, _ in rows])[:, None]
+    step = np.array([b - a for _, a, b, _ in rows])[:, None]
+    columns = list(np.array([[c for _, c in g.terms] for g, _, _, _ in rows]).T[:, :, None])
+    abs_f = np.abs(_sum_terms(_plan_of(f), columns, start + functional.grid * step))
+    squares = functional.integrate_rows(abs_f * abs_f)
+    flat, powered = [e for _, _, _, exps in rows for e in exps], []
+    if flat:
+        counts = [len(exps) for _, _, _, exps in rows]
+        powered = functional.integrate_rows(np.power(np.repeat(abs_f, counts, axis=0), np.array(flat)[:, None]))
+    out, k = [], 0
+    for (_, _, _, exps), square in zip(rows, squares):
+        integrals = {2.0: square}
+        integrals.update(zip(exps, powered[k:k + len(exps)]))
+        k += len(exps)
+        for value in integrals.values():  # the first error, 2.0's before the others
+            if type(value) is not float:
+                out.append(value)
+                break
+        else:
+            out.append(integrals)
+    return out
 
 
 def eval_ostrowski_classic(f: AlphaSeries, x: float, a: float, b: float) -> IneqReport:
@@ -508,7 +575,10 @@ def _ostrowski_block(f: AlphaSeries, functional: Optional[MomentFunctional], a: 
     al = ctx.alpha
     g1 = ctx.gamma_grade(1)
     scale = (b - a) ** al
-    mean = g1 * lf_integral(f, a, b) / scale
+    try:
+        mean = g1 * lf_integral(f, a, b) / scale
+    except OverflowError as exc:
+        raise _interval_overflow("ostrowski", a, b, exc) from exc
     lhs = [abs(f.evaluate(x) - mean) for x in xs]
     theta1 = sup_abs(lf_derivative(f), a, b)
     c = 2.0**al * g1 / ctx.gamma_grade(2)
@@ -563,11 +633,14 @@ def _identity_block(f: AlphaSeries, functional: MomentFunctional, a: float, b: f
     call each (:meth:`AlphaSeries.cache_points`; a single x reads them on
     the scalar path, which gives the same values), and the moments of
     ``f^(2a)`` on both sides of every x from one :func:`composed_moments`
-    call, which samples ``f^(2a)`` once.  Each residual is then computed
-    from its point's values by the floating-point operations of that point
-    alone.  Every left side is computed before any moment, so a one-point
-    block whose left side and moment both raise raises the left side's
-    error.
+    call, which reads those the prepare step (:func:`_prepare_identity`)
+    cached and samples the others of ``f^(2a)`` at once.  Each residual is
+    then computed from its point's values by the floating-point operations
+    of that point alone.  Every left side is computed before any moment,
+    so a one-point block whose left side and moment both raise raises the
+    left side's error.  An overflow of a power of the interval's endpoints
+    or lengths is raised again as an ``OverflowError`` naming the id and
+    ``[a, b]``.
     """
     _check_axes("identity", a, b, xs, s_axis, pq_axis)
     ctx = f.ctx
@@ -575,17 +648,21 @@ def _identity_block(f: AlphaSeries, functional: MomentFunctional, a: float, b: f
     if len(xs) > 1:
         f.cache_points(xs)
         lf_derivative(f).cache_points(xs)
-    lhs = [_ostrowski_signed(f, x, a, b) for x in xs]
-    sides = [_identity_sides(x, a, b) for x in xs]
-    moments = iter(composed_moments(f2, 2.0, [(x, e) for x, x_sides in zip(xs, sides) for _, e in x_sides], functional))
-    den = ctx.gamma_grade(2) * (b - a) ** ctx.alpha
-    values = []
-    for left, x_sides in zip(lhs, sides):
-        rhs = 0.0
-        for length, _ in x_sides:
-            rhs += alpha_pow_signed(length, ctx) ** 3 * next(moments)
-        rhs /= den
-        values.append((abs(left - rhs), 0.0, "identity-residual"))
+    try:
+        lhs = [_ostrowski_signed(f, x, a, b) for x in xs]
+        sides = [_identity_sides(x, a, b) for x in xs]
+        segments = [(x, e) for x, x_sides in zip(xs, sides) for _, e in x_sides]
+        moments = iter(composed_moments(f2, 2.0, segments, functional))
+        den = ctx.gamma_grade(2) * (b - a) ** ctx.alpha
+        values = []
+        for left, x_sides in zip(lhs, sides):
+            rhs = 0.0
+            for length, _ in x_sides:
+                rhs += alpha_pow_signed(length, ctx) ** 3 * next(moments)
+            rhs /= den
+            values.append((abs(left - rhs), 0.0, "identity-residual"))
+    except OverflowError as exc:  # the integral's b**(k+1)a, an exact moment's e**ka or a side's cube
+        raise _interval_overflow("identity", a, b, exc) from exc
     return values * (len(s_axis) * len(pq_axis))
 
 
@@ -606,8 +683,8 @@ def _identity_sides(x: float, a: float, b: float) -> list[tuple[float, float]]:
 def _prepare_theta(order: int) -> Callable[[list], None]:
     """The prepare step of the ids that read theta, ``sup_abs`` of the ``order``-th derivative on ``[a, b]``.
 
-    It fills theta for every row ``(f, a, b)`` whose derivative does not
-    hold it yet, with one :func:`_sup_abs` call per grade plan, which
+    It fills theta for every row ``(f, functional, a, b, x, p, q)`` whose
+    derivative does not hold it yet, with one :func:`_sup_abs` call per grade plan, which
     belongs to one alpha, and ``_SUP_ROWS`` rows, so the evaluators'
     :func:`sup_abs` calls are cache hits.  A row whose derivative hits a
     Gamma pole is skipped: its evaluation raises on its own.  If this
@@ -617,7 +694,7 @@ def _prepare_theta(order: int) -> Callable[[list], None]:
 
     def prepare(rows: list) -> None:
         groups: dict = {}
-        for f, a, b in rows:
+        for f, _, a, b, _, _, _ in rows:
             try:
                 g = lf_derivative_n(f, order)
             except GammaPoleError:
@@ -629,6 +706,52 @@ def _prepare_theta(order: int) -> Callable[[list], None]:
                 _sup_abs(group[i:i + _SUP_ROWS], _SUP_GRID)
 
     return prepare
+
+
+def _prepare_holder(rows: list) -> None:
+    """The prepare step of ``holder``: the integrals of every row ``(f, functional, a, b, x, p, q)`` at 2.0, p and q.
+
+    The rows are grouped by grade plan and functional, and each group is
+    sampled by one :func:`_holder_integrals` call, whose rows hold 40
+    nodes each, so no group needs a cap.  A row's integrals are stored in
+    ``f._memo`` under ``("holder", a, b)`` as ``(functional, integrals)``,
+    and :func:`_holder_block` reads them only with that same functional
+    object, which costs no hash of it; a row with a non-finite integral,
+    or a zero series, stores nothing, so its evaluation computes, or
+    raises, on its own.
+    """
+    groups: dict = {}  # per (plan, functional), keyed by the functional's id, which hashes faster
+    for f, functional, a, b, _, p, q in rows:
+        if not f.is_zero:
+            group = groups.setdefault((_plan_of(f), id(functional)), (functional, []))[1]
+            group.append((f, a, b, _exponents(((p, q),))))
+    for functional, group in groups.values():
+        for (f, a, b, _), integrals in zip(group, _holder_integrals(group, functional)):
+            if not isinstance(integrals, QuadratureError):
+                f._memo["holder", a, b] = (functional, integrals)
+
+
+def _prepare_identity(rows: list) -> None:
+    """The prepare step of ``identity``: for each row ``(f, functional, a, b, x, p, q)``, the moments of f'' beside x.
+
+    The sides are those :func:`_identity_block` reads
+    (:func:`_identity_sides`); :func:`alphaineq.quadrature._prepare_moments`
+    samples those without an exact moment, one call per functional, and
+    caches each finite moment on f'' where :func:`composed_moments` reads
+    it.  A row whose f'' hits a Gamma pole is skipped: its evaluation
+    raises on its own.
+    """
+    segments: dict = {}  # per functional, keyed by its id, the (f'', x, e) of every side
+    for f, functional, a, b, x, _, _ in rows:
+        try:
+            f2 = lf_derivative_n(f, 2)
+        except GammaPoleError:
+            continue
+        group = segments.setdefault(id(functional), (functional, []))[1]
+        for _, e in _identity_sides(x, a, b):
+            group.append((f2, x, e))
+    for functional, group in segments.values():
+        _prepare_moments(group, 2.0, functional)
 
 
 def _hypothesis_note(
@@ -733,7 +856,9 @@ def _theorem_block(ineq: str, f: AlphaSeries, a: float, b: float, xs: Sequence, 
     runs next to the record and before any value at x, so a point whose
     note and x values both raise raises the note's error.  An overflow of
     the record, its note or a thm value's power mean is raised again as an
-    ``OverflowError`` that names the id and the p and q it reads.
+    ``OverflowError`` that names the id and the p and q it reads, and an
+    overflow of what the values read at x and on ``[a, b]`` (the integral
+    of f, or a power of a length) as one that names the id and ``[a, b]``.
     """
     rec = _check_axes(ineq, a, b, xs, s_axis, pq_axis)
     form, thm, read_p, read_q = rec.form, rec.thm, rec.read_p, rec.read_q
@@ -757,8 +882,11 @@ def _theorem_block(ineq: str, f: AlphaSeries, a: float, b: float, xs: Sequence, 
         return values
     if not form:  # thm1-3
         at_x = []
-        for x in xs:
-            at_x.append(_theorem_at(f, x, a, b))
+        try:
+            for x in xs:
+                at_x.append(_theorem_at(f, x, a, b))
+        except OverflowError as exc:  # the integral's b**(k+1)a, or a cube of a length
+            raise _interval_overflow(ineq, a, b, exc) from exc
         try:
             for (_, _, front, side, _, _, _, _), note in records:
                 for dx, da, db, wa, wb, den, left in at_x:
@@ -769,29 +897,41 @@ def _theorem_block(ineq: str, f: AlphaSeries, a: float, b: float, xs: Sequence, 
             raise _exponent_overflow(ineq, p if read_p else None, q if read_q else None, exc) from exc
         return values
     f2, g2 = records[0][0][:2]  # the same in every record
+    try:  # what the values read at x and on [a, b], where an overflow is the interval's
+        if form == "theta":
+            theta = sup_abs(f2, a, b)
+            span = (b - a) ** (2.0 * al)
+            at_x = []
+            for x in xs:
+                left = _ostrowski_lhs(f, x, a, b)
+                at_x.append((left, span / 12.0**al + alpha_pow_signed(x - (a + b) / 2.0, ctx) ** 2))
+        else:  # the midpoint forms, whose values do not depend on x
+            left = _midpoint_lhs(f, a, b)
+            span = (b - a) ** (2.0 * al)
+            if form == "midpoint":
+                da, db = abs(f2.evaluate(a)), abs(f2.evaluate(b))
+            else:
+                theta = sup_abs(f2, a, b)
+    except OverflowError as exc:  # the integral's b**(k+1)a, or a power of a length
+        raise _interval_overflow(ineq, a, b, exc) from exc
     if form == "theta":
-        theta = sup_abs(f2, a, b)
-        at_x = []
-        for x in xs:
-            left = _ostrowski_lhs(f, x, a, b)
-            at_x.append((left, (b - a) ** (2.0 * al) / 12.0**al + alpha_pow_signed(x - (a + b) / 2.0, ctx) ** 2))
         for (_, _, front, _, lead, sup, _, _), _ in records:
             c = front * lead * 3.0**al * theta * sup / g2
             for left, bracket in at_x:
                 values.append((left, c * bracket, ""))
-    else:  # the midpoint forms, whose values do not depend on x
-        left = _midpoint_lhs(f, a, b)
-        if form == "midpoint":
-            da, db = abs(f2.evaluate(a)), abs(f2.evaluate(b))
-        else:
-            theta = sup_abs(f2, a, b)
+    else:
         for (_, _, front, _, lead, sup, div, mid), _ in records:
             if form == "midpoint":
-                right = front * ((b - a) ** (2.0 * al) / g2) / div * mid * (da + db)
+                right = front * (span / g2) / div * mid * (da + db)
             else:
-                right = front * lead * sup * (theta * (b - a) ** (2.0 * al) / (4.0**al * g2))
+                right = front * lead * sup * (theta * span / (4.0**al * g2))
             values += [(left, right, "")] * len(xs)
     return values
+
+
+def _interval_overflow(ineq: str, a: float, b: float, exc: OverflowError) -> OverflowError:
+    """The ``OverflowError`` of a point of ``ineq`` whose integral or power on ``[a, b]`` overflows, naming both."""
+    return OverflowError(f"{ineq} overflows on [{a!r}, {b!r}]: {exc}")
 
 
 def _exponent_overflow(ineq: str, p: Optional[float], q: Optional[float], exc: OverflowError) -> OverflowError:
@@ -904,12 +1044,14 @@ class Ineq:
     functional, a, b, x, s, p, q)``, returns the row of one point with an
     empty ``fn``: it calls the id's public evaluator, which is the
     one-point block and the builder, so it is the row ``block`` gives at
-    that point.  ``prepare``, set for the six theta forms (theta of f'')
-    and ``ostrowski`` (theta of f'), is called as ``prepare(rows)`` with
-    rows ``(series, a, b)`` ahead of evaluating them
-    (:func:`_prepare_theta`).  It only fills caches the evaluations read,
-    so a row's value does not depend on it, and a caller ignores its
-    errors.  A theorem-family id (thm1-3 and the nine corollaries) has its
+    that point.  ``prepare``, set for the six theta forms (theta of f''),
+    ``ostrowski`` (theta of f', :func:`_prepare_theta`), ``holder``
+    (:func:`_prepare_holder`) and ``identity`` (:func:`_prepare_identity`),
+    is called as ``prepare(rows)`` ahead of evaluating the rows, each
+    ``(series, functional, a, b, x, p, q)``, the arguments of its
+    ``evaluate`` call but s, which no step reads.  It fills, for all rows
+    at once, caches the evaluations read, so a row's value does not depend
+    on it, and a caller ignores its errors.  A theorem-family id (thm1-3 and the nine corollaries) has its
     theorem ``thm`` and its corollary ``form``, empty for the theorem
     itself; every other id has both empty.
 
@@ -965,6 +1107,7 @@ INEQUALITIES: dict[str, Ineq] = {
         frozenset("pq"),
         lambda f, fl, a, b, x, s, p, q: eval_holder(f, p, q, a, b, fl),
         lambda *args: _holder_block(*args),
+        _prepare_holder,
     ),
     "ostrowski": Ineq(
         frozenset("x"),
@@ -979,6 +1122,7 @@ INEQUALITIES: dict[str, Ineq] = {
             [(identity_residual(f, x, a, b, fl), 0.0, "identity-residual")],
         )[0],
         lambda *args: _identity_block(*args),
+        _prepare_identity,
     ),
     "thm1": _theorem_ineq("thm1", "sx", lambda f, fl, a, b, x, s, p, q: eval_thm1(f, s, x, a, b)),
     "thm2": _theorem_ineq("thm2", "sxpq", lambda f, fl, a, b, x, s, p, q: eval_thm2(f, s, p, q, x, a, b)),

@@ -181,9 +181,11 @@ def _sum_terms(plan: _GradePlan, coeffs: list, xs: np.ndarray) -> np.ndarray:
     """``sum c * xs**e`` over the plan's exponents ``e`` and ``coeffs``, in term order from +0.0.
 
     The array path of :meth:`AlphaSeries.evaluate` passes its coefficients
-    as floats.  :func:`alphaineq.inequalities.sup_abs` passes one (rows, 1)
-    column per term, for a (rows x points) array of series that share the
-    plan, so each row is summed as its series alone would be.  A leading
+    as floats.  The kernels over rows of series that share the plan
+    (:func:`alphaineq.inequalities.sup_abs`, the Hoelder integrals and the
+    composed moments of a ``prepare`` step) pass one (rows, 1) column per
+    term, for a (rows x points) array, so each row is summed as its series
+    alone would be.  A leading
     constant term fills the sum with its coefficient, which is that sum:
     numpy computes ``xs ** 0.0`` as 1.0 at every point, NaN included, and
     ``0.0 + c * 1.0`` is ``c`` for a nonzero ``c``.  Numpy's error state is

@@ -1147,6 +1147,29 @@ class TestCli:
         assert row.notes == f"error: OverflowError: {message}"
         assert not row.holds and math.isnan(row.slack)
 
+    #: Ids that read the integral of f, which overflows on [0, 1e100] for mono:3 at alpha = 1
+    #: ((1e100)**4 in ``lf_integral``): the Hermite-Hadamard pair, ostrowski, identity and the theorem family.
+    INTERVAL_OVERFLOWS = [
+        "ghh", "shh", "ostrowski", "identity", "thm1", "thm2", "thm3",
+        "midpoint-thm1", "theta-thm2", "midpoint-theta-thm3",
+    ]
+
+    @pytest.mark.parametrize("ineq", INTERVAL_OVERFLOWS)
+    def test_an_interval_overflow_names_its_id_and_interval(self, ineq, capsys):
+        # the error used to read only "(34, 'Numerical result out of range')"
+        message = f"{ineq} overflows on [0.0, 1e+100]: (34, 'Numerical result out of range')"
+        code = main(["eval", "--ineq", ineq, "--alpha", "1", "--s", "1", "--p", "2", "--q", "2",
+                     "--a", "0", "--b", "1e100", "--x", "5e99", "--fn", "mono:3"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        # a sweep of the same point makes it an error row whose note names the id and the interval
+        (row,) = run_sweep(SweepConfig(
+            alphas=(1.0,), functions=(parse_function_spec("mono:3"),), inequalities=(ineq,),
+            intervals=((0.0, 1e100),), x_fractions=(0.5,), s_values=(1.0,), pq_pairs=((2.0, 2.0),),
+        ))
+        assert row.notes == f"error: OverflowError: {message}"
+        assert not row.holds and math.isnan(row.slack)
+
     def test_sweep_roundtrip(self, tmp_path, capsys):
         cfg = {
             "alphas": [1.0],

@@ -8,8 +8,8 @@ values.  These tests pin that every swept row is, bit for bit, the row
 that a single evaluation computes on a fresh series; that a failure stays
 with the rows it belongs to; that the sampling is batched, with one
 ``composed_moments`` call per block and no one-point call per row; and
-that neither the composed moments nor the holder samples are kept on a
-series.
+that only a ``prepare`` step keeps composed moments or holder integrals
+on a series, so a sweep keeps none.
 """
 
 import math
@@ -27,6 +27,7 @@ from alphaineq.harness import (
     CSV_COLUMNS,
     FunctionSpec,
     SweepConfig,
+    Tolerances,
     _error_report,
     _sort_key,
     evaluate_single,
@@ -315,7 +316,7 @@ def test_one_composed_moments_call_per_block_and_no_one_point_residual(monkeypat
     assert rep.lhs == -rep.slack == residual(parse_function_spec("ml:5").realize(ctx), 0.9, 0.25, 1.5, functional)
 
 
-def test_no_series_keeps_composed_moments_or_holder_samples(monkeypatch):
+def test_only_a_prepare_step_keeps_composed_moments_or_holder_integrals(monkeypatch):
     series = []
     evaluate = AlphaSeries.evaluate
 
@@ -331,10 +332,37 @@ def test_no_series_keeps_composed_moments_or_holder_samples(monkeypatch):
         intervals=((0.25, 1.5), (0.0, 2.0)),
         x_fractions=(0.0, 0.5, 1.0),
     )
+
+    def kept():
+        return [key for f in series for key in f._memo if key[0] in ("moments", "holder")]
+
     assert not any(r.notes.startswith("error:") for r in run_sweep(cfg))
-    spec = parse_function_spec("poly:1,0.5,0.25,0.1")
-    for ineq in ("identity", "holder"):
-        falsify(ineq, spec, replace(cfg, functions=(spec,), inequalities=(ineq,)), 8, 7)
-    # the sweep samples f'' of each identity block and |f| of each holder block
+    # the sweep samples f'' of each identity block and |f| of each holder block, and keeps neither
     assert {f.ctx.alpha for f in series} == {0.5, 1.0}
-    assert not [key for f in series for key in f._memo if key[0] in ("moments", "holder")]
+    assert not kept()
+    spec = parse_function_spec("poly:1,0.5,0.25,0.1")
+    # nor do a falsify job's evaluations, with the id's prepare step removed
+    for ineq in ("identity", "holder"):
+        with monkeypatch.context() as patch:
+            patch.setitem(INEQUALITIES, ineq, replace(INEQUALITIES[ineq], prepare=None))
+            falsify(ineq, spec, replace(cfg, functions=(spec,), inequalities=(ineq,)), 8, 7)
+    assert series and not kept()
+    # with it, each trial's values are kept on its series (on f'' for identity) for its evaluation
+    never = Tolerances(slack_tol=1e300)  # no slack reaches it, so every trial is drawn
+    for ineq, tag in (("identity", "moments"), ("holder", "holder")):
+        prepared = []
+        step = INEQUALITIES[ineq].prepare
+
+        def recorded_step(rows, step=step):
+            prepared.extend(f for f, *_ in rows)
+            step(rows)
+
+        series.clear()
+        with monkeypatch.context() as patch:
+            patch.setitem(INEQUALITIES, ineq, replace(INEQUALITIES[ineq], prepare=recorded_step))
+            falsify(ineq, spec, replace(cfg, functions=(spec,), inequalities=(ineq,), tolerances=never), 8, 7)
+        assert len(prepared) == 8
+        holders = [lf_derivative_n(f, 2) if ineq == "identity" else f for f in prepared]
+        assert {key[0] for f in holders for key in f._memo if key[0] in ("moments", "holder")} == {tag}
+        # and on no other series: not on those of the canonical probes, which the blocks sample
+        assert {id(f) for f in series if any(key[0] == tag for key in f._memo)} <= set(map(id, holders))

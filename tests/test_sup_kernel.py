@@ -120,14 +120,14 @@ def test_prepare_fills_theta_of_every_row_as_sup_abs_computes_it():
     intervals = [(0.0, 1.0), (0.5, 2.0), (0.0, 5e-324), (0.25, 0.75)]
     for ineq, order in (("theta-thm1", 2), ("midpoint-theta-thm2", 2), ("ostrowski", 1)):
         rows = [
-            (parse_function_spec(spec).realize(CTX[alpha]), a, b)
+            (parse_function_spec(spec).realize(CTX[alpha]), None, a, b, None, None, None)
             for alpha in (0.5, 1.0)
             for spec in FUNCTIONS
             for a, b in intervals
         ]
         with np.errstate(over="ignore", invalid="ignore"):
             INEQUALITIES[ineq].prepare(rows)
-            for f, a, b in rows:
+            for f, _, a, b, _, _, _ in rows:
                 try:
                     g = lf_derivative_n(f, order)
                 except ArithmeticError:
@@ -136,7 +136,7 @@ def test_prepare_fills_theta_of_every_row_as_sup_abs_computes_it():
                 assert _same(g._memo["sup", a, b, 1025], want), (ineq, f.ctx.alpha, f.terms, a, b)
     # theta of f' for ostrowski, of f'' for the theta forms
     f = parse_function_spec("ml:6").realize(AlphaContext(0.5))
-    INEQUALITIES["ostrowski"].prepare([(f, 0.25, 1.75)])
+    INEQUALITIES["ostrowski"].prepare([(f, None, 0.25, 1.75, None, None, None)])
     assert ("sup", 0.25, 1.75, 1025) in lf_derivative(f)._memo
     assert ("sup", 0.25, 1.75, 1025) not in lf_derivative_n(f, 2)._memo
 
@@ -152,10 +152,10 @@ def test_prepare_hands_the_kernel_at_most_16_rows_of_one_plan(monkeypatch):
 
     monkeypatch.setattr(inequalities, "_sup_abs", recorded)
     series = [parse_function_spec("ml:6").realize(CTX[alpha]) for alpha in (0.5, 1.0)]
-    rows = [(f, 0.05 * i, 0.05 * i + 1.0) for i in range(40) for f in series]
+    rows = [(f, None, 0.05 * i, 0.05 * i + 1.0, None, None, None) for i in range(40) for f in series]
     INEQUALITIES["theta-thm1"].prepare(rows)
     assert sizes == [(16, {0.5}), (16, {0.5}), (8, {0.5}), (16, {1.0}), (16, {1.0}), (8, {1.0})]
-    for f, a, b in rows:
+    for f, _, a, b, _, _, _ in rows:
         g = lf_derivative_n(f, 2)
         assert g._memo["sup", a, b, 1025] == sup_abs_loop(AlphaSeries(g.terms, f.ctx), a, b)
 
