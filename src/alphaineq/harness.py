@@ -329,8 +329,18 @@ def evaluate_single(
 
     The evaluator builds a fresh row with an empty ``fn``; setting ``fn`` here,
     and on ``falsify``'s witness, are the only changes made to a row after its build.
+    An ``OverflowError`` that does not name its id is raised again naming the
+    id and ``[a, b]``: on a large interval the integral of f
+    (``b**((k+1)alpha)``), or another power of an endpoint or a length,
+    overflows.  A theorem-family point names its p and q itself.
     """
-    rep = INEQUALITIES[canonical_id(ineq)].evaluate(series, functional, a, b, x, s, p, q)
+    ineq = canonical_id(ineq)
+    try:
+        rep = INEQUALITIES[ineq].evaluate(series, functional, a, b, x, s, p, q)
+    except OverflowError as exc:
+        if str(exc).startswith(f"{ineq} overflows"):
+            raise
+        raise OverflowError(f"{ineq} overflows on [{a!r}, {b!r}]: {exc}") from exc
     rep.fn = fn
     return rep
 

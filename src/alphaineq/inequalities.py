@@ -55,7 +55,9 @@ import numpy as np
 from .alphanum import AlphaContext, alpha_pow_signed, gamma, memoized
 from .convexity import check_s_convex_second
 from .quadrature import MomentFunctional, QuadratureError, _prepare_moments, composed_moments
-from .series import AlphaSeries, GammaPoleError, _plan_of, _sum_terms, lf_derivative, lf_derivative_n, lf_integral
+from .series import (
+    AlphaSeries, GammaPoleError, _plan_of, _sum_terms, _term_columns, lf_derivative, lf_derivative_n, lf_integral,
+)
 
 __all__ = [
     "COROLLARY_VARIANTS",
@@ -326,7 +328,7 @@ def _sup_abs(rows: list, grid: int) -> list:
     plan = _plan_of(rows[0][0])
     exps = plan.exps  # sorted, as the grades are and alpha > 0
     rises, falls = not exps or exps[0] >= 0.0, not exps or exps[-1] <= 0.0
-    values, scan, coeffs = [], [], []
+    values, scan = [], []
     for f, a, b in rows:
         cs = [c for _, c in f.terms]
         end = None
@@ -334,15 +336,13 @@ def _sup_abs(rows: list, grid: int) -> list:
             end = b if rises else a if falls and a > 0.0 else None
         if end is None:
             scan.append((f, a, b))
-            coeffs.append(cs)
             values.append(None)
         else:
             values.append(abs(f.evaluate(float(end))))
             f._memo["sup", a, b, grid] = values[-1]
     if not scan:
         return values
-    # per term, the rows' coefficients as a (rows, 1) column, or for one row as floats, as in _grid
-    columns = coeffs[0] if len(scan) == 1 else list(np.array(coeffs).T[:, :, None])
+    columns = _term_columns([f for f, _, _ in scan])
     lo, hi = [a for _, a, _ in scan], [b for _, _, b in scan]
     best = [0.0] * len(scan)
     n = grid
@@ -395,10 +395,7 @@ def _ghh_block(f: AlphaSeries, functional: Optional[MomentFunctional], a: float,
     ctx = f.ctx
     al = ctx.alpha
     left = f.evaluate((a + b) / 2.0)
-    try:
-        mid = ctx.gamma_grade(1) * lf_integral(f, a, b) / (b - a) ** al
-    except OverflowError as exc:
-        raise _interval_overflow("ghh", a, b, exc) from exc
+    mid = ctx.gamma_grade(1) * lf_integral(f, a, b) / (b - a) ** al
     right = (f.evaluate(a) + f.evaluate(b)) / 2.0**al
     return [_binding(left, mid, right)] * (len(s_axis) * len(pq_axis) * len(xs))
 
@@ -416,10 +413,7 @@ def _shh_block(f: AlphaSeries, functional: Optional[MomentFunctional], a: float,
     ctx = f.ctx
     al = ctx.alpha
     at_mid = f.evaluate((a + b) / 2.0)
-    try:
-        mid = lf_integral(f, a, b) / (b - a) ** al
-    except OverflowError as exc:
-        raise _interval_overflow("shh", a, b, exc) from exc
+    mid = lf_integral(f, a, b) / (b - a) ** al
     ends = f.evaluate(a) + f.evaluate(b)
     values = []
     for s in s_axis:
@@ -508,44 +502,36 @@ def _holder_integrals(rows: list, functional: MomentFunctional) -> list:
     order of ``exps``.  ``|f|`` is sampled on ``functional``'s grid mapped
     to each row's interval, one (rows x nodes) array for all rows, with
     each row summed as ``f.evaluate`` sums it
-    (:func:`alphaineq.series._sum_terms`), and ``J[|f|*|f|]`` of all rows
-    is integrated by one :meth:`MomentFunctional.integrate_rows` call.  The
-    square is integrated as is, since numpy computes ``|f|**2.0`` as that
-    square, not by ``pow``.  The other powers of every row come from one
-    ``np.power`` call and are integrated by one ``integrate_rows`` call.
-    Each power and each integral is, bit for bit, the one the row computes
-    alone.  One row, the block's call, is sampled by ``f.evaluate``, its
-    square integrated by :meth:`MomentFunctional.integrate` and its dict
-    filled as its powers are read, which give the same values at less
-    cost per call.
+    (:func:`alphaineq.series._sum_terms`).  The squares ``|f|*|f|`` of all
+    rows, which numpy computes for ``|f|**2.0`` in place of ``pow``, and
+    the other powers of every row, from one ``np.power`` call, are
+    integrated by one :meth:`MomentFunctional.integrate_rows` call.  So
+    each power and each integral is, bit for bit, the one the row computes
+    alone, and a block's one row computes what a prepare step's many rows
+    compute for it.
     """
-    f = rows[0][0]
-    if len(rows) == 1:
-        _, a, b, exps = rows[0]
-        abs_f = np.abs(f.evaluate(a + functional.grid * (b - a)))
-        try:
-            integrals = {2.0: functional.integrate(abs_f * abs_f)}
-        except QuadratureError as exc:
-            return [exc]
-        if exps:
-            for e, value in zip(exps, functional.integrate_rows(np.power(abs_f, np.array(exps)[:, None]))):
-                if type(value) is not float:
-                    return [value]
-                integrals[e] = value
-        return [integrals]
-    start = np.array([a for _, a, _, _ in rows])[:, None]
-    step = np.array([b - a for _, a, b, _ in rows])[:, None]
-    columns = list(np.array([[c for _, c in g.terms] for g, _, _, _ in rows]).T[:, :, None])
-    abs_f = np.abs(_sum_terms(_plan_of(f), columns, start + functional.grid * step))
-    squares = functional.integrate_rows(abs_f * abs_f)
-    flat, powered = [e for _, _, _, exps in rows for e in exps], []
+    n = len(rows)
+    # for one row, its a, length and exponents as they are, as _term_columns gives its coefficients as floats,
+    # so |f| is its (nodes,) samples and broadcasts against the exponent column; else (rows, 1) columns
+    if n == 1:
+        f, start, b, flat = rows[0]
+        series, step = [f], b - start
+    else:
+        series, flat = [f for f, _, _, _ in rows], [e for _, _, _, exps in rows for e in exps]
+        ends = np.array([(a, b - a) for _, a, b, _ in rows])
+        start, step = ends[:, :1], ends[:, 1:]
+    abs_f = np.abs(_sum_terms(_plan_of(series[0]), _term_columns(series), start + functional.grid * step))
+    # the squares of the rows, then the powers of each row, integrated together
+    y = np.empty((n + len(flat), functional.nodes))
+    np.multiply(abs_f, abs_f, out=y[:n])
     if flat:
-        counts = [len(exps) for _, _, _, exps in rows]
-        powered = functional.integrate_rows(np.power(np.repeat(abs_f, counts, axis=0), np.array(flat)[:, None]))
-    out, k = [], 0
-    for (_, _, _, exps), square in zip(rows, squares):
+        base = abs_f if n == 1 else np.repeat(abs_f, [len(exps) for _, _, _, exps in rows], axis=0)
+        np.power(base, np.array(flat)[:, None], out=y[n:])
+    integrated = functional.integrate_rows(y)
+    out, k = [], n
+    for (_, _, _, exps), square in zip(rows, integrated):
         integrals = {2.0: square}
-        integrals.update(zip(exps, powered[k:k + len(exps)]))
+        integrals.update(zip(exps, integrated[k:k + len(exps)]))
         k += len(exps)
         for value in integrals.values():  # the first error, 2.0's before the others
             if type(value) is not float:
@@ -575,10 +561,7 @@ def _ostrowski_block(f: AlphaSeries, functional: Optional[MomentFunctional], a: 
     al = ctx.alpha
     g1 = ctx.gamma_grade(1)
     scale = (b - a) ** al
-    try:
-        mean = g1 * lf_integral(f, a, b) / scale
-    except OverflowError as exc:
-        raise _interval_overflow("ostrowski", a, b, exc) from exc
+    mean = g1 * lf_integral(f, a, b) / scale
     lhs = [abs(f.evaluate(x) - mean) for x in xs]
     theta1 = sup_abs(lf_derivative(f), a, b)
     c = 2.0**al * g1 / ctx.gamma_grade(2)
@@ -638,9 +621,7 @@ def _identity_block(f: AlphaSeries, functional: MomentFunctional, a: float, b: f
     then computed from its point's values by the floating-point operations
     of that point alone.  Every left side is computed before any moment,
     so a one-point block whose left side and moment both raise raises the
-    left side's error.  An overflow of a power of the interval's endpoints
-    or lengths is raised again as an ``OverflowError`` naming the id and
-    ``[a, b]``.
+    left side's error.
     """
     _check_axes("identity", a, b, xs, s_axis, pq_axis)
     ctx = f.ctx
@@ -648,21 +629,17 @@ def _identity_block(f: AlphaSeries, functional: MomentFunctional, a: float, b: f
     if len(xs) > 1:
         f.cache_points(xs)
         lf_derivative(f).cache_points(xs)
-    try:
-        lhs = [_ostrowski_signed(f, x, a, b) for x in xs]
-        sides = [_identity_sides(x, a, b) for x in xs]
-        segments = [(x, e) for x, x_sides in zip(xs, sides) for _, e in x_sides]
-        moments = iter(composed_moments(f2, 2.0, segments, functional))
-        den = ctx.gamma_grade(2) * (b - a) ** ctx.alpha
-        values = []
-        for left, x_sides in zip(lhs, sides):
-            rhs = 0.0
-            for length, _ in x_sides:
-                rhs += alpha_pow_signed(length, ctx) ** 3 * next(moments)
-            rhs /= den
-            values.append((abs(left - rhs), 0.0, "identity-residual"))
-    except OverflowError as exc:  # the integral's b**(k+1)a, an exact moment's e**ka or a side's cube
-        raise _interval_overflow("identity", a, b, exc) from exc
+    lhs = [_ostrowski_signed(f, x, a, b) for x in xs]
+    sides = [_identity_sides(x, a, b) for x in xs]
+    moments = iter(composed_moments(f2, 2.0, [(x, e) for x, x_sides in zip(xs, sides) for _, e in x_sides], functional))
+    den = ctx.gamma_grade(2) * (b - a) ** ctx.alpha
+    values = []
+    for left, x_sides in zip(lhs, sides):
+        rhs = 0.0
+        for length, _ in x_sides:
+            rhs += alpha_pow_signed(length, ctx) ** 3 * next(moments)
+        rhs /= den
+        values.append((abs(left - rhs), 0.0, "identity-residual"))
     return values * (len(s_axis) * len(pq_axis))
 
 
@@ -856,9 +833,7 @@ def _theorem_block(ineq: str, f: AlphaSeries, a: float, b: float, xs: Sequence, 
     runs next to the record and before any value at x, so a point whose
     note and x values both raise raises the note's error.  An overflow of
     the record, its note or a thm value's power mean is raised again as an
-    ``OverflowError`` that names the id and the p and q it reads, and an
-    overflow of what the values read at x and on ``[a, b]`` (the integral
-    of f, or a power of a length) as one that names the id and ``[a, b]``.
+    ``OverflowError`` that names the id and the p and q it reads.
     """
     rec = _check_axes(ineq, a, b, xs, s_axis, pq_axis)
     form, thm, read_p, read_q = rec.form, rec.thm, rec.read_p, rec.read_q
@@ -882,11 +857,8 @@ def _theorem_block(ineq: str, f: AlphaSeries, a: float, b: float, xs: Sequence, 
         return values
     if not form:  # thm1-3
         at_x = []
-        try:
-            for x in xs:
-                at_x.append(_theorem_at(f, x, a, b))
-        except OverflowError as exc:  # the integral's b**(k+1)a, or a cube of a length
-            raise _interval_overflow(ineq, a, b, exc) from exc
+        for x in xs:
+            at_x.append(_theorem_at(f, x, a, b))
         try:
             for (_, _, front, side, _, _, _, _), note in records:
                 for dx, da, db, wa, wb, den, left in at_x:
@@ -897,41 +869,29 @@ def _theorem_block(ineq: str, f: AlphaSeries, a: float, b: float, xs: Sequence, 
             raise _exponent_overflow(ineq, p if read_p else None, q if read_q else None, exc) from exc
         return values
     f2, g2 = records[0][0][:2]  # the same in every record
-    try:  # what the values read at x and on [a, b], where an overflow is the interval's
-        if form == "theta":
-            theta = sup_abs(f2, a, b)
-            span = (b - a) ** (2.0 * al)
-            at_x = []
-            for x in xs:
-                left = _ostrowski_lhs(f, x, a, b)
-                at_x.append((left, span / 12.0**al + alpha_pow_signed(x - (a + b) / 2.0, ctx) ** 2))
-        else:  # the midpoint forms, whose values do not depend on x
-            left = _midpoint_lhs(f, a, b)
-            span = (b - a) ** (2.0 * al)
-            if form == "midpoint":
-                da, db = abs(f2.evaluate(a)), abs(f2.evaluate(b))
-            else:
-                theta = sup_abs(f2, a, b)
-    except OverflowError as exc:  # the integral's b**(k+1)a, or a power of a length
-        raise _interval_overflow(ineq, a, b, exc) from exc
     if form == "theta":
+        theta = sup_abs(f2, a, b)
+        at_x = []
+        for x in xs:
+            left = _ostrowski_lhs(f, x, a, b)
+            at_x.append((left, (b - a) ** (2.0 * al) / 12.0**al + alpha_pow_signed(x - (a + b) / 2.0, ctx) ** 2))
         for (_, _, front, _, lead, sup, _, _), _ in records:
             c = front * lead * 3.0**al * theta * sup / g2
             for left, bracket in at_x:
                 values.append((left, c * bracket, ""))
-    else:
+    else:  # the midpoint forms, whose values do not depend on x
+        left = _midpoint_lhs(f, a, b)
+        if form == "midpoint":
+            da, db = abs(f2.evaluate(a)), abs(f2.evaluate(b))
+        else:
+            theta = sup_abs(f2, a, b)
         for (_, _, front, _, lead, sup, div, mid), _ in records:
             if form == "midpoint":
-                right = front * (span / g2) / div * mid * (da + db)
+                right = front * ((b - a) ** (2.0 * al) / g2) / div * mid * (da + db)
             else:
-                right = front * lead * sup * (theta * span / (4.0**al * g2))
+                right = front * lead * sup * (theta * (b - a) ** (2.0 * al) / (4.0**al * g2))
             values += [(left, right, "")] * len(xs)
     return values
-
-
-def _interval_overflow(ineq: str, a: float, b: float, exc: OverflowError) -> OverflowError:
-    """The ``OverflowError`` of a point of ``ineq`` whose integral or power on ``[a, b]`` overflows, naming both."""
-    return OverflowError(f"{ineq} overflows on [{a!r}, {b!r}]: {exc}")
 
 
 def _exponent_overflow(ineq: str, p: Optional[float], q: Optional[float], exc: OverflowError) -> OverflowError:

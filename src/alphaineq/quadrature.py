@@ -38,12 +38,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .alphanum import AlphaContext, memoized
-from .series import AlphaSeries, _plan_of, _sum_terms
+from .series import AlphaSeries, _plan_of, _sum_terms, _term_columns
 
 __all__ = [
     "MomentFunctional",
@@ -171,6 +171,8 @@ class MomentFunctional:
         if y.ndim != 2 or y.shape[1] != self.nodes:
             raise ValueError(f"expected rows of {self.nodes} samples, got {y.shape}")
         sums = (y[:, None, :] @ self.weights(weight_grade))[:, 0].tolist()
+        if math.isfinite(sum(sums)):  # every row is finite; a non-finite one, or an overflow, makes it inf or NaN
+            return sums
         return [v if math.isfinite(v) else _integral_error(y[i], v) for i, v in enumerate(sums)]
 
     def fit(self, values: np.ndarray) -> tuple[np.ndarray, float]:
@@ -355,55 +357,43 @@ def composed_moments(
         return [0.0] * len(segments)
     # a term-wise sum is exact unless |.| must act on a sum of mixed signs
     termwise = not absolute or _sign_constant(f2) is not None
-    cached = _cached_moments(f2, functional, absolute)
+    held = f2._memo.get(("moments", absolute))  # (functional, moments) as _prepare_moments caches them
+    cached = held[1] if held is not None and held[0] is functional else None
     values = []
     sampled, xs, es = [], [], []  # the segments without an exact or cached value
     for i, (x, e) in enumerate(segments):
         if x == e or (termwise and (e == 0.0 or x == 0.0)):
             values.append(_exact_moment(f2, weight_grade, x, e, functional, absolute))
         else:
-            value = None if cached is None else cached.get((weight_grade, x, e))
+            value = cached.get((weight_grade, x, e)) if cached else None
             values.append(value)
             if value is None:
                 sampled.append(i)
                 xs.append(x)
                 es.append(e)
     if sampled:
-        for i, value in zip(sampled, _sampled_moments(f2, xs, es, weight_grade, functional, absolute)):
+        for i, value in zip(sampled, _sampled_moments([f2], xs, es, weight_grade, functional, absolute)):
             if isinstance(value, QuadratureError):
                 raise value
             values[i] = value
     return values
 
 
-def _cached_moments(f2: AlphaSeries, functional: MomentFunctional, absolute: bool) -> Optional[dict]:
-    """The moments :func:`_prepare_moments` cached on ``f2`` for ``functional``, per ``(weight_grade, x, e)``, or None.
+def _sampled_moments(series: list, xs: list, es: list, weight_grade: float, functional: MomentFunctional,
+                     absolute: bool) -> list:
+    """The composed moment of each row, the segment ``(xs[r], es[r])`` of its series, by quadrature.
 
-    They are held in ``f2._memo`` under ``("moments", absolute)`` together
-    with the functional they were computed with, and read only with that
-    same object, which costs no hash of the functional.
-    """
-    held = f2._memo.get(("moments", absolute))
-    return held[1] if held is not None and held[0] is functional else None
-
-
-def _sampled_moments(f2: AlphaSeries, xs: list, es: list, weight_grade: float, functional: MomentFunctional,
-                     absolute: bool, columns: Optional[list] = None) -> list:
-    """The composed moment of each row, the segment ``(xs[r], es[r])`` of one series, by quadrature.
-
-    The series of every row is ``f2``, or, given ``columns``, one of its
-    grade plan whose coefficients are the row's entries of the columns, one
-    (rows, 1) column per term.  The points ``e + grid * (x - e)`` of every
-    row are sampled in one (rows x nodes) array, by ``f2.evaluate`` or
-    summed term by term with the columns, as ``evaluate`` sums each row
-    alone (:func:`alphaineq.series._sum_terms`), and integrated by one
+    ``series`` holds one series for every row, or the series of each row,
+    all of one grade plan.  The points ``e + grid * (x - e)`` of every row
+    are sampled in one (rows x nodes) array, summed term by term as
+    ``evaluate`` sums each row alone (:func:`alphaineq.series._sum_terms`
+    with :func:`alphaineq.series._term_columns`), and integrated by one
     :meth:`MomentFunctional.integrate_rows` call.  So each value is
     bit-identical to the row's moment computed alone, and a row whose
     integral is not finite holds its :class:`QuadratureError`.
     """
     x_col, e_col = np.array(xs)[:, None], np.array(es)[:, None]
-    points = e_col + functional.grid * (x_col - e_col)
-    y = f2.evaluate(points) if columns is None else _sum_terms(_plan_of(f2), columns, points)
+    y = _sum_terms(_plan_of(series[0]), _term_columns(series), e_col + functional.grid * (x_col - e_col))
     return functional.integrate_rows(np.abs(y) if absolute else y, weight_grade)
 
 
@@ -413,19 +403,20 @@ def _prepare_moments(rows: Sequence[tuple], weight_grade: float, functional: Mom
     The rows may hold series of many grade plans of ``functional``'s alpha;
     they are grouped by plan, and each group is sampled by one
     :func:`_sampled_moments` call.  A row with an exact shortcut or a zero
-    ``f2`` is skipped.  Each value is cached on ``f2`` per
-    ``(weight_grade, x, e)`` (:func:`_cached_moments`), where
-    :func:`composed_moments` reads it; a row whose integral is not finite
-    caches nothing, so its moment raises when it is read.
+    ``f2`` is skipped.  Each value is cached in ``f2._memo`` under
+    ``("moments", False)`` as ``(functional, moments)``, per
+    ``(weight_grade, x, e)``, where :func:`composed_moments` reads it with
+    that same functional object, which costs no hash of it; a row whose
+    integral is not finite caches nothing, so its moment raises when it is
+    read.
     """
     groups: dict = {}
     for f2, x, e in rows:
         if not (f2.is_zero or x == e or e == 0.0 or x == 0.0):  # else an exact moment
             groups.setdefault(_plan_of(f2), []).append((f2, x, e))
     for group in groups.values():
-        columns = list(np.array([[c for _, c in f2.terms] for f2, _, _ in group]).T[:, :, None])
-        values = _sampled_moments(group[0][0], [x for _, x, _ in group], [e for _, _, e in group], weight_grade,
-                                  functional, False, columns)
+        values = _sampled_moments([f2 for f2, _, _ in group], [x for _, x, _ in group], [e for _, _, e in group],
+                                  weight_grade, functional, False)
         for (f2, x, e), value in zip(group, values):
             if not isinstance(value, QuadratureError):
                 held = f2._memo.get(("moments", False))

@@ -183,9 +183,8 @@ def _sum_terms(plan: _GradePlan, coeffs: list, xs: np.ndarray) -> np.ndarray:
     The array path of :meth:`AlphaSeries.evaluate` passes its coefficients
     as floats.  The kernels over rows of series that share the plan
     (:func:`alphaineq.inequalities.sup_abs`, the Hoelder integrals and the
-    composed moments of a ``prepare`` step) pass one (rows, 1) column per
-    term, for a (rows x points) array, so each row is summed as its series
-    alone would be.  A leading
+    composed moments) pass :func:`_term_columns`, for a (rows x points)
+    array, so each row is summed as its series alone would be.  A leading
     constant term fills the sum with its coefficient, which is that sum:
     numpy computes ``xs ** 0.0`` as 1.0 at every point, NaN included, and
     ``0.0 + c * 1.0`` is ``c`` for a nonzero ``c``.  Numpy's error state is
@@ -195,6 +194,13 @@ def _sum_terms(plan: _GradePlan, coeffs: list, xs: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return _sum_in_term_order(plan.exps, coeffs, xs)
     return _sum_in_term_order(plan.exps, coeffs, xs)
+
+
+def _term_columns(series: list) -> list:
+    """The coefficients of series of one grade plan for :func:`_sum_terms`, per term: floats for one series, as ``evaluate`` passes them, else a (rows, 1) column."""
+    if len(series) == 1:
+        return [c for _, c in series[0].terms]
+    return list(np.array([[c for _, c in f.terms] for f in series]).T[:, :, None])
 
 
 def _sum_in_term_order(exps: list, coeffs: list, xs: np.ndarray) -> np.ndarray:

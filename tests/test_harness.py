@@ -1148,11 +1148,8 @@ class TestCli:
         assert not row.holds and math.isnan(row.slack)
 
     #: Ids that read the integral of f, which overflows on [0, 1e100] for mono:3 at alpha = 1
-    #: ((1e100)**4 in ``lf_integral``): the Hermite-Hadamard pair, ostrowski, identity and the theorem family.
-    INTERVAL_OVERFLOWS = [
-        "ghh", "shh", "ostrowski", "identity", "thm1", "thm2", "thm3",
-        "midpoint-thm1", "theta-thm2", "midpoint-theta-thm3",
-    ]
+    #: ((1e100)**4 in ``lf_integral``): every id but holder, whose |f|**p on the grid is a QuadratureError.
+    INTERVAL_OVERFLOWS = [ineq for ineq in INEQUALITIES if ineq != "holder"]
 
     @pytest.mark.parametrize("ineq", INTERVAL_OVERFLOWS)
     def test_an_interval_overflow_names_its_id_and_interval(self, ineq, capsys):
@@ -1169,6 +1166,22 @@ class TestCli:
         ))
         assert row.notes == f"error: OverflowError: {message}"
         assert not row.holds and math.isnan(row.slack)
+
+    @pytest.mark.parametrize("named", [False, True], ids=["bare", "named"])
+    def test_an_overflow_is_named_where_the_evaluator_is_called(self, named, monkeypatch):
+        # an id whose evaluator raises a bare OverflowError gets its id and interval named, and one
+        # that names its id already (a theorem-family point names its p and q) keeps its message
+        ctx = AlphaContext(1.0)
+        message = "ghh overflows at p=2.0: math range error" if named else "math range error"
+
+        def overflows(*args):
+            raise OverflowError(message)
+
+        monkeypatch.setitem(INEQUALITIES, "ghh", replace(INEQUALITIES["ghh"], evaluate=overflows))
+        want = message if named else "ghh overflows on [0.5, 2.0]: math range error"
+        with pytest.raises(OverflowError) as info:
+            evaluate_single("ghh", AlphaSeries.monomial(2.0, ctx), MomentFunctional(ctx), 0.5, 2.0, 1.0, 1.0, None, None)
+        assert str(info.value) == want
 
     def test_sweep_roundtrip(self, tmp_path, capsys):
         cfg = {

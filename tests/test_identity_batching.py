@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alphaineq import inequalities
+from alphaineq import inequalities, quadrature
 from alphaineq.alphanum import AlphaContext
 from alphaineq.harness import (
     CSV_COLUMNS,
@@ -170,16 +170,13 @@ def test_composed_moments_equal_one_segment_calls(alpha, terms, weight_grade, se
 
 
 def _poison(monkeypatch, points):
-    """Make every 2-D evaluation, which only f'' sampling makes, NaN at the given points."""
-    evaluate = AlphaSeries.evaluate
+    """Make every sample of a composed moment, the kernel's (segments x nodes) sums, NaN at the given points."""
+    sum_terms = quadrature._sum_terms
 
-    def poisoned(self, x):
-        out = evaluate(self, x)
-        if isinstance(x, np.ndarray) and x.ndim == 2:
-            out = np.where(np.isin(x, points), math.nan, out)
-        return out
+    def poisoned(plan, coeffs, xs):
+        return np.where(np.isin(xs, points), math.nan, sum_terms(plan, coeffs, xs))
 
-    monkeypatch.setattr(AlphaSeries, "evaluate", poisoned)
+    monkeypatch.setattr(quadrature, "_sum_terms", poisoned)
 
 
 def test_non_finite_samples_fail_only_their_own_x(monkeypatch):
@@ -242,17 +239,16 @@ def test_rows_do_not_depend_on_the_block(monkeypatch):
     assert len(calls) == 2 * 3 * 2
 
 
-def _count_2d_evaluations(monkeypatch):
-    """The series of every 2-D ``AlphaSeries.evaluate`` call from now on."""
+def _count_samplings(monkeypatch):
+    """The series of every composed-moment sampling (``quadrature._sampled_moments`` call) from now on."""
     calls = []
-    evaluate = AlphaSeries.evaluate
+    sampled = quadrature._sampled_moments
 
-    def counted(self, x):
-        if np.ndim(x) == 2:
-            calls.append(self)
-        return evaluate(self, x)
+    def counted(series, *rest):
+        calls.extend(series)
+        return sampled(series, *rest)
 
-    monkeypatch.setattr(AlphaSeries, "evaluate", counted)
+    monkeypatch.setattr(quadrature, "_sampled_moments", counted)
     return calls
 
 
@@ -264,9 +260,9 @@ def test_one_f2_sampling_per_axis_and_per_single_call(monkeypatch):
         intervals=((0.25, 1.5), (0.5, 2.0)),
         x_fractions=(0.125, 0.5, 0.8),
     )
-    calls = _count_2d_evaluations(monkeypatch)
+    calls = _count_samplings(monkeypatch)
     run_sweep(cfg)
-    # one per (alpha, function, interval), of f'': the holder rows sample |f| in 1-D
+    # one per (alpha, function, interval), of f'': the holder rows sample |f| by their own kernel
     assert len(calls) == 2 * 3 * 2
     ctx = AlphaContext(0.5)
     f = parse_function_spec("ml:5").realize(ctx)
@@ -309,7 +305,7 @@ def test_one_composed_moments_call_per_block_and_no_one_point_residual(monkeypat
     ctx = AlphaContext(0.5)
     f = parse_function_spec("ml:5").realize(ctx)
     functional = MomentFunctional(ctx)
-    calls = _count_2d_evaluations(monkeypatch)
+    calls = _count_samplings(monkeypatch)
     rep = evaluate_single("identity", f, functional, 0.25, 1.5, 0.9, None, None, None)
     assert len(residuals) == 1 and moments == [2]
     assert calls == [lf_derivative_n(f, 2)]  # f'' sampled once
@@ -317,14 +313,14 @@ def test_one_composed_moments_call_per_block_and_no_one_point_residual(monkeypat
 
 
 def test_only_a_prepare_step_keeps_composed_moments_or_holder_integrals(monkeypatch):
-    series = []
-    evaluate = AlphaSeries.evaluate
+    series = []  # every series made from now on
+    post_init = AlphaSeries.__post_init__
 
-    def recorded(self, x):
+    def recorded(self):
+        post_init(self)
         series.append(self)
-        return evaluate(self, x)
 
-    monkeypatch.setattr(AlphaSeries, "evaluate", recorded)
+    monkeypatch.setattr(AlphaSeries, "__post_init__", recorded)
     cfg = SweepConfig(
         alphas=(0.5, 1.0),
         functions=tuple(parse_function_spec(t) for t in ("mono:3", "ml:5", "series:(1.5,2);(4,0.25)")),

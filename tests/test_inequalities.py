@@ -243,15 +243,14 @@ class TestHolderSharing:
 
     @pytest.mark.parametrize("k", (1, 4))
     def test_one_array_evaluation_per_series_and_interval(self, k, monkeypatch):
-        calls = []
-        evaluate = AlphaSeries.evaluate
+        calls = []  # the terms of each row of every sampling of |f|
+        kernel = inequalities._holder_integrals
 
-        def counted(self, x):
-            if not isinstance(x, float):
-                calls.append(self.terms)
-            return evaluate(self, x)
+        def counted(rows, functional):
+            calls.extend(f.terms for f, *_ in rows)
+            return kernel(rows, functional)
 
-        monkeypatch.setattr(AlphaSeries, "evaluate", counted)
+        monkeypatch.setattr(inequalities, "_holder_integrals", counted)
         pairs = [[p, p / (p - 1.0)] for p in (2.0, 3.0, 1.5, 4.0)[:k]]
         cfg = SweepConfig.from_dict({
             "alphas": [0.5, 1.0],

@@ -31,7 +31,7 @@ from alphaineq.harness import (
     CSV_COLUMNS, SweepConfig, Tolerances, falsify, parse_function_spec, render_report, run_sweep,
 )
 from alphaineq.inequalities import INEQUALITIES, _identity_sides
-from alphaineq.quadrature import MomentFunctional, QuadratureError, _cached_moments
+from alphaineq.quadrature import MomentFunctional, QuadratureError
 from alphaineq.series import AlphaSeries, lf_derivative_n
 
 #: The ids with a prepare step, in registry order.
@@ -247,7 +247,8 @@ def _cached(ineq, f, functional, a, b, x):
     if ineq == "holder":
         held = f._memo.get(("holder", a, b))
         return held is not None and held[0] is functional
-    moments = _cached_moments(lf_derivative_n(f, 2), functional, False) or {}
+    held = lf_derivative_n(f, 2)._memo.get(("moments", False))
+    moments = held[1] if held is not None and held[0] is functional else {}
     return all((2.0, x, e) in moments for _, e in _identity_sides(x, a, b) if e != 0.0 and x != 0.0)
 
 
