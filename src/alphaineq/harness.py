@@ -450,7 +450,8 @@ def falsify(
     a halfway step after the outright one, and last halving a coefficient.
     A step is accepted only while the candidate still violates and its
     slack has weakened by at most ``fp_tol``; a step that would not change
-    the point is never evaluated.  So the returned witness, whose
+    the point is never evaluated, and a point that a later round proposes
+    again reuses its report.  So the returned witness, whose
     ``fn`` is its series, is the simplest configuration found with the
     original slack: unless the shrink stopped at its 64-step cap, dropping
     any one of its terms loses the violation.
@@ -614,9 +615,12 @@ def _shrink(
     coefficient.  The first candidate that still violates, with a slack
     weakened by at most ``fp_tol``, becomes the point of the next round; a
     round that keeps none ends the shrink.  A candidate equal to the current
-    point is never evaluated; every other candidate is.
+    point is never evaluated; every other candidate is evaluated once per
+    shrink, and its report is judged again, against the current slack,
+    each later time a round proposes it.
     """
     moves_x = "x" in reads
+    reports = {pt: rep}  # the report of every point this shrink has evaluated
 
     def candidates(cur: _Point) -> Iterable[_Point]:
         # built positionally: ``_replace`` costs about twice as much per point
@@ -646,7 +650,10 @@ def _shrink(
             # then be 0.9999999999999998, so no test of the length catches it
             if cand == pt:
                 continue
-            cand_rep = evaluate(cand)
+            if cand in reports:
+                cand_rep = reports[cand]
+            else:
+                cand_rep = reports[cand] = evaluate(cand)
             if cand_rep is None or cand_rep.holds:
                 continue
             if cand_rep.slack <= rep.slack + fp_tol:  # violation not weakened
@@ -679,15 +686,34 @@ def _check_format(format: str) -> None:
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
 
 
+#: The largest float16.  A float below it in magnitude converts to every numpy float without overflow.
+_FLOAT16_MAX = 65504.0
+
+
 class _Cells(dict):
-    """Cells rendered once per distinct value by ``render``; zeros are not stored, as 0.0 == -0.0."""
+    """Cells rendered once per distinct value by ``render``, in a dict keyed by the value.
+
+    A text is stored as it is.  Of the numbers, only a Python float with
+    ``0 < |v| < 65504`` is stored: a lookup
+    compares its value with each stored key of the same hash, and a numpy
+    float32 or float16 compares with a float or an int in its own
+    precision.  An int key could then find the cell of another number
+    (``2**90 + 2**61 - 1`` and ``float32(2**90)`` share a hash), and a key
+    beyond ``_FLOAT16_MAX`` could overflow in the cast, or find a float16
+    infinity.  A float key of that size casts exactly or rounds, and a key
+    that rounds to the value it is compared with differs from it by fewer
+    than ``2**61 - 1`` units of the key's last place, so Python's numeric
+    hash, the value modulo ``2**61 - 1``, tells the two apart: every hit is
+    the cell of the lookup's own double.  Zeros are not stored, as 0.0 ==
+    -0.0, nor is NaN, which equals nothing.
+    """
 
     def __init__(self, render: Callable[[object], str]) -> None:
         self.render = render
 
     def __missing__(self, value) -> str:
         text = self.render(value)
-        if value != 0:
+        if type(value) is str or (type(value) is float and 0.0 < abs(value) < _FLOAT16_MAX):
             self[value] = text
         return text
 
@@ -704,7 +730,8 @@ def render_report(rows: Sequence[IneqReport], format: str) -> str:
     ``true`` or ``false`` by its truth value.  A text cell is quoted by the
     ``csv`` module, or by ``json.dumps``.  Cells are rendered once per
     distinct value in this call, except CSV ``rhs`` and ``slack``, distinct
-    on almost every row, which are rendered inline.  The text is that of
+    on almost every row, which are rendered inline; only floats below
+    65504 in magnitude are cached (:class:`_Cells`).  The text is that of
     the ``csv`` writer, or of ``json.dumps(records, indent=2,
     allow_nan=False)`` with a newline, for the rows with each number cell
     converted to a float and ``holds`` to a bool.

@@ -522,17 +522,16 @@ def _holder_integrals(rows: list, functional: MomentFunctional) -> list:
         start, step = ends[:, :1], ends[:, 1:]
     abs_f = np.abs(_sum_terms(_plan_of(series[0]), _term_columns(series), start + functional.grid * step))
     # the squares of the rows, then the powers of each row, integrated together
-    y = np.empty((n + len(flat), functional.nodes))
-    np.multiply(abs_f, abs_f, out=y[:n])
+    y = (abs_f * abs_f).reshape(n, functional.nodes)
     if flat:
         base = abs_f if n == 1 else np.repeat(abs_f, [len(exps) for _, _, _, exps in rows], axis=0)
-        np.power(base, np.array(flat)[:, None], out=y[n:])
+        y = np.concatenate((y, np.power(base, np.array(flat)[:, None])))
     integrated = functional.integrate_rows(y)
-    out, k = [], n
+    powers = iter(integrated[n:])
+    out = []
     for (_, _, _, exps), square in zip(rows, integrated):
         integrals = {2.0: square}
-        integrals.update(zip(exps, integrated[k:k + len(exps)]))
-        k += len(exps)
+        integrals.update(zip(exps, powers))  # exps first, so zip takes exactly len(exps) powers
         for value in integrals.values():  # the first error, 2.0's before the others
             if type(value) is not float:
                 out.append(value)

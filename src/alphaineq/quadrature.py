@@ -24,6 +24,9 @@ via the exact moments.  That value is linear in the samples, so it is a
 quadrature rule: for a known weight ``t**(w*alpha)`` the functional solves
 ``(sqrt(W) A)^T z = mu_w`` once, with ``mu_w[k] = moment(k + w)``, caches
 ``q_w = sqrt(W) z`` and integrates each sample vector ``y`` as ``q_w @ y``.
+The rule and each ``q_w`` depend only on alpha, the node count and the
+basis size, so they are built once per process for each such key and
+shared by every functional of it (:data:`_RULES`).
 The basis is severely ill-conditioned, so the solve runs through an
 orthogonalizing SVD with a relative spectral cutoff; an explicit pseudo-
 inverse loses about 1e-7 of relative accuracy, and a Tikhonov ridge at any
@@ -61,6 +64,11 @@ CUTOFF_REL = 1e-12
 GRADE_CAP = 12
 
 
+#: The cache of each ``(alpha, nodes, max_grade)``: its rule and its weights
+#: per weight grade, shared by every :class:`MomentFunctional` of that key.
+_RULES: dict = {}
+
+
 class QuadratureError(RuntimeError):
     """The Muntz-basis fit could not produce a usable projection."""
 
@@ -75,15 +83,20 @@ class MomentFunctional:
     of the Gauss-Jacobi weights (both from the numpy Golub-Welsch rule with
     a Newton polish, :func:`_gauss_jacobi`) and the design matrix are built
     on first use, so a caller that never integrates numerically never builds
-    them.  They, and the quadrature rule of each weight grade, are cached in
-    ``_memo`` for the lifetime of the instance; the cache takes no part in
-    equality, hashing or repr.
+    them.  They, and the quadrature weights of each weight grade, are cached
+    in ``_memo``, which is the entry of ``(alpha, nodes, max_grade)`` in the
+    module's store ``_RULES``: every functional of that key shares one
+    cache, so each rule is built once per process, not once per functional.
+    So only a value that depends on that key alone (and the method's
+    arguments) may be memoized on a functional.  The cached arrays are
+    read-only, ``grid`` included.  The cache takes no part in equality,
+    hashing or repr.
     """
 
     ctx: AlphaContext
     max_grade: int = 10
     nodes: int = 0
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
+    _memo: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         if self.max_grade < 1:
@@ -100,6 +113,7 @@ class MomentFunctional:
                 f"nodes must be at least 2*max_grade, got {self.nodes} for "
                 f"max_grade {self.max_grade}"
             )
+        object.__setattr__(self, "_memo", _RULES.setdefault((self.ctx.alpha, self.nodes, self.max_grade), {}))
 
     @memoized("rule")
     def _rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -109,7 +123,10 @@ class MomentFunctional:
         t = (x + 1.0) / 2.0
         w = w / (2.0**a * math.gamma(a))
         design = np.stack([t ** (k * a) for k in range(self.max_grade + 1)], axis=1)
-        return t, np.sqrt(w), design
+        sqrt_w = np.sqrt(w)
+        for array in (t, sqrt_w, design):
+            array.flags.writeable = False  # shared by every functional of the key
+        return t, sqrt_w, design
 
     def moment(self, k: float) -> float:
         """Exact moment ``J[t**(k*alpha)]`` for a real grade ``k >= 0``."""
@@ -141,7 +158,7 @@ class MomentFunctional:
                 f"quadrature weights for weight grade {weight_grade} are not "
                 "finite; use a smaller max_grade"
             )
-        q.flags.writeable = False  # shared by every later call
+        q.flags.writeable = False  # shared by every later call, of every functional of the key
         return q
 
     def integrate(self, values: np.ndarray, weight_grade: float = 0.0) -> float:

@@ -66,6 +66,11 @@ JOBS = {
         ("fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345", 61),
     ("theta-thm1", POLY, (0.5, 0.8, 1.0), True, 2):
         ("bbe597f0720814bf398d3f564224e058738f0aa1643d30e9efab87d8cb216d82", 25),
+    # shrinks that propose a point again (once and twice), which is not evaluated again
+    ("theta-thm3", "mono:2.5", (0.5,), True, 1860963262):
+        ("243cc9569c0fc1e96ad6f7e174684f886e5071af9ca31878b83d5e128a4db35e", 19),
+    ("thm2", "ml:6", (0.5,), True, 2067462001):
+        ("35c312a3f6b9657e4fddebed55cc853ceebc075fa8081167b0323c17811287fe", 38),
 }
 
 
@@ -187,7 +192,7 @@ def test_shrink_accepts_a_point_it_rejected_before_through_falsify(monkeypatch):
     # ghh reads no x, and b = a + 1.0 is a no-op on [0, 1], so each round tries the drops, then the halvings.
     # Round 1 rejects dropping the constant term (its slack weakens by more than fp_tol) and keeps halving
     # it (weakened by less); round 2 proposes the same drop again, now within fp_tol of the halved point's
-    # slack, and keeps it, evaluated on the series that falsify made for it in round 1.
+    # slack, and keeps it on the report that round 1 evaluated: the shrink stores reports, not verdicts.
     terms = ((0.0, 1.0), (1.0, 2.0))
     slack = {
         terms: -1.0,
@@ -208,8 +213,9 @@ def test_shrink_accepts_a_point_it_rejected_before_through_falsify(monkeypatch):
     cfg = SweepConfig(alphas=(1.0,), functions=(spec,), inequalities=("ghh",))
     w = falsify("ghh", spec, cfg, 1, 0)
     assert (w.fn, w.slack) == (harness.FunctionSpec("series", ((1.0, 2.0),)).canonical(), -1.0 + 1.5 * FP_TOL)
-    # one canonical probe, since ghh reads no x; drop, drop, halve; the drop again; the last term's halving
-    assert evaluated == [terms, ((1.0, 2.0),), ((0.0, 1.0),), ((0.0, 0.5), (1.0, 2.0)), ((1.0, 2.0),), ((1.0, 1.0),)]
+    # one canonical probe, since ghh reads no x; drop, drop, halve; the last term's halving; the drop that
+    # round 2 keeps is not evaluated again
+    assert evaluated == [terms, ((1.0, 2.0),), ((0.0, 1.0),), ((0.0, 0.5), (1.0, 2.0)), ((1.0, 1.0),)]
 
 
 @pytest.mark.parametrize("job", WITNESS_JOBS, ids=_job_id)
@@ -218,6 +224,13 @@ def test_shrink_of_a_job_makes_no_no_op_and_no_unread_x_move(job):
     assert all(cand != cur for cur, cand in rec.pairs)
     if "x" not in INEQUALITIES[job[0]].reads:
         assert all(cand.frac == cur.frac for cur, cand in rec.pairs)
+
+
+@pytest.mark.parametrize("job", WITNESS_JOBS, ids=_job_id)
+def test_shrink_of_a_job_evaluates_no_point_twice(job):
+    _, rec = shrunk(job)
+    candidates = [cand for _, cand in rec.pairs]
+    assert len(set(candidates)) == len(candidates)
 
 
 @pytest.mark.parametrize("job", WITNESS_JOBS, ids=_job_id)

@@ -999,6 +999,26 @@ class TestEmission:
         IneqReport("ghh", 1.0, 1.0, 1.0, 0.0, 1),
         IneqReport("ghh", np.float32(0.1), 0.1, None, None, np.bool_(False), np.int64(-3), True),
     ])
+    # an int and then a float32 of the same hash: compared in float32, the int overflows the cast
+    @example(rows=[
+        IneqReport("ghh", 1.0, 0.0, 0.0, 0.0, True, x=-(2**47 + (2**61 - 1) * 2**80)),
+        IneqReport("ghh", 1.0, 0.0, 0.0, 0.0, True, x=np.float32(-2.0**-14)),
+    ])
+    # an int and then a float32 of the same hash that it rounds to in float32, not in float64
+    @example(rows=[
+        IneqReport("ghh", 1.0, 0.0, 0.0, 0.0, True, x=2**90 + 2**61 - 1),
+        IneqReport("ghh", 1.0, 0.0, 0.0, 0.0, True, x=np.float32(2.0**90)),
+    ])
+    # a float beyond float32's range and a float32 of the same hash; a float16 infinity after a float of its hash
+    @example(rows=[
+        IneqReport("ghh", 1.0, 0.0, 0.0, 0.0, True, x=-(2.0**169), a=314159.0),
+        IneqReport("ghh", 1.0, 0.0, 0.0, 0.0, True, x=np.float32(-2.0**-14), a=np.float16("inf")),
+    ])
+    # a small float and a float32 of the same hash, which do not round to one another
+    @example(rows=[
+        IneqReport("ghh", 1.0, 0.0, 0.0, 0.0, True, x=2.0**-14),
+        IneqReport("ghh", 1.0, 0.0, 0.0, 0.0, True, x=np.float32(2.0**-75)),
+    ])
     def test_rows_render_as_their_coerced_rows(self, fmt, rows):
         assert render_report(rows, fmt) == render_report(_coerced(rows), fmt)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from alphaineq import quadrature
 from alphaineq.alphanum import AlphaContext
 from alphaineq.quadrature import (
     CUTOFF_REL,
@@ -91,6 +92,81 @@ class TestConstruction:
     def test_integrand_must_map_an_array_to_the_same_shape(self, g):
         with pytest.raises(ValueError, match="same shape|an array"):
             fractal_integral_numeric(g, MomentFunctional(AlphaContext(0.5)))
+
+
+def _bits(arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+class TestSharedRules:
+    """Every functional of one (alpha, nodes, max_grade) reads one rule and one set of weights."""
+
+    WEIGHT_GRADES = (0.0, 2.0, 0.75)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_equal_keys_share_the_rule_and_the_weights(self, alpha):
+        one = MomentFunctional(AlphaContext(alpha))
+        other = MomentFunctional(AlphaContext(alpha, slack_tol=1e-6), max_grade=10, nodes=40)
+        assert one is not other and one._memo is other._memo
+        assert one._rule() is other._rule() and one.grid is other.grid
+        for w in self.WEIGHT_GRADES:
+            assert one.weights(w) is other.weights(w)
+
+    def test_other_keys_get_their_own_rule(self):
+        base = MomentFunctional(AlphaContext(0.5))
+        others = [
+            MomentFunctional(AlphaContext(0.5), nodes=44),
+            MomentFunctional(AlphaContext(0.5), max_grade=9, nodes=40),
+            MomentFunctional(AlphaContext(0.5), max_grade=9),
+            MomentFunctional(AlphaContext(0.3)),
+        ]
+        rules = [base._rule()] + [f._rule() for f in others]
+        assert len({id(r) for r in rules}) == len(rules)
+        assert len({id(f._memo) for f in [base] + others}) == len(rules)
+        assert [f.grid.size for f in others] == [44, 40, 36, 40]
+        assert not np.array_equal(base.weights(0.0), others[1].weights(0.0))
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_every_shared_array_is_read_only(self, alpha):
+        functional = MomentFunctional(AlphaContext(alpha))
+        arrays = list(functional._rule()) + [functional.weights(w) for w in self.WEIGHT_GRADES]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            functional.grid += 1.0
+
+    @pytest.mark.parametrize("alpha", ALPHAS + (0.05,))
+    @pytest.mark.parametrize("max_grade, nodes", [(10, 0), (6, 30), (12, 0)])
+    def test_shared_values_are_those_of_a_rule_built_alone(self, monkeypatch, alpha, max_grade, nodes):
+        shared = MomentFunctional(AlphaContext(alpha), max_grade, nodes)
+        shared_values = _bits(shared._rule()) + _bits(shared.weights(w) for w in self.WEIGHT_GRADES)
+        with monkeypatch.context() as patch:
+            patch.setattr(quadrature, "_RULES", {})
+            alone = MomentFunctional(AlphaContext(alpha), max_grade, nodes)
+            assert alone._memo is not shared._memo
+            alone_values = _bits(alone._rule()) + _bits(alone.weights(w) for w in self.WEIGHT_GRADES)
+        assert shared_values == alone_values
+
+    def test_an_int_alpha_shares_the_bits_of_its_float(self, monkeypatch):
+        # 1 and 1.0 are one key, so whichever builds the rule first, it must build the same bits
+        monkeypatch.setattr(quadrature, "_RULES", {})
+        by_int = MomentFunctional(AlphaContext(1))
+        int_values = _bits(by_int._rule()) + _bits(by_int.weights(w) for w in self.WEIGHT_GRADES)
+        monkeypatch.setattr(quadrature, "_RULES", {})
+        by_float = MomentFunctional(AlphaContext(1.0))
+        assert int_values == _bits(by_float._rule()) + _bits(by_float.weights(w) for w in self.WEIGHT_GRADES)
+
+    def test_a_failed_build_stores_nothing_and_a_later_one_succeeds(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_RULES", {})
+        functional = MomentFunctional(AlphaContext(0.5))
+        with monkeypatch.context() as patch:
+            patch.setattr(MomentFunctional, "moment", lambda self, k: math.inf)
+            with pytest.raises(QuadratureError, match="not finite"):
+                MomentFunctional(AlphaContext(0.5)).weights(0.0)
+        assert ("weights", 0.0) not in functional._memo
+        assert np.all(np.isfinite(functional.weights(0.0)))
 
 
 def fit_reference(functional, y, weight_grade=0.0):
@@ -223,6 +299,7 @@ class TestWeights:
             functional.integrate_rows(rows[0], weight_grade)
 
     def test_non_finite_weights_raise_when_built(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_RULES", {})  # an empty store, so the weights are built under the patch
         functional = MomentFunctional(AlphaContext(0.5))
         monkeypatch.setattr(MomentFunctional, "moment", lambda self, k: math.inf)
         with pytest.raises(QuadratureError, match="not finite"):

@@ -112,6 +112,8 @@ def test_moved_integrals_are_no_less_accurate(monkeypatch):
     cfg = SweepConfig.from_json(CONFIG)
     new = {alpha: MomentFunctional(cfg.context(alpha)) for alpha in cfg.alphas}
     with monkeypatch.context() as patch:
+        # an empty store, so the old functionals do not share the new ones' rules
+        patch.setattr(quadrature, "_RULES", {})
         patch.setattr(quadrature, "_gauss_jacobi", lambda n, alpha: special.roots_jacobi(n, alpha - 1.0, 0.0))
         old = {alpha: MomentFunctional(cfg.context(alpha)) for alpha in cfg.alphas}
         for functional in old.values():
