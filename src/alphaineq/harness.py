@@ -23,7 +23,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -204,6 +203,13 @@ class SweepConfig:
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self) -> None:
+        # every number as a float, checked as in a JSON document, so a config
+        # built in Python gives the report of that document and never sorts
+        # None or a str against a float
+        for name in ("alphas", "x_fractions", "s_values"):
+            object.__setattr__(self, name, tuple(_number(name, v) for v in getattr(self, name)))
+        for name in ("intervals", "pq_pairs"):
+            object.__setattr__(self, name, _pairs(name, getattr(self, name)))
         # the checks the evaluators and the context apply, so a config they
         # would reject fails here instead of as error rows
         for a in self.alphas:
@@ -238,13 +244,13 @@ class SweepConfig:
                     f"unknown tolerance {name!r}; expected {', '.join(Tolerances.__dataclass_fields__)}"
                 )
         return cls(
-            alphas=tuple(_number("alphas", v) for v in _items(raw, "alphas")),
+            alphas=_items(raw, "alphas"),
             functions=tuple(parse_function_spec(_text("functions", t)) for t in _items(raw, "functions")),
             inequalities=tuple(_text("inequalities", t) for t in _items(raw, "inequalities")),
-            intervals=_pairs(raw, "intervals", [(0.0, 1.0)]),
-            x_fractions=tuple(_number("x_fractions", v) for v in _items(raw, "x_fractions", [0.5])),
-            s_values=tuple(_number("s_values", v) for v in _items(raw, "s_values", [0.5])),
-            pq_pairs=_pairs(raw, "pq_pairs", [(2.0, 2.0)]),
+            intervals=_items(raw, "intervals", [(0.0, 1.0)]),
+            x_fractions=_items(raw, "x_fractions", [0.5]),
+            s_values=_items(raw, "s_values", [0.5]),
+            pq_pairs=_items(raw, "pq_pairs", [(2.0, 2.0)]),
             tolerances=Tolerances(**{name: _number(f"tolerances.{name}", v) for name, v in tolerances.items()}),
         )
 
@@ -281,9 +287,9 @@ def _text(name: str, value) -> str:
     return value
 
 
-def _pairs(raw: dict, name: str, default: list) -> tuple[tuple[float, float], ...]:
+def _pairs(name: str, items) -> tuple[tuple[float, float], ...]:
     pairs = []
-    for item in _items(raw, name, default):
+    for item in items:
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise ValueError(f"{name} must hold pairs of numbers, got {item!r}")
         pairs.append(tuple(_number(name, v) for v in item))
@@ -354,11 +360,13 @@ def _error_report(
     return _build(ineq, ctx, a, b, (x,), (s,), ((p, q),), [(nan, nan, f"error: {type(exc).__name__}: {exc}")], fn)[0]
 
 
-def _sort_key(r: IneqReport):
-    # an empty s, x, p or q sorts as -1.0, below every value it can take; a sweep row always has a and b
-    none = -1.0
-    return (r.ineq, r.alpha, none if r.s is None else r.s, r.a, r.b, none if r.x is None else r.x, r.fn,
-            none if r.p is None else r.p, none if r.q is None else r.q)
+def _sort_key(r: IneqReport) -> tuple:
+    """The order of a sweep's rows (:func:`run_sweep`), in which None meets only None.
+
+    A function: on a slotted record its attribute loads cost less than an
+    ``operator.attrgetter`` of the nine names.
+    """
+    return (r.ineq, r.alpha, r.s, r.a, r.b, r.x, r.fn, r.p, r.q)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -368,7 +376,13 @@ def run_sweep(cfg: SweepConfig) -> list[IneqReport]:
     Per-point failures become rows whose notes name the exception and its
     message, with ``holds=False``; they never abort the sweep.  Output order
     is imposed by a deterministic sort, so the evaluation order is
-    unobservable.  Each (alpha, function) pair is realized once, so the
+    unobservable: rows are ordered by (ineq, alpha, s, a, b, x, fn, p, q)
+    (``_sort_key``).  The builder makes every row, error rows included, and
+    sets an axis an id does not read to None on each of its rows, so an
+    axis is None on every row of an id or on none, and None is only ever
+    compared with None; the config's numbers are all floats
+    (:class:`SweepConfig`).  So the order is the one that reads an empty s,
+    x, p or q as -1.0.  Each (alpha, function) pair is realized once, so the
     values cached on its series are shared by all of its rows.  Every id
     gets one ``block`` call per (alpha, function, id, interval), which
     computes what the block's points share once, and the builder makes each
@@ -671,14 +685,15 @@ def emit_report(rows: Sequence[IneqReport], format: str, path: str | Path) -> No
         fh.write(text)
 
 
-def _json_number(v) -> str:
-    """A number cell as its double in JSON.
+#: The JSON cells of the non-finite doubles, keyed by their ``repr``: strict JSON has no NaN or
+#: Infinity, so each is written as the string of its CSV cell.
+_NON_FINITE = {text: json.dumps(text) for text in ("inf", "-inf", "nan")}
 
-    Strict JSON has no NaN or Infinity, so a non-finite value is written as
-    the string of its CSV cell.
-    """
-    v = float(v)
-    return float.__repr__(v) if math.isfinite(v) else json.dumps(_fmt(v))
+
+def _json_number(v) -> str:
+    """A number cell as its double in JSON, a non-finite one as the string of its CSV cell."""
+    text = "%r" % float(v)
+    return _NON_FINITE.get(text, text)
 
 
 def _check_format(format: str) -> None:
@@ -704,16 +719,23 @@ class _Cells(dict):
     that rounds to the value it is compared with differs from it by fewer
     than ``2**61 - 1`` units of the key's last place, so Python's numeric
     hash, the value modulo ``2**61 - 1``, tells the two apart: every hit is
-    the cell of the lookup's own double.  Zeros are not stored, as 0.0 ==
-    -0.0, nor is NaN, which equals nothing.
+    the cell of the lookup's own double.  NaN, which equals nothing, is
+    not stored.  Zeros are not stored either, as 0.0 == -0.0: a zero of
+    any number type gets the text of its sign, which ``render`` renders
+    once, from 0.0 and -0.0, when the cells are made.  The ``rhs`` and
+    ``slack`` cells of :func:`render_report` never come here: distinct on
+    almost every row, they are formatted inline.
     """
 
     def __init__(self, render: Callable[[object], str]) -> None:
         self.render = render
+        self.zeros = (render(0.0), render(-0.0))
 
     def __missing__(self, value) -> str:
+        if value == 0:  # no text equals 0
+            return self.zeros[math.copysign(1.0, value) < 0.0]
         text = self.render(value)
-        if type(value) is str or (type(value) is float and 0.0 < abs(value) < _FLOAT16_MAX):
+        if type(value) is str or (type(value) is float and abs(value) < _FLOAT16_MAX):
             self[value] = text
         return text
 
@@ -729,27 +751,32 @@ def render_report(rows: Sequence[IneqReport], format: str) -> str:
     the string of its CSV cell and ``None`` as ``null``.  ``holds`` is
     ``true`` or ``false`` by its truth value.  A text cell is quoted by the
     ``csv`` module, or by ``json.dumps``.  Cells are rendered once per
-    distinct value in this call, except CSV ``rhs`` and ``slack``, distinct
-    on almost every row, which are rendered inline; only floats below
-    65504 in magnitude are cached (:class:`_Cells`).  The text is that of
-    the ``csv`` writer, or of ``json.dumps(records, indent=2,
-    allow_nan=False)`` with a newline, for the rows with each number cell
-    converted to a float and ``holds`` to a bool.
+    distinct value in this call (:class:`_Cells`, which caches texts, floats
+    below 65504 in magnitude and one text per sign of zero), except
+    ``rhs`` and ``slack``, distinct on almost every row, which are
+    formatted inline by the ``%`` operator with no Python function call:
+    ``"%.17g" % v``, which converts v to a double as ``format(float(v),
+    ".17g")`` does, and in JSON ``"%r" % float(v)`` with a non-finite text
+    looked up in ``_NON_FINITE``.  A row's cells are read as attributes,
+    which on a slotted record cost less than an ``operator.attrgetter``.
+    The text is that of the ``csv`` writer, or of ``json.dumps(records,
+    indent=2, allow_nan=False)`` with a newline, for the rows with each
+    number cell converted to a float and ``holds`` to a bool.
     """
     _check_format(format)
-    values = attrgetter(*CSV_COLUMNS)
     if format == "json":
         num, txt = _Cells(_json_number), _Cells(json.dumps)
         num[None] = "null"
         out = []
         for r in rows:
-            ineq, alpha, s, p, q, a, b, x, fn, lhs, rhs, slack, holds, notes = values(r)
+            rhs = "null" if r.rhs is None else "%r" % float(r.rhs)
+            slack = "null" if r.slack is None else "%r" % float(r.slack)
             out.append(
-                f'  {{\n    "ineq": {txt[ineq]},\n    "alpha": {num[alpha]},\n    "s": {num[s]},\n'
-                f'    "p": {num[p]},\n    "q": {num[q]},\n    "a": {num[a]},\n    "b": {num[b]},\n'
-                f'    "x": {num[x]},\n    "fn": {txt[fn]},\n    "lhs": {num[lhs]},\n    "rhs": {num[rhs]},\n'
-                f'    "slack": {num[slack]},\n    "holds": {"true" if holds else "false"},\n'
-                f'    "notes": {txt[notes]}\n  }}'
+                f'  {{\n    "ineq": {txt[r.ineq]},\n    "alpha": {num[r.alpha]},\n    "s": {num[r.s]},\n'
+                f'    "p": {num[r.p]},\n    "q": {num[r.q]},\n    "a": {num[r.a]},\n    "b": {num[r.b]},\n'
+                f'    "x": {num[r.x]},\n    "fn": {txt[r.fn]},\n    "lhs": {num[r.lhs]},\n'
+                f'    "rhs": {_NON_FINITE.get(rhs, rhs)},\n    "slack": {_NON_FINITE.get(slack, slack)},\n'
+                f'    "holds": {"true" if r.holds else "false"},\n    "notes": {txt[r.notes]}\n  }}'
             )
         return "[\n" + ",\n".join(out) + "\n]\n" if out else "[]\n"
     buf = io.StringIO()
@@ -764,12 +791,10 @@ def render_report(rows: Sequence[IneqReport], format: str) -> str:
     num, txt = _Cells(_fmt), _Cells(quote)
     num[None] = ""  # an empty number cell
     for r in rows:
-        ineq, alpha, s, p, q, a, b, x, fn, lhs, rhs, slack, holds, notes = values(r)
-        rhs = "" if rhs is None else _fmt(rhs)
-        slack = "" if slack is None else _fmt(slack)
         buf.write(
-            f"{txt[ineq]},{num[alpha]},{num[s]},{num[p]},{num[q]},{num[a]},{num[b]},{num[x]},"
-            f"{txt[fn]},{num[lhs]},{rhs},{slack},{'true' if holds else 'false'},{txt[notes]}\n"
+            f"{txt[r.ineq]},{num[r.alpha]},{num[r.s]},{num[r.p]},{num[r.q]},{num[r.a]},{num[r.b]},{num[r.x]},"
+            f"{txt[r.fn]},{num[r.lhs]},{'' if r.rhs is None else '%.17g' % r.rhs},"
+            f"{'' if r.slack is None else '%.17g' % r.slack},{'true' if r.holds else 'false'},{txt[r.notes]}\n"
         )
     return buf.getvalue()
 

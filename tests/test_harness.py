@@ -230,6 +230,45 @@ class TestSweepConfig:
     def test_zero_fp_tol_is_accepted(self):
         assert Tolerances(fp_tol=0.0).fp_tol == 0.0
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("alphas", [None]),
+            ("alphas", ["1"]),
+            ("alphas", [10**400]),
+            ("s_values", [None]),
+            ("s_values", [True]),
+            ("x_fractions", ["0.5"]),
+            ("x_fractions", [None]),
+            ("intervals", [[0.0, None]]),
+            ("intervals", [["0", 1.0]]),
+            ("intervals", [[0.0, 1.0, 2.0]]),
+            ("pq_pairs", [[2.0, None]]),
+            ("pq_pairs", [[2.0, False]]),
+        ],
+    )
+    def test_a_config_built_in_python_checks_its_numbers_as_from_dict_does(self, name, value):
+        # each once raised a bare TypeError from a comparison, or, for True, was accepted
+        raw = {"alphas": [1.0], "functions": ["mono:2"], "inequalities": ["thm1"], name: value}
+        with pytest.raises(ValueError, match=re.escape(name)) as from_dict:
+            SweepConfig.from_dict(raw)
+        fields = {"alphas": (1.0,), "functions": (parse_function_spec("mono:2"),), "inequalities": ("thm1",),
+                  name: value}
+        with pytest.raises(ValueError) as built:
+            SweepConfig(**fields)
+        assert str(built.value) == str(from_dict.value)
+
+    def test_a_config_built_in_python_holds_floats(self):
+        cfg = SweepConfig(alphas=[1], functions=(parse_function_spec("mono:3"),), inequalities=("thm1", "thm2"),
+                          intervals=[[0, 2]], x_fractions=[1, 0], s_values=[1], pq_pairs=[[2, 2]])
+        assert cfg == SweepConfig.from_dict({"alphas": [1.0], "functions": ["mono:3"], "inequalities": ["thm1", "thm2"],
+                                             "intervals": [[0.0, 2.0]], "x_fractions": [1.0, 0.0],
+                                             "s_values": [1.0], "pq_pairs": [[2.0, 2.0]]})
+        assert cfg.intervals == ((0.0, 2.0),) and cfg.pq_pairs == ((2.0, 2.0),)
+        numbers = [*cfg.alphas, *cfg.x_fractions, *cfg.s_values, *cfg.intervals[0], *cfg.pq_pairs[0]]
+        assert {type(v) for v in numbers} == {float}
+        assert [type(v) for v in (cfg.alphas, cfg.x_fractions, cfg.s_values, cfg.intervals[0])] == [tuple] * 4
+
 
 def _cfg(**overrides):
     base = dict(
@@ -288,6 +327,31 @@ class TestRunSweep:
         assert rows1 == rows2
         keys = [(r.ineq, r.alpha, r.s or -1, r.x or -1) for r in rows1]
         assert keys == sorted(keys)
+
+    def test_rows_follow_the_documented_order(self):
+        # every id, unsorted axes, and the Gamma pole of mono:0.5, whose f'' does not exist, for error rows
+        cfg = _cfg(
+            alphas=(1.0, 0.5),
+            functions=(parse_function_spec("mono:3"), parse_function_spec("mono:0.5"), parse_function_spec("mono:2")),
+            inequalities=INEQUALITY_IDS,
+            intervals=((0.5, 2.0), (0.0, 1.0)),
+            x_fractions=(0.75, 0.0, 0.5),
+            s_values=(1.0, 0.25),
+            pq_pairs=((3.0, 1.5), (2.0, 2.0)),
+        )
+        rows = run_sweep(cfg)
+        assert len(rows) == expected_row_count(cfg)
+        assert any(r.notes.startswith("error:") for r in rows)
+        assert any(not r.notes.startswith("error:") for r in rows)
+
+        def documented(r):
+            # an empty s, x, p or q reads as -1.0, below every value it can take
+            def v(value):
+                return -1.0 if value is None else value
+
+            return (r.ineq, r.alpha, v(r.s), r.a, r.b, v(r.x), r.fn, v(r.p), v(r.q))
+
+        assert [id(r) for r in rows] == [id(r) for r in sorted(rows, key=documented)]
 
     def test_per_point_errors_become_rows(self):
         # grade 0.5 cannot be differentiated twice: the row records the error
@@ -1018,6 +1082,15 @@ class TestEmission:
     @example(rows=[
         IneqReport("ghh", 1.0, 0.0, 0.0, 0.0, True, x=2.0**-14),
         IneqReport("ghh", 1.0, 0.0, 0.0, 0.0, True, x=np.float32(2.0**-75)),
+    ])
+    # inline rhs and slack cells of numpy zeros, a numpy bool and a float beyond _FLOAT16_MAX,
+    # after a row whose rhs is the float 0.0
+    @example(rows=[
+        IneqReport("ghh", 1.0, 0.5, 0.0, 0.0, True),
+        IneqReport("ghh", 1.0, 0.5, np.float32(-0.0), np.float32(-0.0), True),
+        IneqReport("ghh", 1.0, 0.5, np.int64(0), np.int64(0), True),
+        IneqReport("ghh", 1.0, 0.5, np.bool_(True), np.bool_(True), True),
+        IneqReport("ghh", 1.0, 0.5, 65504.5, -1e300, True),
     ])
     def test_rows_render_as_their_coerced_rows(self, fmt, rows):
         assert render_report(rows, fmt) == render_report(_coerced(rows), fmt)
